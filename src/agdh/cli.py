@@ -222,11 +222,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--eager-rekey", action="store_true",
                        help="rekey immediately on new members instead of at the"
                             " leader's next contribution change")
-    group = p_run.add_mutually_exclusive_group()
-    group.add_argument("--toy", action="store_true", help="use the tiny test group")
-    group.add_argument("--prod", action="store_true", help="use the production group (default)")
+    p_run.add_argument("--toy", action="store_true",
+                       help="use the tiny test group instead of the production group")
     p_run.add_argument("--params", help="custom parameter file (p=,q=,g=,name=)")
-    p_run.add_argument("--metrics-format", choices=["text"], default="text")
     p_run.add_argument("--repeat", type=int, default=1,
                        help="fan out K independent seeds in parallel")
     p_run.set_defaults(func=cmd_run)

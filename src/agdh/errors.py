@@ -48,8 +48,9 @@ class OverlapError(ConfigError):
     """Partition cells are not disjoint."""
 
 
-class UnknownNode(ProtocolError):
-    """Scheduled event refers to a node id the simulation does not know."""
+class UnknownNode(ConfigError):
+    """Scheduled event refers to a node id that is unknown, already
+    exists, or is not live at that point in the schedule."""
 
 
 class CountMismatch(ProtocolError):

@@ -25,7 +25,13 @@ import hmac
 from dataclasses import dataclass, replace
 from enum import IntEnum
 
-from .errors import MalformedMessage, ShapeViolation, UnknownParticipant
+from .errors import (
+    BadLength,
+    MalformedMessage,
+    NotInSubgroup,
+    ShapeViolation,
+    UnknownParticipant,
+)
 from .gka_core import NONCE_LEN
 from .group_arith import GroupElement, GroupParams, decode_element, encode_element
 
@@ -149,13 +155,15 @@ def encode_canonical(msg: Message, params: GroupParams) -> bytes:
     return bytes(out)
 
 
+def _append_signature(canonical: bytes, signature: bytes) -> bytes:
+    if len(signature) > 0xFFFF:
+        raise ShapeViolation("signature")
+    return canonical + len(signature).to_bytes(2, "big") + signature
+
+
 def encode_signed(msg: Message, params: GroupParams) -> bytes:
     """Full wire form: canonical bytes, 2-byte signature length, signature."""
-    if len(msg.signature) > 0xFFFF:
-        raise ShapeViolation("signature")
-    return (encode_canonical(msg, params)
-            + len(msg.signature).to_bytes(2, "big")
-            + msg.signature)
+    return _append_signature(encode_canonical(msg, params), msg.signature)
 
 
 def decode(data: bytes, params: GroupParams) -> Message:
@@ -196,7 +204,7 @@ def decode(data: bytes, params: GroupParams) -> Message:
             if has_response:
                 response = decode_element(bytes(view[pos:pos + width]), params)
                 pos += width
-        except Exception as exc:
+        except (BadLength, NotInSubgroup) as exc:
             raise MalformedMessage(f"bad group element: {exc}") from None
         entries.append(GroupEntry(pid, nonce, blinded, response))
     if len(view) < pos + 2:
@@ -215,13 +223,31 @@ def sign(msg: Message, keyring, params: GroupParams) -> Message:
     return replace(msg, signature=signature)
 
 
-def verify(msg: Message, keyring, params: GroupParams) -> bool:
-    """True iff the signature verifies under the claimed sender's key."""
-    try:
-        canonical = encode_canonical(msg, params)
-    except ShapeViolation:
-        return False
-    return keyring.verify(msg.sender_id, canonical, msg.signature)
+def sign_and_encode(msg: Message, keyring,
+                    params: GroupParams) -> tuple[Message, bytes]:
+    """Sign and serialize with one encoding: (signed message, wire form)."""
+    canonical = encode_canonical(msg, params)
+    signature = keyring.sign(msg.sender_id, canonical)
+    return (replace(msg, signature=signature),
+            _append_signature(canonical, signature))
+
+
+def verify(msg: Message, wire: bytes, keyring) -> bool:
+    """True iff the signature verifies under the claimed sender's key.
+
+    ``msg`` must be ``decode(wire, params)``.  The signature is checked over
+    the received bytes, ``wire`` minus its ``[sig_len][signature]`` trailer,
+    without re-encoding: that prefix is exactly ``encode_canonical(msg)``
+    because :func:`decode` accepts only the canonical form.  Every header
+    field has a fixed width and is re-emitted as read; the kind byte must
+    name a kind; ``entry_count`` is the number of entries parsed;
+    ``has_response`` must be 0 or 1, the same byte the encoder writes;
+    each element must be exactly ``element_width`` bytes and a subgroup
+    member, so it re-encodes to the same big-endian bytes; and the
+    signature length must end the wire exactly, so nothing trails it.
+    """
+    signed = wire[:len(wire) - 2 - len(msg.signature)]
+    return keyring.verify(msg.sender_id, signed, msg.signature)
 
 
 def validate_shape(msg: Message) -> Message:

@@ -46,8 +46,7 @@ from .messages import (
     build_igroup,
     build_ireply,
     decode,
-    encode_signed,
-    sign,
+    sign_and_encode,
     validate_shape,
     verify,
 )
@@ -317,8 +316,8 @@ class Node:
             SecretRecord(now, "member", self.own_secret, blinded, nonce))
 
     def _sign_and_pack(self, msg: Message, dest: int | None) -> Outgoing:
-        signed = sign(msg, self.keyring, self.params)
-        return Outgoing(signed, encode_signed(signed, self.params), dest)
+        signed, wire = sign_and_encode(msg, self.keyring, self.params)
+        return Outgoing(signed, wire, dest)
 
     def _send_ireply(self, now: int, out: FsmOutput) -> None:
         assert self.contribution is not None and self.leader_id is not None
@@ -349,7 +348,7 @@ class Node:
             out.accepted = False
             out.log.append(("reject", "malformed", str(exc)))
             return
-        if not self._skip_verify and not verify(msg, self.keyring, self.params):
+        if not self._skip_verify and not verify(msg, wire, self.keyring):
             out.accepted = False
             out.log.append(("reject", "bad_signature", msg.sender_id))
             return

@@ -9,12 +9,13 @@ paths beyond the group primitives, so corrupting either path trips it.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, field
 
 from .errors import CountMismatch, MalformedMessage
 from .gka_core import derive_session_key, oracle_key
 from .group_arith import GroupParams, encode_element
-from .messages import ANNOUNCEMENT_KINDS, MessageKind, decode, verify
+from .messages import ANNOUNCEMENT_KINDS, Message, MessageKind, decode, verify
 from .simnet import Record, SimResult
 
 _ANNOUNCEMENT_NAMES = {k.name for k in ANNOUNCEMENT_KINDS}
@@ -50,18 +51,75 @@ def _scalar_width(params: GroupParams) -> int:
     return (params.order.bit_length() + 7) // 8
 
 
+class _WireChecks:
+    """Each distinct wire decoded and signature-checked at most once.
+
+    Only a small verdict is kept per wire, never the decoded message:
+    ``(problem, leaks)``, where ``problem`` is None, ``("malformed",
+    reason)`` or ``("unverified", kind name)``, and ``leaks`` holds the
+    fields that equal a secret's encoding (empty unless scanning).
+    """
+
+    def __init__(self, result: SimResult, secret_encodings: set | None):
+        self._params = result.params
+        self._keyring = result.keyring
+        self._secrets = secret_encodings
+        self._width = _scalar_width(result.params)
+        self._facts: dict[bytes, tuple] = {}
+
+    def decode(self, wire: bytes) -> Message:
+        """Decode a wire not seen before and record its facts."""
+        try:
+            msg = decode(wire, self._params)
+        except MalformedMessage as exc:
+            self._facts[wire] = (("malformed", str(exc)), ())
+            raise
+        problem = None
+        if not verify(msg, wire, self._keyring):
+            problem = ("unverified", msg.kind.name)
+        leaks = self._leaks(msg) if self._secrets else ()
+        self._facts[wire] = (problem, leaks)
+        return msg
+
+    def facts(self, wire: bytes) -> tuple:
+        found = self._facts.get(wire)
+        if found is None:
+            with contextlib.suppress(MalformedMessage):
+                self.decode(wire)
+            found = self._facts[wire]
+        return found
+
+    def _leaks(self, msg: Message) -> tuple:
+        # Only fields as wide as a scalar can equal a secret's encoding, so
+        # elements are encoded only when the two widths agree.
+        width, params = self._width, self._params
+        fields = [msg.sender_nonce]
+        for e in msg.entries:
+            fields.append(e.nonce)
+            if params.element_width == width:
+                fields.append(encode_element(e.blinded_secret, params))
+                if e.blinded_response is not None:
+                    fields.append(encode_element(e.blinded_response, params))
+        return tuple(data for data in fields
+                     if len(data) == width and data in self._secrets)
+
+
 def audit_transcript(result: SimResult, scan_secrets: bool | None = None) -> AuditReport:
     """Cross-check a finished run against ground truth.
 
     Checks, per announced epoch: the key every node derived equals the
     direct-exponent recomputation from the logged secrets, and is never the
     identity element.  Also: every accepted message re-verifies under the
-    keyring, and no message field carries a secret's encoding.
+    keyring, and no message field carries a secret's encoding.  Each
+    distinct wire is decoded and verified at most once; a wire accepted by
+    many nodes yields one finding per offending ACCEPT record.
 
     The secret scan compares raw bytes, so on a group whose element width
     equals the scalar width (the toy group: one byte each) equality is
     pigeonhole coincidence, not leakage.  By default the scan runs only when
-    the widths differ; pass ``scan_secrets=True`` to force it.
+    the widths differ; pass ``scan_secrets=True`` to force it.  On PROD the
+    default scan compares nothing: no wire field has the 20-byte scalar
+    width (nonces are 16 bytes and elements 128), so it only counts sends.
     """
     params = result.params
     report = AuditReport()
@@ -76,16 +134,27 @@ def audit_transcript(result: SimResult, scan_secrets: bool | None = None) -> Aud
                 leader_secret_by_nonce[(node_id, rec.nonce)] = rec.secret
             else:
                 member_secret[(node_id, rec.blinded, rec.nonce)] = rec.secret
+    width = _scalar_width(params)
+    secret_encodings = {
+        rec.secret.to_bytes(width, "big")
+        for records in result.secrets.values() for rec in records
+    } if scan_secrets else None
+    wires = _WireChecks(result, secret_encodings)
 
     # --- reconstruct announced group compositions -------------------------
     sends = result.transcript.of_kind("SEND")
     composition: dict[tuple[int, int], tuple] = {}
+    composed: set[bytes] = set()
     for rec in sends:
         if rec.get("kind") not in _ANNOUNCEMENT_NAMES:
             continue
         if int(rec.get("entries")) == 0:
             continue
-        msg = decode(bytes.fromhex(rec.get("wire")), params)
+        wire = result.wire_by_id[int(rec.get("id"))]
+        if wire in composed:
+            continue  # a rebeacon: same bytes, same key and shape
+        composed.add(wire)
+        msg = wires.decode(wire)
         key = (msg.sender_id, msg.epoch)
         shape = tuple((e.participant_id, e.nonce, e.blinded_secret)
                       for e in msg.entries)
@@ -95,12 +164,12 @@ def audit_transcript(result: SimResult, scan_secrets: bool | None = None) -> Aud
                 report.add("epoch_reuse",
                            f"leader={msg.sender_id} epoch={msg.epoch}")
             continue
-        composition[key] = (msg, shape)
+        composition[key] = (msg.sender_nonce, shape)
 
     expected: dict[tuple[int, int], bytes] = {}
     included: dict[tuple[int, int], set] = {}
-    for (leader_id, epoch), (msg, shape) in composition.items():
-        r_l = leader_secret_by_nonce.get((leader_id, msg.sender_nonce))
+    for (leader_id, epoch), (leader_nonce, shape) in composition.items():
+        r_l = leader_secret_by_nonce.get((leader_id, leader_nonce))
         if r_l is None:
             report.add("unknown_leader_secret",
                        f"leader={leader_id} epoch={epoch}")
@@ -147,34 +216,23 @@ def audit_transcript(result: SimResult, scan_secrets: bool | None = None) -> Aud
         if wire is None:
             report.add("accept_without_wire", f"id={rec.get('id')}")
             continue
-        try:
-            msg = decode(wire, params)
-        except MalformedMessage as exc:
-            report.add("accepted_malformed", f"id={rec.get('id')}: {exc}")
+        problem, _ = wires.facts(wire)
+        if problem is None:
             continue
-        if not verify(msg, result.keyring, params):
+        what, detail = problem
+        if what == "malformed":
+            report.add("accepted_malformed", f"id={rec.get('id')}: {detail}")
+        else:
             report.add("accepted_unverified",
-                       f"node={rec.node} id={rec.get('id')} kind={msg.kind.name}")
+                       f"node={rec.node} id={rec.get('id')} kind={detail}")
 
     # --- no protocol message may carry a secret's encoding ----------------
-    width = _scalar_width(params)
-    secret_encodings = {
-        rec.secret.to_bytes(width, "big")
-        for records in result.secrets.values() for rec in records
-    }
     for rec in sends if scan_secrets else ():
         report.sends_scanned += 1
-        msg = decode(bytes.fromhex(rec.get("wire")), params)
-        fields = [msg.sender_nonce]
-        for e in msg.entries:
-            fields.append(e.nonce)
-            fields.append(encode_element(e.blinded_secret, params))
-            if e.blinded_response is not None:
-                fields.append(encode_element(e.blinded_response, params))
-        for data in fields:
-            if len(data) == width and data in secret_encodings:
-                report.add("secret_leak",
-                           f"send id={rec.get('id')} field={data.hex()}")
+        _, leaks = wires.facts(result.wire_by_id[int(rec.get("id"))])
+        for data in leaks:
+            report.add("secret_leak",
+                       f"send id={rec.get('id')} field={data.hex()}")
     return report
 
 
@@ -193,12 +251,12 @@ class CostRow:
                 f" broadcasts={self.broadcasts} rounds={self.rounds}")
 
 
-def _establishment(result: SimResult) -> tuple[Record, int, int]:
-    """The announcement that first carries entries, its sender, and epoch."""
+def _establishment(result: SimResult) -> tuple[Record, Message]:
+    """The announcement that first carries entries, and its message."""
     for rec in result.transcript.of_kind("SEND"):
         if rec.get("kind") in _ANNOUNCEMENT_NAMES and int(rec.get("entries")) > 0:
-            msg = decode(bytes.fromhex(rec.get("wire")), result.params)
-            return rec, msg.sender_id, msg.epoch
+            wire = result.wire_by_id[int(rec.get("id"))]
+            return rec, decode(wire, result.params)
     raise CountMismatch("no keyed announcement in transcript")
 
 
@@ -212,7 +270,8 @@ def cost_table(result: SimResult, m: int) -> CostRow:
     protocol message count is over distinct logical messages.
     """
     params = result.params
-    establishing, leader_id, epoch = _establishment(result)
+    establishing, establishing_msg = _establishment(result)
+    leader_id, epoch = establishing_msg.sender_id, establishing_msg.epoch
     t_end = establishing.time
 
     # distinct member contributions sent before the establishing broadcast
@@ -220,7 +279,7 @@ def cost_table(result: SimResult, m: int) -> CostRow:
     for rec in result.transcript.of_kind("SEND"):
         if rec.time > t_end or rec.get("kind") not in _CONTRIBUTION_NAMES:
             continue
-        msg = decode(bytes.fromhex(rec.get("wire")), params)
+        msg = decode(result.wire_by_id[int(rec.get("id"))], params)
         entry = msg.entries[0]
         logical = (msg.sender_id, entry.nonce, entry.blinded_secret)
         if logical not in contributions:
@@ -266,7 +325,6 @@ def cost_table(result: SimResult, m: int) -> CostRow:
         if when <= t_conv:
             expos[node_id] = expos.get(node_id, 0) + delta
 
-    establishing_msg = decode(bytes.fromhex(establishing.get("wire")), params)
     member_ids = {e.participant_id for e in establishing_msg.entries}
     problems = []
     leader_expos = expos.get(leader_id, 0)

@@ -24,12 +24,11 @@ from .node_fsm import (
     Mode,
     Node,
     NodeConfig,
+    SECOND,
     Outgoing,
     TimerFired,
 )
 from .messages import HmacKeyRing
-
-SECOND = 1_000_000
 
 # queue entry tags; the unique sequence number keeps payloads uncompared
 _TIMER, _DELIVER, _SCHED = 0, 1, 2
@@ -102,7 +101,36 @@ class SimConfig:
             raise ConfigError("latency bounds must satisfy 0 < min <= max")
         if self.duration <= 0:
             raise ConfigError("duration must be positive")
+        self._validate_schedule()
         return self
+
+    def _validate_schedule(self) -> None:
+        """Replay the schedule in run order, (at, index), and reject entries
+        that could only fail mid-run: a join of an id that already exists,
+        a leave or crash of an id that is not live, and partition cells
+        that overlap."""
+        known = set(range(1, self.node_count + 1))
+        live = set(known)
+        order = sorted(range(len(self.schedule)),
+                       key=lambda i: (self.schedule[i].at, i))
+        for entry in (self.schedule[i] for i in order):
+            if isinstance(entry, JoinAt):
+                if entry.node_id in known:
+                    raise UnknownNode(f"node {entry.node_id} already exists")
+                known.add(entry.node_id)
+                live.add(entry.node_id)
+            elif isinstance(entry, (LeaveAt, CrashAt)):
+                if entry.node_id not in live:
+                    raise UnknownNode(f"node {entry.node_id} is not live")
+                live.discard(entry.node_id)
+            elif isinstance(entry, PartitionAt):
+                seen: set[int] = set()
+                for cell in entry.cells:
+                    for node_id in cell:
+                        if node_id in seen:
+                            raise OverlapError(
+                                f"node {node_id} in two partition cells")
+                        seen.add(node_id)
 
 
 @dataclass(frozen=True)
@@ -213,9 +241,6 @@ class _Simulation:
         initial = list(range(1, config.node_count + 1))
         scheduled_joins = [e.node_id for e in config.schedule
                            if isinstance(e, JoinAt)]
-        clash = set(initial) & set(scheduled_joins)
-        if clash:
-            raise ConfigError(f"scheduled joins reuse initial ids: {sorted(clash)}")
         self.keyring = HmacKeyRing.provision(
             initial + scheduled_joins, master=f"agdh/{config.seed}")
         for node_id in initial:
@@ -292,8 +317,6 @@ class _Simulation:
         elif isinstance(entry, HealAt):
             self.heal(at)
         elif isinstance(entry, JoinAt):
-            if entry.node_id in self.nodes:
-                raise UnknownNode(f"node {entry.node_id} already exists")
             self.transcript.append(at, "JOIN", entry.node_id)
             self._create_node(entry.node_id, at)
         elif isinstance(entry, (LeaveAt, CrashAt)):
@@ -309,12 +332,6 @@ class _Simulation:
             raise ConfigError(f"unknown schedule entry {entry!r}")
 
     def apply_partition(self, cells, at: int) -> None:
-        seen: set[int] = set()
-        for cell in cells:
-            for node_id in cell:
-                if node_id in seen:
-                    raise OverlapError(f"node {node_id} in two partition cells")
-                seen.add(node_id)
         if not cells:
             return  # no-op
         assignment = {}
@@ -332,8 +349,6 @@ class _Simulation:
         self.transcript.append(at, "HEAL", None)
 
     def node_leave(self, node_id: int, graceful: bool, at: int) -> None:
-        if node_id not in self.live:
-            raise UnknownNode(f"node {node_id} is not live")
         if graceful:
             node = self.nodes[node_id]
             self._absorb(node_id, node.handle(LocalLeaveRequest(True), at), at)

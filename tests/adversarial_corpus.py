@@ -29,6 +29,7 @@ class Outcome:
     state_unchanged: bool
     key_changes: int
     sends: int
+    wire: bytes
 
 
 def _elect(node):
@@ -82,6 +83,7 @@ def run_corpus() -> dict[str, Outcome]:
             state_unchanged=node.state_digest() == digest,
             key_changes=len(out.key_changes),
             sends=len(out.sends),
+            wire=wire,
         )
 
     # --- flipped signature bytes -----------------------------------------

@@ -80,6 +80,16 @@ class TestRunCommand:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_bad_schedule_exits_two_before_running(self, tmp_path, capsys):
+        scenario = tmp_path / "s.scn"
+        scenario.write_text("10s leave 99 crash\n")
+        out_dir = tmp_path / "out"
+        code = main(["run", "--nodes", "4", "--toy", "--scenario", str(scenario),
+                     "--out", str(out_dir)])
+        assert code == 2
+        assert "node 99 is not live" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_bad_flag_value_exits_two(self, capsys):
         code = main(["run", "--nodes", "3", "--loss", "2.0"])
         assert code == 2

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from agdh.errors import MalformedMessage, ShapeViolation, UnknownParticipant
-from agdh.group_arith import TOY
+from agdh.group_arith import PROD, TOY
 from agdh.messages import (
     GroupEntry,
     HmacKeyRing,
@@ -22,11 +22,13 @@ from agdh.messages import (
     encode_canonical,
     encode_signed,
     sign,
+    sign_and_encode,
     validate_shape,
     verify,
 )
 
 RING = HmacKeyRing.provision(range(1, 8), master="vector-fixture")
+VECTORS = os.path.join(os.path.dirname(__file__), "data", "message_vectors.txt")
 TOY_ELEMENTS = [1, 2, 3, 4, 6, 8, 9, 12, 13, 16, 18]
 
 
@@ -72,6 +74,17 @@ class TestCanonicalEncoding:
         with pytest.raises(MalformedMessage):
             decode(bytes(wire), TOY)
 
+    @pytest.mark.parametrize("value", [0, PROD.modulus - 1, PROD.modulus])
+    def test_non_subgroup_element_rejected_on_prod(self, value):
+        """Zero, the order-2 element p-1 and an out-of-range value all fit
+        the 128-byte field; each still surfaces as MalformedMessage."""
+        header = bytes([0x02]) + (2).to_bytes(4, "big") + nonce(0xAA) \
+            + (1).to_bytes(8, "big") + (1).to_bytes(2, "big")
+        entry = (2).to_bytes(4, "big") + nonce(0xAA) + bytes([0]) \
+            + value.to_bytes(PROD.element_width, "big")
+        with pytest.raises(MalformedMessage, match="bad group element"):
+            decode(header + entry + (0).to_bytes(2, "big"), PROD)
+
 
 entry_strategy = st.builds(
     GroupEntry,
@@ -97,10 +110,62 @@ def test_roundtrip_random_messages(msg):
     assert decode(encode_signed(msg, TOY), TOY) == msg
 
 
+def reference_verify(msg, keyring, params) -> bool:
+    """Signature check over a fresh re-encoding of the decoded message."""
+    return keyring.verify(msg.sender_id, encode_canonical(msg, params),
+                          msg.signature)
+
+
+def check_wire_prefix(wire: bytes, params) -> None:
+    """A wire that decodes is its canonical encoding plus the trailer, and
+    verifying the received bytes agrees with verifying a re-encoding."""
+    msg = decode(wire, params)
+    assert encode_canonical(msg, params) == \
+        wire[:len(wire) - 2 - len(msg.signature)]
+    assert verify(msg, wire, RING) == reference_verify(msg, RING, params)
+
+
+@given(message_strategy, st.integers(0, 8), st.booleans())
+def test_received_bytes_are_canonical(msg, sender, signed):
+    msg = replace(msg, sender_id=sender)
+    if signed and RING.known(sender):
+        msg = sign(msg, RING, TOY)
+    check_wire_prefix(encode_signed(msg, TOY), TOY)
+
+
+def test_received_bytes_are_canonical_on_fixed_wires():
+    """Every checked-in vector and every adversarial-corpus wire that
+    decodes satisfies the same identity."""
+    import adversarial_corpus
+
+    with open(VECTORS) as fh:
+        wires = {f"vector {i}": bytes.fromhex(line.split()[0])
+                 for i, line in enumerate(fh)
+                 if line.strip() and not line.startswith("#")}
+    wires.update((name, outcome.wire) for name, outcome
+                 in adversarial_corpus.run_corpus().items())
+    malformed = set()
+    for name, wire in wires.items():
+        try:
+            decode(wire, TOY)
+        except MalformedMessage:
+            malformed.add(name)
+            continue
+        check_wire_prefix(wire, TOY)
+    assert malformed == {"truncated", "unknown_kind"}
+
+
+def test_sign_and_encode_matches_sign_then_encode():
+    msg = build_igroup(1, nonce(0x11), 3, [GroupEntry(2, nonce(0xAA), 16, 2)])
+    signed, wire = sign_and_encode(msg, RING, TOY)
+    assert signed == sign(msg, RING, TOY)
+    assert wire == encode_signed(signed, TOY)
+
+
 class TestSignatures:
     def test_sign_verify_roundtrip(self):
         msg = sign(build_init(5, bytes(16), 0), RING, TOY)
-        assert verify(msg, RING, TOY)
+        assert verify(msg, encode_signed(msg, TOY), RING)
 
     def test_bit_flip_detected(self):
         entry = GroupEntry(2, nonce(0xAA), 16, 2)
@@ -109,16 +174,17 @@ class TestSignatures:
             msg,
             entries=(replace(entry, blinded_secret=9),),
         )
-        assert not verify(tampered, RING, TOY)
+        assert not verify(tampered, encode_signed(tampered, TOY), RING)
 
     def test_wrong_sender_key(self):
         msg = build_init(4, bytes(16), 0)
         forged = replace(msg, signature=RING.sign(3, encode_canonical(msg, TOY)))
-        assert not verify(forged, RING, TOY)
+        assert not verify(forged, encode_signed(forged, TOY), RING)
 
     def test_unknown_sender(self):
         msg = build_init(99, bytes(16), 0)
-        assert not verify(replace(msg, signature=bytes(32)), RING, TOY)
+        unsigned = replace(msg, signature=bytes(32))
+        assert not verify(unsigned, encode_signed(unsigned, TOY), RING)
         with pytest.raises(UnknownParticipant):
             sign(msg, RING, TOY)
 
@@ -126,7 +192,8 @@ class TestSignatures:
         msg = sign(build_init(5, bytes(16), 0), RING, TOY)
         bad = bytearray(msg.signature)
         bad[0] ^= 0x01
-        assert not verify(replace(msg, signature=bytes(bad)), RING, TOY)
+        flipped = replace(msg, signature=bytes(bad))
+        assert not verify(flipped, encode_signed(flipped, TOY), RING)
 
 
 class TestShapes:
@@ -191,9 +258,8 @@ class TestShapes:
 def test_vector_file():
     """The checked-in wire vectors decode to the stated fields, re-encode
     bit-exactly, and verify under the fixture keyring."""
-    path = os.path.join(os.path.dirname(__file__), "data", "message_vectors.txt")
     count = 0
-    with open(path) as fh:
+    with open(VECTORS) as fh:
         for line in fh:
             line = line.strip()
             if not line or line.startswith("#"):
@@ -206,6 +272,6 @@ def test_vector_file():
             assert msg.epoch == int(expected["epoch"])
             assert len(msg.entries) == int(expected["entries"])
             assert encode_signed(msg, TOY).hex() == hexbytes
-            assert verify(msg, RING, TOY)
+            assert verify(msg, bytes.fromhex(hexbytes), RING)
             count += 1
     assert count == 8  # one vector per message kind

@@ -1,9 +1,19 @@
+from collections import Counter
+
 import pytest
 
-from agdh.errors import CountMismatch
-from agdh.group_arith import PROD, TOY
+from agdh.errors import CountMismatch, MalformedMessage
+from agdh.gka_core import derive_session_key, oracle_key
+from agdh.group_arith import PROD, TOY, encode_element
+from agdh.messages import decode, encode_canonical
 from agdh.node_fsm import NodeConfig
-from agdh.oracle import audit_transcript, cost_table
+from agdh.oracle import (
+    _ANNOUNCEMENT_NAMES,
+    AuditReport,
+    _scalar_width,
+    audit_transcript,
+    cost_table,
+)
 from agdh.simnet import (
     SECOND,
     CrashAt,
@@ -116,7 +126,9 @@ class TestAuditDetections:
         """The byte scan runs on width-separated groups and stays silent; on
         the 1-byte toy group it is skipped by default because equality there
         is pigeonhole coincidence, but forcing it shows the comparison is
-        real."""
+        real.  On PROD the silence is trivial: no wire field has the 20-byte
+        scalar width (nonces are 16 bytes, elements 128), so the scan only
+        counts sends and compares nothing."""
         res = run(SimConfig(node_count=8, seed=2, duration=60 * SECOND),
                   NodeConfig(), PROD)
         report = audit_transcript(res)
@@ -159,3 +171,212 @@ class TestCostTable:
                   NodeConfig(), TOY)
         with pytest.raises(CountMismatch):
             cost_table(res, 1)
+
+
+def reference_audit(result, scan_secrets=None) -> AuditReport:
+    """The per-accept auditor: decodes wires from the transcript's hex,
+    once per use, and verifies each accepted delivery by re-encoding it."""
+    params = result.params
+    report = AuditReport()
+    if scan_secrets is None:
+        scan_secrets = _scalar_width(params) != params.element_width
+
+    def verifies(msg):
+        return result.keyring.verify(
+            msg.sender_id, encode_canonical(msg, params), msg.signature)
+
+    leader_secret_by_nonce, member_secret = {}, {}
+    for node_id, records in result.secrets.items():
+        for rec in records:
+            if rec.role == "leader":
+                leader_secret_by_nonce[(node_id, rec.nonce)] = rec.secret
+            else:
+                member_secret[(node_id, rec.blinded, rec.nonce)] = rec.secret
+
+    sends = result.transcript.of_kind("SEND")
+    composition = {}
+    for rec in sends:
+        if rec.get("kind") not in _ANNOUNCEMENT_NAMES:
+            continue
+        if int(rec.get("entries")) == 0:
+            continue
+        msg = decode(bytes.fromhex(rec.get("wire")), params)
+        key = (msg.sender_id, msg.epoch)
+        shape = tuple((e.participant_id, e.nonce, e.blinded_secret)
+                      for e in msg.entries)
+        previous = composition.get(key)
+        if previous is not None:
+            if previous[1] != shape:
+                report.add("epoch_reuse",
+                           f"leader={msg.sender_id} epoch={msg.epoch}")
+            continue
+        composition[key] = (msg, shape)
+
+    expected, included = {}, {}
+    for (leader_id, epoch), (msg, shape) in composition.items():
+        r_l = leader_secret_by_nonce.get((leader_id, msg.sender_nonce))
+        if r_l is None:
+            report.add("unknown_leader_secret",
+                       f"leader={leader_id} epoch={epoch}")
+            continue
+        member_secrets = []
+        for pid, nonce, blinded in shape:
+            secret = member_secret.get((pid, blinded, nonce))
+            if secret is None:
+                report.add("unknown_contribution",
+                           f"leader={leader_id} epoch={epoch} member={pid}")
+                break
+            member_secrets.append(secret)
+        else:
+            key_element = oracle_key(r_l, member_secrets, params)
+            if key_element == 1:
+                report.add("identity_key", f"leader={leader_id} epoch={epoch}")
+                continue
+            expected[(leader_id, epoch)] = derive_session_key(
+                key_element, epoch, params)
+            included[(leader_id, epoch)] = {p for p, _, _ in shape} | {leader_id}
+    report.epochs_checked = len(expected)
+
+    for kev in result.metrics.key_events:
+        slot = (kev.leader_id, kev.epoch)
+        want = expected.get(slot)
+        if want is None:
+            report.add("unannounced_epoch",
+                       f"node={kev.node_id} leader={kev.leader_id} epoch={kev.epoch}")
+            continue
+        if kev.node_id not in included[slot]:
+            report.add("foreign_key",
+                       f"node={kev.node_id} not in epoch {kev.epoch} group")
+        if kev.derived != want:
+            report.add("key_mismatch",
+                       f"node={kev.node_id} leader={kev.leader_id} epoch={kev.epoch}")
+
+    for rec in result.transcript.of_kind("ACCEPT"):
+        report.accepts_checked += 1
+        wire = result.wire_by_id.get(int(rec.get("id")))
+        if wire is None:
+            report.add("accept_without_wire", f"id={rec.get('id')}")
+            continue
+        try:
+            msg = decode(wire, params)
+        except MalformedMessage as exc:
+            report.add("accepted_malformed", f"id={rec.get('id')}: {exc}")
+            continue
+        if not verifies(msg):
+            report.add("accepted_unverified",
+                       f"node={rec.node} id={rec.get('id')} kind={msg.kind.name}")
+
+    width = _scalar_width(params)
+    secret_encodings = {rec.secret.to_bytes(width, "big")
+                        for records in result.secrets.values()
+                        for rec in records}
+    for rec in sends if scan_secrets else ():
+        report.sends_scanned += 1
+        msg = decode(bytes.fromhex(rec.get("wire")), params)
+        fields = [msg.sender_nonce]
+        for e in msg.entries:
+            fields.append(e.nonce)
+            fields.append(encode_element(e.blinded_secret, params))
+            if e.blinded_response is not None:
+                fields.append(encode_element(e.blinded_response, params))
+        for data in fields:
+            if len(data) == width and data in secret_encodings:
+                report.add("secret_leak",
+                           f"send id={rec.get('id')} field={data.hex()}")
+    return report
+
+
+def _injected_run(skip_verify: bool):
+    """A 3-node PROD run where one member is fed a keyed announcement with
+    a broken signature; with ``skip_verify`` that member accepts it."""
+    probe = run(SimConfig(node_count=3, seed=31, duration=40 * SECOND),
+                NodeConfig(), PROD)
+    keyed = next(r for r in probe.transcript.of_kind("SEND")
+                 if r.get("kind") == "IGROUP" and int(r.get("entries")) > 0)
+    tampered = bytearray(probe.wire_by_id[int(keyed.get("id"))])
+    tampered[-1] ^= 0x01
+    member = next(n for n in probe.live
+                  if probe.nodes[n].mode.value == "member")
+    return run(SimConfig(node_count=3, seed=31, duration=40 * SECOND,
+                         skip_verify_nodes=frozenset({member}) if skip_verify
+                         else frozenset(),
+                         schedule=(InjectAt(35 * SECOND, member,
+                                            bytes(tampered)),)),
+               NodeConfig(), PROD)
+
+
+def _corrupted_leader_run(monkeypatch):
+    import agdh.node_fsm as node_fsm
+    from agdh.gka_core import compute_key_leader as real
+
+    def corrupted(leader_secret, contributions, params, counter=None):
+        key, responses = real(leader_secret, contributions, params, counter)
+        return key * params.generator % params.modulus, responses
+
+    with monkeypatch.context() as patch:
+        patch.setattr(node_fsm, "compute_key_leader", corrupted)
+        return run(SimConfig(node_count=3, seed=17, duration=40 * SECOND),
+                   NodeConfig(), PROD)
+
+
+class TestAuditEquivalence:
+    """The decode-once auditor reports exactly what the per-accept
+    reference auditor reports."""
+
+    @staticmethod
+    def assert_same(res, scan_secrets=None):
+        got = audit_transcript(res, scan_secrets)
+        want = reference_audit(res, scan_secrets)
+        assert got.findings == want.findings
+        assert got.accepts_checked == want.accepts_checked
+        assert got.sends_scanned == want.sends_scanned
+        assert got.epochs_checked == want.epochs_checked
+        return got
+
+    def test_clean_prod_run(self):
+        res = run(SimConfig(node_count=8, seed=2, duration=60 * SECOND),
+                  NodeConfig(), PROD)
+        report = self.assert_same(res)
+        assert report.clean and report.sends_scanned > 0
+
+    def test_skip_verify_tampered_injection(self):
+        report = self.assert_same(_injected_run(skip_verify=True))
+        assert [k for k, _ in report.findings] == ["accepted_unverified"]
+
+    def test_honest_reject_injection(self):
+        report = self.assert_same(_injected_run(skip_verify=False))
+        assert report.clean
+
+    def test_corrupted_leader_run(self, monkeypatch):
+        report = self.assert_same(_corrupted_leader_run(monkeypatch))
+        assert "key_mismatch" in {k for k, _ in report.findings}
+
+    def test_forced_toy_scan(self):
+        leaks = 0
+        for seed in range(6):
+            res = run(SimConfig(node_count=8, seed=seed, duration=40 * SECOND),
+                      NodeConfig(), TOY)
+            self.assert_same(res)
+            report = self.assert_same(res, scan_secrets=True)
+            leaks += sum(1 for k, _ in report.findings if k == "secret_leak")
+        assert leaks > 0
+
+
+def test_audit_decodes_each_distinct_wire_once(monkeypatch):
+    """Rebeacons repeat an announcement's bytes and every member accepts
+    it, yet the auditor decodes each distinct wire at most once."""
+    import agdh.oracle as oracle
+
+    res = _injected_run(skip_verify=True)
+    calls = Counter()
+    real = oracle.decode
+
+    def counting(wire, params):
+        calls[wire] += 1
+        return real(wire, params)
+
+    monkeypatch.setattr(oracle, "decode", counting)
+    report = audit_transcript(res, scan_secrets=True)
+    assert report.accepts_checked > len(calls) > 0
+    assert max(calls.values()) == 1
+    assert set(calls) == set(res.wire_by_id.values())

@@ -232,6 +232,28 @@ class TestChurn:
             toy_run(node_count=3, seed=1, duration=20 * SECOND,
                     schedule=(LeaveAt(SECOND, 77, graceful=True),))
 
+    @pytest.mark.parametrize("schedule", [
+        (JoinAt(SECOND, 2),),                          # initial id
+        (JoinAt(SECOND, 9), JoinAt(2 * SECOND, 9)),    # joined twice
+        (CrashAt(SECOND, 2), JoinAt(2 * SECOND, 2)),   # departed id rejoins
+        (CrashAt(SECOND, 2), LeaveAt(2 * SECOND, 2)),  # no longer live
+        (LeaveAt(2 * SECOND, 9), JoinAt(5 * SECOND, 9)),
+        (LeaveAt(SECOND, 9), JoinAt(SECOND, 9)),       # same time: list order
+    ])
+    def test_bad_schedule_rejected_by_validate(self, schedule):
+        """The schedule is replayed in (time, index) order before the run."""
+        with pytest.raises(UnknownNode):
+            SimConfig(node_count=3, schedule=schedule).validate()
+
+    def test_schedule_replay_follows_time_not_list_order(self):
+        config = SimConfig(node_count=3, schedule=(
+            LeaveAt(5 * SECOND, 9), JoinAt(SECOND, 9),
+            PartitionAt(6 * SECOND, ((1, 2), (3,)))))
+        assert config.validate() is config
+        with pytest.raises(OverlapError):
+            SimConfig(node_count=3, schedule=(
+                PartitionAt(SECOND, ((1, 2), (2, 3))),)).validate()
+
 
 class TestAuditIntegration:
     def test_clean_lossy_run_audits_clean_on_prod(self):
