@@ -126,23 +126,17 @@ def compute_key_leader(leader_secret: Scalar,
                        ) -> tuple[GroupElement, list[BlindedResponse]]:
     """Leader side: respond to every contribution and fold the key.
 
-    Costs exactly len(contributions) + 1 exponentiations (one per member plus
-    the leader's own blind).  Raises DegenerateKey if the folded key is the
-    identity element, which happens exactly when 1 + sum(r_i) = 0 mod q; the
-    caller must drop a contribution and retry rather than ship an identity
-    key.
+    A :class:`LeaderBatch` run over the whole list at once: the leader's own
+    blind, then one response per contribution in list order, so it costs
+    exactly len(contributions) + 1 exponentiations.  Raises DegenerateKey if
+    the folded key is the identity element, which happens exactly when
+    1 + sum(r_i) = 0 mod q; the caller must drop a contribution and retry
+    rather than ship an identity key.
     """
-    _reject_duplicates([c.participant_id for c in contributions])
-    leader_blind = blind(leader_secret, params, counter)
-    responses = [
-        BlindedResponse(c.participant_id,
-                        respond(c.blinded_secret, leader_secret, params, counter))
-        for c in contributions
-    ]
-    key = compute_key_member(leader_blind, responses, params)
-    if key == 1:
-        raise DegenerateKey("group key folded to the identity element")
-    return key, responses
+    batch = batch_new(leader_secret, params, counter)
+    for c in contributions:
+        batch_absorb(batch, c, counter)
+    return batch_finalize(batch)
 
 
 def oracle_key(leader_secret: Scalar, member_secrets: list[Scalar],

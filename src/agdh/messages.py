@@ -1,4 +1,9 @@
-"""The eight protocol message kinds with canonical encoding and signatures.
+"""The three protocol message kinds with canonical encoding and signatures.
+
+A leader broadcasts IGROUP (the group announcement, carrying every member's
+contribution and the leader's response to it), a member answers with IREPLY
+(its own contribution), and a member leaving gracefully sends DEL.  Any other
+kind byte is malformed.
 
 Wire layout (big-endian throughout), signature excluded:
 
@@ -37,22 +42,10 @@ from .group_arith import GroupElement, GroupParams, decode_element, encode_eleme
 
 
 class MessageKind(IntEnum):
-    INIT = 0x01
     IREPLY = 0x02
     IGROUP = 0x03
-    JOIN = 0x04
-    JREPLY = 0x05
-    JGROUP = 0x06
     DEL = 0x07
-    DGROUP = 0x08
 
-
-#: Leader announcements: carry the group composition, entries hold responses.
-ANNOUNCEMENT_KINDS = frozenset(
-    {MessageKind.INIT, MessageKind.IGROUP, MessageKind.JGROUP, MessageKind.DGROUP}
-)
-#: A single contribution travelling toward a leader.
-CONTRIBUTION_KINDS = frozenset({MessageKind.IREPLY, MessageKind.JOIN})
 
 _HEADER_LEN = 1 + 4 + 16 + 8 + 2
 _MAX_ID = 2**32 - 1
@@ -253,30 +246,26 @@ def verify(msg: Message, wire: bytes, keyring) -> bool:
 def validate_shape(msg: Message) -> Message:
     """Enforce the per-kind entry grammar; raises ShapeViolation."""
     kind = msg.kind
-    if kind in (MessageKind.INIT, MessageKind.DEL):
+    if kind is MessageKind.DEL:
         if msg.entries:
-            raise ShapeViolation(f"{kind.name}.entries: must be empty")
-    elif kind in CONTRIBUTION_KINDS:
+            raise ShapeViolation("DEL.entries: must be empty")
+    elif kind is MessageKind.IREPLY:
         if len(msg.entries) != 1:
-            raise ShapeViolation(f"{kind.name}.entries: exactly one expected")
+            raise ShapeViolation("IREPLY.entries: exactly one expected")
         entry = msg.entries[0]
         if entry.blinded_response is not None:
-            raise ShapeViolation(f"{kind.name}.entries[0].blinded_response")
+            raise ShapeViolation("IREPLY.entries[0].blinded_response")
         if entry.participant_id != msg.sender_id:
-            raise ShapeViolation(f"{kind.name}.entries[0].participant_id")
-    elif kind == MessageKind.JREPLY:
-        for i, e in enumerate(msg.entries):
-            if e.blinded_response is not None:
-                raise ShapeViolation(f"JREPLY.entries[{i}].blinded_response")
-    else:  # IGROUP, JGROUP, DGROUP
+            raise ShapeViolation("IREPLY.entries[0].participant_id")
+    else:  # IGROUP
         seen: set[int] = set()
         for i, e in enumerate(msg.entries):
             if e.blinded_response is None:
-                raise ShapeViolation(f"{kind.name}.entries[{i}].blinded_response")
+                raise ShapeViolation(f"IGROUP.entries[{i}].blinded_response")
             if e.participant_id == msg.sender_id:
-                raise ShapeViolation(f"{kind.name}.entries[{i}].participant_id")
+                raise ShapeViolation(f"IGROUP.entries[{i}].participant_id")
             if e.participant_id in seen:
-                raise ShapeViolation(f"{kind.name}.entries[{i}]: duplicate id")
+                raise ShapeViolation(f"IGROUP.entries[{i}]: duplicate id")
             seen.add(e.participant_id)
     return msg
 
@@ -286,10 +275,6 @@ def _build(kind: MessageKind, sender_id: int, sender_nonce: bytes, epoch: int,
     return validate_shape(
         Message(kind, sender_id, sender_nonce, epoch, tuple(entries))
     )
-
-
-def build_init(sender_id: int, sender_nonce: bytes, epoch: int) -> Message:
-    return _build(MessageKind.INIT, sender_id, sender_nonce, epoch)
 
 
 def build_ireply(sender_id: int, sender_nonce: bytes, seq: int,
@@ -302,25 +287,5 @@ def build_igroup(leader_id: int, leader_nonce: bytes, epoch: int,
     return _build(MessageKind.IGROUP, leader_id, leader_nonce, epoch, entries)
 
 
-def build_join(sender_id: int, sender_nonce: bytes, seq: int,
-               entry: GroupEntry) -> Message:
-    return _build(MessageKind.JOIN, sender_id, sender_nonce, seq, [entry])
-
-
-def build_jreply(leader_id: int, leader_nonce: bytes, seq: int,
-                 entries) -> Message:
-    return _build(MessageKind.JREPLY, leader_id, leader_nonce, seq, entries)
-
-
-def build_jgroup(leader_id: int, leader_nonce: bytes, epoch: int,
-                 entries) -> Message:
-    return _build(MessageKind.JGROUP, leader_id, leader_nonce, epoch, entries)
-
-
 def build_del(sender_id: int, sender_nonce: bytes, seq: int) -> Message:
     return _build(MessageKind.DEL, sender_id, sender_nonce, seq)
-
-
-def build_dgroup(leader_id: int, leader_nonce: bytes, epoch: int,
-                 entries) -> Message:
-    return _build(MessageKind.DGROUP, leader_id, leader_nonce, epoch, entries)

@@ -37,8 +37,6 @@ from .gka_core import (
 )
 from .group_arith import ExpCounter, GroupParams, random_scalar
 from .messages import (
-    ANNOUNCEMENT_KINDS,
-    CONTRIBUTION_KINDS,
     GroupEntry,
     Message,
     MessageKind,
@@ -363,15 +361,12 @@ class Node:
             out.log.append(("reject", "self_echo", msg.sender_id))
             return
 
-        if msg.kind in ANNOUNCEMENT_KINDS:
+        if msg.kind is MessageKind.IGROUP:
             self._on_announcement(msg, wire, now, out)
-        elif msg.kind in CONTRIBUTION_KINDS:
+        elif msg.kind is MessageKind.IREPLY:
             self._on_contribution(msg, now, out)
-        elif msg.kind is MessageKind.DEL:
+        else:  # DEL
             self._on_del(msg, now, out)
-        else:  # JREPLY: not used by the operational protocol
-            out.accepted = False
-            out.log.append(("ignore", "jreply", msg.sender_id))
 
     def _on_announcement(self, msg: Message, wire: bytes, now: int,
                          out: FsmOutput) -> None:
@@ -529,7 +524,7 @@ class Node:
         sender = msg.sender_id
         if self.mode is not Mode.LEADER:
             out.accepted = False
-            out.log.append(("ignore", "not_leader", msg.kind.name, sender))
+            out.log.append(("ignore", "not_leader", "IREPLY", sender))
             return
         seq = msg.epoch
         if seq <= self.seen_seq.get(sender, -1):

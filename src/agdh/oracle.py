@@ -13,13 +13,13 @@ import contextlib
 from dataclasses import dataclass, field
 
 from .errors import CountMismatch, MalformedMessage
-from .gka_core import derive_session_key, oracle_key
+from .gka_core import NONCE_LEN, derive_session_key, oracle_key
 from .group_arith import GroupParams, encode_element
-from .messages import ANNOUNCEMENT_KINDS, Message, MessageKind, decode, verify
+from .messages import Message, MessageKind, decode, verify
 from .simnet import Record, SimResult
 
-_ANNOUNCEMENT_NAMES = {k.name for k in ANNOUNCEMENT_KINDS}
-_CONTRIBUTION_NAMES = {MessageKind.IREPLY.name, MessageKind.JOIN.name}
+_ANNOUNCEMENT_NAMES = {MessageKind.IGROUP.name}
+_CONTRIBUTION_NAMES = {MessageKind.IREPLY.name}
 
 
 @dataclass
@@ -119,7 +119,8 @@ def audit_transcript(result: SimResult, scan_secrets: bool | None = None) -> Aud
     pigeonhole coincidence, not leakage.  By default the scan runs only when
     the widths differ; pass ``scan_secrets=True`` to force it.  On PROD the
     default scan compares nothing: no wire field has the 20-byte scalar
-    width (nonces are 16 bytes and elements 128), so it only counts sends.
+    width (nonces are 16 bytes and elements 128), so it decodes no send
+    and only counts them.
     """
     params = result.params
     report = AuditReport()
@@ -227,8 +228,13 @@ def audit_transcript(result: SimResult, scan_secrets: bool | None = None) -> Aud
                        f"node={rec.node} id={rec.get('id')} kind={detail}")
 
     # --- no protocol message may carry a secret's encoding ----------------
+    # Only a field as wide as a scalar can equal a secret's encoding; with
+    # no such field, a send need not be decoded to know it leaks nothing.
+    comparable = width in (NONCE_LEN, params.element_width)
     for rec in sends if scan_secrets else ():
         report.sends_scanned += 1
+        if not comparable:
+            continue
         _, leaks = wires.facts(result.wire_by_id[int(rec.get("id"))])
         for data in leaks:
             report.add("secret_leak",

@@ -191,8 +191,6 @@ class KeyEvent:
 class Metrics:
     sent: dict = field(default_factory=dict)        # (node, kind) -> count
     broadcasts: dict = field(default_factory=dict)  # node -> count
-    accepted: dict = field(default_factory=dict)    # node -> count
-    rejected: dict = field(default_factory=dict)    # (node, reason) -> count
     delivered: int = 0
     dropped: int = 0
     suppressed: int = 0
@@ -364,7 +362,6 @@ class _Simulation:
         if msg_id is not None and out.accepted is not None:
             if out.accepted:
                 self.transcript.append(at, "ACCEPT", node_id, ("id", msg_id))
-                self.metrics.bump(self.metrics.accepted, node_id)
             else:
                 reason = "unspecified"
                 for entry in out.log:
@@ -373,7 +370,6 @@ class _Simulation:
                         break
                 self.transcript.append(at, "REJECT", node_id,
                                        ("id", msg_id), ("reason", reason))
-                self.metrics.bump(self.metrics.rejected, (node_id, reason))
         for entry in out.log:
             tag = entry[0]
             if tag in ("reject", "discard", "ignore", "key", "accept"):
@@ -476,14 +472,6 @@ def converged(result: SimResult) -> bool:
         if node.session is None or node.session.derived != leader.session.derived:
             return False
     return True
-
-
-def final_key_epoch(result: SimResult) -> int | None:
-    heads = leaders(result)
-    if len(heads) != 1:
-        return None
-    session = result.nodes[heads[0]].session
-    return session.epoch if session else None
 
 
 def converged_by(result: SimResult) -> int | None:

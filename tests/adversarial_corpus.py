@@ -72,6 +72,15 @@ def _flip(wire: bytes, offset: int) -> bytes:
     return bytes(tampered)
 
 
+def _retired_kind(outgoing, kind: int) -> bytes:
+    """The wire of ``outgoing`` under another kind byte, validly re-signed
+    by the same sender."""
+    msg, wire = outgoing.message, outgoing.wire
+    canonical = bytes([kind]) + wire[1:len(wire) - 2 - len(msg.signature)]
+    signature = RING.sign(msg.sender_id, canonical)
+    return canonical + len(signature).to_bytes(2, "big") + signature
+
+
 def run_corpus() -> dict[str, Outcome]:
     outcomes: dict[str, Outcome] = {}
 
@@ -153,5 +162,13 @@ def run_corpus() -> dict[str, Outcome]:
     # --- structurally broken wires -------------------------------------------
     probe("truncated", member, keyed.wire[: len(keyed.wire) // 2], now)
     probe("unknown_kind", member, b"\x09" + keyed.wire[1:], now)
+
+    # --- validly signed messages of kinds the protocol no longer sends -------
+    # (INIT, JOIN, JREPLY, JGROUP, DGROUP)
+    for kind in (0x01, 0x04, 0x05, 0x06, 0x08):
+        probe(f"retired_kind_{kind:#04x}_igroup", member,
+              _retired_kind(keyed, kind), now)
+        probe(f"retired_kind_{kind:#04x}_ireply", leader,
+              _retired_kind(reply2, kind), now)
 
     return outcomes

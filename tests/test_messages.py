@@ -14,10 +14,7 @@ from agdh.messages import (
     MessageKind,
     build_del,
     build_igroup,
-    build_init,
     build_ireply,
-    build_join,
-    build_jreply,
     decode,
     encode_canonical,
     encode_signed,
@@ -30,6 +27,7 @@ from agdh.messages import (
 RING = HmacKeyRing.provision(range(1, 8), master="vector-fixture")
 VECTORS = os.path.join(os.path.dirname(__file__), "data", "message_vectors.txt")
 TOY_ELEMENTS = [1, 2, 3, 4, 6, 8, 9, 12, 13, 16, 18]
+RETIRED_KINDS = ("INIT", "JOIN", "JREPLY", "JGROUP", "DGROUP")
 
 
 def nonce(byte: int) -> bytes:
@@ -38,15 +36,15 @@ def nonce(byte: int) -> bytes:
 
 class TestCanonicalEncoding:
     def test_empty_init_layout(self):
-        msg = build_init(5, bytes(16), 0)
+        """A message without entries is the 31-byte header alone."""
+        msg = build_del(5, bytes(16), 0)
         data = encode_canonical(msg, TOY)
         assert len(data) == 31
-        assert data == bytes([0x01]) + (5).to_bytes(4, "big") + bytes(16) \
+        assert data == bytes([0x07]) + (5).to_bytes(4, "big") + bytes(16) \
             + bytes(8) + bytes(2)
 
     def test_wire_tags(self):
-        expected = {"INIT": 1, "IREPLY": 2, "IGROUP": 3, "JOIN": 4,
-                    "JREPLY": 5, "JGROUP": 6, "DEL": 7, "DGROUP": 8}
+        expected = {"IREPLY": 2, "IGROUP": 3, "DEL": 7}
         assert {k.name: int(k) for k in MessageKind} == expected
 
     def test_injective_on_nonce(self):
@@ -56,12 +54,14 @@ class TestCanonicalEncoding:
         assert encode_canonical(a, TOY) != encode_canonical(b, TOY)
 
     def test_unknown_kind_byte(self):
-        data = bytes([0x09]) + bytes(30) + bytes(2)
-        with pytest.raises(MalformedMessage):
-            decode(data, TOY)
+        """A byte naming no kind is malformed, the retired kinds included."""
+        for kind in (0x00, 0x01, 0x04, 0x05, 0x06, 0x08, 0x09):
+            data = bytes([kind]) + bytes(30) + bytes(2)
+            with pytest.raises(MalformedMessage, match="unknown kind byte"):
+                decode(data, TOY)
 
     def test_truncation_rejected(self):
-        wire = encode_signed(sign(build_init(5, bytes(16), 0), RING, TOY), TOY)
+        wire = encode_signed(sign(build_del(5, bytes(16), 0), RING, TOY), TOY)
         for cut in (5, 30, len(wire) - 1):
             with pytest.raises(MalformedMessage):
                 decode(wire[:cut], TOY)
@@ -139,8 +139,8 @@ def test_received_bytes_are_canonical_on_fixed_wires():
     import adversarial_corpus
 
     with open(VECTORS) as fh:
-        wires = {f"vector {i}": bytes.fromhex(line.split()[0])
-                 for i, line in enumerate(fh)
+        wires = {f"vector {line.split()[1]}": bytes.fromhex(line.split()[0])
+                 for line in fh
                  if line.strip() and not line.startswith("#")}
     wires.update((name, outcome.wire) for name, outcome
                  in adversarial_corpus.run_corpus().items())
@@ -152,7 +152,9 @@ def test_received_bytes_are_canonical_on_fixed_wires():
             malformed.add(name)
             continue
         check_wire_prefix(wire, TOY)
-    assert malformed == {"truncated", "unknown_kind"}
+    retired = {f"vector kind={kind}" for kind in RETIRED_KINDS}
+    retired |= {name for name in wires if name.startswith("retired_kind_")}
+    assert malformed == {"truncated", "unknown_kind"} | retired
 
 
 def test_sign_and_encode_matches_sign_then_encode():
@@ -164,7 +166,7 @@ def test_sign_and_encode_matches_sign_then_encode():
 
 class TestSignatures:
     def test_sign_verify_roundtrip(self):
-        msg = sign(build_init(5, bytes(16), 0), RING, TOY)
+        msg = sign(build_del(5, bytes(16), 0), RING, TOY)
         assert verify(msg, encode_signed(msg, TOY), RING)
 
     def test_bit_flip_detected(self):
@@ -177,19 +179,19 @@ class TestSignatures:
         assert not verify(tampered, encode_signed(tampered, TOY), RING)
 
     def test_wrong_sender_key(self):
-        msg = build_init(4, bytes(16), 0)
+        msg = build_del(4, bytes(16), 0)
         forged = replace(msg, signature=RING.sign(3, encode_canonical(msg, TOY)))
         assert not verify(forged, encode_signed(forged, TOY), RING)
 
     def test_unknown_sender(self):
-        msg = build_init(99, bytes(16), 0)
+        msg = build_del(99, bytes(16), 0)
         unsigned = replace(msg, signature=bytes(32))
         assert not verify(unsigned, encode_signed(unsigned, TOY), RING)
         with pytest.raises(UnknownParticipant):
             sign(msg, RING, TOY)
 
     def test_flipped_signature_byte(self):
-        msg = sign(build_init(5, bytes(16), 0), RING, TOY)
+        msg = sign(build_del(5, bytes(16), 0), RING, TOY)
         bad = bytearray(msg.signature)
         bad[0] ^= 0x01
         flipped = replace(msg, signature=bytes(bad))
@@ -206,7 +208,8 @@ class TestShapes:
             build_ireply(2, nonce(0xAA), 1, GroupEntry(2, nonce(0xAA), 16, 2))
 
     def test_join_single_own_entry_ok(self):
-        msg = build_join(4, nonce(0xBB), 1, GroupEntry(4, nonce(0xBB), 9, None))
+        """A contribution carrying exactly its sender's own entry is valid."""
+        msg = build_ireply(4, nonce(0xBB), 1, GroupEntry(4, nonce(0xBB), 9, None))
         assert validate_shape(msg) is msg
 
     def test_contribution_must_be_own(self):
@@ -233,14 +236,6 @@ class TestShapes:
         with pytest.raises(ShapeViolation):
             build_igroup(1, nonce(0x11), 1, entries)
 
-    def test_jreply_entries_without_responses(self):
-        entries = [GroupEntry(2, nonce(0xAA), 16, None),
-                   GroupEntry(4, nonce(0xBB), 9, None)]
-        assert len(build_jreply(1, nonce(0x11), 9, entries).entries) == 2
-        with pytest.raises(ShapeViolation):
-            build_jreply(1, nonce(0x11), 9,
-                         [GroupEntry(2, nonce(0xAA), 16, 2)])
-
     def test_ikagroup_example_shape(self):
         """Round-3 announcement carrying three members' contributions and
         responses decodes and validates."""
@@ -256,9 +251,10 @@ class TestShapes:
 
 
 def test_vector_file():
-    """The checked-in wire vectors decode to the stated fields, re-encode
-    bit-exactly, and verify under the fixture keyring."""
-    count = 0
+    """The checked-in vectors of the three kinds decode to the stated
+    fields, re-encode bit-exactly, and verify under the fixture keyring;
+    the vectors of the retired kinds are malformed."""
+    positive, negative = [], []
     with open(VECTORS) as fh:
         for line in fh:
             line = line.strip()
@@ -266,6 +262,11 @@ def test_vector_file():
                 continue
             hexbytes, *fields = line.split()
             expected = dict(f.split("=") for f in fields)
+            if expected["kind"] not in MessageKind.__members__:
+                with pytest.raises(MalformedMessage, match="unknown kind byte"):
+                    decode(bytes.fromhex(hexbytes), TOY)
+                negative.append(expected["kind"])
+                continue
             msg = decode(bytes.fromhex(hexbytes), TOY)
             assert msg.kind.name == expected["kind"]
             assert msg.sender_id == int(expected["sender"])
@@ -273,5 +274,6 @@ def test_vector_file():
             assert len(msg.entries) == int(expected["entries"])
             assert encode_signed(msg, TOY).hex() == hexbytes
             assert verify(msg, bytes.fromhex(hexbytes), RING)
-            count += 1
-    assert count == 8  # one vector per message kind
+            positive.append(msg.kind.name)
+    assert sorted(positive) == sorted(k.name for k in MessageKind)
+    assert sorted(negative) == sorted(RETIRED_KINDS)

@@ -466,14 +466,6 @@ class TestRejection:
         assert member.state_digest() == digest
         assert not replay.key_changes
 
-    def test_jreply_ignored(self):
-        from agdh.messages import build_jreply
-        node = make_node(1)
-        node.start(0)
-        msg = sign(build_jreply(2, bytes(16), 1, []), RING, TOY)
-        out = deliver(node, encode_signed(msg, TOY), 1000)
-        assert out.accepted is False
-
 
 class TestLeave:
     def test_graceful_member_sends_del(self):
@@ -515,44 +507,6 @@ class TestConfig:
         assert config.miss_k == 3
         assert config.backoff_window == 20
         assert config.slot_trtd == 100_000
-
-
-class TestAnnouncementKinds:
-    """INIT is semantically an empty group announcement; JGROUP and DGROUP
-    announce reshaped groups and are handled exactly like IGROUP."""
-
-    def test_init_adopts_like_empty_igroup(self):
-        from agdh.messages import build_init
-        leader = make_node(3)
-        elect(leader)
-        init = sign(build_init(3, leader.leader_nonce, 0), RING, TOY)
-        member = make_node(5, seed="init")
-        member.start(0)
-        out = deliver(member, encode_signed(init, TOY), 1000)
-        assert out.accepted is True
-        assert member.leader_id == 3
-        assert out.sends[0].message.kind is MessageKind.IREPLY
-
-    def test_jgroup_and_dgroup_key_like_igroup(self):
-        from agdh.messages import build_jgroup, build_dgroup
-        leader, announcement, now = established_group({2: 4, 3: 5})
-        for builder, epoch in ((build_jgroup, 7), (build_dgroup, 8)):
-            msg = sign(builder(1, announcement.message.sender_nonce, epoch,
-                               announcement.message.entries), RING, TOY)
-            member = make_node(2, seed=f"kind{epoch}")
-            member.start(0)
-            entry = next(e for e in announcement.message.entries
-                         if e.participant_id == 2)
-            from agdh.gka_core import Contribution
-            member.leader_id = 1
-            member.own_secret = 4
-            member.contribution = Contribution(2, entry.nonce, entry.blinded_secret)
-            member.contribution_leader = 1
-            out = deliver(member, encode_signed(msg, TOY), now + 1000)
-            assert out.accepted is True
-            assert member.session is not None
-            assert member.session.epoch == epoch
-            assert member.session.group_key == leader.session.group_key
 
 
 def test_identity_contribution_rejected():

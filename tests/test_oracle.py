@@ -380,3 +380,32 @@ def test_audit_decodes_each_distinct_wire_once(monkeypatch):
     assert report.accepts_checked > len(calls) > 0
     assert max(calls.values()) == 1
     assert set(calls) == set(res.wire_by_id.values())
+
+
+def test_prod_audit_decodes_only_accepted_or_composed_wires(monkeypatch):
+    """No PROD wire field is as wide as a scalar, so the default secret
+    scan decodes no send: the audit decodes exactly the distinct wires
+    that some node accepted or that announce a group composition."""
+    import agdh.oracle as oracle
+
+    res = run(SimConfig(node_count=8, seed=2, loss_prob=0.1,
+                        duration=60 * SECOND), NodeConfig(), PROD)
+    calls = Counter()
+    real = oracle.decode
+
+    def counting(wire, params):
+        calls[wire] += 1
+        return real(wire, params)
+
+    monkeypatch.setattr(oracle, "decode", counting)
+    report = audit_transcript(res)
+    sends = res.transcript.of_kind("SEND")
+    assert report.clean and report.sends_scanned == len(sends)
+    wire_of = res.wire_by_id
+    accepted = {wire_of[int(r.get("id"))]
+                for r in res.transcript.of_kind("ACCEPT")}
+    composed = {wire_of[int(r.get("id"))] for r in sends
+                if r.get("kind") in _ANNOUNCEMENT_NAMES
+                and r.get("entries") != "0"}
+    assert set(calls) == accepted | composed
+    assert max(calls.values()) == 1

@@ -1,9 +1,13 @@
+import os
+
 import pytest
 
 from agdh.errors import ConfigError, OverlapError, UnknownNode
 from agdh.group_arith import TOY
+from agdh.messages import MessageKind
 from agdh.node_fsm import Mode, NodeConfig
 from agdh.oracle import audit_transcript
+from agdh.scenario import load_scenario
 from agdh.simnet import (
     SECOND,
     CrashAt,
@@ -19,6 +23,7 @@ from agdh.simnet import (
 )
 
 EAGER = NodeConfig(eager_rekey=True)
+SCENARIO_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
 
 
 def toy_run(**kwargs):
@@ -287,3 +292,13 @@ def test_steady_state_message_rate():
     slack = n - 1
     assert abs(ireplies - periods * (n - 1)) <= slack
     assert abs(igroups - periods) <= 1
+
+
+def test_churn_run_sends_exactly_the_defined_kinds():
+    """Formation, a late join, a graceful leave and a crash between them
+    send every message kind the wire layer defines, and no other."""
+    schedule = load_scenario(os.path.join(SCENARIO_DIR, "churn.scn"))
+    res = toy_run(node_count=10, seed=1, duration=120 * SECOND,
+                  schedule=schedule)
+    sent = {r.get("kind") for r in res.transcript.of_kind("SEND")}
+    assert sent == {kind.name for kind in MessageKind}
