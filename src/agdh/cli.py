@@ -3,8 +3,8 @@
 ``agdh run`` executes one simulation (or several seeds with ``--repeat``),
 writes the transcript and metrics, prints a summary, and exits 0 only if the
 transcript audit is clean and the run converged.  ``agdh bench`` measures
-blinding throughput and batched versus unbatched leader latency on the real
-parameter sets.
+blinding (fixed-base) and response (variable-base) throughput and batched
+versus unbatched leader latency on the real parameter sets.
 """
 
 from __future__ import annotations
@@ -19,7 +19,15 @@ import time
 
 from . import gka_core
 from .errors import ConfigError, CountMismatch, ProtocolError
-from .group_arith import PROD, TOY, ExpCounter, GroupParams, load_params, random_scalar
+from .group_arith import (
+    PROD,
+    TOY,
+    ExpCounter,
+    GroupParams,
+    is_element,
+    load_params,
+    random_scalar,
+)
 from .node_fsm import NodeConfig
 from .oracle import audit_transcript, cost_table
 from .scenario import load_scenario, parse_duration
@@ -155,11 +163,22 @@ def _bench_group(params: GroupParams, group_size: int, iters: int) -> list[str]:
              f" {params.order.bit_length()}-bit order"]
 
     secrets = [random_scalar(rng, params) for _ in range(iters)]
+    gka_core.blind(secrets[0], params)  # builds the generator table untimed
     t0 = time.perf_counter()
-    for s in secrets:
-        gka_core.blind(s, params)
+    blinded = [gka_core.blind(s, params) for s in secrets]
     dt = time.perf_counter() - t0
     lines.append(f"  blindings/sec: {iters / dt:,.0f}")
+
+    # a response raises another member's blind: the variable-base case.  The
+    # protocol validates each blind on decode, so that stays untimed here.
+    response_secret = random_scalar(rng, params)
+    for b in blinded:
+        is_element(b, params)
+    t0 = time.perf_counter()
+    for b in blinded:
+        gka_core.respond(b, response_secret, params)
+    dt = time.perf_counter() - t0
+    lines.append(f"  responses/sec: {iters / dt:,.0f}")
 
     while True:
         member_secrets = [random_scalar(rng, params) for _ in range(group_size - 1)]

@@ -10,6 +10,12 @@ plus one for its own blind.  The shared key is
 where r_l is the leader secret and r_i the member secrets.  ``oracle_key``
 computes the right-hand side directly in the exponent and exists purely as an
 independent check; the protocol paths never call it.
+
+The two counted exponentiations of a member are not of equal cost: the
+blinding is a power of the generator, which ``group_arith.exp`` reads from a
+precomputed fixed-base table, while recovering the leader blind is a
+variable-base exponentiation.  The same holds for the leader's own blind
+against its ``m`` responses.  Counts stay one per exponentiation either way.
 """
 
 from __future__ import annotations
@@ -23,7 +29,6 @@ from .group_arith import (
     GroupElement,
     GroupParams,
     Scalar,
-    encode_element,
     exp,
     is_element,
     mul,
@@ -143,7 +148,10 @@ def oracle_key(leader_secret: Scalar, member_secrets: list[Scalar],
                params: GroupParams) -> GroupElement:
     """Reference computation in the exponent: g^(r_l * (1 + sum r_i)).
 
-    Independent path used only by tests and the transcript auditor.
+    Independent path used only by tests and the transcript auditor.  It
+    calls builtin ``pow`` rather than :func:`exp` on purpose, so the audit
+    checks the fixed-base table path against an implementation it does not
+    share.
     """
     _check_secret(leader_secret, params)
     for s in member_secrets:
@@ -153,10 +161,21 @@ def oracle_key(leader_secret: Scalar, member_secrets: list[Scalar],
 
 
 def derive_session_key(key: GroupElement, epoch: int, params: GroupParams) -> bytes:
-    """32-byte symmetric key: SHA-256 over encoded key element and epoch."""
+    """32-byte symmetric key: SHA-256 over encoded key element and epoch.
+
+    The key is encoded like a wire element (fixed width, big-endian) but not
+    tested for subgroup membership: every caller passes a product of
+    elements that were either validated on decode or computed inside the
+    subgroup (the leader's blind and responses, a member's recovered blind
+    and the decoded responses, the oracle's power of g), and such a product
+    is an element.  Only the range is checked.
+    """
     if key == 1:
         raise DegenerateKey("refusing to derive from the identity element")
-    material = encode_element(key, params) + epoch.to_bytes(8, "big")
+    if not 1 < key < params.modulus:
+        raise NotInSubgroup(f"key {key} is out of range for {params.name!r}")
+    material = (key.to_bytes(params.element_width, "big")
+                + epoch.to_bytes(8, "big"))
     return hashlib.sha256(material).digest()
 
 

@@ -196,7 +196,6 @@ class Metrics:
     suppressed: int = 0
     exp_events: list = field(default_factory=list)  # (time, node, delta)
     key_events: list = field(default_factory=list)  # KeyEvent
-    per_message: dict = field(default_factory=dict) # msg_id -> outcome counts
 
     def exp_total(self, node_id: int) -> int:
         return sum(d for _, n, d in self.exp_events if n == node_id)
@@ -298,12 +297,10 @@ class _Simulation:
             self.transcript.append(at, "SUPPRESS", receiver,
                                    ("id", msg_id), ("reason", "dead"))
             self.metrics.suppressed += 1
-            self._account(msg_id, "suppressed")
             return
         self.transcript.append(at, "DELIVER", receiver,
                                ("id", msg_id), ("from", sender if sender is not None else "-"))
         self.metrics.delivered += 1
-        self._account(msg_id, "delivered")
         node = self.nodes[receiver]
         wire = self.wire_by_id[msg_id]
         self._absorb(receiver, node.handle(MessageArrived(wire), at), at,
@@ -421,28 +418,19 @@ class _Simulation:
                 self.transcript.append(at, "SUPPRESS", outgoing.dest,
                                        ("id", msg_id), ("reason", "dead"))
                 self.metrics.suppressed += 1
-                self._account(msg_id, "suppressed")
         for receiver in targets:
             if not self._same_cell(sender, receiver):
                 self.transcript.append(at, "SUPPRESS", receiver,
                                        ("id", msg_id), ("reason", "partition"))
                 self.metrics.suppressed += 1
-                self._account(msg_id, "suppressed")
                 continue
             if self.channel_rng.random() < self.config.loss_prob:
                 self.transcript.append(at, "DROP", receiver, ("id", msg_id))
                 self.metrics.dropped += 1
-                self._account(msg_id, "dropped")
                 continue
             latency = self.channel_rng.randrange(
                 self.config.latency_min, self.config.latency_max + 1)
-            self._account(msg_id, "scheduled")
             self._push(at + latency, _DELIVER, (msg_id, receiver, sender))
-
-    def _account(self, msg_id: int, outcome: str) -> None:
-        bucket = self.metrics.per_message.setdefault(
-            msg_id, {"scheduled": 0, "delivered": 0, "dropped": 0, "suppressed": 0})
-        bucket[outcome] += 1
 
 
 def run(config: SimConfig, node_config: NodeConfig | None = None,

@@ -117,6 +117,8 @@ class TestBenchCommand:
         assert "group toy:" in out
         assert "group modp1024-160:" in out
         assert out.count("blindings/sec") == 2
+        # fixed-base and variable-base exponentiation both stay visible
+        assert out.count("responses/sec") == 2
         # batching leaves nothing on the critical path; unbatched pays m
         assert "unbatched leader (m=10): 10 expos" in out
         assert "batched leader (m=10): 0 expos" in out

@@ -21,7 +21,7 @@ from agdh.gka_core import (
     recover_leader_blind,
     respond,
 )
-from agdh.group_arith import TOY, ExpCounter
+from agdh.group_arith import PROD, TOY, ExpCounter, _in_subgroup
 
 SCALARS = range(1, TOY.order)  # [1, 10]
 
@@ -193,6 +193,22 @@ class TestDeriveSessionKey:
     def test_identity_rejected(self):
         with pytest.raises(DegenerateKey):
             derive_session_key(1, 0, TOY)
+
+    def test_out_of_range_rejected(self):
+        for key in (0, -3, TOY.modulus, TOY.modulus + 3):
+            with pytest.raises(NotInSubgroup):
+                derive_session_key(key, 0, TOY)
+
+    def test_no_subgroup_check(self):
+        # callers pass products of validated elements, so the KDF spends no
+        # subgroup exponentiation (and leaves the shared memo alone)
+        key = pow(PROD.generator, 12345, PROD.modulus)
+        before = _in_subgroup.cache_info()
+        derived = derive_session_key(key, 7, PROD)
+        after = _in_subgroup.cache_info()
+        assert (after.hits, after.misses) == (before.hits, before.misses)
+        material = key.to_bytes(128, "big") + (7).to_bytes(8, "big")
+        assert derived == hashlib.sha256(material).digest()
 
 
 class TestBatch:

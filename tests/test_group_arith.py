@@ -1,13 +1,18 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import agdh
 from agdh.errors import BadLength, ConfigError, NotInSubgroup, ZeroScalar
 from agdh.group_arith import (
     PROD,
     TOY,
+    WINDOW,
     ExpCounter,
     GroupParams,
     decode_element,
@@ -19,6 +24,7 @@ from agdh.group_arith import (
     parse_params_text,
     random_scalar,
     scalar_inverse,
+    _generator_table,
 )
 
 # Independent oracles: exponentiation by repeated multiplication, inversion
@@ -180,3 +186,101 @@ class TestEncoding:
         data = encode_element(element, PROD)
         assert len(data) == PROD.element_width == 128
         assert decode_element(data, PROD) == element
+
+
+# Subgroups of 128-bit moduli whose orders are 61 bits (not a multiple of
+# WINDOW, so the top table row holds a partial digit) and 66 bits (a
+# multiple, so the top row is full).
+ODD_WIDTH = parse_params_text("""
+name=q61
+p=80000000000000067fffffffffffffad
+q=1fffffffffffffff
+g=6c14293c92e191333e2d11e750c6c2d1
+""")
+FULL_WIDTH = parse_params_text("""
+name=q66
+p=800000000000000cbffffffffffffae3
+q=20000000000000083
+g=627b8c392cfd6dd6864a4caf01895d02
+""")
+TABLE_GROUPS = [PROD, TOY, ODD_WIDTH, FULL_WIDTH]
+
+
+def rows_of(params: GroupParams) -> int:
+    return (params.order.bit_length() + WINDOW - 1) // WINDOW
+
+
+def edge_exponents(params: GroupParams) -> list[int]:
+    q = params.order
+    top = WINDOW * (rows_of(params) - 1)
+    values = [0, 1, 2, q - 1, q, q + 1, 2 * q, 3 * q - 1,
+              -1, -2, -q, -(q + 1), -(1 << 300)]
+    # a single nonzero window, with every other window zero
+    values += [d << (WINDOW * i) for i in range(rows_of(params))
+               for d in (1, (1 << WINDOW) - 1)]
+    # zero windows between two nonzero ones, and all-ones exponents
+    values += [(1 << top) + 1, (1 << top) - 1, (1 << q.bit_length()) - 1]
+    return values
+
+
+class TestGeneratorTable:
+    @pytest.mark.parametrize("params", TABLE_GROUPS, ids=lambda p: p.name)
+    def test_edge_exponents_match_pow(self, params):
+        g, q, p = params.generator, params.order, params.modulus
+        for s in edge_exponents(params):
+            assert exp(g, s, params) == pow(g, s % q, p), s
+
+    @settings(max_examples=60)
+    @given(st.sampled_from(TABLE_GROUPS), st.integers(-(2**300), 2**300))
+    def test_drawn_exponents_match_pow(self, params, s):
+        g = params.generator
+        assert exp(g, s, params) == pow(g, s % params.order, params.modulus)
+
+    @settings(max_examples=60)
+    @given(st.sampled_from(TABLE_GROUPS),
+           st.lists(st.sampled_from([0, 0, 0, 1, 2, (1 << WINDOW) - 1]),
+                    max_size=30))
+    def test_drawn_sparse_windows_match_pow(self, params, digits):
+        s = sum(d << (WINDOW * i) for i, d in enumerate(digits))
+        g = params.generator
+        assert exp(g, s, params) == pow(g, s % params.order, params.modulus)
+
+    def test_table_layout(self):
+        g, p = ODD_WIDTH.generator, ODD_WIDTH.modulus
+        table = _generator_table(g, p, ODD_WIDTH.order)
+        assert len(table) == rows_of(ODD_WIDTH) == 11
+        for i, row in enumerate(table):
+            assert len(row) == 1 << WINDOW
+            for j, entry in enumerate(row):
+                assert entry == pow(g, j << (WINDOW * i), p)
+
+    @pytest.mark.parametrize("params", TABLE_GROUPS, ids=lambda p: p.name)
+    def test_counter_bumps_once_per_call(self, params):
+        counter = ExpCounter()
+        for calls, s in enumerate(edge_exponents(params), start=1):
+            exp(params.generator, s, params, counter)
+            assert counter.count == calls
+
+    def test_built_once_per_group(self):
+        # g^2 also generates the order-q subgroup, so this group's table is
+        # one that no other test builds
+        g = pow(ODD_WIDTH.generator, 2, ODD_WIDTH.modulus)
+        params = GroupParams(ODD_WIDTH.modulus, ODD_WIDTH.order, g,
+                             "q61-squared").validate()
+        before = _generator_table.cache_info()
+        for s in range(1, 20):
+            assert exp(g, s, params) == pow(g, s, params.modulus)
+        exp(ODD_WIDTH.generator, 5, params)  # another base: no table
+        after = _generator_table.cache_info()
+        assert after.misses - before.misses == 1
+        assert after.hits - before.hits == 18
+
+    def test_import_builds_no_table(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(agdh.__file__)))
+        code = ("import agdh\n"
+                "from agdh.group_arith import _generator_table\n"
+                "print(_generator_table.cache_info().currsize)")
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, check=True)
+        assert proc.stdout.strip() == "0"

@@ -1,4 +1,5 @@
 import os
+from collections import Counter, defaultdict
 
 import pytest
 
@@ -29,6 +30,14 @@ SCENARIO_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
 def toy_run(**kwargs):
     node_config = kwargs.pop("node_config", NodeConfig())
     return run(SimConfig(**kwargs), node_config, TOY)
+
+
+def outcomes_by_id(res) -> dict[int, list]:
+    """The DELIVER, DROP and SUPPRESS records of each message id, in order."""
+    outcomes = defaultdict(list)
+    for rec in res.transcript.of_kind("DELIVER", "DROP", "SUPPRESS"):
+        outcomes[int(rec.get("id"))].append(rec)
+    return outcomes
 
 
 class TestBasics:
@@ -80,9 +89,12 @@ class TestChannel:
         res = toy_run(node_count=5, seed=3, duration=30 * SECOND)
         sends = res.transcript.of_kind("SEND")
         bcast = next(r for r in sends if r.get("dest") == "bcast")
-        outcomes = res.metrics.per_message[int(bcast.get("id"))]
-        assert outcomes["scheduled"] == 4
-        assert outcomes["dropped"] == 0
+        records = outcomes_by_id(res)[int(bcast.get("id"))]
+        kinds = Counter(r.kind for r in records)
+        assert kinds["DELIVER"] == 4
+        assert kinds["DROP"] == 0
+        assert sorted(r.node for r in records) == \
+            sorted(n for n in res.nodes if n != bcast.node)
 
     def test_full_loss_drops_everything(self):
         res = toy_run(node_count=5, seed=3, loss_prob=1.0, duration=30 * SECOND)
@@ -95,17 +107,22 @@ class TestChannel:
         res = toy_run(node_count=8, seed=5, loss_prob=0.4, duration=60 * SECOND,
                       node_config=EAGER)
         sends = {int(r.get("id")): r for r in res.transcript.of_kind("SEND")}
+        outcomes = outcomes_by_id(res)
+        assert set(outcomes) <= set(sends)
         for msg_id, rec in sends.items():
-            outcomes = res.metrics.per_message.get(msg_id)
-            if outcomes is None:
-                continue
-            targets = outcomes["scheduled"] + outcomes["dropped"] \
-                + outcomes["suppressed"]
+            records = outcomes.get(msg_id, [])
+            # one outcome per receiver: dropped or suppressed when sent, or
+            # scheduled, and then delivered or suppressed as dead on arrival
+            receivers = [r.node for r in records]
+            assert len(receivers) == len(set(receivers))
             if rec.get("dest") == "bcast":
-                assert 0 <= targets <= 7
+                assert 0 <= len(records) <= 7
             else:
-                assert targets <= 1
-            assert outcomes["delivered"] <= outcomes["scheduled"]
+                assert len(records) <= 1
+            scheduled = [r for r in records if r.time > rec.time]
+            delivered = [r for r in records if r.kind == "DELIVER"]
+            assert all(r.time > rec.time for r in delivered)
+            assert len(delivered) <= len(scheduled)
 
     def test_latency_bounds(self):
         res = toy_run(node_count=3, seed=4, duration=30 * SECOND)
