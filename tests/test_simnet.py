@@ -119,10 +119,8 @@ class TestChannel:
                 assert 0 <= len(records) <= 7
             else:
                 assert len(records) <= 1
-            scheduled = [r for r in records if r.time > rec.time]
-            delivered = [r for r in records if r.kind == "DELIVER"]
-            assert all(r.time > rec.time for r in delivered)
-            assert len(delivered) <= len(scheduled)
+            # a delivery was scheduled: it lands a positive latency later
+            assert all(r.time > rec.time for r in records if r.kind == "DELIVER")
 
     def test_latency_bounds(self):
         res = toy_run(node_count=3, seed=4, duration=30 * SECOND)
