@@ -16,6 +16,14 @@ blinding is a power of the generator, which ``group_arith.exp`` reads from a
 precomputed fixed-base table, while recovering the leader blind is a
 variable-base exponentiation.  The same holds for the leader's own blind
 against its ``m`` responses.  Counts stay one per exponentiation either way.
+
+``respond`` and ``recover_leader_blind`` still check that their input is a
+subgroup element, because each raises it to a secret: a received value of
+small order there would leak that secret modulo the small order (Lim and
+Lee, CRYPTO '97).  ``group_arith`` answers the check from its memo of known
+elements (powers of the generator and of proven elements), so only a value
+that no check or exponentiation in the process has met costs a subgroup
+``pow``.
 """
 
 from __future__ import annotations

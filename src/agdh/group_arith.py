@@ -17,6 +17,19 @@ table is built on a group's first generator exponentiation, once per group
 Either path counts as one exponentiation: the counter meters protocol
 operations, not their cost, so a blinding and a variable-base response each
 bump it once although on PROD the blinding costs about a sixth as much.
+
+Membership answers are memoised under the closure rule: a power of an
+element of the order-q subgroup is itself in that subgroup.  The memo is one
+set of ``(value, p, q)`` keys, the same key as the ``_in_subgroup`` check,
+so each group keeps its own known elements even where two groups share
+``p``.  Only two things write to it: :func:`is_element`, after the check has
+proved a value a member, and :func:`exp`, for a power of the generator (whose
+order q the table confirms when it is built) or of a value already in the
+set.  A value a node computed itself is therefore known when it is encoded,
+and no subgroup ``pow`` re-checks it; a value that arrives from outside is
+known only if it is one of those.  The set holds at most ``1 << 16`` keys,
+like the check's own cache; past that an arbitrary key is dropped, which
+costs a later check, never a wrong answer.
 """
 
 from __future__ import annotations
@@ -39,6 +52,12 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 #: 1/WINDOW; 6 gives 27 rows of 64 for a 160-bit order.
 WINDOW = 6
 _DIGIT_MASK = (1 << WINDOW) - 1
+
+#: Entries each membership memo (known set, check cache) holds at most.
+_MEMO_SIZE = 1 << 16
+
+# (value, p, q) for every value known to lie in the order-q subgroup of Z_p*.
+_known: set[tuple[int, int, int]] = set()
 
 
 def _is_probable_prime(n: int) -> bool:
@@ -128,16 +147,27 @@ def exp(base: GroupElement, s: Scalar, params: GroupParams,
     """base**s mod p, metered: one counter bump per call, whichever path.
 
     A power of the generator is read from the group's fixed-base table;
-    any other base goes through builtin ``pow``.
+    any other base goes through builtin ``pow``.  The result joins the
+    known elements when the base is the generator or already known.
     """
     if counter is not None:
         counter.bump()
-    if base != params.generator:
-        return pow(base, s % params.order, params.modulus)
-    s %= params.order
-    modulus = params.modulus
+    modulus, order = params.modulus, params.order
+    if base == params.generator:
+        result = _table_pow(_generator_table(base, modulus, order),
+                            s % order, modulus)
+    else:
+        result = pow(base, s % order, modulus)
+        if (base, modulus, order) not in _known:
+            return result
+    _remember((result, modulus, order))
+    return result
+
+
+def _table_pow(table: tuple[tuple[int, ...], ...], s: int, modulus: int) -> int:
+    # s must be below 2^(WINDOW * len(table)): one row per WINDOW bits
     result = 1
-    for row in _generator_table(base, modulus, params.order):
+    for row in table:
         digit = s & _DIGIT_MASK
         if digit:
             result = result * row[digit] % modulus
@@ -158,7 +188,13 @@ def _generator_table(generator: int, modulus: int,
             row.append(row[-1] * row_base % modulus)
         rows.append(tuple(row))
         row_base = row[-1] * row_base % modulus
-    return tuple(rows)
+    table = tuple(rows)
+    # exp files every power of g as a known element, so g itself must have
+    # order q, whether or not GroupParams.validate ran; g^q from the table
+    # is a few dozen multiplications
+    if _table_pow(table, order, modulus) != 1:
+        raise ConfigError(f"generator {generator} does not have order {order}")
+    return table
 
 
 def mul(a: GroupElement, b: GroupElement, params: GroupParams) -> GroupElement:
@@ -174,15 +210,31 @@ def scalar_inverse(s: Scalar, params: GroupParams) -> Scalar:
     return pow(s, -1, params.order)
 
 
-@lru_cache(maxsize=1 << 16)
+@lru_cache(maxsize=_MEMO_SIZE)
 def _in_subgroup(value: int, modulus: int, order: int) -> bool:
     # Memoized: the same broadcast payload is validated by every receiver.
     return 0 < value < modulus and pow(value, order, modulus) == 1
 
 
+def _remember(key: tuple[int, int, int]) -> None:
+    if len(_known) >= _MEMO_SIZE:
+        _known.pop()
+    _known.add(key)
+
+
 def is_element(value: int, params: GroupParams) -> bool:
-    """True iff value is a member of the order-q subgroup."""
-    return _in_subgroup(value, params.modulus, params.order)
+    """True iff value is a member of the order-q subgroup.
+
+    Known elements answer from the memo; any other value pays the subgroup
+    check, and a value it proves a member becomes known.
+    """
+    key = (value, params.modulus, params.order)
+    if key in _known:
+        return True
+    if _in_subgroup(*key):
+        _remember(key)
+        return True
+    return False
 
 
 def encode_element(e: GroupElement, params: GroupParams) -> bytes:

@@ -7,7 +7,7 @@ the relevant node and records whether anything was accepted or changed.
 import random
 from dataclasses import dataclass, replace
 
-from agdh.group_arith import TOY
+from agdh.group_arith import PROD, TOY, GroupParams
 from agdh.messages import (
     GroupEntry,
     HmacKeyRing,
@@ -30,6 +30,9 @@ class Outcome:
     key_changes: int
     sends: int
     wire: bytes
+    reason: str | None  # the node's reject reason, if it logged one
+    params: GroupParams
+    element: int | None = None  # the non-member a hostile-element probe carries
 
 
 def _elect(node):
@@ -41,11 +44,11 @@ def _elect(node):
     return out.sends[0]
 
 
-def build_pair():
+def build_pair(params: GroupParams = TOY):
     """Leader 1 with keyed members 2 and 3; returns nodes and live wires."""
-    leader = Node(1, NodeConfig(), TOY, RING, random.Random("corpus/1"))
-    member = Node(2, NodeConfig(), TOY, RING, random.Random("corpus/2"))
-    other = Node(3, NodeConfig(), TOY, RING, random.Random("corpus/3"))
+    leader = Node(1, NodeConfig(), params, RING, random.Random("corpus/1"))
+    member = Node(2, NodeConfig(), params, RING, random.Random("corpus/2"))
+    other = Node(3, NodeConfig(), params, RING, random.Random("corpus/3"))
     empty = _elect(leader)
     now = leader.deadlines[TimerKind.BEACON] - 1_000_000
     member.start(0)
@@ -72,19 +75,38 @@ def _flip(wire: bytes, offset: int) -> bytes:
     return bytes(tampered)
 
 
+def _resigned(outgoing, canonical: bytes) -> bytes:
+    """``canonical`` signed by the sender of ``outgoing``, as a wire."""
+    signature = RING.sign(outgoing.message.sender_id, canonical)
+    return canonical + len(signature).to_bytes(2, "big") + signature
+
+
+def _canonical(outgoing) -> bytes:
+    msg, wire = outgoing.message, outgoing.wire
+    return wire[:len(wire) - 2 - len(msg.signature)]
+
+
 def _retired_kind(outgoing, kind: int) -> bytes:
     """The wire of ``outgoing`` under another kind byte, validly re-signed
     by the same sender."""
-    msg, wire = outgoing.message, outgoing.wire
-    canonical = bytes([kind]) + wire[1:len(wire) - 2 - len(msg.signature)]
-    signature = RING.sign(msg.sender_id, canonical)
-    return canonical + len(signature).to_bytes(2, "big") + signature
+    return _resigned(outgoing, bytes([kind]) + _canonical(outgoing)[1:])
+
+
+def _substituted(outgoing, old: int, new: int, params: GroupParams) -> bytes:
+    """The wire of ``outgoing`` with element ``old`` replaced by ``new``,
+    validly re-signed by the same sender.  Built from bytes because the
+    encoder refuses a non-member."""
+    width = params.element_width
+    canonical = _canonical(outgoing)
+    field = old.to_bytes(width, "big")
+    assert canonical.count(field) == 1
+    return _resigned(outgoing, canonical.replace(field, new.to_bytes(width, "big")))
 
 
 def run_corpus() -> dict[str, Outcome]:
     outcomes: dict[str, Outcome] = {}
 
-    def probe(name, node, wire, now):
+    def probe(name, node, wire, now, element=None):
         digest = node.state_digest()
         out = node.handle(MessageArrived(wire), now)
         outcomes[name] = Outcome(
@@ -93,6 +115,9 @@ def run_corpus() -> dict[str, Outcome]:
             key_changes=len(out.key_changes),
             sends=len(out.sends),
             wire=wire,
+            reason=next((e[1] for e in out.log if e[0] == "reject"), None),
+            params=node.params,
+            element=element,
         )
 
     # --- flipped signature bytes -----------------------------------------
@@ -170,5 +195,22 @@ def run_corpus() -> dict[str, Outcome]:
               _retired_kind(keyed, kind), now)
         probe(f"retired_kind_{kind:#04x}_ireply", leader,
               _retired_kind(reply2, kind), now)
+
+    # --- validly signed non-members on PROD -----------------------------------
+    # p-1 has order 2; p-x is the non-member next to a known element x (q is
+    # odd, so (p-x)^q = -1).  The IGROUP puts them where the member's own
+    # response goes, which the member would raise to its inverted secret; the
+    # IREPLY puts them where the blind goes, which the leader would raise to
+    # its own secret.
+    leader, member, other, empty, keyed, reply2, now = build_pair(PROD)
+    p = PROD.modulus
+    entry = next(e for e in keyed.message.entries if e.participant_id == 2)
+    response, blinded = entry.blinded_response, reply2.message.entries[0].blinded_secret
+    for label, value in (("p_minus_1", p - 1), ("p_minus_response", p - response)):
+        probe(f"hostile_element_igroup_{label}", member,
+              _substituted(keyed, response, value, PROD), now, element=value)
+    for label, value in (("p_minus_1", p - 1), ("p_minus_blind", p - blinded)):
+        probe(f"hostile_element_ireply_{label}", leader,
+              _substituted(reply2, blinded, value, PROD), now, element=value)
 
     return outcomes

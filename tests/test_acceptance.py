@@ -24,7 +24,7 @@ from agdh.gka_core import (
     oracle_key,
     recover_leader_blind,
 )
-from agdh.group_arith import PROD, TOY, ExpCounter, random_scalar
+from agdh.group_arith import PROD, TOY, ExpCounter, is_element, random_scalar
 from agdh.node_fsm import Mode, NodeConfig
 from agdh.oracle import audit_transcript, cost_table
 from agdh.scenario import load_scenario
@@ -277,6 +277,9 @@ def test_criterion_7_adversarial_rejection():
         assert outcome.accepted is False, f"{name}: accepted"
         assert outcome.state_unchanged, f"{name}: state changed"
         assert outcome.key_changes == 0, f"{name}: key changed"
+        if outcome.element is not None:
+            assert outcome.reason == "malformed", f"{name}: {outcome.reason}"
+            assert not is_element(outcome.element, outcome.params), name
     print(f"\n  adversarial corpus: {len(outcomes)} tampered messages, "
           f"0 accepted")
 

@@ -1,7 +1,8 @@
 import pytest
 
-from agdh.cli import main
+from agdh.cli import _bench_group, main
 from agdh.errors import ConfigError
+from agdh.group_arith import PROD, _in_subgroup
 from agdh.scenario import parse_duration, parse_scenario
 from agdh.simnet import CrashAt, HealAt, JoinAt, LeaveAt, PartitionAt
 
@@ -122,3 +123,10 @@ class TestBenchCommand:
         # batching leaves nothing on the critical path; unbatched pays m
         assert "unbatched leader (m=10): 10 expos" in out
         assert "batched leader (m=10): 0 expos" in out
+
+    def test_bench_times_no_subgroup_pow(self):
+        # every value the bench exponentiates is a power of the generator, so
+        # its timings hold exponentiations only
+        before = _in_subgroup.cache_info().misses
+        _bench_group(PROD, 5, 5)
+        assert _in_subgroup.cache_info().misses == before

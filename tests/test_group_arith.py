@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import agdh
+from agdh import group_arith
 from agdh.errors import BadLength, ConfigError, NotInSubgroup, ZeroScalar
 from agdh.group_arith import (
     PROD,
@@ -24,7 +25,9 @@ from agdh.group_arith import (
     parse_params_text,
     random_scalar,
     scalar_inverse,
+    _MEMO_SIZE,
     _generator_table,
+    _in_subgroup,
 )
 
 # Independent oracles: exponentiation by repeated multiplication, inversion
@@ -284,3 +287,75 @@ class TestGeneratorTable:
         proc = subprocess.run([sys.executable, "-c", code], env=env,
                               capture_output=True, text=True, check=True)
         assert proc.stdout.strip() == "0"
+
+
+def subgroup_checks(fn):
+    """``fn()``, and how many times it consulted the subgroup check."""
+    before = _in_subgroup.cache_info()
+    value = fn()
+    after = _in_subgroup.cache_info()
+    return value, after.hits + after.misses - before.hits - before.misses
+
+
+class TestKnownElements:
+    @settings(max_examples=200)
+    @given(st.lists(st.tuples(st.integers(-1, 24), st.integers()), max_size=30))
+    def test_toy_answers_stay_exact(self, calls):
+        for base, s in calls:
+            exp(base, s, TOY)
+        p, q = TOY.modulus, TOY.order
+        for v in range(-p, 2 * p):
+            assert is_element(v, TOY) == (0 < v < p and pow(v, q, p) == 1), v
+
+    def test_unknown_bases_do_not_register(self):
+        p, q = PROD.modulus, PROD.order
+        rng = random.Random("unknown-bases")
+        x = exp(PROD.generator, random_scalar(rng, PROD), PROD)
+        for base in (p - 1, p - x):
+            # odd exponents keep the results outside the subgroup
+            for s in (1, 3, 2 * rng.randrange(q // 2) + 1):
+                result = exp(base, s, PROD)
+                assert pow(result, q, p) != 1
+                assert subgroup_checks(
+                    lambda: is_element(result, PROD)) == (False, 1)
+
+    def test_known_bases_register(self):
+        rng = random.Random("known-bases")
+        blinded = exp(PROD.generator, random_scalar(rng, PROD), PROD)
+        outside = pow(PROD.generator, random_scalar(rng, PROD), PROD.modulus)
+        # a value computed outside exp is proved once, then known
+        assert subgroup_checks(lambda: is_element(outside, PROD)) == (True, 1)
+        for value in (blinded,
+                      exp(blinded, random_scalar(rng, PROD), PROD),
+                      exp(outside, random_scalar(rng, PROD), PROD)):
+            assert pow(value, PROD.order, PROD.modulus) == 1
+            _, checks = subgroup_checks(lambda: encode_element(value, PROD))
+            assert checks == 0
+
+    def test_groups_sharing_p_keep_their_own_elements(self):
+        pair = GroupParams(23, 2, 22, "order-2").validate()
+        assert exp(pair.generator, 1, pair) == 22
+        assert exp(TOY.generator, 3, TOY) == 8
+        assert exp(8, 2, TOY) == 18
+        assert is_element(22, pair) and not is_element(22, TOY)
+        for v in (8, 18):
+            assert is_element(v, TOY) and not is_element(v, pair)
+
+    def test_bound_keeps_answers_right(self, monkeypatch):
+        monkeypatch.setattr(group_arith, "_known", set())
+        params, p = ODD_WIDTH, ODD_WIDTH.modulus
+        values = [exp(params.generator, s, params)
+                  for s in range(1, _MEMO_SIZE + 500)]
+        assert len(group_arith._known) == _MEMO_SIZE
+        assert all(is_element(v, params) for v in values)
+        assert not any(is_element(p - v, params) for v in values[::16])
+        assert len(group_arith._known) == _MEMO_SIZE
+
+    def test_generator_of_wrong_order_is_refused(self):
+        # not validated: 5 has order 22 in Z_23*, so its powers must not be
+        # filed as members of the order-11 subgroup
+        bad = GroupParams(23, 11, 5, "bad-generator")
+        with pytest.raises(ConfigError):
+            exp(bad.generator, 3, bad)
+        assert not is_element(5, TOY)
+        assert not is_element(10, TOY)

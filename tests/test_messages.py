@@ -139,22 +139,24 @@ def test_received_bytes_are_canonical_on_fixed_wires():
     import adversarial_corpus
 
     with open(VECTORS) as fh:
-        wires = {f"vector {line.split()[1]}": bytes.fromhex(line.split()[0])
+        wires = {f"vector {line.split()[1]}": (bytes.fromhex(line.split()[0]), TOY)
                  for line in fh
                  if line.strip() and not line.startswith("#")}
-    wires.update((name, outcome.wire) for name, outcome
+    wires.update((name, (outcome.wire, outcome.params)) for name, outcome
                  in adversarial_corpus.run_corpus().items())
     malformed = set()
-    for name, wire in wires.items():
+    for name, (wire, params) in wires.items():
         try:
-            decode(wire, TOY)
+            decode(wire, params)
         except MalformedMessage:
             malformed.add(name)
             continue
-        check_wire_prefix(wire, TOY)
+        check_wire_prefix(wire, params)
     retired = {f"vector kind={kind}" for kind in RETIRED_KINDS}
     retired |= {name for name in wires if name.startswith("retired_kind_")}
-    assert malformed == {"truncated", "unknown_kind"} | retired
+    hostile = {name for name in wires if name.startswith("hostile_element_")}
+    assert len(hostile) == 4
+    assert malformed == {"truncated", "unknown_kind"} | retired | hostile
 
 
 def test_sign_and_encode_matches_sign_then_encode():
