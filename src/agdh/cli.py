@@ -16,6 +16,7 @@ import os
 import random
 import sys
 import time
+from collections import Counter
 
 from . import gka_core
 from .errors import ConfigError, CountMismatch, ProtocolError
@@ -44,18 +45,12 @@ def _group_from_args(args) -> GroupParams:
 def _run_once(sim_config: SimConfig, node_config: NodeConfig,
               params: GroupParams) -> dict:
     result = run(sim_config, node_config, params)
-    report = audit_transcript(result)
-    heads = leaders(result)
-    head = result.nodes[heads[0]] if len(heads) == 1 else None
-    summary = {
+    return {
         "seed": sim_config.seed,
         "converged": converged(result),
-        "leaders": heads,
-        "epoch": head.session.epoch if head and head.session else None,
-        "findings": len(report.findings),
-        "key_events": len(result.metrics.key_events),
+        "leaders": leaders(result),
+        "findings": len(audit_transcript(result).findings),
     }
-    return summary
 
 
 def _print_summary(result, report, row, stream=None) -> None:
@@ -84,6 +79,8 @@ def _print_summary(result, report, row, stream=None) -> None:
 
 def cmd_run(args) -> int:
     try:
+        if args.repeat < 1:
+            raise ConfigError("--repeat must be at least 1")
         params = _group_from_args(args)
         schedule = load_scenario(args.scenario) if args.scenario else ()
         node_config = NodeConfig(eager_rekey=args.eager_rekey).validate()
@@ -139,21 +136,28 @@ def _run_many_worker(bundle):
 
 
 def _metrics_text(result) -> str:
-    lines = []
-    for (node, kind), count in sorted(result.metrics.sent.items()):
-        lines.append(f"sent node={node} kind={kind} count={count}")
-    for node, count in sorted(result.metrics.broadcasts.items()):
-        lines.append(f"broadcasts node={node} count={count}")
-    for node in sorted(result.nodes):
-        lines.append(f"expos node={node} count={result.metrics.exp_total(node)}")
-    lines.append(f"delivered {result.metrics.delivered}")
-    lines.append(f"dropped {result.metrics.dropped}")
-    lines.append(f"suppressed {result.metrics.suppressed}")
-    for kev in result.metrics.key_events:
-        lines.append(f"key t={kev.time} node={kev.node_id}"
-                     f" leader={kev.leader_id} epoch={kev.epoch}"
-                     f" derived={kev.derived.hex()}")
-    return "\n".join(lines) + "\n"
+    """Counted in one pass over the transcript, except exponentiations,
+    which no record carries: those come from each node's counter."""
+    kinds, sent, broadcasts, keys = Counter(), Counter(), Counter(), []
+    for rec in result.transcript:
+        kinds[rec.kind] += 1
+        if rec.kind == "SEND":
+            sent[rec.node, rec.get("kind")] += 1
+            if rec.get("dest") == "bcast":
+                broadcasts[rec.node] += 1
+        elif rec.kind == "KEY":
+            keys.append(f"key t={rec.time} node={rec.node}"
+                        f" leader={rec.get('leader')} epoch={rec.get('epoch')}"
+                        f" derived={rec.get('key').hex()}")
+    lines = [f"sent node={node} kind={kind} count={count}"
+             for (node, kind), count in sorted(sent.items())]
+    lines += [f"broadcasts node={node} count={count}"
+              for node, count in sorted(broadcasts.items())]
+    lines += [f"expos node={node} count={result.nodes[node].counter.count}"
+              for node in sorted(result.nodes)]
+    lines += [f"delivered {kinds['DELIVER']}", f"dropped {kinds['DROP']}",
+              f"suppressed {kinds['SUPPRESS']}"]
+    return "\n".join(lines + keys) + "\n"
 
 
 def _bench_group(params: GroupParams, group_size: int, iters: int) -> list[str]:

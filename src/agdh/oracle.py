@@ -147,11 +147,9 @@ def audit_transcript(result: SimResult, scan_secrets: bool | None = None) -> Aud
     composition: dict[tuple[int, int], tuple] = {}
     composed: set[bytes] = set()
     for rec in sends:
-        if rec.get("kind") not in _ANNOUNCEMENT_NAMES:
+        if rec.get("kind") not in _ANNOUNCEMENT_NAMES or not rec.get("entries"):
             continue
-        if int(rec.get("entries")) == 0:
-            continue
-        wire = result.wire_by_id[int(rec.get("id"))]
+        wire = rec.get("wire")
         if wire in composed:
             continue  # a rebeacon: same bytes, same key and shape
         composed.add(wire)
@@ -213,7 +211,7 @@ def audit_transcript(result: SimResult, scan_secrets: bool | None = None) -> Aud
     # --- every accepted message must re-verify ----------------------------
     for rec in result.transcript.of_kind("ACCEPT"):
         report.accepts_checked += 1
-        wire = result.wire_by_id.get(int(rec.get("id")))
+        wire = result.wire_by_id.get(rec.get("id"))
         if wire is None:
             report.add("accept_without_wire", f"id={rec.get('id')}")
             continue
@@ -235,7 +233,7 @@ def audit_transcript(result: SimResult, scan_secrets: bool | None = None) -> Aud
         report.sends_scanned += 1
         if not comparable:
             continue
-        _, leaks = wires.facts(result.wire_by_id[int(rec.get("id"))])
+        _, leaks = wires.facts(rec.get("wire"))
         for data in leaks:
             report.add("secret_leak",
                        f"send id={rec.get('id')} field={data.hex()}")
@@ -257,15 +255,6 @@ class CostRow:
                 f" broadcasts={self.broadcasts} rounds={self.rounds}")
 
 
-def _establishment(result: SimResult) -> tuple[Record, Message]:
-    """The announcement that first carries entries, and its message."""
-    for rec in result.transcript.of_kind("SEND"):
-        if rec.get("kind") in _ANNOUNCEMENT_NAMES and int(rec.get("entries")) > 0:
-            wire = result.wire_by_id[int(rec.get("id"))]
-            return rec, decode(wire, result.params)
-    raise CountMismatch("no keyed announcement in transcript")
-
-
 def cost_table(result: SimResult, m: int) -> CostRow:
     """Measure one initial key establishment and check it against the
     expected cost row: 2 exponentiations per member, m for the leader,
@@ -276,44 +265,50 @@ def cost_table(result: SimResult, m: int) -> CostRow:
     protocol message count is over distinct logical messages.
     """
     params = result.params
-    establishing, establishing_msg = _establishment(result)
+    # one pass in time order: every delivery, the first announcement with
+    # entries, and the distinct member contributions sent up to its instant
+    delivered_at: dict[int, list[tuple[int, int]]] = {}
+    contributions: dict[tuple, Record] = {}
+    establishing = None
+    for rec in result.transcript:
+        if rec.kind == "DELIVER":
+            delivered_at.setdefault(rec.get("id"), []).append((rec.time, rec.node))
+        if rec.kind != "SEND":
+            continue
+        kind = rec.get("kind")
+        if kind in _CONTRIBUTION_NAMES and (
+                establishing is None or rec.time <= establishing.time):
+            msg = decode(rec.get("wire"), params)
+            entry = msg.entries[0]
+            logical = (msg.sender_id, entry.nonce, entry.blinded_secret)
+            contributions.setdefault(logical, rec)
+        elif kind in _ANNOUNCEMENT_NAMES and establishing is None \
+                and rec.get("entries"):
+            establishing = rec
+    if establishing is None:
+        raise CountMismatch("no keyed announcement in transcript")
+    establishing_msg = decode(establishing.get("wire"), params)
     leader_id, epoch = establishing_msg.sender_id, establishing_msg.epoch
     t_end = establishing.time
 
-    # distinct member contributions sent before the establishing broadcast
-    contributions: dict[tuple, int] = {}
-    for rec in result.transcript.of_kind("SEND"):
-        if rec.time > t_end or rec.get("kind") not in _CONTRIBUTION_NAMES:
-            continue
-        msg = decode(result.wire_by_id[int(rec.get("id"))], params)
-        entry = msg.entries[0]
-        logical = (msg.sender_id, entry.nonce, entry.blinded_secret)
-        if logical not in contributions:
-            contributions[logical] = int(rec.get("id"))
-
-    counted_replies = set(contributions.values())
-    messages = len(counted_replies) + 1
+    messages = len(contributions) + 1
     broadcasts = 1
 
     # causal rounds: longest dependency chain among the counted messages,
     # where a message depends on any counted message delivered to its sender
     # before it was sent
-    delivered_at: dict[int, list[tuple[int, int]]] = {}
-    for rec in result.transcript.of_kind("DELIVER"):
-        delivered_at.setdefault(int(rec.get("id")), []).append((rec.time, rec.node))
-    send_time = {int(r.get("id")): r.time for r in result.transcript.of_kind("SEND")}
-    send_node = {int(r.get("id")): r.node for r in result.transcript.of_kind("SEND")}
-    counted = counted_replies | {int(establishing.get("id"))}
+    counted = {r.get("id"): r for r in (*contributions.values(), establishing)}
 
     def depth(msg_id: int, memo: dict) -> int:
         if msg_id in memo:
             return memo[msg_id]
         best = 0
+        sent = counted[msg_id]
         for other in counted:
             if other == msg_id:
                 continue
             for when, receiver in delivered_at.get(other, ()):
-                if receiver == send_node[msg_id] and when <= send_time[msg_id]:
+                if receiver == sent.node and when <= sent.time:
                     best = max(best, depth(other, memo))
                     break
         memo[msg_id] = best + 1

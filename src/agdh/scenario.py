@@ -15,6 +15,8 @@ comments are ignored.
 
 from __future__ import annotations
 
+import math
+
 from .errors import ConfigError
 from .simnet import CrashAt, HealAt, JoinAt, LeaveAt, PartitionAt
 
@@ -35,6 +37,8 @@ def parse_duration(text: str) -> int:
         value = float(number)
     except ValueError:
         raise ConfigError(f"bad duration literal {text!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"non-finite duration {text!r}")
     if value < 0:
         raise ConfigError(f"negative duration {text!r}")
     return round(value * scale)

@@ -7,7 +7,11 @@ latency draws.  Events are processed in (time, insertion-sequence) order, so
 identical inputs produce byte-identical transcripts.
 
 The transcript is the run's complete observable history: every send,
-delivery, drop, state transition, and key change, one line per event.
+delivery, drop, state transition, and key change, one line per event, and
+message counts are read from it.  A :class:`Record` holds each field's
+value as given; only :meth:`Record.render` formats it (``bytes`` as hex).
+A SEND record's ``wire`` is the very object in ``SimResult.wire_by_id``, so
+each wire is held once.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import dataclass, field
+from typing import Any
 
 from .errors import ConfigError, OverlapError, UnknownNode
 from .group_arith import GroupParams, PROD
@@ -135,22 +140,24 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class Record:
-    """One transcript line: time, event kind, node, ordered detail fields."""
+    """One transcript line: time, event kind, node, ordered detail fields
+    holding values as given; :meth:`render` is the only formatter."""
 
     time: int
     kind: str
     node: int | None
-    fields: tuple[tuple[str, str], ...] = ()
+    fields: tuple[tuple[str, Any], ...] = ()
 
-    def get(self, key: str) -> str | None:
+    def get(self, key: str) -> Any:
         for k, v in self.fields:
             if k == key:
                 return v
         return None
 
     def render(self) -> str:
-        node = "-" if self.node is None else str(self.node)
-        detail = " ".join(f"{k}={v}" for k, v in self.fields)
+        node = "-" if self.node is None else self.node
+        detail = " ".join(f"{k}={v.hex() if isinstance(v, bytes) else v}"
+                          for k, v in self.fields)
         return f"{self.time} {self.kind} {node} {detail}".rstrip()
 
 
@@ -159,8 +166,7 @@ class Transcript:
         self.records: list[Record] = []
 
     def append(self, time: int, kind: str, node: int | None, *fields) -> None:
-        self.records.append(
-            Record(time, kind, node, tuple((k, str(v)) for k, v in fields)))
+        self.records.append(Record(time, kind, node, fields))
 
     def of_kind(self, *kinds: str) -> list[Record]:
         wanted = set(kinds)
@@ -189,19 +195,12 @@ class KeyEvent:
 
 @dataclass
 class Metrics:
-    sent: dict = field(default_factory=dict)        # (node, kind) -> count
-    broadcasts: dict = field(default_factory=dict)  # node -> count
-    delivered: int = 0
-    dropped: int = 0
-    suppressed: int = 0
+    """Only what no record carries: exponentiations, and each key's group
+    element.  The cost row and the benchmark read both lists; message
+    counts come from the transcript."""
+
     exp_events: list = field(default_factory=list)  # (time, node, delta)
     key_events: list = field(default_factory=list)  # KeyEvent
-
-    def exp_total(self, node_id: int) -> int:
-        return sum(d for _, n, d in self.exp_events if n == node_id)
-
-    def bump(self, table: dict, key) -> None:
-        table[key] = table.get(key, 0) + 1
 
 
 @dataclass
@@ -234,6 +233,7 @@ class _Simulation:
         self.nodes: dict[int, Node] = {}
         self.live: set[int] = set()
         self.wire_by_id: dict[int, bytes] = {}
+        self.exp_seen: dict[int, int] = {}  # node -> counter at last absorb
 
         initial = list(range(1, config.node_count + 1))
         scheduled_joins = [e.node_id for e in config.schedule
@@ -289,18 +289,16 @@ class _Simulation:
             transcript=self.transcript, metrics=self.metrics, nodes=self.nodes,
             live=set(self.live), keyring=self.keyring,
             secrets={nid: list(n.secret_log) for nid, n in self.nodes.items()},
-            wire_by_id=dict(self.wire_by_id),
+            wire_by_id=self.wire_by_id,
         )
 
     def _deliver(self, msg_id: int, receiver: int, sender: int | None, at: int) -> None:
         if receiver not in self.live:
             self.transcript.append(at, "SUPPRESS", receiver,
                                    ("id", msg_id), ("reason", "dead"))
-            self.metrics.suppressed += 1
             return
         self.transcript.append(at, "DELIVER", receiver,
                                ("id", msg_id), ("from", sender if sender is not None else "-"))
-        self.metrics.delivered += 1
         node = self.nodes[receiver]
         wire = self.wire_by_id[msg_id]
         self._absorb(receiver, node.handle(MessageArrived(wire), at), at,
@@ -382,7 +380,7 @@ class _Simulation:
             self.transcript.append(
                 at, "KEY", node_id,
                 ("leader", kc.leader_id), ("epoch", kc.new_epoch),
-                ("key", kc.derived.hex()))
+                ("key", kc.derived))
             self.metrics.key_events.append(KeyEvent(
                 at, kc.node_id, kc.leader_id, kc.old_epoch, kc.new_epoch,
                 kc.group_key, kc.derived))
@@ -392,41 +390,36 @@ class _Simulation:
             self._push(deadline, _TIMER, (node_id, kind))
         # exponentiation accounting rides on the counter the node owns
         done = node.counter.count
-        seen = getattr(node, "_exp_seen", 0)
+        seen = self.exp_seen.get(node_id, 0)
         if done != seen:
             self.metrics.exp_events.append((at, node_id, done - seen))
-            node._exp_seen = done
+            self.exp_seen[node_id] = done
 
     def _send(self, sender: int, outgoing: Outgoing, at: int) -> None:
         self.msg_seq += 1
         msg_id = self.msg_seq
         self.wire_by_id[msg_id] = outgoing.wire
         msg = outgoing.message
-        dest = "bcast" if outgoing.dest is None else str(outgoing.dest)
+        dest = "bcast" if outgoing.dest is None else outgoing.dest
         self.transcript.append(
             at, "SEND", sender,
             ("id", msg_id), ("kind", msg.kind.name), ("dest", dest),
             ("epoch", msg.epoch), ("entries", len(msg.entries)),
-            ("wire", outgoing.wire.hex()))
-        self.metrics.bump(self.metrics.sent, (sender, msg.kind.name))
+            ("wire", outgoing.wire))
         if outgoing.dest is None:
-            self.metrics.bump(self.metrics.broadcasts, sender)
             targets = [n for n in sorted(self.live) if n != sender]
         else:
             targets = [outgoing.dest] if outgoing.dest in self.live else []
             if not targets:
                 self.transcript.append(at, "SUPPRESS", outgoing.dest,
                                        ("id", msg_id), ("reason", "dead"))
-                self.metrics.suppressed += 1
         for receiver in targets:
             if not self._same_cell(sender, receiver):
                 self.transcript.append(at, "SUPPRESS", receiver,
                                        ("id", msg_id), ("reason", "partition"))
-                self.metrics.suppressed += 1
                 continue
             if self.channel_rng.random() < self.config.loss_prob:
                 self.transcript.append(at, "DROP", receiver, ("id", msg_id))
-                self.metrics.dropped += 1
                 continue
             latency = self.channel_rng.randrange(
                 self.config.latency_min, self.config.latency_max + 1)

@@ -72,9 +72,9 @@ def establishment_epoch_key(result):
     announcement = next(
         r for r in result.transcript.of_kind("SEND")
         if r.node == leader_id and r.get("kind") == "IGROUP"
-        and r.get("epoch") == str(session.epoch) and int(r.get("entries")) > 0)
+        and r.get("epoch") == session.epoch and r.get("entries") > 0)
     from agdh.messages import decode
-    msg = decode(bytes.fromhex(announcement.get("wire")), result.params)
+    msg = decode(result.wire_by_id[announcement.get("id")], result.params)
     leader_secret = next(
         rec.secret for rec in reversed(result.secrets[leader_id])
         if rec.role == "leader" and rec.nonce == msg.sender_nonce)
@@ -103,7 +103,7 @@ def test_criterion_1_key_agreement_exactness():
         # convergence within 3 beacon periods of the last contribution
         establishment = next(
             r for r in result.transcript.of_kind("SEND")
-            if r.get("kind") == "IGROUP" and int(r.get("entries")) > 0)
+            if r.get("kind") == "IGROUP" and r.get("entries") > 0)
         last_ireply = max(r.time for r in result.transcript.of_kind("SEND")
                           if r.get("kind") == "IREPLY"
                           and r.time <= establishment.time)

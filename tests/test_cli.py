@@ -1,10 +1,24 @@
+import os
+
 import pytest
 
-from agdh.cli import _bench_group, main
+from agdh.cli import _bench_group, _metrics_text, main
 from agdh.errors import ConfigError
-from agdh.group_arith import PROD, _in_subgroup
+from agdh.group_arith import PROD, TOY, _in_subgroup
+from agdh.node_fsm import NodeConfig
 from agdh.scenario import parse_duration, parse_scenario
-from agdh.simnet import CrashAt, HealAt, JoinAt, LeaveAt, PartitionAt
+from agdh.simnet import (
+    SECOND,
+    CrashAt,
+    HealAt,
+    JoinAt,
+    LeaveAt,
+    PartitionAt,
+    SimConfig,
+    run,
+)
+
+GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
 
 class TestDurations:
@@ -17,7 +31,8 @@ class TestDurations:
         assert parse_duration("1.5s") == 1_500_000
 
     def test_bad_literals(self):
-        for text in ("abc", "-5s", "12 parsecs"):
+        for text in ("abc", "-5s", "12 parsecs", "inf", "nan", "1e400",
+                     "infs", "nanms"):
             with pytest.raises(ConfigError):
                 parse_duration(text)
 
@@ -95,6 +110,36 @@ class TestRunCommand:
         code = main(["run", "--nodes", "3", "--loss", "2.0"])
         assert code == 2
 
+    @pytest.mark.parametrize("flags", [
+        ["--duration", "inf"],
+        ["--duration", "nan"],
+        ["--duration", "1e400"],
+        ["--repeat", "0"],
+        ["--repeat", "-3"],
+    ])
+    def test_bad_duration_or_repeat_exits_two_before_running(
+            self, flags, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        code = main(["run", "--nodes", "3", "--toy", "--out", str(out_dir)]
+                    + flags)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "error:" in captured.err
+        assert not out_dir.exists()
+
+    def test_non_finite_scenario_time_exits_two(self, tmp_path, capsys):
+        scenario = tmp_path / "s.scn"
+        scenario.write_text("inf join 3\n")
+        out_dir = tmp_path / "out"
+        code = main(["run", "--nodes", "2", "--toy", "--scenario", str(scenario),
+                     "--out", str(out_dir)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "scenario line 1" in captured.err
+        assert not out_dir.exists()
+
     def test_custom_params_file(self, tmp_path, capsys):
         params = tmp_path / "g.params"
         params.write_text("name=toyclone\np=17\nq=B\ng=2\n")
@@ -108,6 +153,16 @@ class TestRunCommand:
         assert code == 0
         out = capsys.readouterr().out
         assert "3/3 runs converged with a clean audit" in out
+
+
+class TestMetricsText:
+    def test_basic_run_matches_golden(self):
+        """metrics.txt of the determinism criterion's basic run, counted
+        from its transcript, byte for byte."""
+        res = run(SimConfig(node_count=10, seed=42, duration=60 * SECOND),
+                  NodeConfig(), TOY)
+        with open(os.path.join(GOLDEN_DIR, "basic_n10_seed42.metrics")) as fh:
+            assert _metrics_text(res) == fh.read()
 
 
 class TestBenchCommand:

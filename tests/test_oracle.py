@@ -53,8 +53,8 @@ class TestAuditDetections:
         probe = run(SimConfig(node_count=3, seed=31, duration=40 * SECOND),
                     NodeConfig(), PROD)
         keyed = next(r for r in probe.transcript.of_kind("SEND")
-                     if r.get("kind") == "IGROUP" and int(r.get("entries")) > 0)
-        tampered = bytearray(bytes.fromhex(keyed.get("wire")))
+                     if r.get("kind") == "IGROUP" and r.get("entries") > 0)
+        tampered = bytearray(probe.wire_by_id[keyed.get("id")])
         tampered[-1] ^= 0x01  # break the signature
 
         member = next(n for n in probe.live
@@ -72,8 +72,8 @@ class TestAuditDetections:
         probe = run(SimConfig(node_count=3, seed=31, duration=40 * SECOND),
                     NodeConfig(), PROD)
         keyed = next(r for r in probe.transcript.of_kind("SEND")
-                     if r.get("kind") == "IGROUP" and int(r.get("entries")) > 0)
-        tampered = bytearray(bytes.fromhex(keyed.get("wire")))
+                     if r.get("kind") == "IGROUP" and r.get("entries") > 0)
+        tampered = bytearray(probe.wire_by_id[keyed.get("id")])
         tampered[-1] ^= 0x01
         member = next(n for n in probe.live
                       if probe.nodes[n].mode.value == "member")
@@ -198,9 +198,9 @@ def reference_audit(result, scan_secrets=None) -> AuditReport:
     for rec in sends:
         if rec.get("kind") not in _ANNOUNCEMENT_NAMES:
             continue
-        if int(rec.get("entries")) == 0:
+        if rec.get("entries") == 0:
             continue
-        msg = decode(bytes.fromhex(rec.get("wire")), params)
+        msg = decode(result.wire_by_id[rec.get("id")], params)
         key = (msg.sender_id, msg.epoch)
         shape = tuple((e.participant_id, e.nonce, e.blinded_secret)
                       for e in msg.entries)
@@ -253,7 +253,7 @@ def reference_audit(result, scan_secrets=None) -> AuditReport:
 
     for rec in result.transcript.of_kind("ACCEPT"):
         report.accepts_checked += 1
-        wire = result.wire_by_id.get(int(rec.get("id")))
+        wire = result.wire_by_id.get(rec.get("id"))
         if wire is None:
             report.add("accept_without_wire", f"id={rec.get('id')}")
             continue
@@ -272,7 +272,7 @@ def reference_audit(result, scan_secrets=None) -> AuditReport:
                         for rec in records}
     for rec in sends if scan_secrets else ():
         report.sends_scanned += 1
-        msg = decode(bytes.fromhex(rec.get("wire")), params)
+        msg = decode(result.wire_by_id[rec.get("id")], params)
         fields = [msg.sender_nonce]
         for e in msg.entries:
             fields.append(e.nonce)
@@ -292,8 +292,8 @@ def _injected_run(skip_verify: bool):
     probe = run(SimConfig(node_count=3, seed=31, duration=40 * SECOND),
                 NodeConfig(), PROD)
     keyed = next(r for r in probe.transcript.of_kind("SEND")
-                 if r.get("kind") == "IGROUP" and int(r.get("entries")) > 0)
-    tampered = bytearray(probe.wire_by_id[int(keyed.get("id"))])
+                 if r.get("kind") == "IGROUP" and r.get("entries") > 0)
+    tampered = bytearray(probe.wire_by_id[keyed.get("id")])
     tampered[-1] ^= 0x01
     member = next(n for n in probe.live
                   if probe.nodes[n].mode.value == "member")
@@ -402,10 +402,10 @@ def test_prod_audit_decodes_only_accepted_or_composed_wires(monkeypatch):
     sends = res.transcript.of_kind("SEND")
     assert report.clean and report.sends_scanned == len(sends)
     wire_of = res.wire_by_id
-    accepted = {wire_of[int(r.get("id"))]
+    accepted = {wire_of[r.get("id")]
                 for r in res.transcript.of_kind("ACCEPT")}
-    composed = {wire_of[int(r.get("id"))] for r in sends
+    composed = {wire_of[r.get("id")] for r in sends
                 if r.get("kind") in _ANNOUNCEMENT_NAMES
-                and r.get("entries") != "0"}
+                and r.get("entries") > 0}
     assert set(calls) == accepted | composed
     assert max(calls.values()) == 1
