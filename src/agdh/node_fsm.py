@@ -131,7 +131,6 @@ class Outgoing:
 class KeyChange:
     node_id: int
     leader_id: int
-    old_epoch: int | None
     new_epoch: int
     group_key: int
     derived: bytes
@@ -139,6 +138,15 @@ class KeyChange:
 
 @dataclass
 class FsmOutput:
+    """Everything one step asks of the harness.
+
+    ``log`` holds tuples led by a tag, which the simulator records thus:
+    the first ``("reject", reason, ...)`` entry gives the REJECT record its
+    reason; a ``("mode", mode, why)`` entry becomes a STATE record; ``key``
+    and ``accept`` entries are not recorded; every other tag becomes a
+    record named by the tag upper-cased, with the other items as fields.
+    """
+
     sends: list[Outgoing] = field(default_factory=list)
     timers: list[tuple[TimerKind, int]] = field(default_factory=list)
     key_changes: list[KeyChange] = field(default_factory=list)
@@ -153,7 +161,6 @@ class MemberRecord:
     nonce: bytes
     blinded_secret: int
     last_heard: int
-    reg_index: int  # bumped whenever the registered contribution changes
 
 
 @dataclass(frozen=True)
@@ -205,11 +212,11 @@ class Node:
         # leader-side state
         self.leader_secret: int | None = None
         self.leader_nonce: bytes | None = None
+        # in registration order: a changed contribution moves to the end
         self.view: dict[int, MemberRecord] = {}
         self.seen_seq: dict[int, int] = {}  # survives member removal
         self.blocked: dict[int, int] = {}   # id -> blinded secret rejected for degeneracy
         self._rejoin_pending = False        # a blocked member re-registered fresh
-        self._reg_counter = 0
         self.current_announcement: Outgoing | None = None
 
         self.deadlines: dict[TimerKind, int] = {}
@@ -224,8 +231,7 @@ class Node:
         """Arm the initial timers; the node begins leaderless."""
         out = FsmOutput()
         self._arm(TimerKind.SILENCE, now + self.config.silence_threshold, out)
-        self._arm_periodic(TimerKind.RENEWAL, self.config.renew_p, now, out,
-                           restart=True)
+        self._arm_periodic(TimerKind.RENEWAL, now, out, restart=True)
         out.log.append(("mode", self.mode.value, "start"))
         return out
 
@@ -233,16 +239,8 @@ class Node:
         """Begin as the chosen group leader: broadcast the initial request
         immediately instead of waiting out an election."""
         out = FsmOutput()
-        self._arm_periodic(TimerKind.RENEWAL, self.config.renew_p, now, out,
-                           restart=True)
-        self.mode = Mode.LEADER
-        self.leader_id = self.node_id
-        self.leader_nonce = self._fresh_nonce()
-        out.log.append(("mode", "leader", "chosen_initial"))
-        self._build_empty_announcement(out)
-        out.sends.append(self.current_announcement)
-        self._arm_periodic(TimerKind.BEACON, self.config.period_t, now, out,
-                           restart=True)
+        self._arm_periodic(TimerKind.RENEWAL, now, out, restart=True)
+        self._lead(now, out, "chosen_initial")
         return out
 
     def handle(self, event, now: int) -> FsmOutput:
@@ -286,18 +284,24 @@ class Node:
         self.deadlines[kind] = deadline
         out.timers.append((kind, deadline))
 
-    def _arm_periodic(self, kind: TimerKind, period: int, now: int,
-                      out: FsmOutput, restart: bool = False) -> None:
+    def _arm_periodic(self, kind: TimerKind, now: int, out: FsmOutput,
+                      restart: bool = False) -> None:
         base = self._period_base.get(kind)
         if restart or base is None:
             base = now
-        base += period
+        base += (self.config.renew_p if kind is TimerKind.RENEWAL
+                 else self.config.period_t)
         self._period_base[kind] = base
         self._arm(kind, base + self._jitter(), out)
 
     def _disarm(self, kind: TimerKind) -> None:
         self.deadlines.pop(kind, None)
         self._period_base.pop(kind, None)
+
+    @staticmethod
+    def _refuse(out: FsmOutput, reason: str, *detail) -> None:
+        out.accepted = False
+        out.log.append(("reject", reason, *detail))
 
     def _fresh_nonce(self) -> bytes:
         return self.rng.getrandbits(128).to_bytes(16, "big")
@@ -343,69 +347,55 @@ class Node:
         try:
             msg = decode(wire, self.params)
         except MalformedMessage as exc:
-            out.accepted = False
-            out.log.append(("reject", "malformed", str(exc)))
-            return
+            return self._refuse(out, "malformed", str(exc))
+        sender = msg.sender_id
         if not self._skip_verify and not verify(msg, wire, self.keyring):
-            out.accepted = False
-            out.log.append(("reject", "bad_signature", msg.sender_id))
-            return
+            return self._refuse(out, "bad_signature", sender)
         try:
             validate_shape(msg)
         except ShapeViolation as exc:
-            out.accepted = False
-            out.log.append(("reject", "shape", str(exc)))
-            return
-        if msg.sender_id == self.node_id:
-            out.accepted = False
-            out.log.append(("reject", "self_echo", msg.sender_id))
-            return
+            return self._refuse(out, "shape", str(exc))
+        if sender == self.node_id:
+            return self._refuse(out, "self_echo", sender)
 
         if msg.kind is MessageKind.IGROUP:
             self._on_announcement(msg, wire, now, out)
+            return
+        # IREPLY and DEL go to the leader and carry the send counter in
+        # the epoch field
+        if self.mode is not Mode.LEADER:
+            self._refuse(out, "not_leader", msg.kind.name, sender)
+        elif msg.epoch <= self.seen_seq.get(sender, -1):
+            self._refuse(out, "replay_seq", sender, msg.epoch)
         elif msg.kind is MessageKind.IREPLY:
             self._on_contribution(msg, now, out)
-        else:  # DEL
+        else:
             self._on_del(msg, now, out)
 
     def _on_announcement(self, msg: Message, wire: bytes, now: int,
                          out: FsmOutput) -> None:
         sender = msg.sender_id
         if msg.epoch < self.leader_epochs.get(sender, 0):
-            out.accepted = False
-            out.log.append(("reject", "stale_epoch", sender, msg.epoch))
+            return self._refuse(out, "stale_epoch", sender, msg.epoch)
+        # only a member's leader_id can name another node: a leader's is
+        # its own id and a candidate's is None
+        if sender == self.leader_id:
+            self._process_announcement(msg, wire, now, out, just_replied=False)
             return
+        if self.leader_id is not None and sender > self.leader_id:
+            return self._refuse(out, "larger_leader", sender)
 
+        # a smaller-id leader, or the first one heard: follow it
         if self.mode is Mode.LEADER:
-            if sender < self.node_id:
-                self._demote(sender, now, out)
-                self._process_announcement(msg, wire, now, out, just_replied=True)
-            else:
-                out.accepted = False
-                out.log.append(("discard", "larger_leader", sender))
-            return
-
-        if self.mode is Mode.CANDIDATE:
+            self._demote(sender, out)
+        elif self.mode is Mode.CANDIDATE:
             self._disarm(TimerKind.BACKOFF)
             self.mode = Mode.MEMBER
             out.log.append(("mode", "member", "announcement_during_backoff"))
-            self._adopt(sender, now, out)
-            self._process_announcement(msg, wire, now, out, just_replied=True)
-            return
-
-        # plain member
-        if self.leader_id is None:
-            self._adopt(sender, now, out)
-            self._process_announcement(msg, wire, now, out, just_replied=True)
-        elif sender == self.leader_id:
-            self._process_announcement(msg, wire, now, out, just_replied=False)
-        elif sender < self.leader_id:
+        elif self.leader_id is not None:
             out.log.append(("switch_leader", self.leader_id, sender))
-            self._adopt(sender, now, out)
-            self._process_announcement(msg, wire, now, out, just_replied=True)
-        else:
-            out.accepted = False
-            out.log.append(("discard", "larger_leader", sender))
+        self._adopt(sender, now, out)
+        self._process_announcement(msg, wire, now, out, just_replied=True)
 
     def _adopt(self, leader: int, now: int, out: FsmOutput) -> None:
         """Join a leader's group and reply at once.
@@ -425,8 +415,7 @@ class Node:
             self.prev_contribution = None
         self._send_ireply(now, out)
         self._arm(TimerKind.SILENCE, now + self.config.silence_threshold, out)
-        self._arm_periodic(TimerKind.REPLY, self.config.period_t, now, out,
-                           restart=True)
+        self._arm_periodic(TimerKind.REPLY, now, out, restart=True)
         out.log.append(("adopt", leader))
 
     def _note_absent(self, sender: int, now: int, out: FsmOutput,
@@ -444,8 +433,9 @@ class Node:
             out.log.append(("echo_absent", sender))
             self._send_ireply(now, out)
 
-    def _demote(self, new_leader: int, now: int, out: FsmOutput) -> None:
-        """Leader heard a smaller-id leader: stop beaconing, rejoin as member."""
+    def _demote(self, new_leader: int, out: FsmOutput) -> None:
+        """Leader heard a smaller-id leader: stop beaconing and drop the
+        group; the caller then adopts the new leader."""
         out.log.append(("mode", "member", f"demoted_to_{new_leader}"))
         self.mode = Mode.MEMBER
         self._disarm(TimerKind.BEACON)
@@ -454,35 +444,44 @@ class Node:
         self.leader_secret = None
         self.leader_nonce = None
         self.current_announcement = None
-        self._adopt(new_leader, now, out)
 
     def _process_announcement(self, msg: Message, wire: bytes, now: int,
                               out: FsmOutput, just_replied: bool) -> None:
-        """Handle an announcement from the (now) accepted leader."""
+        """Handle an announcement from the (now) accepted leader.  Every
+        check, the key derivation included, precedes the first change of
+        state, so a refused announcement leaves none behind."""
         sender = msg.sender_id
         my_entry = next(
             (e for e in msg.entries if e.participant_id == self.node_id), None)
 
-        matched_secret: int | None = None
+        fresh: SessionKey | None = None
         if my_entry is not None:
-            if (self.contribution is not None
-                    and my_entry.nonce == self.contribution.nonce
-                    and my_entry.blinded_secret == self.contribution.blinded_secret):
-                matched_secret = self.own_secret
-                self.prev_secret = None
-                self.prev_contribution = None
-            elif (self.prev_contribution is not None
-                    and my_entry.nonce == self.prev_contribution.nonce
-                    and my_entry.blinded_secret == self.prev_contribution.blinded_secret):
+            echoed = Contribution(self.node_id, my_entry.nonce,
+                                  my_entry.blinded_secret)
+            if echoed == self.contribution:
+                secret = self.own_secret
+            elif echoed == self.prev_contribution:
                 # the leader has not folded our refresh yet; the echoed key
                 # legitimately uses the previous secret
-                matched_secret = self.prev_secret
+                secret = self.prev_secret
             else:
-                out.accepted = False
-                out.log.append(("reject", "wrong_echo", sender, msg.epoch))
+                self._refuse(out, "wrong_echo", sender, msg.epoch)
                 if not just_replied:
                     self._send_ireply(now, out)
                 return
+            if (self.session is None or self.session_leader != sender
+                    or self.session.epoch != msg.epoch):
+                leader_blind = recover_leader_blind(
+                    my_entry.blinded_response, secret, self.params, self.counter)
+                responses = [BlindedResponse(e.participant_id, e.blinded_response)
+                             for e in msg.entries]
+                key = compute_key_member(leader_blind, responses, self.params)
+                try:
+                    fresh = SessionKey(
+                        key, msg.epoch, derive_session_key(key, msg.epoch, self.params))
+                except DegenerateKey:
+                    # a correct leader never announces an identity key
+                    return self._refuse(out, "degenerate_announcement", sender)
 
         out.accepted = True
         self.leader_epochs[sender] = max(self.leader_epochs.get(sender, 0), msg.epoch)
@@ -495,50 +494,24 @@ class Node:
             self._note_absent(sender, now, out, just_replied)
             return
         self.absent_streak = 0
-
-        if (self.session is not None and self.session_leader == sender
-                and self.session.epoch == msg.epoch):
-            return  # already keyed at this epoch
-
-        assert matched_secret is not None and my_entry.blinded_response is not None
-        leader_blind = recover_leader_blind(
-            my_entry.blinded_response, matched_secret, self.params, self.counter)
-        responses = [BlindedResponse(e.participant_id, e.blinded_response)
-                     for e in msg.entries]
-        key = compute_key_member(leader_blind, responses, self.params)
-        try:
-            derived = derive_session_key(key, msg.epoch, self.params)
-        except DegenerateKey:
-            # a correct leader never announces an identity key; treat as hostile
-            out.accepted = False
-            out.log.append(("reject", "degenerate_announcement", sender))
-            return
-        old_epoch = self.session.epoch if self.session else None
-        self.session = SessionKey(key, msg.epoch, derived)
-        self.session_leader = sender
-        out.key_changes.append(KeyChange(
-            self.node_id, sender, old_epoch, msg.epoch, key, derived))
-        out.log.append(("key", sender, msg.epoch))
+        if echoed == self.contribution:
+            self.prev_secret = None
+            self.prev_contribution = None
+        if fresh is not None:  # otherwise already keyed at this epoch
+            self.session = fresh
+            self.session_leader = sender
+            out.key_changes.append(KeyChange(
+                self.node_id, sender, msg.epoch, fresh.group_key, fresh.derived))
+            out.log.append(("key", sender, msg.epoch))
 
     def _on_contribution(self, msg: Message, now: int, out: FsmOutput) -> None:
         sender = msg.sender_id
-        if self.mode is not Mode.LEADER:
-            out.accepted = False
-            out.log.append(("ignore", "not_leader", "IREPLY", sender))
-            return
-        seq = msg.epoch
-        if seq <= self.seen_seq.get(sender, -1):
-            out.accepted = False
-            out.log.append(("reject", "replay_seq", sender, seq))
-            return
         entry = msg.entries[0]
         if entry.blinded_secret == 1:
             # a valid secret lies in [1, q-1], so its blind is never the
             # identity; folding one would cancel the freshness guarantee
-            out.accepted = False
-            out.log.append(("reject", "identity_contribution", sender))
-            return
-        self.seen_seq[sender] = seq
+            return self._refuse(out, "identity_contribution", sender)
+        self.seen_seq[sender] = msg.epoch
         out.accepted = True
         if self.blocked.get(sender) == entry.blinded_secret:
             out.log.append(("blocked_contribution", sender))
@@ -549,44 +522,29 @@ class Node:
             self._rejoin_pending = True
 
         rec = self.view.get(sender)
-        is_new = rec is None
-        changed = (is_new or rec.nonce != entry.nonce
-                   or rec.blinded_secret != entry.blinded_secret)
-        if changed:
-            self._reg_counter += 1
-            self.view[sender] = MemberRecord(
-                entry.nonce, entry.blinded_secret, now, self._reg_counter)
-            out.log.append(("register", sender, "new" if is_new else "update"))
-            if self.session is not None and is_new and self.config.eager_rekey:
-                self._rekey(now, out, reason="join")
-            # otherwise: folded at formation, the next membership rekey, or
-            # the leader's own renewal (deferred inclusion)
-        else:
+        if rec is not None and (rec.nonce, rec.blinded_secret) == \
+                (entry.nonce, entry.blinded_secret):
             rec.last_heard = now
+            return
+        # a new or changed registration goes to the end of the view
+        self.view.pop(sender, None)
+        self.view[sender] = MemberRecord(entry.nonce, entry.blinded_secret, now)
+        out.log.append(("register", sender, "new" if rec is None else "update"))
+        if self.session is not None and rec is None and self.config.eager_rekey:
+            self._rekey(now, out, reason="join")
+        # otherwise: folded at formation, the next membership rekey, or
+        # the leader's own renewal (deferred inclusion)
 
     def _on_del(self, msg: Message, now: int, out: FsmOutput) -> None:
         sender = msg.sender_id
-        if self.mode is not Mode.LEADER:
-            out.accepted = False
-            out.log.append(("ignore", "not_leader", "DEL", sender))
-            return
-        seq = msg.epoch
-        if seq <= self.seen_seq.get(sender, -1):
-            out.accepted = False
-            out.log.append(("reject", "replay_seq", sender, seq))
-            return
         rec = self.view.get(sender)
+        if rec is not None and msg.sender_nonce != rec.nonce:
+            return self._refuse(out, "del_nonce_mismatch", sender)
+        self.seen_seq[sender] = msg.epoch
+        out.accepted = True
         if rec is None:
-            self.seen_seq[sender] = seq
-            out.accepted = True
             out.log.append(("del_unknown", sender))
             return
-        if msg.sender_nonce != rec.nonce:
-            out.accepted = False
-            out.log.append(("reject", "del_nonce_mismatch", sender))
-            return
-        self.seen_seq[sender] = seq
-        out.accepted = True
         del self.view[sender]
         out.log.append(("withdraw", sender))
         self._after_removal(now, out)
@@ -600,7 +558,7 @@ class Node:
                 out.log.append(("dissolve",))
             self.session = None
             self.session_leader = None
-            self._build_empty_announcement(out)
+            self._build_empty_announcement()
 
     # -- timers ----------------------------------------------------------------
 
@@ -608,16 +566,8 @@ class Node:
         if self.deadlines.get(kind) != now:
             return  # superseded deadline
         self.deadlines.pop(kind, None)  # keep the periodic base anchored
-        if kind is TimerKind.SILENCE:
-            self._on_silence(now, out)
-        elif kind is TimerKind.BACKOFF:
-            self._on_backoff(now, out)
-        elif kind is TimerKind.BEACON:
-            self._on_beacon(now, out)
-        elif kind is TimerKind.REPLY:
-            self._on_reply_tick(now, out)
-        elif kind is TimerKind.RENEWAL:
-            self._on_renewal(now, out)
+        # _on_silence, _on_backoff, _on_beacon, _on_reply or _on_renewal
+        getattr(self, f"_on_{kind.value}")(now, out)
 
     def _on_silence(self, now: int, out: FsmOutput) -> None:
         if self.mode is not Mode.MEMBER:
@@ -633,8 +583,12 @@ class Node:
         out.log.append(("mode", "candidate", f"slot_{slot}"))
 
     def _on_backoff(self, now: int, out: FsmOutput) -> None:
-        if self.mode is not Mode.CANDIDATE:
-            return
+        if self.mode is Mode.CANDIDATE:
+            self._lead(now, out, "backoff_won")
+
+    def _lead(self, now: int, out: FsmOutput, why: str) -> None:
+        """Take the lead of an empty group: broadcast its announcement at
+        once and beacon from now on."""
         self.mode = Mode.LEADER
         self.leader_id = self.node_id
         self.leader_nonce = self._fresh_nonce()
@@ -642,13 +596,12 @@ class Node:
         self.blocked = {}
         self.session = None
         self.session_leader = None
-        out.log.append(("mode", "leader", "backoff_won"))
-        self._build_empty_announcement(out)
+        out.log.append(("mode", "leader", why))
+        self._build_empty_announcement()
         out.sends.append(self.current_announcement)
-        self._arm_periodic(TimerKind.BEACON, self.config.period_t, now, out,
-                           restart=True)
+        self._arm_periodic(TimerKind.BEACON, now, out, restart=True)
 
-    def _build_empty_announcement(self, out: FsmOutput) -> None:
+    def _build_empty_announcement(self) -> None:
         msg = build_igroup(self.node_id, self.leader_nonce,
                            self.last_seen_epoch, [])
         self.current_announcement = self._sign_and_pack(msg, None)
@@ -672,22 +625,22 @@ class Node:
         if len(out.sends) == queued:
             # nothing changed: repeat the previous announcement bit for bit
             out.sends.append(self.current_announcement)
-        self._arm_periodic(TimerKind.BEACON, self.config.period_t, now, out)
+        self._arm_periodic(TimerKind.BEACON, now, out)
 
-    def _on_reply_tick(self, now: int, out: FsmOutput) -> None:
+    def _on_reply(self, now: int, out: FsmOutput) -> None:
         if self.mode is Mode.MEMBER and self.leader_id is not None:
             self._send_ireply(now, out)
-            self._arm_periodic(TimerKind.REPLY, self.config.period_t, now, out)
+            self._arm_periodic(TimerKind.REPLY, now, out)
 
     def _on_renewal(self, now: int, out: FsmOutput) -> None:
-        self._arm_periodic(TimerKind.RENEWAL, self.config.renew_p, now, out)
+        self._arm_periodic(TimerKind.RENEWAL, now, out)
         if self.mode is Mode.LEADER:
             out.log.append(("renewal",))
             if self.view:
                 self._rekey(now, out, reason="renewal")
             else:
                 self.leader_nonce = self._fresh_nonce()
-                self._build_empty_announcement(out)
+                self._build_empty_announcement()
         elif self.mode is Mode.MEMBER and self.leader_id is not None:
             out.log.append(("renewal",))
             self._fresh_contribution(now)
@@ -700,9 +653,11 @@ class Node:
         """Resample the leader secret, fold the registered contributions, and
         broadcast the rebuilt announcement.
 
-        If the key degenerates to the identity (1 + sum of member secrets
-        divisible by the group order), the most recently registered
-        contribution is excluded and blocklisted until that member sends a
+        The view is kept in the order in which registrations last changed,
+        and the announcement lists its entries in that order.  If the key
+        degenerates to the identity (1 + sum of member secrets divisible by
+        the group order), the view's last entry, the most recently changed
+        contribution, is excluded and blocklisted until that member sends a
         different one; this terminates with probability 1 because the member
         renews its contribution periodically.
         """
@@ -711,25 +666,22 @@ class Node:
         while True:
             self.leader_secret = random_scalar(self.rng, self.params)
             self.leader_nonce = self._fresh_nonce()
-            ordered = sorted(self.view.items(), key=lambda kv: kv[1].reg_index)
             contributions = [
                 Contribution(pid, rec.nonce, rec.blinded_secret)
-                for pid, rec in ordered
+                for pid, rec in self.view.items()
             ]
             try:
                 key, responses = compute_key_leader(
                     self.leader_secret, contributions, self.params, self.counter)
                 break
             except DegenerateKey:
-                victim_id, victim = max(self.view.items(),
-                                        key=lambda kv: kv[1].reg_index)
-                del self.view[victim_id]
+                victim_id, victim = self.view.popitem()
                 self.blocked[victim_id] = victim.blinded_secret
                 out.log.append(("degenerate_excluded", victim_id))
                 if not self.view:
                     self.session = None
                     self.session_leader = None
-                    self._build_empty_announcement(out)
+                    self._build_empty_announcement()
                     out.sends.append(self.current_announcement)
                     return
 
@@ -738,16 +690,14 @@ class Node:
         epoch = self.last_seen_epoch + 1
         self.last_seen_epoch = epoch
         derived = derive_session_key(key, epoch, self.params)
-        old_epoch = self.session.epoch if self.session else None
         self.session = SessionKey(key, epoch, derived)
         self.session_leader = self.node_id
         out.key_changes.append(KeyChange(
-            self.node_id, self.node_id, old_epoch, epoch, key, derived))
+            self.node_id, self.node_id, epoch, key, derived))
 
-        response_by_id = {r.participant_id: r.response for r in responses}
         entries = [
-            GroupEntry(pid, rec.nonce, rec.blinded_secret, response_by_id[pid])
-            for pid, rec in ordered if pid in self.view
+            GroupEntry(c.participant_id, c.nonce, c.blinded_secret, r.response)
+            for c, r in zip(contributions, responses)
         ]
         msg = build_igroup(self.node_id, self.leader_nonce, epoch, entries)
         self.current_announcement = self._sign_and_pack(msg, None)

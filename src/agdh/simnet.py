@@ -38,6 +38,10 @@ from .messages import HmacKeyRing
 # queue entry tags; the unique sequence number keeps payloads uncompared
 _TIMER, _DELIVER, _SCHED = 0, 1, 2
 
+# Longest run accepted: beacons keep the event queue non-empty, so a run
+# lasts its whole duration and its transcript grows with it.
+MAX_DURATION = 24 * 3600 * SECOND
+
 
 @dataclass(frozen=True)
 class PartitionAt:
@@ -104,8 +108,8 @@ class SimConfig:
             raise ConfigError("loss_prob must lie in [0, 1]")
         if not 0 < self.latency_min <= self.latency_max:
             raise ConfigError("latency bounds must satisfy 0 < min <= max")
-        if self.duration <= 0:
-            raise ConfigError("duration must be positive")
+        if not 0 < self.duration <= MAX_DURATION:
+            raise ConfigError("duration must be positive and at most 86400s")
         self._validate_schedule()
         return self
 
@@ -187,7 +191,6 @@ class KeyEvent:
     time: int
     node_id: int
     leader_id: int
-    old_epoch: int | None
     epoch: int
     group_key: int
     derived: bytes
@@ -358,16 +361,13 @@ class _Simulation:
             if out.accepted:
                 self.transcript.append(at, "ACCEPT", node_id, ("id", msg_id))
             else:
-                reason = "unspecified"
-                for entry in out.log:
-                    if entry[0] in ("reject", "discard", "ignore"):
-                        reason = str(entry[1])
-                        break
+                reason = next((entry[1] for entry in out.log
+                               if entry[0] == "reject"), "unspecified")
                 self.transcript.append(at, "REJECT", node_id,
                                        ("id", msg_id), ("reason", reason))
         for entry in out.log:
             tag = entry[0]
-            if tag in ("reject", "discard", "ignore", "key", "accept"):
+            if tag in ("reject", "key", "accept"):
                 continue
             if tag == "mode":
                 self.transcript.append(
@@ -382,7 +382,7 @@ class _Simulation:
                 ("leader", kc.leader_id), ("epoch", kc.new_epoch),
                 ("key", kc.derived))
             self.metrics.key_events.append(KeyEvent(
-                at, kc.node_id, kc.leader_id, kc.old_epoch, kc.new_epoch,
+                at, kc.node_id, kc.leader_id, kc.new_epoch,
                 kc.group_key, kc.derived))
         for outgoing in out.sends:
             self._send(node_id, outgoing, at)

@@ -116,6 +116,7 @@ class TestRunCommand:
         ["--duration", "1e400"],
         ["--repeat", "0"],
         ["--repeat", "-3"],
+        ["--duration", "1e12"],
     ])
     def test_bad_duration_or_repeat_exits_two_before_running(
             self, flags, tmp_path, capsys):

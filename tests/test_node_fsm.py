@@ -9,6 +9,7 @@ from agdh.group_arith import TOY
 from agdh.messages import (
     GroupEntry,
     HmacKeyRing,
+    Message,
     MessageKind,
     build_del,
     build_igroup,
@@ -423,6 +424,36 @@ class TestDegenerateRecovery:
         assert leader.session.group_key == oracle_key(
             leader.leader_secret, [4, 9], TOY)
 
+    def test_refresh_moves_registration_last(self):
+        """A changed contribution counts as the newest registration: it is
+        the one excluded on a degenerate fold, and it follows the unchanged
+        ones in the announcement."""
+        def formed(refresh_secret):
+            # 1 + 1 + 6 is not 0 mod 11, so the group forms with 2 and 3
+            leader = make_node(1)
+            _, at = elect(leader)
+            deliver(leader, ireply_wire(2, 1, 1, bytes([2]) * 16), at + 1000)
+            deliver(leader, ireply_wire(3, 1, 6, bytes([3]) * 16), at + 2000)
+            _, now = fire(leader, TimerKind.BEACON)
+            assert leader.session is not None
+            out = deliver(leader, ireply_wire(2, 2, refresh_secret,
+                                              bytes([12]) * 16), now + 1000)
+            assert ("register", 2, "update") in out.log
+            out, _ = fire(leader, TimerKind.RENEWAL)
+            return leader, out
+
+        # 1 + 4 + 6 = 0 mod 11: member 2 changed last, so it is excluded
+        leader, out = formed(4)
+        assert ("degenerate_excluded", 2) in out.log
+        assert [e.participant_id for e in out.sends[0].message.entries] == [3]
+        assert leader.blocked == {2: pow(TOY.generator, 4, TOY.modulus)}
+
+        leader, out = formed(2)
+        assert not any(e[0] == "degenerate_excluded" for e in out.log)
+        assert [e.participant_id for e in out.sends[0].message.entries] == [3, 2]
+        assert leader.session.group_key == oracle_key(
+            leader.leader_secret, [6, 2], TOY)
+
 
 class TestRejection:
     def test_malformed_dropped(self):
@@ -465,6 +496,109 @@ class TestRejection:
         assert replay.accepted is False
         assert member.state_digest() == digest
         assert not replay.key_changes
+
+
+def refusal(out) -> str:
+    """The reason a step refused its message, as the transcript records it."""
+    assert out.accepted is False
+    return next(e[1] for e in out.log if e[0] == "reject")
+
+
+def adopted_member(node_id=5, seed="adopted"):
+    """A leader that won its election and a member that adopted it from
+    its empty announcement: (leader, member, now)."""
+    leader = make_node(1)
+    lead_out, at = elect(leader)
+    member = make_node(node_id, seed=seed)
+    member.start(0)
+    assert deliver(member, lead_out.sends[0].wire, at + 1000).accepted
+    return leader, member, at + 2000
+
+
+def signed_igroup(leader_id, nonce, epoch, entries) -> bytes:
+    """A validly signed announcement, built without the shape check."""
+    msg = Message(MessageKind.IGROUP, leader_id, nonce, epoch, tuple(entries))
+    return encode_signed(sign(msg, RING, TOY), TOY)
+
+
+class TestRefusalsKeepState:
+    """Validly signed messages that each reach one refusal; none of them
+    changes the receiver's protocol state."""
+
+    def refuse(self, node, wire, now) -> str:
+        digest = node.state_digest()
+        out = deliver(node, wire, now)
+        assert node.state_digest() == digest
+        assert not out.key_changes
+        return refusal(out)
+
+    def test_duplicate_entry_id_is_a_shape_violation(self):
+        leader, announcement, now = established_group({2: 4, 3: 5})
+        member = make_node(9, seed="dup")
+        member.start(0)
+        entry = announcement.message.entries[0]
+        wire = signed_igroup(1, announcement.message.sender_nonce,
+                             announcement.message.epoch, [entry, entry])
+        assert self.refuse(member, wire, now + 1000) == "shape"
+
+    def test_own_message_heard_back(self):
+        leader, announcement, now = established_group({2: 4, 3: 5})
+        assert self.refuse(leader, announcement.wire, now + 1000) == "self_echo"
+
+    def test_announcement_folding_to_identity(self):
+        leader, member, now = adopted_member()
+        p, g = TOY.modulus, TOY.generator
+        secret, mine = member.own_secret, member.contribution
+        assert (1 + secret) % TOY.order != 0
+        leader_secret = 3
+        response = pow(mine.blinded_secret, leader_secret, p)
+        leader_blind = pow(g, leader_secret, p)
+        cancel = pow(leader_blind * response % p, -1, p)
+        entries = [GroupEntry(5, mine.nonce, mine.blinded_secret, response),
+                   GroupEntry(7, bytes([7]) * 16, g, cancel)]
+        wire = signed_igroup(1, leader.leader_nonce, 1, entries)
+        assert self.refuse(member, wire, now) == "degenerate_announcement"
+        # nothing about the refused wire is remembered: its repeat is
+        # checked in full and refused again
+        assert self.refuse(member, wire, now + 1000) == "degenerate_announcement"
+
+    def test_del_sent_to_a_member(self):
+        leader, member, now = adopted_member()
+        wire = encode_signed(sign(build_del(7, bytes([7]) * 16, 1), RING, TOY), TOY)
+        assert self.refuse(member, wire, now) == "not_leader"
+
+    def test_ireply_sent_to_a_member(self):
+        leader, member, now = adopted_member()
+        wire = ireply_wire(7, 1, 3, bytes([7]) * 16)
+        assert self.refuse(member, wire, now) == "not_leader"
+
+
+class TestLeaderBookkeeping:
+    def test_del_from_unknown_member(self):
+        leader, _, now = established_group({2: 4, 3: 5})
+        view = dict(leader.view)
+        wire = encode_signed(sign(build_del(9, bytes([9]) * 16, 4), RING, TOY), TOY)
+        out = deliver(leader, wire, now + 1000)
+        assert out.accepted is True
+        assert ("del_unknown", 9) in out.log
+        assert leader.view == view and not out.sends and not out.key_changes
+        # its sequence number is spent: the same DEL again is a replay
+        assert refusal(deliver(leader, wire, now + 2000)) == "replay_seq"
+
+    def test_renewal_with_empty_view_redraws_the_nonce(self):
+        leader = make_node(1)
+        lead_out, _ = elect(leader)
+        [first] = lead_out.sends
+        out, _ = fire(leader, TimerKind.RENEWAL)
+        assert ("renewal",) in out.log
+        assert not out.sends and not out.key_changes
+        assert leader.session is None
+        out, _ = fire(leader, TimerKind.BEACON)
+        [beacon] = out.sends
+        assert beacon.message.entries == ()
+        assert beacon.message.epoch == first.message.epoch
+        assert beacon.message.sender_nonce == leader.leader_nonce
+        assert beacon.message.sender_nonce != first.message.sender_nonce
 
 
 class TestLeave:

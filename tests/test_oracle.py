@@ -1,11 +1,20 @@
+import dataclasses
 from collections import Counter
+from itertools import combinations
 
 import pytest
 
 from agdh.errors import CountMismatch, MalformedMessage
 from agdh.gka_core import derive_session_key, oracle_key
 from agdh.group_arith import PROD, TOY, encode_element
-from agdh.messages import decode, encode_canonical
+from agdh.messages import (
+    GroupEntry,
+    build_igroup,
+    decode,
+    encode_canonical,
+    encode_signed,
+    sign,
+)
 from agdh.node_fsm import NodeConfig
 from agdh.oracle import (
     _ANNOUNCEMENT_NAMES,
@@ -19,6 +28,7 @@ from agdh.simnet import (
     CrashAt,
     InjectAt,
     LeaveAt,
+    Record,
     SimConfig,
     converged,
     run,
@@ -409,3 +419,111 @@ def test_prod_audit_decodes_only_accepted_or_composed_wires(monkeypatch):
                 and r.get("entries") > 0}
     assert set(calls) == accepted | composed
     assert max(calls.values()) == 1
+
+
+# -- one alteration per audit finding ------------------------------------------
+
+def _toy_run():
+    """A clean 4-node TOY run: one keyed group and its rebeacons."""
+    res = run(SimConfig(node_count=4, seed=1, duration=60 * SECOND),
+              NodeConfig(), TOY)
+    assert audit_transcript(res).clean
+    return res
+
+
+def _keyed(res):
+    """The first keyed announcement's SEND record and decoded message."""
+    rec = next(r for r in res.transcript.of_kind("SEND")
+               if r.get("kind") == "IGROUP" and r.get("entries"))
+    return rec, decode(rec.get("wire"), res.params)
+
+
+def _add_announcement(res, msg):
+    """Record ``msg``, signed by its sender, as one more sent announcement."""
+    wire = encode_signed(sign(msg, res.keyring, res.params), res.params)
+    msg_id = max(res.wire_by_id) + 1
+    res.wire_by_id[msg_id] = wire
+    res.transcript.records.append(Record(
+        res.transcript.records[-1].time, "SEND", msg.sender_id,
+        (("id", msg_id), ("kind", "IGROUP"), ("dest", "bcast"),
+         ("epoch", msg.epoch), ("entries", len(msg.entries)), ("wire", wire))))
+
+
+def _accepted_ireply_id(res) -> int:
+    """The id of a contribution some node accepted."""
+    kinds = {r.get("id"): r.get("kind") for r in res.transcript.of_kind("SEND")}
+    return next(r.get("id") for r in res.transcript.of_kind("ACCEPT")
+                if kinds[r.get("id")] == "IREPLY")
+
+
+def _reuse_epoch(res):
+    _, msg = _keyed(res)
+    _add_announcement(res, build_igroup(msg.sender_id, msg.sender_nonce,
+                                        msg.epoch, msg.entries[:-1]))
+
+
+def _unknown_leader_nonce(res):
+    _, msg = _keyed(res)
+    _add_announcement(res, build_igroup(msg.sender_id, bytes(16), 99,
+                                        msg.entries))
+
+
+def _unknown_contribution(res):
+    _, msg = _keyed(res)
+    entries = (dataclasses.replace(msg.entries[0], nonce=bytes(16)),
+               *msg.entries[1:])
+    _add_announcement(res, build_igroup(msg.sender_id, msg.sender_nonce, 99,
+                                        entries))
+
+
+def _identity_key(res):
+    """Announce, under the leader's real nonce, members whose logged
+    secrets sum to -1 mod q: the oracle's key is then the identity."""
+    _, msg = _keyed(res)
+    logged = [(node_id, rec) for node_id, records in res.secrets.items()
+              for rec in records if rec.role == "member"]
+    chosen = next(
+        combo for size in range(1, len(logged) + 1)
+        for combo in combinations(logged, size)
+        if len({node_id for node_id, _ in combo}) == size
+        and (1 + sum(rec.secret for _, rec in combo)) % TOY.order == 0)
+    entries = [GroupEntry(node_id, rec.nonce, rec.blinded, rec.blinded)
+               for node_id, rec in chosen]
+    _add_announcement(res, build_igroup(msg.sender_id, msg.sender_nonce, 99,
+                                        entries))
+
+
+def _unannounced_epoch(res):
+    kev = res.metrics.key_events[-1]
+    res.metrics.key_events.append(dataclasses.replace(kev, epoch=99))
+
+
+def _foreign_key(res):
+    kev = res.metrics.key_events[-1]
+    res.metrics.key_events.append(dataclasses.replace(kev, node_id=99))
+
+
+def _accept_without_wire(res):
+    del res.wire_by_id[_accepted_ireply_id(res)]
+
+
+def _accepted_malformed(res):
+    res.wire_by_id[_accepted_ireply_id(res)] = b"\x09garbage"
+
+
+@pytest.mark.parametrize("alter, finding", [
+    (_reuse_epoch, "epoch_reuse"),
+    (_unknown_leader_nonce, "unknown_leader_secret"),
+    (_unknown_contribution, "unknown_contribution"),
+    (_identity_key, "identity_key"),
+    (_unannounced_epoch, "unannounced_epoch"),
+    (_foreign_key, "foreign_key"),
+    (_accept_without_wire, "accept_without_wire"),
+    (_accepted_malformed, "accepted_malformed"),
+])
+def test_each_alteration_yields_exactly_its_finding(alter, finding):
+    res = _toy_run()
+    alter(res)
+    report = audit_transcript(res)
+    assert [kind for kind, _ in report.findings] == [finding]
+    assert report.findings == reference_audit(res).findings

@@ -12,6 +12,7 @@ from agdh.node_fsm import Mode, NodeConfig
 from agdh.oracle import audit_transcript
 from agdh.scenario import load_scenario
 from agdh.simnet import (
+    MAX_DURATION,
     SECOND,
     CrashAt,
     HealAt,
@@ -84,6 +85,9 @@ class TestBasics:
             SimConfig(node_count=2, loss_prob=1.5).validate()
         with pytest.raises(ConfigError):
             SimConfig(node_count=2, latency_min=0).validate()
+        with pytest.raises(ConfigError):
+            SimConfig(node_count=2, duration=MAX_DURATION + 1).validate()
+        assert SimConfig(node_count=2, duration=MAX_DURATION).validate()
 
 
 def prod_churn_run():
@@ -109,6 +113,30 @@ class TestRecords:
         digest = hashlib.sha256(_metrics_text(res).encode()).hexdigest()
         assert digest == \
             "67c49d61f3cc9832d71dc03d3de68b9bf9a48a0a5ea1379ab80c2d593056b42d"
+
+    def test_toy_churn_render_is_pinned(self):
+        """A lossy TOY churn run with short renewals that reaches the
+        leader transitions the goldens barely touch: a degenerate-key
+        exclusion and its blocklist, demotions and leader switches, rejoin
+        and renewal rekeys, a wrong echo and a re-minted contribution."""
+        schedule = load_scenario(os.path.join(SCENARIO_DIR, "churn.scn"))
+        res = run(SimConfig(node_count=10, loss_prob=0.3, seed=4,
+                            duration=300 * SECOND, schedule=schedule),
+                  NodeConfig(renew_p=60 * SECOND), TOY)
+        kinds = {r.kind for r in res.transcript}
+        assert {"DEGENERATE_EXCLUDED", "BLOCKED_CONTRIBUTION", "SWITCH_LEADER",
+                "RENEWAL", "CONTRIBUTION_REMINTED"} <= kinds
+        assert any(r.get("why").startswith("demoted_to_")
+                   for r in res.transcript.of_kind("STATE"))
+        assert "rejoin" in {r.get("a0") for r in res.transcript.of_kind("REKEY")}
+        assert "wrong_echo" in {r.get("reason")
+                                for r in res.transcript.of_kind("REJECT")}
+        digest = hashlib.sha256(res.transcript.render().encode()).hexdigest()
+        assert digest == \
+            "c95135638b772d5a098d18da3d29c29d54ff27375ece15f8d3624e7cbea2cd20"
+        digest = hashlib.sha256(_metrics_text(res).encode()).hexdigest()
+        assert digest == \
+            "aaa7f4a5d478e93ffb140f381fd26a926c12938c46e815ff6c9551e7f9a8da57"
 
     def test_records_hold_values_and_each_wire_once(self):
         res = prod_churn_run()
