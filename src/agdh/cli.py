@@ -4,7 +4,8 @@
 writes the transcript and metrics, prints a summary, and exits 0 only if the
 transcript audit is clean and the run converged.  ``agdh bench`` measures
 blinding (fixed-base) and response (variable-base) throughput and batched
-versus unbatched leader latency on the real parameter sets.
+versus unbatched leader latency on the real parameter sets, and names the
+kernel behind each group's variable-base powers.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .group_arith import (
     TOY,
     ExpCounter,
     GroupParams,
+    kernel_name,
     load_params,
     random_scalar,
 )
@@ -163,7 +165,8 @@ def _metrics_text(result) -> str:
 def _bench_group(params: GroupParams, group_size: int, iters: int) -> list[str]:
     rng = random.Random(1)
     lines = [f"group {params.name}: {params.modulus.bit_length()}-bit modulus,"
-             f" {params.order.bit_length()}-bit order"]
+             f" {params.order.bit_length()}-bit order",
+             f"  kernel: {kernel_name(params)}"]
 
     secrets = [random_scalar(rng, params) for _ in range(iters)]
     gka_core.blind(secrets[0], params)  # builds the generator table untimed

@@ -11,11 +11,15 @@ where r_l is the leader secret and r_i the member secrets.  ``oracle_key``
 computes the right-hand side directly in the exponent and exists purely as an
 independent check; the protocol paths never call it.
 
-The two counted exponentiations of a member are not of equal cost: the
+The two counted exponentiations of a member take different paths: the
 blinding is a power of the generator, which ``group_arith.exp`` reads from a
 precomputed fixed-base table, while recovering the leader blind is a
-variable-base exponentiation.  The same holds for the leader's own blind
-against its ``m`` responses.  Counts stay one per exponentiation either way.
+variable-base exponentiation on ``group_arith``'s kernel (OpenSSL's
+constant-time Montgomery exponentiation where available).  On PROD, on a
+2-CPU VM, the blinding takes about 0.16 ms and the recovery about 0.11 ms;
+with builtin ``pow`` the recovery took about 1.0 ms, six times the
+blinding.  The same holds for the leader's own blind against its ``m``
+responses.  Counts stay one per exponentiation either way.
 
 ``respond`` and ``recover_leader_blind`` still check that their input is a
 subgroup element, because each raises it to a secret: a received value of

@@ -15,8 +15,31 @@ holds ``g^(j * 2^(WINDOW * i))`` for ``j < 2^WINDOW``, so ``g^s`` costs about
 table is built on a group's first generator exponentiation, once per group
 (1728 entries, about 0.3 MB, for the 160-bit PROD order), never at import.
 Either path counts as one exponentiation: the counter meters protocol
-operations, not their cost, so a blinding and a variable-base response each
-bump it once although on PROD the blinding costs about a sixth as much.
+operations, not their cost.  On PROD (160-bit exponents, measured on a
+2-CPU VM) a blinding from the table takes about 0.16 ms, a variable-base
+response about 0.11 ms on the native kernel below and about 1.0 ms on
+builtin ``pow``.
+
+The variable-base branch of :func:`exp` (a leader's response, a member's
+recovery) and the subgroup check's ``v^q`` go through one kernel,
+:func:`_powmod`.  Where the modulus is odd and wider than 64 bits, and the
+``libcrypto`` that ``hashlib`` loaded exports the ``BN_*`` functions, that
+kernel is OpenSSL's ``BN_mod_exp_mont_consttime``, called through
+``ctypes``: Montgomery multiplication (Montgomery, Math. Comp. 1985) under
+one cached Montgomery context per modulus, in a fixed-window ladder whose
+branches and table reads do not depend on the exponent's bits.  A response
+therefore no longer takes a time that varies with the leader's secret, as
+builtin ``pow``'s square-and-multiply does; only the exponent's length
+shows.  Builtin ``pow`` stays the kernel on an even modulus, which
+Montgomery reduction cannot take; on a modulus of at most 64 bits, where
+the native call's fixed cost (about 17 us, against 0.15 us for a ``pow``
+on TOY's 5 bits) outweighs the arithmetic it saves; and where the symbols
+cannot be resolved, for instance when ``hashlib`` is not backed by
+OpenSSL.  The choice follows from the modulus and the running interpreter
+alone.  Both kernels return the same integers, so counts, wires and
+transcripts do not depend on it.  The library is bound on the first power
+that needs it, never at import.  The generator table, ``validate``,
+``_is_probable_prime`` and ``gka_core.oracle_key`` keep builtin ``pow``.
 
 Membership answers are memoised under the closure rule: a power of an
 element of the order-q subgroup is itself in that subgroup.  The memo is one
@@ -35,8 +58,9 @@ costs a later check, never a wrong answer.
 from __future__ import annotations
 
 import random
+import threading
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .errors import BadLength, ConfigError, NotInSubgroup, ZeroScalar
 
@@ -58,6 +82,10 @@ _MEMO_SIZE = 1 << 16
 
 # (value, p, q) for every value known to lie in the order-q subgroup of Z_p*.
 _known: set[tuple[int, int, int]] = set()
+
+#: Widest modulus, in bits, that keeps builtin ``pow`` as its kernel: up
+#: to about here the native call's fixed cost outweighs what it saves.
+_BUILTIN_MAX_BITS = 64
 
 
 def _is_probable_prime(n: int) -> bool:
@@ -147,7 +175,7 @@ def exp(base: GroupElement, s: Scalar, params: GroupParams,
     """base**s mod p, metered: one counter bump per call, whichever path.
 
     A power of the generator is read from the group's fixed-base table;
-    any other base goes through builtin ``pow``.  The result joins the
+    any other base goes through :func:`_powmod`.  The result joins the
     known elements when the base is the generator or already known.
     """
     if counter is not None:
@@ -157,7 +185,7 @@ def exp(base: GroupElement, s: Scalar, params: GroupParams,
         result = _table_pow(_generator_table(base, modulus, order),
                             s % order, modulus)
     else:
-        result = pow(base, s % order, modulus)
+        result = _powmod(base, s % order, modulus)
         if (base, modulus, order) not in _known:
             return result
     _remember((result, modulus, order))
@@ -197,6 +225,173 @@ def _generator_table(generator: int, modulus: int,
     return table
 
 
+def _powmod(base: int, e: int, modulus: int) -> int:
+    """``pow(base % modulus, e, modulus)`` for ``e >= 0``, on the native
+    kernel where the modulus admits it and the library is there."""
+    native = _native_for(modulus)
+    if native is None:
+        return pow(base, e, modulus)
+    return native.powmod(base, e, modulus)
+
+
+def _native_for(modulus: int) -> "_OpenSSL | None":
+    if modulus & 1 and modulus.bit_length() > _BUILTIN_MAX_BITS:
+        return _openssl()
+    return None
+
+
+def kernel_name(params: GroupParams) -> str:
+    """The kernel behind this group's variable-base powers and subgroup
+    checks, e.g. ``OpenSSL 3.0.2 BN_mod_exp_mont_consttime``."""
+    native = _native_for(params.modulus)
+    if native is None:
+        return "builtin pow"
+    return f"{native.version} BN_mod_exp_mont_consttime"
+
+
+def _load_libcrypto():
+    """The library ``hashlib`` was built against, opened through ``ctypes``
+    (its ``BN_*`` symbols resolve through the ``_hashlib`` extension's own
+    dependencies), or None if ``hashlib`` has no such extension."""
+    try:
+        import _hashlib
+    except ImportError:
+        return None
+    path = getattr(_hashlib, "__file__", None)
+    if path is None:  # built into the interpreter
+        return None
+    import ctypes
+    try:
+        return ctypes.CDLL(path)
+    except OSError:
+        return None
+
+
+@lru_cache(maxsize=1)
+def _openssl() -> "_OpenSSL | None":
+    # Bound on the first power that needs it, once per process.
+    lib = _load_libcrypto()
+    if lib is None:
+        return None
+    try:
+        return _OpenSSL(lib)
+    except AttributeError:  # a symbol the kernel needs is not exported
+        return None
+
+
+class _OpenSSL:
+    """``BN_mod_exp_mont_consttime`` from an OpenSSL ``libcrypto``.
+
+    Each modulus gets one Montgomery context, shared by every thread (the
+    exponentiation only reads it); the scratch numbers and ``BN_CTX`` an
+    exponentiation writes belong to one thread.  ``ctypes`` releases the
+    interpreter lock during each call, so threads exponentiate in parallel.
+    A call that reports failure raises RuntimeError, never returns a value.
+    """
+
+    def __init__(self, lib) -> None:
+        import ctypes
+
+        ptr, text, num = ctypes.c_void_p, ctypes.c_char_p, ctypes.c_int
+
+        def bind(name, restype, *argtypes):
+            fn = getattr(lib, name)
+            fn.restype, fn.argtypes = restype, argtypes
+            if restype in (ptr, num):  # pointer or status: check it
+                fn.errcheck = check
+            return fn
+
+        def check(result, func, args):
+            # pointers fail as NULL, byte counts as -1 and statuses as 0
+            if result is None or result <= 0:
+                clear_errors()  # leave no stale error for hashlib to report
+                raise RuntimeError(f"OpenSSL {func.__name__} failed")
+            return result
+
+        clear_errors = bind("ERR_clear_error", None)
+        self.new_bn = bind("BN_new", ptr)
+        self.free_bn = bind("BN_free", None, ptr)
+        self.new_ctx = bind("BN_CTX_new", ptr)
+        self.free_ctx = bind("BN_CTX_free", None, ptr)
+        self.new_mont = bind("BN_MONT_CTX_new", ptr)
+        self.set_mont = bind("BN_MONT_CTX_set", num, ptr, ptr, ptr)
+        self.free_mont = bind("BN_MONT_CTX_free", None, ptr)
+        self.bin2bn = bind("BN_bin2bn", ptr, text, num, ptr)
+        self.bn2binpad = bind("BN_bn2binpad", num, ptr, text, num)
+        self.exp = bind("BN_mod_exp_mont_consttime", num,
+                        ptr, ptr, ptr, ptr, ptr, ptr)
+        version = bind("OpenSSL_version", text, num)(0).decode()
+        self.version = " ".join(version.split()[:2])  # "OpenSSL 3.0.2"
+        self.buffer = ctypes.create_string_buffer
+        self.modulus = lru_cache(maxsize=8)(partial(_Modulus, self))
+        self._local = threading.local()
+
+    def powmod(self, base: int, e: int, modulus: int) -> int:
+        mod = self.modulus(modulus)
+        try:
+            scratch = self._local.scratch
+        except AttributeError:
+            scratch = self._local.scratch = _Scratch(self)
+        width = mod.width
+        self.bin2bn((base % modulus).to_bytes(width, "big"), width, scratch.base)
+        exponent = e.to_bytes((e.bit_length() + 7) // 8, "big")
+        self.bin2bn(exponent, len(exponent), scratch.exponent)
+        self.exp(scratch.result, scratch.base, scratch.exponent, mod.bn,
+                 scratch.ctx, mod.mont)
+        out = self.buffer(width)
+        self.bn2binpad(scratch.result, out, width)
+        return int.from_bytes(out.raw, "big")
+
+
+class _Owner:
+    """Holds native handles and frees them with its last reference."""
+
+    __slots__ = ("_owned",)
+
+    def __init__(self) -> None:
+        self._owned: list = []
+
+    def own(self, free, handle: int) -> int:
+        self._owned.append((free, handle))
+        return handle
+
+    def __del__(self) -> None:
+        for free, handle in self._owned:
+            free(handle)
+
+
+class _Modulus(_Owner):
+    """A modulus and its Montgomery context."""
+
+    __slots__ = ("width", "bn", "mont")
+
+    def __init__(self, lib: _OpenSSL, modulus: int) -> None:
+        super().__init__()
+        self.width = (modulus.bit_length() + 7) // 8
+        self.bn = self.own(lib.free_bn, lib.bin2bn(
+            modulus.to_bytes(self.width, "big"), self.width, None))
+        self.mont = self.own(lib.free_mont, lib.new_mont())
+        ctx = lib.new_ctx()
+        try:
+            lib.set_mont(self.mont, self.bn, ctx)
+        finally:
+            lib.free_ctx(ctx)
+
+
+class _Scratch(_Owner):
+    """One thread's ``BN_CTX`` and the three numbers an exponentiation
+    writes; the thread's end drops the last reference."""
+
+    __slots__ = ("ctx", "base", "exponent", "result")
+
+    def __init__(self, lib: _OpenSSL) -> None:
+        super().__init__()
+        self.ctx = self.own(lib.free_ctx, lib.new_ctx())
+        self.base = self.own(lib.free_bn, lib.new_bn())
+        self.exponent = self.own(lib.free_bn, lib.new_bn())
+        self.result = self.own(lib.free_bn, lib.new_bn())
+
+
 def mul(a: GroupElement, b: GroupElement, params: GroupParams) -> GroupElement:
     """a*b mod p."""
     return a * b % params.modulus
@@ -213,7 +408,7 @@ def scalar_inverse(s: Scalar, params: GroupParams) -> Scalar:
 @lru_cache(maxsize=_MEMO_SIZE)
 def _in_subgroup(value: int, modulus: int, order: int) -> bool:
     # Memoized: the same broadcast payload is validated by every receiver.
-    return 0 < value < modulus and pow(value, order, modulus) == 1
+    return 0 < value < modulus and _powmod(value, order, modulus) == 1
 
 
 def _remember(key: tuple[int, int, int]) -> None:

@@ -142,9 +142,10 @@ class FsmOutput:
 
     ``log`` holds tuples led by a tag, which the simulator records thus:
     the first ``("reject", reason, ...)`` entry gives the REJECT record its
-    reason; a ``("mode", mode, why)`` entry becomes a STATE record; ``key``
-    and ``accept`` entries are not recorded; every other tag becomes a
-    record named by the tag upper-cased, with the other items as fields.
+    reason; a ``("mode", mode, why)`` entry becomes a STATE record; every
+    other tag becomes a record named by the tag upper-cased, with the other
+    items as fields.  Keys travel in ``key_changes``, acceptance in
+    ``accepted``.
     """
 
     sends: list[Outgoing] = field(default_factory=list)
@@ -339,7 +340,6 @@ class Node:
                 and wire == self.last_announcement_wire):
             out.accepted = True
             self._arm(TimerKind.SILENCE, now + self.config.silence_threshold, out)
-            out.log.append(("accept", "rebeacon", self.leader_id))
             if not self._last_wire_included:
                 self._note_absent(self.leader_id, now, out, just_replied=False)
             return
@@ -502,7 +502,6 @@ class Node:
             self.session_leader = sender
             out.key_changes.append(KeyChange(
                 self.node_id, sender, msg.epoch, fresh.group_key, fresh.derived))
-            out.log.append(("key", sender, msg.epoch))
 
     def _on_contribution(self, msg: Message, now: int, out: FsmOutput) -> None:
         sender = msg.sender_id
@@ -553,12 +552,15 @@ class Node:
         if self.view:
             self._rekey(now, out, reason="removal")
         else:
-            # group dissolved to just the leader: no session to share
-            if self.session is not None:
-                out.log.append(("dissolve",))
-            self.session = None
-            self.session_leader = None
-            self._build_empty_announcement()
+            self._dissolve(out)
+
+    def _dissolve(self, out: FsmOutput) -> None:
+        """The group shrank to just the leader: no session to share."""
+        if self.session is not None:
+            out.log.append(("dissolve",))
+        self.session = None
+        self.session_leader = None
+        self._build_empty_announcement()
 
     # -- timers ----------------------------------------------------------------
 
@@ -679,9 +681,7 @@ class Node:
                 self.blocked[victim_id] = victim.blinded_secret
                 out.log.append(("degenerate_excluded", victim_id))
                 if not self.view:
-                    self.session = None
-                    self.session_leader = None
-                    self._build_empty_announcement()
+                    self._dissolve(out)
                     out.sends.append(self.current_announcement)
                     return
 

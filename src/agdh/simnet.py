@@ -367,7 +367,7 @@ class _Simulation:
                                        ("id", msg_id), ("reason", reason))
         for entry in out.log:
             tag = entry[0]
-            if tag in ("reject", "key", "accept"):
+            if tag == "reject":
                 continue
             if tag == "mode":
                 self.transcript.append(

@@ -2,9 +2,10 @@ import os
 
 import pytest
 
+from agdh import group_arith
 from agdh.cli import _bench_group, _metrics_text, main
 from agdh.errors import ConfigError
-from agdh.group_arith import PROD, TOY, _in_subgroup
+from agdh.group_arith import PROD, TOY, _in_subgroup, kernel_name
 from agdh.node_fsm import NodeConfig
 from agdh.scenario import parse_duration, parse_scenario
 from agdh.simnet import (
@@ -179,6 +180,12 @@ class TestBenchCommand:
         # batching leaves nothing on the critical path; unbatched pays m
         assert "unbatched leader (m=10): 10 expos" in out
         assert "batched leader (m=10): 0 expos" in out
+        # each group names its variable-base kernel, right under its header
+        toy, prod = out.split("group modp1024-160:")
+        assert toy.splitlines()[1] == "  kernel: builtin pow"
+        assert prod.splitlines()[1] == f"  kernel: {kernel_name(PROD)}"
+        if group_arith._openssl() is not None:
+            assert kernel_name(PROD).endswith("BN_mod_exp_mont_consttime")
 
     def test_bench_times_no_subgroup_pow(self):
         # every value the bench exponentiates is a power of the generator, so

@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -28,6 +29,9 @@ from agdh.group_arith import (
     _MEMO_SIZE,
     _generator_table,
     _in_subgroup,
+    _is_probable_prime,
+    _powmod,
+    kernel_name,
 )
 
 # Independent oracles: exponentiation by repeated multiplication, inversion
@@ -359,3 +363,132 @@ class TestKnownElements:
             exp(bad.generator, 3, bad)
         assert not is_element(5, TOY)
         assert not is_element(10, TOY)
+
+
+# Moduli for the exponentiation kernel: PROD's p and a 2048-bit prime take
+# the native kernel where there is one, an even modulus and TOY's p builtin
+# pow.
+PRIME_2048 = 2**2048 - 1942289
+KERNEL_MODULI = [PROD.modulus, PRIME_2048, 2**1024 + 2, TOY.modulus]
+EDGE_EXPONENTS = [0, 1, PROD.order - 1, PROD.order, 2**1024 - 1]
+
+
+def edge_bases(m: int) -> list[int]:
+    return [0, 1, m - 1, m, m + 1, -1, -m - 1, m**3 + 5]
+
+
+@st.composite
+def kernel_cases(draw):
+    m = draw(st.sampled_from(KERNEL_MODULI))
+    base = draw(st.one_of(st.sampled_from(edge_bases(m)),
+                          st.integers(-(m**2), m**3)))
+    e = draw(st.one_of(st.sampled_from(EDGE_EXPONENTS),
+                       st.integers(0, 2**1024)))
+    return base, e, m
+
+
+needs_native = pytest.mark.skipif(
+    group_arith._openssl() is None,
+    reason="hashlib's libcrypto exports no BN_mod_exp_mont_consttime")
+
+
+@pytest.fixture(params=[None, object()], ids=["no-library", "no-symbols"])
+def builtin_kernel(request, monkeypatch):
+    """Every power on builtin pow, as where hashlib's library is missing or
+    does not export the BN_* functions."""
+    monkeypatch.setattr(group_arith, "_load_libcrypto", lambda: request.param)
+    group_arith._openssl.cache_clear()
+    yield
+    group_arith._openssl.cache_clear()  # rebound once the patch is undone
+
+
+class TestPowKernel:
+    def test_prime_2048_is_prime(self):
+        assert PRIME_2048.bit_length() == 2048
+        assert _is_probable_prime(PRIME_2048)
+
+    @pytest.mark.parametrize("m", KERNEL_MODULI, ids=lambda m: f"{m.bit_length()}b")
+    def test_edges_match_pow(self, m):
+        for base in edge_bases(m):
+            for e in EDGE_EXPONENTS:
+                assert _powmod(base, e, m) == pow(base % m, e, m), (base, e)
+
+    @settings(max_examples=150)
+    @given(kernel_cases())
+    def test_drawn_cases_match_pow(self, case):
+        base, e, m = case
+        assert _powmod(base, e, m) == pow(base % m, e, m)
+
+    @needs_native
+    def test_kernel_follows_the_modulus(self):
+        native = kernel_name(PROD)
+        assert native.startswith("OpenSSL ")
+        assert native.endswith(" BN_mod_exp_mont_consttime")
+        assert kernel_name(TOY) == "builtin pow"
+        for m, kernel in ((2**64 - 59, "builtin pow"), (2**65 - 49, native),
+                          (2**1024 + 2, "builtin pow")):
+            assert kernel_name(GroupParams(m, 2, 2, "kernel-probe")) == kernel
+
+    def test_both_kernels_give_the_pinned_prod_churn_run(self, builtin_kernel):
+        from test_simnet import (
+            PROD_CHURN_DIGESTS,
+            prod_churn_digests,
+            prod_churn_run,
+        )
+
+        assert kernel_name(PROD) == "builtin pow"
+        assert prod_churn_digests(prod_churn_run()) == PROD_CHURN_DIGESTS
+
+    @needs_native
+    def test_threads_share_no_scratch(self):
+        """Threads exponentiate at once, with the interpreter lock released
+        inside each native call, on two moduli: every result must equal
+        builtin pow's, which a scratch number shared between threads
+        would break."""
+        results: dict[int, list[tuple[int, int]]] = {}
+        groups = [PROD, ODD_WIDTH, PROD, ODD_WIDTH]
+
+        def work(index: int) -> None:
+            params = groups[index]
+            rng = random.Random(f"thread/{index}")
+            got = results.setdefault(index, [])
+            for _ in range(150):
+                base = rng.randrange(2, params.modulus)
+                s = random_scalar(rng, params)
+                got.append((exp(base, s, params),
+                            pow(base, s, params.modulus)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,))
+                       for i in range(len(groups))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(results) == list(range(len(groups)))
+        for got in results.values():
+            assert len(got) == 150
+            assert all(native == builtin for native, builtin in got)
+
+    @needs_native
+    def test_failed_call_raises(self):
+        native = group_arith._openssl()
+        # Montgomery reduction needs an odd modulus: OpenSSL refuses this one
+        with pytest.raises(RuntimeError, match="BN_MONT_CTX_set"):
+            native.powmod(3, 5, 2**200 + 2)
+        assert native.powmod(3, 5, PROD.modulus) == pow(3, 5, PROD.modulus)
+
+    def test_import_binds_no_kernel(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(agdh.__file__)))
+        code = ("import sys, agdh\n"
+                "from agdh.group_arith import _openssl\n"
+                "print(_openssl.cache_info().currsize, 'ctypes' in sys.modules)")
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, check=True)
+        assert proc.stdout.split() == ["0", "False"]

@@ -454,6 +454,25 @@ class TestDegenerateRecovery:
         assert leader.session.group_key == oracle_key(
             leader.leader_secret, [6, 2], TOY)
 
+    def test_excluding_the_last_member_dissolves(self):
+        # 1 + 10 = 0 mod 11: the refreshed contribution is the only one
+        leader = make_node(1)
+        _, at = elect(leader)
+        deliver(leader, ireply_wire(2, 1, 3, bytes([2]) * 16), at + 1000)
+        _, now = fire(leader, TimerKind.BEACON)
+        assert leader.session is not None
+        deliver(leader, ireply_wire(2, 2, 10, bytes([12]) * 16), now + 1000)
+        out, _ = fire(leader, TimerKind.RENEWAL)
+        assert out.log == [("renewal",), ("degenerate_excluded", 2),
+                           ("dissolve",)]
+        assert leader.session is None and leader.session_leader is None
+        assert not leader.view
+        assert leader.blocked == {2: pow(TOY.generator, 10, TOY.modulus)}
+        # the empty announcement still goes out at once
+        [sent] = out.sends
+        assert sent is leader.current_announcement
+        assert not sent.message.entries
+
 
 class TestRejection:
     def test_malformed_dropped(self):

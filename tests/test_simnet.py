@@ -101,18 +101,25 @@ def prod_churn_run():
                          duration=90 * SECOND, schedule=schedule), EAGER, PROD)
 
 
+# sha256 of prod_churn_run's rendered transcript and of its metrics.txt
+PROD_CHURN_DIGESTS = (
+    "24c9ccb1a29b17e1ac89310c5d04b6146aa7a71a0654293393724533cd2aa94a",
+    "67c49d61f3cc9832d71dc03d3de68b9bf9a48a0a5ea1379ab80c2d593056b42d",
+)
+
+
+def prod_churn_digests(res) -> tuple[str, str]:
+    return tuple(hashlib.sha256(text.encode()).hexdigest()
+                 for text in (res.transcript.render(), _metrics_text(res)))
+
+
 class TestRecords:
     def test_prod_churn_render_is_pinned(self):
         res = prod_churn_run()
         kinds = {r.kind for r in res.transcript}
         assert {"JOIN", "LEAVE", "CRASH", "PARTITION", "HEAL", "DROP",
                 "SUPPRESS", "REJECT", "EXPIRE", "KEY"} <= kinds
-        digest = hashlib.sha256(res.transcript.render().encode()).hexdigest()
-        assert digest == \
-            "24c9ccb1a29b17e1ac89310c5d04b6146aa7a71a0654293393724533cd2aa94a"
-        digest = hashlib.sha256(_metrics_text(res).encode()).hexdigest()
-        assert digest == \
-            "67c49d61f3cc9832d71dc03d3de68b9bf9a48a0a5ea1379ab80c2d593056b42d"
+        assert prod_churn_digests(res) == PROD_CHURN_DIGESTS
 
     def test_toy_churn_render_is_pinned(self):
         """A lossy TOY churn run with short renewals that reaches the
@@ -356,6 +363,31 @@ class TestAuditIntegration:
         t = converged_by(res)
         assert t is not None
         assert t <= 30 * SECOND
+
+    def test_converged_by_drops_the_key_a_degenerate_fold_dissolves(self):
+        """Node 3, alone in its cell, keeps the run from converging until
+        it crashes just after leader 1's degenerate fold excluded its only
+        member: from then on the leader holds no key, so the crash does
+        not complete a convergence."""
+        def toy_pair(*schedule):
+            isolated = (PartitionAt(0, ((1, 2), (3,))),)
+            return toy_run(node_count=3, seed=7, duration=120 * SECOND,
+                           initial_leader=1, schedule=isolated + schedule,
+                           node_config=NodeConfig(renew_p=10 * SECOND))
+
+        at = next(r.time for r in toy_pair().transcript
+                  if r.kind == "DEGENERATE_EXCLUDED")
+        res = toy_pair(CrashAt(at + 1, 3))
+        t = converged_by(res)
+        assert t is not None and t > at + 1
+        # the first convergence is the leader's next key, held by node 2
+        keyed = {r.node for r in res.transcript.of_kind("KEY")
+                 if at < r.time <= t}
+        assert keyed == {1, 2}
+        assert [(r.kind, r.node) for r in res.transcript
+                if r.time == at and r.kind in ("DEGENERATE_EXCLUDED",
+                                               "DISSOLVE")] == \
+            [("DEGENERATE_EXCLUDED", 1), ("DISSOLVE", 1)]
 
 
 def test_steady_state_message_rate():
