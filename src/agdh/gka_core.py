@@ -33,6 +33,7 @@ that no check or exponentiation in the process has met costs a subgroup
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from .errors import DegenerateKey, DuplicateParticipant, NotInSubgroup, ZeroScalar
@@ -112,27 +113,21 @@ def recover_leader_blind(response: GroupElement, own_secret: Scalar,
     return exp(response, scalar_inverse(own_secret, params), params, counter)
 
 
-def _reject_duplicates(ids: list[int]) -> None:
-    if len(set(ids)) != len(ids):
-        seen: set[int] = set()
-        for pid in ids:
-            if pid in seen:
-                raise DuplicateParticipant(f"participant {pid} appears twice")
-            seen.add(pid)
-
-
 def compute_key_member(leader_blind: GroupElement,
-                       all_responses: list[BlindedResponse],
+                       responses: Iterable[GroupElement],
                        params: GroupParams) -> GroupElement:
     """Member side: multiply the recovered leader blind with every response.
 
-    Multiplications only; with an empty response list the key is the leader
-    blind itself (singleton group).
+    Multiplications only; with no responses the key is the leader blind
+    itself (singleton group).  ``responses`` are the announced response
+    values, one per member; the caller passes them from an announcement
+    that ``messages.validate_shape`` has accepted, which refuses an IGROUP
+    naming a participant twice, so no duplicate check is repeated here.
     """
-    _reject_duplicates([r.participant_id for r in all_responses])
+    modulus = params.modulus
     key = leader_blind
-    for r in all_responses:
-        key = mul(key, r.response, params)
+    for response in responses:
+        key = key * response % modulus
     return key
 
 

@@ -60,7 +60,7 @@ from __future__ import annotations
 import random
 import threading
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 
 from .errors import BadLength, ConfigError, NotInSubgroup, ZeroScalar
 
@@ -120,9 +120,11 @@ class GroupParams:
     generator: int
     name: str
 
-    @property
+    @cached_property
     def element_width(self) -> int:
-        """Byte width of one encoded group element (big-endian, fixed)."""
+        """Byte width of one encoded group element (big-endian, fixed);
+        computed on first use and kept in the instance dict, which a
+        frozen dataclass without slots still has."""
         return (self.modulus.bit_length() + 7) // 8
 
     def validate(self) -> "GroupParams":

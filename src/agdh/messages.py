@@ -21,24 +21,37 @@ signing the canonical bytes covers every field.
 The ``epoch`` field carries the group key epoch on leader announcements and a
 per-sender monotone send counter on member messages; either way a stale value
 is detectable and replays can be rejected.
+
+A receiver takes each wire through these steps, cheapest refusal first:
+
+1. header triage: :func:`read_header` reads kind, sender and epoch from the
+   fixed header, and the node refuses an announcement that is not its own
+   but comes from a leader it would not follow (``stale_epoch``,
+   ``larger_leader``) before anything else is parsed or checked;
+2. :func:`decode`, one pass over the bytes that checks every length, flag
+   and element (one membership test per element);
+3. :func:`verify`, the signature over the received bytes;
+4. :func:`validate_shape`, the per-kind entry grammar (an IGROUP names no
+   participant twice);
+5. the state machine's own checks.
+
+Triage trusts fields no signature has yet covered, which is safe because
+it can only refuse: a refusal changes no state, so a forged header can get
+only its own wire refused, and a wire that passes triage still meets every
+later check.  A triaged announcement reports the header's reason even if
+its body is malformed, badly signed or misshapen.
 """
 
 from __future__ import annotations
 
 import hashlib
 import hmac
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import IntEnum
 
-from .errors import (
-    BadLength,
-    MalformedMessage,
-    NotInSubgroup,
-    ShapeViolation,
-    UnknownParticipant,
-)
+from .errors import MalformedMessage, ShapeViolation, UnknownParticipant
 from .gka_core import NONCE_LEN
-from .group_arith import GroupElement, GroupParams, decode_element, encode_element
+from .group_arith import GroupElement, GroupParams, encode_element, is_element
 
 
 class MessageKind(IntEnum):
@@ -48,6 +61,8 @@ class MessageKind(IntEnum):
 
 
 _HEADER_LEN = 1 + 4 + 16 + 8 + 2
+_ENTRY_FIXED = 4 + NONCE_LEN + 1  # id, nonce, has_response
+_KINDS = {int(kind): kind for kind in MessageKind}
 _MAX_ID = 2**32 - 1
 _MAX_EPOCH = 2**64 - 1
 
@@ -159,61 +174,70 @@ def encode_signed(msg: Message, params: GroupParams) -> bytes:
     return _append_signature(encode_canonical(msg, params), msg.signature)
 
 
+def read_header(data: bytes) -> tuple[MessageKind, int, int]:
+    """``(kind, sender_id, epoch)`` from the fixed 31-byte header, before
+    any entry is parsed; raises MalformedMessage if the wire is shorter
+    than a header or its kind byte names no kind.  The fields are
+    unauthenticated until the whole wire has been decoded and verified."""
+    if len(data) < _HEADER_LEN:
+        raise MalformedMessage("truncated header")
+    kind = _KINDS.get(data[0])
+    if kind is None:
+        raise MalformedMessage(f"unknown kind byte {data[0]:#04x}")
+    return (kind, int.from_bytes(data[1:5], "big"),
+            int.from_bytes(data[21:29], "big"))
+
+
 def decode(data: bytes, params: GroupParams) -> Message:
     """Parse a signed wire message; validates lengths, kinds, and subgroup
-    membership of every element.  Raises MalformedMessage on any defect."""
-    view = memoryview(data)
-    if len(view) < _HEADER_LEN:
-        raise MalformedMessage("truncated header")
-    try:
-        kind = MessageKind(view[0])
-    except ValueError:
-        raise MalformedMessage(f"unknown kind byte {view[0]:#04x}") from None
-    sender_id = int.from_bytes(view[1:5], "big")
-    sender_nonce = bytes(view[5:21])
-    epoch = int.from_bytes(view[21:29], "big")
-    count = int.from_bytes(view[29:31], "big")
+    membership of every element.  Raises MalformedMessage on any defect.
+    ``data`` must be ``bytes``: the nonces and the signature are slices."""
+    kind, sender_id, epoch = read_header(data)
     width = params.element_width
+    from_bytes = int.from_bytes
+    end = len(data)
     pos = _HEADER_LEN
     entries = []
-    for _ in range(count):
-        if len(view) < pos + 4 + NONCE_LEN + 1:
+    for _ in range(from_bytes(data[29:31], "big")):
+        blind_at = pos + _ENTRY_FIXED
+        if end < blind_at:
             raise MalformedMessage("truncated entry")
-        pid = int.from_bytes(view[pos:pos + 4], "big")
-        pos += 4
-        nonce = bytes(view[pos:pos + NONCE_LEN])
-        pos += NONCE_LEN
-        has_response = view[pos]
-        pos += 1
-        if has_response not in (0, 1):
+        has_response = data[blind_at - 1]
+        if has_response > 1:
             raise MalformedMessage("bad has_response flag")
-        need = width * (1 + has_response)
-        if len(view) < pos + need:
+        response_at = blind_at + width
+        stop = response_at + width * has_response
+        if end < stop:
             raise MalformedMessage("truncated entry elements")
-        try:
-            blinded = decode_element(bytes(view[pos:pos + width]), params)
-            pos += width
-            response = None
-            if has_response:
-                response = decode_element(bytes(view[pos:pos + width]), params)
-                pos += width
-        except (BadLength, NotInSubgroup) as exc:
-            raise MalformedMessage(f"bad group element: {exc}") from None
-        entries.append(GroupEntry(pid, nonce, blinded, response))
-    if len(view) < pos + 2:
+        blinded = from_bytes(data[blind_at:response_at], "big")
+        if not is_element(blinded, params):
+            raise _non_member(blinded, params)
+        response = None
+        if has_response:
+            response = from_bytes(data[response_at:stop], "big")
+            if not is_element(response, params):
+                raise _non_member(response, params)
+        entries.append(GroupEntry(from_bytes(data[pos:pos + 4], "big"),
+                                  data[pos + 4:blind_at - 1], blinded, response))
+        pos = stop
+    if end < pos + 2:
         raise MalformedMessage("truncated signature length")
-    sig_len = int.from_bytes(view[pos:pos + 2], "big")
+    sig_len = from_bytes(data[pos:pos + 2], "big")
     pos += 2
-    if len(view) != pos + sig_len:
+    if end != pos + sig_len:
         raise MalformedMessage("signature length mismatch")
-    signature = bytes(view[pos:pos + sig_len])
-    return Message(kind, sender_id, sender_nonce, epoch, tuple(entries), signature)
+    return Message(kind, sender_id, data[5:21], epoch, tuple(entries), data[pos:])
+
+
+def _non_member(value: int, params: GroupParams) -> MalformedMessage:
+    return MalformedMessage(
+        f"bad group element: {value} is not in the subgroup of {params.name!r}")
 
 
 def sign(msg: Message, keyring, params: GroupParams) -> Message:
     """Return the message with its signature over the canonical bytes."""
     signature = keyring.sign(msg.sender_id, encode_canonical(msg, params))
-    return replace(msg, signature=signature)
+    return _signed(msg, signature)
 
 
 def sign_and_encode(msg: Message, keyring,
@@ -221,8 +245,13 @@ def sign_and_encode(msg: Message, keyring,
     """Sign and serialize with one encoding: (signed message, wire form)."""
     canonical = encode_canonical(msg, params)
     signature = keyring.sign(msg.sender_id, canonical)
-    return (replace(msg, signature=signature),
-            _append_signature(canonical, signature))
+    return _signed(msg, signature), _append_signature(canonical, signature)
+
+
+def _signed(msg: Message, signature: bytes) -> Message:
+    # built directly: dataclasses.replace is several times slower, per send
+    return Message(msg.kind, msg.sender_id, msg.sender_nonce, msg.epoch,
+                   msg.entries, signature)
 
 
 def verify(msg: Message, wire: bytes, keyring) -> bool:

@@ -26,7 +26,6 @@ from enum import Enum
 
 from .errors import ConfigError, DegenerateKey, MalformedMessage, ShapeViolation
 from .gka_core import (
-    BlindedResponse,
     Contribution,
     SessionKey,
     blind,
@@ -44,6 +43,7 @@ from .messages import (
     build_igroup,
     build_ireply,
     decode,
+    read_header,
     sign_and_encode,
     validate_shape,
     verify,
@@ -344,11 +344,22 @@ class Node:
                 self._note_absent(self.leader_id, now, out, just_replied=False)
             return
 
+        # Header triage: an announcement not our own, from a leader we would
+        # not follow, is refused from its header alone, before decoding or
+        # checking the signature.  A refusal changes no state, so a forged
+        # header can only get its own wire refused (see ``agdh.messages``).
         try:
+            kind, sender, epoch = read_header(wire)
+            if kind is MessageKind.IGROUP and sender != self.node_id:
+                if epoch < self.leader_epochs.get(sender, 0):
+                    return self._refuse(out, "stale_epoch", sender, epoch)
+                # only a member's leader_id can name another node: a
+                # leader's is its own id and a candidate's is None
+                if self.leader_id is not None and sender > self.leader_id:
+                    return self._refuse(out, "larger_leader", sender)
             msg = decode(wire, self.params)
         except MalformedMessage as exc:
             return self._refuse(out, "malformed", str(exc))
-        sender = msg.sender_id
         if not self._skip_verify and not verify(msg, wire, self.keyring):
             return self._refuse(out, "bad_signature", sender)
         try:
@@ -374,18 +385,13 @@ class Node:
 
     def _on_announcement(self, msg: Message, wire: bytes, now: int,
                          out: FsmOutput) -> None:
+        """An announcement that passed header triage: from the node's own
+        leader, or from a smaller-id leader, or the first one heard, which
+        the node follows."""
         sender = msg.sender_id
-        if msg.epoch < self.leader_epochs.get(sender, 0):
-            return self._refuse(out, "stale_epoch", sender, msg.epoch)
-        # only a member's leader_id can name another node: a leader's is
-        # its own id and a candidate's is None
         if sender == self.leader_id:
             self._process_announcement(msg, wire, now, out, just_replied=False)
             return
-        if self.leader_id is not None and sender > self.leader_id:
-            return self._refuse(out, "larger_leader", sender)
-
-        # a smaller-id leader, or the first one heard: follow it
         if self.mode is Mode.LEADER:
             self._demote(sender, out)
         elif self.mode is Mode.CANDIDATE:
@@ -473,9 +479,9 @@ class Node:
                     or self.session.epoch != msg.epoch):
                 leader_blind = recover_leader_blind(
                     my_entry.blinded_response, secret, self.params, self.counter)
-                responses = [BlindedResponse(e.participant_id, e.blinded_response)
-                             for e in msg.entries]
-                key = compute_key_member(leader_blind, responses, self.params)
+                key = compute_key_member(
+                    leader_blind, [e.blinded_response for e in msg.entries],
+                    self.params)
                 try:
                     fresh = SessionKey(
                         key, msg.epoch, derive_session_key(key, msg.epoch, self.params))

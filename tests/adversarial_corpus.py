@@ -11,6 +11,8 @@ from agdh.group_arith import PROD, TOY, GroupParams
 from agdh.messages import (
     GroupEntry,
     HmacKeyRing,
+    Message,
+    MessageKind,
     build_del,
     build_igroup,
     build_ireply,
@@ -212,5 +214,18 @@ def run_corpus() -> dict[str, Outcome]:
     for label, value in (("p_minus_1", p - 1), ("p_minus_blind", p - blinded)):
         probe(f"hostile_element_ireply_{label}", leader,
               _substituted(reply2, blinded, value, PROD), now, element=value)
+
+    # --- validly signed announcements naming a member twice, TOY and PROD ----
+    # The member's key fold multiplies every announced response and checks
+    # no ids itself, so a repeated entry would fold its response twice; the
+    # shape check must refuse the wire first.  The epoch is new, so the
+    # member would otherwise derive a key from it.
+    for label, params in (("toy", TOY), ("prod", PROD)):
+        leader, member, other, empty, keyed, reply2, now = build_pair(params)
+        msg = keyed.message
+        entries = msg.entries + (msg.entries[-1],)
+        twice = sign(Message(MessageKind.IGROUP, msg.sender_id, msg.sender_nonce,
+                             msg.epoch + 1, entries), RING, params)
+        probe(f"duplicate_ids_{label}", member, encode_signed(twice, params), now)
 
     return outcomes

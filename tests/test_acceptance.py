@@ -146,7 +146,8 @@ def test_criterion_3_toy_exhaustive():
         for pid, secret in ((2, r_i), (4, r_j)):
             mine = next(r for r in responses if r.participant_id == pid)
             leader_blind = recover_leader_blind(mine.response, secret, TOY)
-            assert compute_key_member(leader_blind, responses, TOY) == expected
+            assert compute_key_member(
+                leader_blind, [r.response for r in responses], TOY) == expected
         cases += 1
     assert cases == 1000
 
@@ -280,6 +281,8 @@ def test_criterion_7_adversarial_rejection():
         if outcome.element is not None:
             assert outcome.reason == "malformed", f"{name}: {outcome.reason}"
             assert not is_element(outcome.element, outcome.params), name
+        if name.startswith("duplicate_ids_"):
+            assert outcome.reason == "shape", f"{name}: {outcome.reason}"
     print(f"\n  adversarial corpus: {len(outcomes)} tampered messages, "
           f"0 accepted")
 

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from agdh.errors import DegenerateKey, DuplicateParticipant, NotInSubgroup, ZeroScalar
 from agdh.gka_core import (
-    BlindedResponse,
     Contribution,
     batch_absorb,
     batch_finalize,
@@ -62,16 +61,10 @@ class TestBlindRespondRecover:
 
 class TestKeyComputation:
     def test_member_key_frozen(self):
-        responses = [BlindedResponse(2, 2), BlindedResponse(4, 16)]
-        assert compute_key_member(8, responses, TOY) == 3
+        assert compute_key_member(8, [2, 16], TOY) == 3
 
     def test_member_key_empty_is_leader_blind(self):
         assert compute_key_member(8, [], TOY) == 8
-
-    def test_member_key_duplicate_rejected(self):
-        responses = [BlindedResponse(2, 2), BlindedResponse(2, 16)]
-        with pytest.raises(DuplicateParticipant):
-            compute_key_member(8, responses, TOY)
 
     def test_leader_key_frozen(self):
         key, responses = compute_key_leader(
@@ -94,7 +87,7 @@ class TestKeyComputation:
         blinded = blind(4, TOY, counter)
         response = respond(blinded, 3, TOY)
         leader_blind = recover_leader_blind(response, 4, TOY, counter)
-        compute_key_member(leader_blind, [BlindedResponse(2, response)], TOY)
+        compute_key_member(leader_blind, [response], TOY)
         assert counter.count == 2
 
     def test_oracle_frozen(self):
@@ -131,7 +124,8 @@ def test_end_to_end_agreement_exhaustive_toy():
         for pid, secret in members:
             mine = next(r for r in responses if r.participant_id == pid)
             leader_blind = recover_leader_blind(mine.response, secret, TOY)
-            assert compute_key_member(leader_blind, responses, TOY) == expected
+            assert compute_key_member(
+                leader_blind, [r.response for r in responses], TOY) == expected
 
 
 @given(st.integers(1, 10), st.lists(st.integers(1, 10), max_size=4))
@@ -268,7 +262,8 @@ def test_three_member_example_run():
         mine = next(r for r in responses if r.participant_id == pid)
         recovered = recover_leader_blind(mine.response, secret, TOY)
         assert recovered == blind(r1, TOY)
-        assert compute_key_member(recovered, responses, TOY) == key
+        assert compute_key_member(
+            recovered, [r.response for r in responses], TOY) == key
 
 
 def test_agreement_exhaustive_group_of_four():

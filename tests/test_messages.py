@@ -1,12 +1,20 @@
+import functools
 import os
 from dataclasses import replace
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from agdh.errors import MalformedMessage, ShapeViolation, UnknownParticipant
-from agdh.group_arith import PROD, TOY
+from agdh.errors import (
+    BadLength,
+    MalformedMessage,
+    NotInSubgroup,
+    ShapeViolation,
+    UnknownParticipant,
+)
+from agdh.gka_core import NONCE_LEN
+from agdh.group_arith import PROD, TOY, decode_element
 from agdh.messages import (
     GroupEntry,
     HmacKeyRing,
@@ -17,6 +25,7 @@ from agdh.messages import (
     build_ireply,
     decode,
     encode_canonical,
+    read_header,
     encode_signed,
     sign,
     sign_and_encode,
@@ -232,6 +241,20 @@ class TestShapes:
         with pytest.raises(ShapeViolation):
             build_igroup(1, nonce(0x11), 1, [GroupEntry(1, nonce(0x11), 16, 2)])
 
+    def test_duplicate_responses_refused_before_any_fold(self):
+        """The member's key fold multiplies every announced response and
+        checks no ids of its own: a validly signed IGROUP that names a
+        member twice must stop here, after decoding and verifying."""
+        entries = (GroupEntry(2, nonce(0xAA), 16, 2),
+                   GroupEntry(2, nonce(0xAB), 9, 16))
+        msg = sign(Message(MessageKind.IGROUP, 1, nonce(0x11), 1, entries),
+                   RING, TOY)
+        wire = encode_signed(msg, TOY)
+        decoded = decode(wire, TOY)
+        assert verify(decoded, wire, RING)
+        with pytest.raises(ShapeViolation, match="duplicate id"):
+            validate_shape(decoded)
+
     def test_igroup_rejects_duplicate_ids(self):
         entries = [GroupEntry(2, nonce(0xAA), 16, 2),
                    GroupEntry(2, nonce(0xAB), 9, 16)]
@@ -279,3 +302,220 @@ def test_vector_file():
             positive.append(msg.kind.name)
     assert sorted(positive) == sorted(k.name for k in MessageKind)
     assert sorted(negative) == sorted(RETIRED_KINDS)
+
+
+# -- decode against the previous implementation ---------------------------------
+
+_HEADER_LEN = 31
+
+
+def reference_decode(data: bytes, params) -> Message:
+    """The decoder this module replaced, kept verbatim as a reference:
+    memoryview slices, one ``decode_element`` per element."""
+    view = memoryview(data)
+    if len(view) < _HEADER_LEN:
+        raise MalformedMessage("truncated header")
+    try:
+        kind = MessageKind(view[0])
+    except ValueError:
+        raise MalformedMessage(f"unknown kind byte {view[0]:#04x}") from None
+    sender_id = int.from_bytes(view[1:5], "big")
+    sender_nonce = bytes(view[5:21])
+    epoch = int.from_bytes(view[21:29], "big")
+    count = int.from_bytes(view[29:31], "big")
+    width = params.element_width
+    pos = _HEADER_LEN
+    entries = []
+    for _ in range(count):
+        if len(view) < pos + 4 + NONCE_LEN + 1:
+            raise MalformedMessage("truncated entry")
+        pid = int.from_bytes(view[pos:pos + 4], "big")
+        pos += 4
+        nonce = bytes(view[pos:pos + NONCE_LEN])
+        pos += NONCE_LEN
+        has_response = view[pos]
+        pos += 1
+        if has_response not in (0, 1):
+            raise MalformedMessage("bad has_response flag")
+        need = width * (1 + has_response)
+        if len(view) < pos + need:
+            raise MalformedMessage("truncated entry elements")
+        try:
+            blinded = decode_element(bytes(view[pos:pos + width]), params)
+            pos += width
+            response = None
+            if has_response:
+                response = decode_element(bytes(view[pos:pos + width]), params)
+                pos += width
+        except (BadLength, NotInSubgroup) as exc:
+            raise MalformedMessage(f"bad group element: {exc}") from None
+        entries.append(GroupEntry(pid, nonce, blinded, response))
+    if len(view) < pos + 2:
+        raise MalformedMessage("truncated signature length")
+    sig_len = int.from_bytes(view[pos:pos + 2], "big")
+    pos += 2
+    if len(view) != pos + sig_len:
+        raise MalformedMessage("signature length mismatch")
+    signature = bytes(view[pos:pos + sig_len])
+    return Message(kind, sender_id, sender_nonce, epoch, tuple(entries), signature)
+
+
+def outcome(decoder, wire: bytes, params):
+    """The decoded message, or the text of the MalformedMessage raised."""
+    try:
+        return decoder(wire, params)
+    except MalformedMessage as exc:
+        return f"malformed: {exc}"
+
+
+def assert_decodes_like_reference(wire: bytes, params) -> None:
+    got = outcome(decode, wire, params)
+    assert got == outcome(reference_decode, wire, params)
+    if isinstance(got, Message):
+        assert type(got.sender_nonce) is bytes and type(got.signature) is bytes
+        assert all(type(e.nonce) is bytes for e in got.entries)
+
+
+#: Values that fit an element field but lie outside the order-q subgroup:
+#: zero, the order-2 element p-1, p itself, and the all-ones field.
+NON_MEMBERS = {
+    TOY: (0, 5, 22, 23, 255),
+    PROD: (0, PROD.modulus - 1, PROD.modulus, 2 ** 1024 - 1),
+}
+UNKNOWN_KINDS = [b for b in range(256) if b not in {int(k) for k in MessageKind}]
+
+
+def entry_fields(wire: bytes, params) -> tuple[list[int], list[int]]:
+    """Offsets of each entry's has_response byte and of each element field
+    in a wire that decodes."""
+    width = params.element_width
+    flags, elements, pos = [], [], _HEADER_LEN
+    for _ in range(int.from_bytes(wire[29:31], "big")):
+        flag = pos + 4 + NONCE_LEN
+        flags.append(flag)
+        pos = flag + 1
+        for _ in range(1 + wire[flag]):
+            elements.append(pos)
+            pos += width
+    return flags, elements
+
+
+def with_byte(wire: bytes, offset: int, value: int) -> bytes:
+    return wire[:offset] + bytes([value]) + wire[offset + 1:]
+
+
+def with_element(wire: bytes, offset: int, value: int, params) -> bytes:
+    width = params.element_width
+    return wire[:offset] + value.to_bytes(width, "big") + wire[offset + width:]
+
+
+def mutants(wire: bytes, params):
+    """Every hostile variant of one decodable wire the equivalence covers,
+    except single-byte values beyond a one-bit flip (the property draws
+    those)."""
+    flags, elements = entry_fields(wire, params)
+    yield wire
+    for cut in range(len(wire)):
+        yield wire[:cut]
+    for offset in range(len(wire)):
+        yield with_byte(wire, offset, wire[offset] ^ 0x01)
+    for kind in UNKNOWN_KINDS:
+        yield with_byte(wire, 0, kind)
+    for flag in flags:
+        for value in range(2, 256):
+            yield with_byte(wire, flag, value)
+    for offset in elements:
+        for value in NON_MEMBERS[params]:
+            yield with_element(wire, offset, value, params)
+
+
+@functools.lru_cache(maxsize=1)
+def fixed_wires() -> tuple[tuple[bytes, object], ...]:
+    """The checked-in vectors and the adversarial corpus's wires (TOY and
+    PROD) that decode."""
+    import adversarial_corpus
+
+    with open(VECTORS) as fh:
+        wires = [(bytes.fromhex(line.split()[0]), TOY) for line in fh
+                 if line.strip() and not line.startswith("#")]
+    wires += [(o.wire, o.params) for o in adversarial_corpus.run_corpus().values()]
+    return tuple((w, p) for w, p in dict.fromkeys(wires)
+                 if isinstance(outcome(reference_decode, w, p), Message))
+
+
+def test_decode_matches_reference_on_fixed_wires():
+    """Honest corpus and vector wires, and every mutant of each: truncated
+    at every offset, one bit flipped at every offset, every unknown kind
+    byte, has_response 2-255 in each entry, a non-member in each element."""
+    params_seen = set()
+    for wire, params in fixed_wires():
+        params_seen.add(params)
+        for mutant in mutants(wire, params):
+            assert_decodes_like_reference(mutant, params)
+    assert params_seen == {TOY, PROD}
+
+
+def elements_of(params):
+    if params is TOY:
+        return st.sampled_from(TOY_ELEMENTS)
+    return st.integers(1, PROD.order - 1).map(
+        lambda k: pow(PROD.generator, k, PROD.modulus))
+
+
+def messages_of(params):
+    elements = elements_of(params)
+    entries = st.builds(
+        GroupEntry,
+        participant_id=st.integers(0, 2**32 - 1),
+        nonce=st.binary(min_size=16, max_size=16),
+        blinded_secret=elements,
+        blinded_response=st.one_of(st.none(), elements),
+    )
+    return st.builds(
+        Message,
+        kind=st.sampled_from(list(MessageKind)),
+        sender_id=st.integers(0, 2**32 - 1),
+        sender_nonce=st.binary(min_size=16, max_size=16),
+        epoch=st.integers(0, 2**64 - 1),
+        entries=st.lists(entries, max_size=3).map(tuple),
+        signature=st.binary(max_size=40),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_decode_matches_reference(data):
+    """On TOY and PROD: an honest wire, or one mutation of it, decodes to
+    the same message as the reference decoder or fails with the same
+    MalformedMessage text."""
+    params = data.draw(st.sampled_from([TOY, PROD]))
+    wire = encode_signed(data.draw(messages_of(params)), params)
+    flags, elements = entry_fields(wire, params)
+    mutation = data.draw(st.sampled_from(
+        ["honest", "truncate", "byte", "kind", "flag", "element"]))
+    if mutation == "truncate":
+        wire = wire[:data.draw(st.integers(0, len(wire) - 1))]
+    elif mutation == "byte":
+        wire = with_byte(wire, data.draw(st.integers(0, len(wire) - 1)),
+                         data.draw(st.integers(0, 255)))
+    elif mutation == "kind":
+        wire = with_byte(wire, 0, data.draw(st.sampled_from(UNKNOWN_KINDS)))
+    elif mutation == "flag" and flags:
+        wire = with_byte(wire, data.draw(st.sampled_from(flags)),
+                         data.draw(st.integers(2, 255)))
+    elif mutation == "element" and elements:
+        wire = with_element(wire, data.draw(st.sampled_from(elements)),
+                            data.draw(st.sampled_from(NON_MEMBERS[params])),
+                            params)
+    assert_decodes_like_reference(wire, params)
+
+
+class TestHeader:
+    def test_reads_kind_sender_and_epoch_alone(self):
+        """The header is read from its 31 bytes, whatever follows."""
+        msg = build_igroup(7, nonce(0x11), 2**40 + 3,
+                           [GroupEntry(2, nonce(0xAA), 16, 2)])
+        wire = encode_signed(sign(msg, RING, TOY), TOY)
+        assert read_header(wire) == (MessageKind.IGROUP, 7, 2**40 + 3)
+        assert read_header(wire[:31]) == read_header(wire)
+        assert read_header(with_byte(wire, 31 + 4 + 16, 9)) == read_header(wire)

@@ -3,7 +3,8 @@ from dataclasses import replace
 
 import pytest
 
-from agdh.errors import ConfigError
+from agdh import node_fsm
+from agdh.errors import ConfigError, MalformedMessage
 from agdh.gka_core import oracle_key
 from agdh.group_arith import TOY
 from agdh.messages import (
@@ -14,8 +15,10 @@ from agdh.messages import (
     build_del,
     build_igroup,
     build_ireply,
+    decode,
     encode_signed,
     sign,
+    verify,
 )
 from agdh.node_fsm import (
     LocalLeaveRequest,
@@ -590,6 +593,97 @@ class TestRefusalsKeepState:
         leader, member, now = adopted_member()
         wire = ireply_wire(7, 1, 3, bytes([7]) * 16)
         assert self.refuse(member, wire, now) == "not_leader"
+
+
+def keyed_member(leader_id=3, member_id=9):
+    """A leader and a member holding its epoch-1 key:
+    (leader, member, now)."""
+    leader = make_node(leader_id)
+    lead_out, at = elect(leader)
+    member = make_node(member_id, seed="M")
+    member.start(0)
+    reply = deliver(member, lead_out.sends[0].wire, at + 1000).sends[0]
+    deliver(leader, reply.wire, at + 2000)
+    out, now = fire(leader, TimerKind.BEACON)
+    assert deliver(member, out.sends[0].wire, now + 1000).key_changes
+    assert (member.leader_id, member.leader_epochs[leader_id]) == (leader_id, 1)
+    return leader, member, now + 2000
+
+
+def hostile_igroup(sender: int, epoch: int, defect: str) -> bytes:
+    """An announcement whose header is sound and whose body fails a later
+    check: its signature corrupted, or a non-member in its first element
+    field, validly re-signed."""
+    entries = [GroupEntry(2, bytes([2]) * 16, 16, 2)]
+    wire = signed_igroup(sender, bytes([sender]) * 16, epoch, entries)
+    if defect == "bad_signature":
+        wire = wire[:-1] + bytes([wire[-1] ^ 0x01])
+        assert not verify(decode(wire, TOY), wire, RING)
+        return wire
+    canonical = bytearray(wire[:-34])
+    canonical[31 + 4 + 16 + 1] = 5  # the blinded secret; 5 is no member
+    signature = RING.sign(sender, bytes(canonical))
+    wire = bytes(canonical) + len(signature).to_bytes(2, "big") + signature
+    with pytest.raises(MalformedMessage, match="bad group element"):
+        decode(wire, TOY)
+    return wire
+
+
+class TestHeaderTriage:
+    """An announcement from a leader the node would not follow is refused
+    from its fixed header, before it is decoded or its signature checked."""
+
+    @pytest.mark.parametrize("defect", ["bad_signature", "non_member"])
+    @pytest.mark.parametrize("reason, sender, epoch", [
+        ("stale_epoch", 3, 0),     # the member's own leader, an older epoch
+        ("larger_leader", 7, 5),   # a leader with a larger id than its own
+    ])
+    def test_refused_from_the_header(self, monkeypatch, reason, sender,
+                                     epoch, defect):
+        leader, member, now = keyed_member()
+        wire = hostile_igroup(sender, epoch, defect)
+
+        def forbidden(wire, params):
+            raise AssertionError("a triaged wire was decoded")
+
+        monkeypatch.setattr(node_fsm, "decode", forbidden)
+        digest = member.state_digest()
+        out = deliver(member, wire, now)
+        assert refusal(out) == reason
+        assert member.state_digest() == digest
+        assert not out.sends and not out.key_changes
+
+    @pytest.fixture
+    def decoded(self, monkeypatch):
+        wires = []
+
+        def spy(wire, params):
+            wires.append(wire)
+            return decode(wire, params)
+
+        monkeypatch.setattr(node_fsm, "decode", spy)
+        return wires
+
+    def test_own_leader_announcement_is_decoded(self, decoded):
+        leader, member, now = keyed_member()
+        out, _ = fire(leader, TimerKind.RENEWAL)
+        [rekeyed] = out.sends
+        decoded.clear()
+        out = deliver(member, rekeyed.wire, now)
+        assert out.accepted is True
+        assert [change.new_epoch for change in out.key_changes] == [2]
+        assert decoded == [rekeyed.wire]
+
+    def test_smaller_leader_announcement_is_decoded(self, decoded):
+        leader, member, now = keyed_member()
+        smaller = make_node(1)
+        lead_out, _ = elect(smaller)
+        [announcement] = lead_out.sends
+        decoded.clear()
+        out = deliver(member, announcement.wire, now)
+        assert out.accepted is True
+        assert member.leader_id == 1
+        assert decoded == [announcement.wire]
 
 
 class TestLeaderBookkeeping:
