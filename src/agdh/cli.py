@@ -3,9 +3,9 @@
 ``agdh run`` executes one simulation (or several seeds with ``--repeat``),
 writes the transcript and metrics, prints a summary, and exits 0 only if the
 transcript audit is clean and the run converged.  ``agdh bench`` measures
-blinding (fixed-base) and response (variable-base) throughput and batched
-versus unbatched leader latency on the real parameter sets, and names the
-kernel behind each group's variable-base powers.
+blinding (a power of the generator) and response (a power of a received
+blind) throughput and batched versus unbatched leader latency on the real
+parameter sets, and names the kernel behind each group's powers.
 """
 
 from __future__ import annotations
@@ -169,7 +169,8 @@ def _bench_group(params: GroupParams, group_size: int, iters: int) -> list[str]:
              f"  kernel: {kernel_name(params)}"]
 
     secrets = [random_scalar(rng, params) for _ in range(iters)]
-    gka_core.blind(secrets[0], params)  # builds the generator table untimed
+    # untimed: binds the native library and the modulus's Montgomery context
+    gka_core.blind(secrets[0], params)
     t0 = time.perf_counter()
     blinded = [gka_core.blind(s, params) for s in secrets]
     dt = time.perf_counter() - t0
@@ -222,9 +223,16 @@ def _bench_group(params: GroupParams, group_size: int, iters: int) -> list[str]:
 
 
 def cmd_bench(args) -> int:
+    if args.iters < 1:
+        raise ConfigError("--iters must be at least 1")
+    if args.group_size < 1:
+        raise ConfigError("--group-size must be at least 1")
     groups = [TOY, PROD]
     if args.params:
-        groups.append(load_params(args.params))
+        try:
+            groups.append(load_params(args.params))
+        except OSError as exc:
+            raise ConfigError(str(exc)) from None
     for params in groups:
         for line in _bench_group(params, args.group_size, args.iters):
             print(line)

@@ -8,51 +8,44 @@ mod q, elements validated against the subgroup on decode).
 Exponentiations performed through :func:`exp` are metered via
 :class:`ExpCounter` so protocol cost can be asserted exactly.
 
-Powers of the generator (every blinding) are fixed-base exponentiations and
-take a precomputed path: :func:`exp` reads them from a table whose row ``i``
-holds ``g^(j * 2^(WINDOW * i))`` for ``j < 2^WINDOW``, so ``g^s`` costs about
-``ceil(bits(q) / WINDOW)`` modular multiplications and no squarings.  The
-table is built on a group's first generator exponentiation, once per group
-(1728 entries, about 0.3 MB, for the 160-bit PROD order), never at import.
-Either path counts as one exponentiation: the counter meters protocol
-operations, not their cost.  On PROD (160-bit exponents, measured on a
-2-CPU VM) a blinding from the table takes about 0.16 ms, a variable-base
-response about 0.11 ms on the native kernel below and about 1.0 ms on
-builtin ``pow``.
-
-The variable-base branch of :func:`exp` (a leader's response, a member's
-recovery) and the subgroup check's ``v^q`` go through one kernel,
-:func:`_powmod`.  Where the modulus is odd and wider than 64 bits, and the
-``libcrypto`` that ``hashlib`` loaded exports the ``BN_*`` functions, that
-kernel is OpenSSL's ``BN_mod_exp_mont_consttime``, called through
-``ctypes``: Montgomery multiplication (Montgomery, Math. Comp. 1985) under
-one cached Montgomery context per modulus, in a fixed-window ladder whose
-branches and table reads do not depend on the exponent's bits.  A response
-therefore no longer takes a time that varies with the leader's secret, as
-builtin ``pow``'s square-and-multiply does; only the exponent's length
-shows.  Builtin ``pow`` stays the kernel on an even modulus, which
-Montgomery reduction cannot take; on a modulus of at most 64 bits, where
-the native call's fixed cost (about 17 us, against 0.15 us for a ``pow``
-on TOY's 5 bits) outweighs the arithmetic it saves; and where the symbols
-cannot be resolved, for instance when ``hashlib`` is not backed by
-OpenSSL.  The choice follows from the modulus and the running interpreter
-alone.  Both kernels return the same integers, so counts, wires and
-transcripts do not depend on it.  The library is bound on the first power
-that needs it, never at import.  The generator table, ``validate``,
-``_is_probable_prime`` and ``gka_core.oracle_key`` keep builtin ``pow``.
+Every power goes through one kernel, :func:`_powmod`: a blinding (a power
+of the generator), a leader's response, a member's recovery and the
+subgroup check's ``v^q`` alike.  Where the modulus is odd and wider than 64
+bits, and the ``libcrypto`` that ``hashlib`` loaded exports the ``BN_*``
+functions, that kernel is OpenSSL's ``BN_mod_exp_mont_consttime``, called
+through ``ctypes``: Montgomery multiplication (Montgomery, Math. Comp. 1985)
+under one cached Montgomery context per modulus, in a fixed-window ladder
+whose branches and table reads do not depend on the exponent's bits.  A
+power therefore does not take a time that varies with the secret exponent,
+as builtin ``pow``'s square-and-multiply does; only the exponent's length
+shows.  On PROD (160-bit exponents, measured on a 2-CPU VM) it costs about
+0.1 ms, against about 0.85 ms on builtin ``pow``.  Builtin ``pow`` stays
+the kernel on an even modulus, which Montgomery reduction cannot take; on
+a modulus of at most 64 bits, where the native call's fixed cost
+(about 17 us, against 0.15 us for a ``pow`` on TOY's 5 bits) outweighs the
+arithmetic it saves; and where the symbols cannot be resolved, for instance
+when ``hashlib`` is not backed by OpenSSL.  The choice follows from the
+modulus and the running interpreter alone.  Both kernels return the same
+integers, so counts, wires and transcripts do not depend on it.  The
+library is bound on the first power that needs it, never at import.
+``validate``, ``_is_probable_prime`` and ``gka_core.oracle_key`` keep
+builtin ``pow``.  Each :func:`exp` call counts as one exponentiation.
 
 Membership answers are memoised under the closure rule: a power of an
 element of the order-q subgroup is itself in that subgroup.  The memo is one
 set of ``(value, p, q)`` keys, the same key as the ``_in_subgroup`` check,
 so each group keeps its own known elements even where two groups share
 ``p``.  Only two things write to it: :func:`is_element`, after the check has
-proved a value a member, and :func:`exp`, for a power of the generator (whose
-order q the table confirms when it is built) or of a value already in the
-set.  A value a node computed itself is therefore known when it is encoded,
-and no subgroup ``pow`` re-checks it; a value that arrives from outside is
-known only if it is one of those.  The set holds at most ``1 << 16`` keys,
-like the check's own cache; past that an arbitrary key is dropped, which
-costs a later check, never a wrong answer.
+proved a value a member, and :func:`exp`, for a power of the generator or
+of a value already in the set.  A power of the generator is filed only
+once the generator's order is confirmed: :meth:`GroupParams.check_generator`
+tests ``g^q = 1`` with builtin ``pow``, once per group, whether ``validate``
+or the group's first generator power asks first, and never through the
+subgroup check.  A value a node computed itself is therefore known when it
+is encoded, and no subgroup ``pow`` re-checks it; a value that arrives from
+outside is known only if it is one of those.  The set holds at most
+``1 << 16`` keys, like the check's own cache; past that an arbitrary key is
+dropped, which costs a later check, never a wrong answer.
 """
 
 from __future__ import annotations
@@ -70,12 +63,6 @@ GroupElement = int
 # Witnesses below 37 make Miller-Rabin deterministic for all n < 3.3e24;
 # for larger candidates the same fixed list gives error < 4^-15.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
-
-#: Bits of the exponent consumed per multiplication on the generator path.
-#: Table size grows as 2^WINDOW per row and the multiplications fall as
-#: 1/WINDOW; 6 gives 27 rows of 64 for a 160-bit order.
-WINDOW = 6
-_DIGIT_MASK = (1 << WINDOW) - 1
 
 #: Entries each membership memo (known set, check cache) holds at most.
 _MEMO_SIZE = 1 << 16
@@ -141,9 +128,24 @@ class GroupParams:
             raise ConfigError(f"group {self.name!r}: order is not prime")
         if (p - 1) % q != 0:
             raise ConfigError(f"group {self.name!r}: order does not divide p-1")
-        if pow(g, q, p) != 1:
-            raise ConfigError(f"group {self.name!r}: generator order is not q")
+        self.check_generator()
         return self
+
+    def check_generator(self) -> None:
+        """Raise ConfigError unless g^q = 1.
+
+        :func:`exp` files every power of g as a known element, so it asks
+        this before the first one, whether or not ``validate`` ran; the
+        answer is cached per ``(g, p, q)``, so each group pays one ``pow``.
+        """
+        if not _power_q_is_one(self.generator, self.modulus, self.order):
+            raise ConfigError(f"group {self.name!r}: generator order is not q")
+
+
+@lru_cache(maxsize=8)
+def _power_q_is_one(generator: int, modulus: int, order: int) -> bool:
+    # builtin pow: validate runs at import, which binds no kernel
+    return pow(generator, order, modulus) == 1
 
 
 class ExpCounter:
@@ -174,57 +176,21 @@ def random_scalar(rng: random.Random, params: GroupParams) -> Scalar:
 
 def exp(base: GroupElement, s: Scalar, params: GroupParams,
         counter: ExpCounter | None = None) -> GroupElement:
-    """base**s mod p, metered: one counter bump per call, whichever path.
+    """base**s mod p on :func:`_powmod`, metered: one counter bump per call.
 
-    A power of the generator is read from the group's fixed-base table;
-    any other base goes through :func:`_powmod`.  The result joins the
-    known elements when the base is the generator or already known.
+    The result joins the known elements when the base is already known,
+    or is the generator and its order is confirmed.
     """
     if counter is not None:
         counter.bump()
     modulus, order = params.modulus, params.order
+    result = _powmod(base, s % order, modulus)
     if base == params.generator:
-        result = _table_pow(_generator_table(base, modulus, order),
-                            s % order, modulus)
-    else:
-        result = _powmod(base, s % order, modulus)
-        if (base, modulus, order) not in _known:
-            return result
+        params.check_generator()
+    elif (base, modulus, order) not in _known:
+        return result
     _remember((result, modulus, order))
     return result
-
-
-def _table_pow(table: tuple[tuple[int, ...], ...], s: int, modulus: int) -> int:
-    # s must be below 2^(WINDOW * len(table)): one row per WINDOW bits
-    result = 1
-    for row in table:
-        digit = s & _DIGIT_MASK
-        if digit:
-            result = result * row[digit] % modulus
-        s >>= WINDOW
-    return result
-
-
-@lru_cache(maxsize=8)
-def _generator_table(generator: int, modulus: int,
-                     order: int) -> tuple[tuple[int, ...], ...]:
-    # Memoized: built on a group's first generator exponentiation, then
-    # shared by every node of the process, like the subgroup-check memo.
-    rows = []
-    row_base = generator  # g^(2^(WINDOW * i)) for the row being filled
-    for _ in range((order.bit_length() + WINDOW - 1) // WINDOW):
-        row = [1]
-        for _ in range(1, 1 << WINDOW):
-            row.append(row[-1] * row_base % modulus)
-        rows.append(tuple(row))
-        row_base = row[-1] * row_base % modulus
-    table = tuple(rows)
-    # exp files every power of g as a known element, so g itself must have
-    # order q, whether or not GroupParams.validate ran; g^q from the table
-    # is a few dozen multiplications
-    if _table_pow(table, order, modulus) != 1:
-        raise ConfigError(f"generator {generator} does not have order {order}")
-    return table
 
 
 def _powmod(base: int, e: int, modulus: int) -> int:
@@ -243,8 +209,8 @@ def _native_for(modulus: int) -> "_OpenSSL | None":
 
 
 def kernel_name(params: GroupParams) -> str:
-    """The kernel behind this group's variable-base powers and subgroup
-    checks, e.g. ``OpenSSL 3.0.2 BN_mod_exp_mont_consttime``."""
+    """The kernel behind this group's powers and subgroup checks, e.g.
+    ``OpenSSL 3.0.2 BN_mod_exp_mont_consttime``."""
     native = _native_for(params.modulus)
     if native is None:
         return "builtin pow"
@@ -409,7 +375,9 @@ def scalar_inverse(s: Scalar, params: GroupParams) -> Scalar:
 
 @lru_cache(maxsize=_MEMO_SIZE)
 def _in_subgroup(value: int, modulus: int, order: int) -> bool:
-    # Memoized: the same broadcast payload is validated by every receiver.
+    # Memoized, behind the known set: a member it proves joins that set, so
+    # what this cache still answers is mostly non-members, re-checked when
+    # a hostile wire repeats, and members the bounded set has dropped.
     return 0 < value < modulus and _powmod(value, order, modulus) == 1
 
 

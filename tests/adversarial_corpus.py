@@ -228,4 +228,14 @@ def run_corpus() -> dict[str, Outcome]:
                              msg.epoch + 1, entries), RING, params)
         probe(f"duplicate_ids_{label}", member, encode_signed(twice, params), now)
 
+    # --- validly signed DELs with a forged nonce, TOY and PROD --------------
+    # A fresh seq passes the replay check, so only the nonce, which does not
+    # match the member's registered contribution, stands between the wire
+    # and the member's removal.
+    for label, params in (("toy", TOY), ("prod", PROD)):
+        leader, member, other, empty, keyed, reply2, now = build_pair(params)
+        forged_del = sign(build_del(2, bytes(16), member.seq + 1), RING, params)
+        probe(f"del_forged_nonce_{label}", leader,
+              encode_signed(forged_del, params), now)
+
     return outcomes

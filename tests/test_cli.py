@@ -175,17 +175,38 @@ class TestBenchCommand:
         assert "group toy:" in out
         assert "group modp1024-160:" in out
         assert out.count("blindings/sec") == 2
-        # fixed-base and variable-base exponentiation both stay visible
+        # a power of the generator and a power of a received blind both
+        # stay visible
         assert out.count("responses/sec") == 2
         # batching leaves nothing on the critical path; unbatched pays m
         assert "unbatched leader (m=10): 10 expos" in out
         assert "batched leader (m=10): 0 expos" in out
-        # each group names its variable-base kernel, right under its header
+        # each group names its kernel, right under its header
         toy, prod = out.split("group modp1024-160:")
         assert toy.splitlines()[1] == "  kernel: builtin pow"
         assert prod.splitlines()[1] == f"  kernel: {kernel_name(PROD)}"
         if group_arith._openssl() is not None:
             assert kernel_name(PROD).endswith("BN_mod_exp_mont_consttime")
+
+    @pytest.mark.parametrize("flags", [
+        ["--iters", "0"],
+        ["--iters", "-5"],
+        ["--group-size", "0"],
+        ["--group-size", "-2"],
+    ])
+    def test_bad_bench_flag_exits_two_before_timing(self, flags, capsys):
+        code = main(["bench"] + flags)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "must be at least 1" in captured.err
+
+    def test_missing_bench_params_exits_two_before_timing(self, capsys):
+        code = main(["bench", "--params", "/definitely/not/here.params"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "error:" in captured.err
 
     def test_bench_times_no_subgroup_pow(self):
         # every value the bench exponentiates is a power of the generator, so

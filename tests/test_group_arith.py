@@ -14,7 +14,6 @@ from agdh.errors import BadLength, ConfigError, NotInSubgroup, ZeroScalar
 from agdh.group_arith import (
     PROD,
     TOY,
-    WINDOW,
     ExpCounter,
     GroupParams,
     decode_element,
@@ -27,9 +26,9 @@ from agdh.group_arith import (
     random_scalar,
     scalar_inverse,
     _MEMO_SIZE,
-    _generator_table,
     _in_subgroup,
     _is_probable_prime,
+    _power_q_is_one,
     _powmod,
     kernel_name,
 )
@@ -195,9 +194,9 @@ class TestEncoding:
         assert decode_element(data, PROD) == element
 
 
-# Subgroups of 128-bit moduli whose orders are 61 bits (not a multiple of
-# WINDOW, so the top table row holds a partial digit) and 66 bits (a
-# multiple, so the top row is full).
+# Subgroups of 128-bit moduli, so their powers take the native kernel where
+# there is one, with orders of 61 bits (not a multiple of 6) and 66 bits (a
+# multiple).
 ODD_WIDTH = parse_params_text("""
 name=q61
 p=80000000000000067fffffffffffffad
@@ -210,87 +209,71 @@ p=800000000000000cbffffffffffffae3
 q=20000000000000083
 g=627b8c392cfd6dd6864a4caf01895d02
 """)
-TABLE_GROUPS = [PROD, TOY, ODD_WIDTH, FULL_WIDTH]
+GENERATOR_GROUPS = [PROD, TOY, ODD_WIDTH, FULL_WIDTH]
+
+# Exponents are also drawn as 6-bit digits, with runs of zero digits.
+DIGIT_BITS = 6
 
 
-def rows_of(params: GroupParams) -> int:
-    return (params.order.bit_length() + WINDOW - 1) // WINDOW
+def digits_of(params: GroupParams) -> int:
+    return (params.order.bit_length() + DIGIT_BITS - 1) // DIGIT_BITS
 
 
 def edge_exponents(params: GroupParams) -> list[int]:
     q = params.order
-    top = WINDOW * (rows_of(params) - 1)
+    top = DIGIT_BITS * (digits_of(params) - 1)
     values = [0, 1, 2, q - 1, q, q + 1, 2 * q, 3 * q - 1,
               -1, -2, -q, -(q + 1), -(1 << 300)]
-    # a single nonzero window, with every other window zero
-    values += [d << (WINDOW * i) for i in range(rows_of(params))
-               for d in (1, (1 << WINDOW) - 1)]
-    # zero windows between two nonzero ones, and all-ones exponents
+    # a single nonzero digit, with every other digit zero
+    values += [d << (DIGIT_BITS * i) for i in range(digits_of(params))
+               for d in (1, (1 << DIGIT_BITS) - 1)]
+    # zero digits between two nonzero ones, and all-ones exponents
     values += [(1 << top) + 1, (1 << top) - 1, (1 << q.bit_length()) - 1]
     return values
 
 
+def assert_edge_powers_match_pow(params: GroupParams) -> None:
+    g, q, p = params.generator, params.order, params.modulus
+    for s in edge_exponents(params):
+        assert exp(g, s, params) == pow(g, s % q, p), s
+
+
 class TestGeneratorTable:
-    @pytest.mark.parametrize("params", TABLE_GROUPS, ids=lambda p: p.name)
+    """Powers of the generator, which take the same kernel as any other
+    base, against builtin pow.  The class keeps the name it had while these
+    powers came from a fixed-base table, so its test ids stay stable."""
+
+    @pytest.mark.parametrize("params", GENERATOR_GROUPS, ids=lambda p: p.name)
     def test_edge_exponents_match_pow(self, params):
-        g, q, p = params.generator, params.order, params.modulus
-        for s in edge_exponents(params):
-            assert exp(g, s, params) == pow(g, s % q, p), s
+        assert_edge_powers_match_pow(params)
+
+    @pytest.mark.parametrize("params", GENERATOR_GROUPS, ids=lambda p: p.name)
+    def test_edge_exponents_match_pow_on_builtin_pow(self, params,
+                                                     builtin_kernel):
+        assert kernel_name(params) == "builtin pow"
+        assert_edge_powers_match_pow(params)
 
     @settings(max_examples=60)
-    @given(st.sampled_from(TABLE_GROUPS), st.integers(-(2**300), 2**300))
+    @given(st.sampled_from(GENERATOR_GROUPS), st.integers(-(2**300), 2**300))
     def test_drawn_exponents_match_pow(self, params, s):
         g = params.generator
         assert exp(g, s, params) == pow(g, s % params.order, params.modulus)
 
     @settings(max_examples=60)
-    @given(st.sampled_from(TABLE_GROUPS),
-           st.lists(st.sampled_from([0, 0, 0, 1, 2, (1 << WINDOW) - 1]),
+    @given(st.sampled_from(GENERATOR_GROUPS),
+           st.lists(st.sampled_from([0, 0, 0, 1, 2, (1 << DIGIT_BITS) - 1]),
                     max_size=30))
     def test_drawn_sparse_windows_match_pow(self, params, digits):
-        s = sum(d << (WINDOW * i) for i, d in enumerate(digits))
+        s = sum(d << (DIGIT_BITS * i) for i, d in enumerate(digits))
         g = params.generator
         assert exp(g, s, params) == pow(g, s % params.order, params.modulus)
 
-    def test_table_layout(self):
-        g, p = ODD_WIDTH.generator, ODD_WIDTH.modulus
-        table = _generator_table(g, p, ODD_WIDTH.order)
-        assert len(table) == rows_of(ODD_WIDTH) == 11
-        for i, row in enumerate(table):
-            assert len(row) == 1 << WINDOW
-            for j, entry in enumerate(row):
-                assert entry == pow(g, j << (WINDOW * i), p)
-
-    @pytest.mark.parametrize("params", TABLE_GROUPS, ids=lambda p: p.name)
+    @pytest.mark.parametrize("params", GENERATOR_GROUPS, ids=lambda p: p.name)
     def test_counter_bumps_once_per_call(self, params):
         counter = ExpCounter()
         for calls, s in enumerate(edge_exponents(params), start=1):
             exp(params.generator, s, params, counter)
             assert counter.count == calls
-
-    def test_built_once_per_group(self):
-        # g^2 also generates the order-q subgroup, so this group's table is
-        # one that no other test builds
-        g = pow(ODD_WIDTH.generator, 2, ODD_WIDTH.modulus)
-        params = GroupParams(ODD_WIDTH.modulus, ODD_WIDTH.order, g,
-                             "q61-squared").validate()
-        before = _generator_table.cache_info()
-        for s in range(1, 20):
-            assert exp(g, s, params) == pow(g, s, params.modulus)
-        exp(ODD_WIDTH.generator, 5, params)  # another base: no table
-        after = _generator_table.cache_info()
-        assert after.misses - before.misses == 1
-        assert after.hits - before.hits == 18
-
-    def test_import_builds_no_table(self):
-        src = os.path.dirname(os.path.dirname(os.path.abspath(agdh.__file__)))
-        code = ("import agdh\n"
-                "from agdh.group_arith import _generator_table\n"
-                "print(_generator_table.cache_info().currsize)")
-        env = dict(os.environ, PYTHONPATH=src)
-        proc = subprocess.run([sys.executable, "-c", code], env=env,
-                              capture_output=True, text=True, check=True)
-        assert proc.stdout.strip() == "0"
 
 
 def subgroup_checks(fn):
@@ -355,14 +338,38 @@ class TestKnownElements:
         assert not any(is_element(p - v, params) for v in values[::16])
         assert len(group_arith._known) == _MEMO_SIZE
 
-    def test_generator_of_wrong_order_is_refused(self):
-        # not validated: 5 has order 22 in Z_23*, so its powers must not be
-        # filed as members of the order-11 subgroup
-        bad = GroupParams(23, 11, 5, "bad-generator")
+    @pytest.mark.parametrize("bad, honest", [
+        # 5 has order 22 in Z_23*
+        (GroupParams(23, 11, 5, "bad-generator"), TOY),
+        # p-1 has order 2: the refusal on the native kernel
+        (GroupParams(PROD.modulus, PROD.order, PROD.modulus - 1,
+                     "order-2-generator"), PROD),
+    ], ids=["toy", "prod"])
+    def test_generator_of_wrong_order_is_refused(self, bad, honest):
+        # not validated: the generator's powers must not be filed as members
+        # of the order-q subgroup
         with pytest.raises(ConfigError):
             exp(bad.generator, 3, bad)
-        assert not is_element(5, TOY)
-        assert not is_element(10, TOY)
+        assert not is_element(bad.generator, honest)
+        assert not is_element(pow(bad.generator, 3, bad.modulus), honest)
+
+    @pytest.mark.parametrize("honest", [ODD_WIDTH, PROD], ids=lambda p: p.name)
+    def test_generator_order_is_confirmed_without_a_subgroup_check(self, honest):
+        # g^3 also generates the order-q subgroup; the group is not
+        # validated, so its first generator power confirms g's order
+        p = honest.modulus
+        fresh = GroupParams(p, honest.order, pow(honest.generator, 3, p),
+                            f"{honest.name}-cubed")
+        before = _power_q_is_one.cache_info()
+        power, checks = subgroup_checks(lambda: exp(fresh.generator, 5, fresh))
+        assert checks == 0
+        assert _power_q_is_one.cache_info().misses == before.misses + 1
+        # the power is filed as known, and g's order is not confirmed again
+        _, checks = subgroup_checks(
+            lambda: (encode_element(power, fresh),
+                     exp(fresh.generator, 7, fresh)))
+        assert checks == 0
+        assert _power_q_is_one.cache_info().misses == before.misses + 1
 
 
 # Moduli for the exponentiation kernel: PROD's p and a 2048-bit prime take
