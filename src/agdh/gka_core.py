@@ -19,6 +19,15 @@ exponentiation where available, builtin ``pow`` otherwise.  On PROD, on a
 on builtin ``pow``; the same holds for the leader's own blind and its ``m``
 responses.  Each counts as one exponentiation.
 
+The paper's cost model treats multiplications as free; at m = 100 they are
+not.  A member's key step is therefore 1 counted exponentiation (the
+recovery) plus m products, and the leader's finalize is one product over
+its blind and the m responses.  Both products run through
+``group_arith.prodmod`` on the same kernel as the powers: Montgomery
+multiplication on PROD, about 1.5 us per factor against about 3.3 us for a
+Python ``a * b % p``, so the m = 100 fold takes about 0.15 ms next to the
+recovery's 0.1 ms.  No product is counted as an exponentiation.
+
 ``respond`` and ``recover_leader_blind`` still check that their input is a
 subgroup element, because each raises it to a secret: a received value of
 small order there would leak that secret modulo the small order (Lim and
@@ -31,7 +40,7 @@ that no check or exponentiation in the process has met costs a subgroup
 from __future__ import annotations
 
 import hashlib
-from collections.abc import Iterable
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from .errors import DegenerateKey, DuplicateParticipant, NotInSubgroup, ZeroScalar
@@ -42,7 +51,7 @@ from .group_arith import (
     Scalar,
     exp,
     is_element,
-    mul,
+    prodmod,
     scalar_inverse,
 )
 
@@ -112,21 +121,18 @@ def recover_leader_blind(response: GroupElement, own_secret: Scalar,
 
 
 def compute_key_member(leader_blind: GroupElement,
-                       responses: Iterable[GroupElement],
+                       responses: Sequence[GroupElement],
                        params: GroupParams) -> GroupElement:
     """Member side: multiply the recovered leader blind with every response.
 
-    Multiplications only; with no responses the key is the leader blind
-    itself (singleton group).  ``responses`` are the announced response
-    values, one per member; the caller passes them from an announcement
-    that ``messages.validate_shape`` has accepted, which refuses an IGROUP
+    One :func:`~agdh.group_arith.prodmod` over the m responses, no
+    exponentiation; with no responses the key is the leader blind itself
+    (singleton group).  ``responses`` are the announced response values,
+    one per member; the caller passes them from an announcement that
+    ``messages.validate_shape`` has accepted, which refuses an IGROUP
     naming a participant twice, so no duplicate check is repeated here.
     """
-    modulus = params.modulus
-    key = leader_blind
-    for response in responses:
-        key = key * response % modulus
-    return key
+    return prodmod(leader_blind, responses, params)
 
 
 def compute_key_leader(leader_secret: Scalar,
@@ -190,14 +196,14 @@ class LeaderBatch:
 
     Responses are produced as contributions arrive, so when the group
     announcement must go out no exponentiation remains: finalize is one
-    multiplication (the pre-computed leader blind times the running product).
+    :func:`~agdh.group_arith.prodmod`, the pre-computed leader blind times
+    every response.
     """
 
     params: GroupParams
     leader_secret: Scalar
     leader_blind: GroupElement
     responses: list[BlindedResponse] = field(default_factory=list)
-    running_product: GroupElement = 1
     _absorbed: set[int] = field(default_factory=set)
 
 
@@ -222,13 +228,14 @@ def batch_absorb(batch: LeaderBatch, contribution: Contribution,
                        batch.params, counter)
     batch._absorbed.add(contribution.participant_id)
     batch.responses.append(BlindedResponse(contribution.participant_id, response))
-    batch.running_product = mul(batch.running_product, response, batch.params)
     return batch
 
 
 def batch_finalize(batch: LeaderBatch) -> tuple[GroupElement, list[BlindedResponse]]:
-    """Produce the key and response list; zero exponentiations left here."""
-    key = mul(batch.leader_blind, batch.running_product, batch.params)
+    """Produce the key and response list; zero exponentiations left here,
+    one product over the responses."""
+    key = prodmod(batch.leader_blind, [r.response for r in batch.responses],
+                  batch.params)
     if key == 1:
         raise DegenerateKey("group key folded to the identity element")
     return key, list(batch.responses)

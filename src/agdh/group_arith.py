@@ -31,6 +31,18 @@ library is bound on the first power that needs it, never at import.
 ``validate``, ``_is_probable_prime`` and ``gka_core.oracle_key`` keep
 builtin ``pow``.  Each :func:`exp` call counts as one exponentiation.
 
+Products of many elements, a member folding the m announced responses into
+its key and the leader folding its own, go through :func:`prodmod`, on the
+kernel the same modulus gives its powers.  On the native kernel each factor
+is one ``BN_mod_mul_montgomery`` into a per-thread accumulator, and one
+more product by a cached ``R^(n+1) mod p`` undoes the Montgomery scaling;
+on PROD that is about 1.5 us per factor, against about 3.3 us for Python's
+``a * b % p`` (2-CPU VM), so at m = 100 the fold costs about 0.15 ms rather
+than 0.33 ms.  The Python loop stays the fallback wherever builtin ``pow``
+is the kernel (about 0.06 us per factor on TOY).  Products are not
+exponentiations and no counter sees them; :func:`mul` remains for a single
+product.
+
 Membership answers are memoised under the closure rule: a power of an
 element of the order-q subgroup is itself in that subgroup.  The memo is one
 set of ``(value, p, q)`` keys, the same key as the ``_in_subgroup`` check,
@@ -52,7 +64,8 @@ from __future__ import annotations
 
 import random
 import threading
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
 
 from .errors import BadLength, ConfigError, NotInSubgroup, ZeroScalar
@@ -151,8 +164,9 @@ def _power_q_is_one(generator: int, modulus: int, order: int) -> bool:
 class ExpCounter:
     """Counts group exponentiations performed on behalf of one node.
 
-    Incremented exactly once per :func:`exp` call; mul and encode/decode never
-    touch it, so the count is the protocol's exponentiation cost.
+    Incremented exactly once per :func:`exp` call; mul, prodmod and
+    encode/decode never touch it, so the count is the protocol's
+    exponentiation cost.
     """
 
     __slots__ = ("count",)
@@ -248,11 +262,12 @@ def _openssl() -> "_OpenSSL | None":
 
 
 class _OpenSSL:
-    """``BN_mod_exp_mont_consttime`` from an OpenSSL ``libcrypto``.
+    """``BN_mod_exp_mont_consttime`` and ``BN_mod_mul_montgomery`` from an
+    OpenSSL ``libcrypto``.
 
-    Each modulus gets one Montgomery context, shared by every thread (the
-    exponentiation only reads it); the scratch numbers and ``BN_CTX`` an
-    exponentiation writes belong to one thread.  ``ctypes`` releases the
+    Each modulus gets one Montgomery context, shared by every thread (powers
+    and products only read it); the scratch numbers and ``BN_CTX`` they
+    write belong to one thread.  ``ctypes`` releases the
     interpreter lock during each call, so threads exponentiate in parallel.
     A call that reports failure raises RuntimeError, never returns a value.
     """
@@ -288,27 +303,69 @@ class _OpenSSL:
         self.bn2binpad = bind("BN_bn2binpad", num, ptr, text, num)
         self.exp = bind("BN_mod_exp_mont_consttime", num,
                         ptr, ptr, ptr, ptr, ptr, ptr)
+        self.mont_mul = bind("BN_mod_mul_montgomery", num,
+                             ptr, ptr, ptr, ptr, ptr)
+        self.to_mont = bind("BN_to_montgomery", num, ptr, ptr, ptr, ptr)
+        self.one = bind("BN_value_one", ptr)()
         version = bind("OpenSSL_version", text, num)(0).decode()
         self.version = " ".join(version.split()[:2])  # "OpenSSL 3.0.2"
         self.buffer = ctypes.create_string_buffer
         self.modulus = lru_cache(maxsize=8)(partial(_Modulus, self))
+        self.correction = lru_cache(maxsize=256)(self._correction)
         self._local = threading.local()
 
-    def powmod(self, base: int, e: int, modulus: int) -> int:
-        mod = self.modulus(modulus)
+    def _scratch(self) -> "_Scratch":
         try:
-            scratch = self._local.scratch
+            return self._local.scratch
         except AttributeError:
-            scratch = self._local.scratch = _Scratch(self)
-        width = mod.width
-        self.bin2bn((base % modulus).to_bytes(width, "big"), width, scratch.base)
+            self._local.scratch = _Scratch(self)
+            return self._local.scratch
+
+    def _power(self, result, base, e: int, mod: "_Modulus",
+               scratch: "_Scratch") -> None:
         exponent = e.to_bytes((e.bit_length() + 7) // 8, "big")
         self.bin2bn(exponent, len(exponent), scratch.exponent)
-        self.exp(scratch.result, scratch.base, scratch.exponent, mod.bn,
-                 scratch.ctx, mod.mont)
+        self.exp(result, base, scratch.exponent, mod.bn, scratch.ctx, mod.mont)
+
+    def _to_bytes(self, bn, width: int) -> bytes:
         out = self.buffer(width)
-        self.bn2binpad(scratch.result, out, width)
-        return int.from_bytes(out.raw, "big")
+        self.bn2binpad(bn, out, width)
+        return out.raw
+
+    def powmod(self, base: int, e: int, modulus: int) -> int:
+        mod, scratch = self.modulus(modulus), self._scratch()
+        width = mod.width
+        self.bin2bn((base % modulus).to_bytes(width, "big"), width, scratch.base)
+        self._power(scratch.result, scratch.base, e, mod, scratch)
+        return int.from_bytes(self._to_bytes(scratch.result, width), "big")
+
+    def _correction(self, modulus: int, n: int) -> bytes:
+        mod, scratch = self.modulus(modulus), self._scratch()
+        self._power(scratch.result, mod.r, n + 1, mod, scratch)
+        return self._to_bytes(scratch.result, mod.width)
+
+    def prodmod(self, first: int, factors: Sequence[int], modulus: int) -> int:
+        """``first * prod(factors) mod p`` for values already in ``(0, p)``.
+
+        Each ``BN_mod_mul_montgomery`` divides by R, so the n factor
+        products leave ``R^-n`` in the accumulator; one more product, by
+        ``R^(n+1) mod p`` (itself divided by R once), cancels it.  That correction is ``R mod p``
+        raised to the public ``n + 1`` on the exponentiation kernel, once
+        per modulus and ``n`` (about 24 us on PROD; :attr:`correction`
+        keeps the last 256): Montgomery bookkeeping, not a protocol
+        exponentiation, so no :class:`ExpCounter` sees it.
+        """
+        mod, scratch = self.modulus(modulus), self._scratch()
+        width, bin2bn, mont_mul = mod.width, self.bin2bn, self.mont_mul
+        acc, factor, ctx, mont = scratch.result, scratch.base, scratch.ctx, mod.mont
+        # a correction not yet cached is computed in the scratch: before acc
+        bin2bn(self.correction(modulus, len(factors)), width, factor)
+        bin2bn(first.to_bytes(width, "big"), width, acc)
+        mont_mul(acc, acc, factor, mont, ctx)
+        for value in factors:
+            bin2bn(value.to_bytes(width, "big"), width, factor)
+            mont_mul(acc, acc, factor, mont, ctx)
+        return int.from_bytes(self._to_bytes(acc, width), "big")
 
 
 class _Owner:
@@ -329,9 +386,10 @@ class _Owner:
 
 
 class _Modulus(_Owner):
-    """A modulus and its Montgomery context."""
+    """A modulus, its Montgomery context and ``R mod p``, where R is the
+    context's power of two (whatever the library's word size makes it)."""
 
-    __slots__ = ("width", "bn", "mont")
+    __slots__ = ("width", "bn", "mont", "r")
 
     def __init__(self, lib: _OpenSSL, modulus: int) -> None:
         super().__init__()
@@ -339,16 +397,19 @@ class _Modulus(_Owner):
         self.bn = self.own(lib.free_bn, lib.bin2bn(
             modulus.to_bytes(self.width, "big"), self.width, None))
         self.mont = self.own(lib.free_mont, lib.new_mont())
+        self.r = self.own(lib.free_bn, lib.new_bn())
         ctx = lib.new_ctx()
         try:
             lib.set_mont(self.mont, self.bn, ctx)
+            lib.to_mont(self.r, lib.one, self.mont, ctx)
         finally:
             lib.free_ctx(ctx)
 
 
 class _Scratch(_Owner):
     """One thread's ``BN_CTX`` and the three numbers an exponentiation
-    writes; the thread's end drops the last reference."""
+    writes (a product uses ``result`` as its accumulator and ``base`` for
+    each factor); the thread's end drops the last reference."""
 
     __slots__ = ("ctx", "base", "exponent", "result")
 
@@ -363,6 +424,28 @@ class _Scratch(_Owner):
 def mul(a: GroupElement, b: GroupElement, params: GroupParams) -> GroupElement:
     """a*b mod p."""
     return a * b % params.modulus
+
+
+def prodmod(first: GroupElement, factors: Sequence[GroupElement],
+            params: GroupParams) -> GroupElement:
+    """``first * prod(factors) mod p``, on the kernel :func:`_powmod`
+    would take for this modulus: Montgomery products where that is the
+    native kernel, a Python loop otherwise.
+
+    Every value must lie in ``(0, p)``; anything else raises NotInSubgroup
+    before any native call, since a Montgomery product of an unreduced
+    input is wrong.  No exponentiation is counted.
+    """
+    modulus = params.modulus
+    if not 0 < first < modulus or factors and (
+            min(factors) <= 0 or max(factors) >= modulus):
+        raise NotInSubgroup(f"a factor is out of range for {params.name!r}")
+    native = _native_for(modulus)
+    if native is not None:
+        return native.prodmod(first, factors, modulus)
+    for factor in factors:
+        first = first * factor % modulus
+    return first
 
 
 def scalar_inverse(s: Scalar, params: GroupParams) -> Scalar:

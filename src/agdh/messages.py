@@ -63,7 +63,8 @@ class MessageKind(IntEnum):
 _HEADER_LEN = 1 + 4 + 16 + 8 + 2
 _ENTRY_FIXED = 4 + NONCE_LEN + 1  # id, nonce, has_response
 _KINDS = {int(kind): kind for kind in MessageKind}
-_MAX_ID = 2**32 - 1
+#: Largest participant id: ids travel as 4-byte unsigned wire fields.
+MAX_ID = 2**32 - 1
 _MAX_EPOCH = 2**64 - 1
 
 
@@ -129,7 +130,7 @@ class HmacKeyRing:
 
 
 def _check_fields(msg: Message, params: GroupParams) -> None:
-    if not 0 <= msg.sender_id <= _MAX_ID:
+    if not 0 <= msg.sender_id <= MAX_ID:
         raise ShapeViolation("sender_id")
     if len(msg.sender_nonce) != NONCE_LEN:
         raise ShapeViolation("sender_nonce")
@@ -138,7 +139,7 @@ def _check_fields(msg: Message, params: GroupParams) -> None:
     if len(msg.entries) > 0xFFFF:
         raise ShapeViolation("entries")
     for i, e in enumerate(msg.entries):
-        if not 0 <= e.participant_id <= _MAX_ID:
+        if not 0 <= e.participant_id <= MAX_ID:
             raise ShapeViolation(f"entries[{i}].participant_id")
         if len(e.nonce) != NONCE_LEN:
             raise ShapeViolation(f"entries[{i}].nonce")

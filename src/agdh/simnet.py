@@ -33,7 +33,7 @@ from .node_fsm import (
     Outgoing,
     TimerFired,
 )
-from .messages import HmacKeyRing
+from .messages import MAX_ID, HmacKeyRing
 
 # queue entry tags; the unique sequence number keeps payloads uncompared
 _TIMER, _DELIVER, _SCHED = 0, 1, 2
@@ -99,8 +99,8 @@ class SimConfig:
     initial_leader: int | None = None  # skip the election, per the IKA setup
 
     def validate(self) -> "SimConfig":
-        if self.node_count < 1:
-            raise ConfigError("node_count must be at least 1")
+        if not 1 <= self.node_count <= MAX_ID:
+            raise ConfigError(f"node_count must lie in [1, {MAX_ID}]")
         if self.initial_leader is not None and not \
                 1 <= self.initial_leader <= self.node_count:
             raise ConfigError("initial_leader must be one of the starting nodes")
@@ -115,23 +115,31 @@ class SimConfig:
 
     def _validate_schedule(self) -> None:
         """Replay the schedule in run order, (at, index), and reject entries
-        that could only fail mid-run: a join of an id that already exists,
-        a leave or crash of an id that is not live, and partition cells
-        that overlap."""
-        known = set(range(1, self.node_count + 1))
-        live = set(known)
+        that could only fail mid-run: an id the wire cannot carry, a join
+        of an id that already exists, a leave or crash of an id that is not
+        live, and partition cells that overlap.  The starting ids are a
+        range, never a set, so a large ``node_count`` costs no memory here."""
+        joined: set[int] = set()
+        departed: set[int] = set()
+
+        def known(node_id: int) -> bool:
+            return 1 <= node_id <= self.node_count or node_id in joined
+
         order = sorted(range(len(self.schedule)),
                        key=lambda i: (self.schedule[i].at, i))
         for entry in (self.schedule[i] for i in order):
+            for node_id in _ids_of(entry):
+                if not 0 <= node_id <= MAX_ID:
+                    raise ConfigError(
+                        f"node id {node_id} outside [0, {MAX_ID}]")
             if isinstance(entry, JoinAt):
-                if entry.node_id in known:
+                if known(entry.node_id):
                     raise UnknownNode(f"node {entry.node_id} already exists")
-                known.add(entry.node_id)
-                live.add(entry.node_id)
+                joined.add(entry.node_id)
             elif isinstance(entry, (LeaveAt, CrashAt)):
-                if entry.node_id not in live:
+                if not known(entry.node_id) or entry.node_id in departed:
                     raise UnknownNode(f"node {entry.node_id} is not live")
-                live.discard(entry.node_id)
+                departed.add(entry.node_id)
             elif isinstance(entry, PartitionAt):
                 seen: set[int] = set()
                 for cell in entry.cells:
@@ -140,6 +148,15 @@ class SimConfig:
                             raise OverlapError(
                                 f"node {node_id} in two partition cells")
                         seen.add(node_id)
+
+
+def _ids_of(entry) -> tuple[int, ...]:
+    """Every node id a schedule entry names."""
+    if isinstance(entry, PartitionAt):
+        return tuple(node_id for cell in entry.cells for node_id in cell)
+    if isinstance(entry, HealAt):
+        return ()
+    return (entry.node_id,)
 
 
 @dataclass(frozen=True)

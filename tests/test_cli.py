@@ -107,6 +107,19 @@ class TestRunCommand:
         assert "node 99 is not live" in capsys.readouterr().err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("line", ["10s join 4294967296", "10s join -5"])
+    def test_id_outside_the_wire_range_exits_two(self, line, tmp_path, capsys):
+        scenario = tmp_path / "s.scn"
+        scenario.write_text(line + "\n")
+        out_dir = tmp_path / "out"
+        code = main(["run", "--nodes", "3", "--toy", "--scenario", str(scenario),
+                     "--out", str(out_dir)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "outside [0, 4294967295]" in captured.err
+        assert not out_dir.exists()
+
     def test_bad_flag_value_exits_two(self, capsys):
         code = main(["run", "--nodes", "3", "--loss", "2.0"])
         assert code == 2

@@ -5,7 +5,7 @@ import sys
 import threading
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import agdh
@@ -23,6 +23,7 @@ from agdh.group_arith import (
     load_params,
     mul,
     parse_params_text,
+    prodmod,
     random_scalar,
     scalar_inverse,
     _MEMO_SIZE,
@@ -372,11 +373,12 @@ class TestKnownElements:
         assert _power_q_is_one.cache_info().misses == before.misses + 1
 
 
-# Moduli for the exponentiation kernel: PROD's p and a 2048-bit prime take
-# the native kernel where there is one, an even modulus and TOY's p builtin
-# pow.
+# Moduli for the exponentiation kernel: PROD's p, a 2048-bit prime and the
+# 521-bit Mersenne prime, whose width is not a multiple of the 64-bit
+# Montgomery word, take the native kernel where there is one; an even
+# modulus and TOY's p take builtin pow.
 PRIME_2048 = 2**2048 - 1942289
-KERNEL_MODULI = [PROD.modulus, PRIME_2048, 2**1024 + 2, TOY.modulus]
+KERNEL_MODULI = [PROD.modulus, PRIME_2048, 2**521 - 1, 2**1024 + 2, TOY.modulus]
 EDGE_EXPONENTS = [0, 1, PROD.order - 1, PROD.order, 2**1024 - 1]
 
 
@@ -407,6 +409,76 @@ def builtin_kernel(request, monkeypatch):
     group_arith._openssl.cache_clear()
     yield
     group_arith._openssl.cache_clear()  # rebound once the patch is undone
+
+
+def python_fold(first: int, factors: list[int], m: int) -> int:
+    for factor in factors:
+        first = first * factor % m
+    return first
+
+
+def kernel_probe(m: int) -> GroupParams:
+    # not validated: prodmod reads only the modulus
+    return GroupParams(m, 2, 2, "kernel-probe")
+
+
+@st.composite
+def product_cases(draw, m: int):
+    value = st.one_of(st.sampled_from([1, m - 1]), st.integers(1, m - 1))
+    return draw(value), draw(st.lists(value, max_size=120))
+
+
+def assert_products_match_python(m: int, data) -> None:
+    first, factors = data.draw(product_cases(m))
+    assert prodmod(first, factors, kernel_probe(m)) == \
+        python_fold(first, factors, m)
+
+
+def assert_out_of_range_values_raise(m: int) -> None:
+    params = kernel_probe(m)
+    for value in (0, m, -3, 2 * m + 1):
+        for first, factors in ((value, [2]), (2, [value]),
+                               (2, [3, m - 1, value, 1])):
+            with pytest.raises(NotInSubgroup):
+                prodmod(first, factors, params)
+
+
+class TestProductKernel:
+    @pytest.mark.parametrize("m", KERNEL_MODULI, ids=lambda m: f"{m.bit_length()}b")
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_drawn_products_match_python(self, m, data):
+        assert_products_match_python(m, data)
+
+    @pytest.mark.parametrize("m", KERNEL_MODULI, ids=lambda m: f"{m.bit_length()}b")
+    @settings(max_examples=10, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_drawn_products_match_python_on_builtin_pow(self, m, data,
+                                                        builtin_kernel):
+        assert kernel_name(kernel_probe(m)) == "builtin pow"
+        assert_products_match_python(m, data)
+
+    @needs_native
+    @pytest.mark.parametrize("m", [PROD.modulus, PRIME_2048, 2**521 - 1],
+                             ids=lambda m: f"{m.bit_length()}b")
+    def test_every_length_on_the_native_kernel(self, m):
+        # each length needs its own Montgomery correction R^(n+1)
+        native, rng = group_arith._openssl(), random.Random(m)
+        for n in range(121):
+            factors = [rng.choice([1, m - 1, rng.randrange(1, m)])
+                       for _ in range(n)]
+            first = rng.randrange(1, m)
+            assert native.prodmod(first, factors, m) == \
+                python_fold(first, factors, m), n
+
+    @pytest.mark.parametrize("m", KERNEL_MODULI, ids=lambda m: f"{m.bit_length()}b")
+    def test_out_of_range_values_raise(self, m):
+        assert_out_of_range_values_raise(m)
+
+    @pytest.mark.parametrize("m", KERNEL_MODULI, ids=lambda m: f"{m.bit_length()}b")
+    def test_out_of_range_values_raise_on_builtin_pow(self, m, builtin_kernel):
+        assert_out_of_range_values_raise(m)
 
 
 class TestPowKernel:
@@ -448,10 +520,10 @@ class TestPowKernel:
 
     @needs_native
     def test_threads_share_no_scratch(self):
-        """Threads exponentiate at once, with the interpreter lock released
-        inside each native call, on two moduli: every result must equal
-        builtin pow's, which a scratch number shared between threads
-        would break."""
+        """Threads exponentiate and multiply at once, with the interpreter
+        lock released inside each native call, on two moduli: every result
+        must equal builtin pow's or the Python fold's, which a scratch
+        number shared between threads would break."""
         results: dict[int, list[tuple[int, int]]] = {}
         groups = [PROD, ODD_WIDTH, PROD, ODD_WIDTH]
 
@@ -464,6 +536,10 @@ class TestPowKernel:
                 s = random_scalar(rng, params)
                 got.append((exp(base, s, params),
                             pow(base, s, params.modulus)))
+                factors = [rng.randrange(1, params.modulus)
+                           for _ in range(rng.randrange(8))]
+                got.append((prodmod(base, factors, params),
+                            python_fold(base, factors, params.modulus)))
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -479,7 +555,7 @@ class TestPowKernel:
             sys.setswitchinterval(interval)
         assert sorted(results) == list(range(len(groups)))
         for got in results.values():
-            assert len(got) == 150
+            assert len(got) == 300
             assert all(native == builtin for native, builtin in got)
 
     @needs_native

@@ -349,6 +349,48 @@ class TestChurn:
             SimConfig(node_count=3, schedule=(
                 PartitionAt(SECOND, ((1, 2), (2, 3))),)).validate()
 
+    @pytest.mark.parametrize("schedule", [
+        (JoinAt(SECOND, 2**32),),
+        (JoinAt(SECOND, -5),),
+        (LeaveAt(SECOND, 2**32),),
+        (CrashAt(SECOND, -1),),
+        (PartitionAt(SECOND, ((1, 2), (3, 2**32))),),
+        (PartitionAt(SECOND, ((1, -2), (3,))),),
+    ])
+    def test_id_outside_the_wire_range_rejected_by_validate(self, schedule):
+        """Ids travel as 4-byte unsigned fields, so one outside
+        [0, 2^32-1] could only fail mid-run."""
+        with pytest.raises(ConfigError, match="outside"):
+            SimConfig(node_count=3, schedule=schedule).validate()
+
+    def test_wire_range_edges_accepted(self):
+        config = SimConfig(node_count=3, schedule=(
+            JoinAt(SECOND, 0), JoinAt(SECOND, 2**32 - 1),
+            PartitionAt(2 * SECOND, ((0, 1), (2**32 - 1, 2, 3)))))
+        assert config.validate() is config
+
+    def test_node_count_beyond_the_wire_range_rejected(self):
+        # validate only: a run of that many nodes is never started
+        with pytest.raises(ConfigError, match="node_count"):
+            SimConfig(node_count=2**32).validate()
+
+    def test_validate_holds_no_set_of_starting_ids(self):
+        import tracemalloc
+
+        config = SimConfig(node_count=10**6, schedule=(
+            JoinAt(SECOND, 0), LeaveAt(2 * SECOND, 10**6),
+            CrashAt(3 * SECOND, 0)))
+        tracemalloc.start()
+        try:
+            assert config.validate() is config
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        with pytest.raises(UnknownNode, match="already exists"):
+            SimConfig(node_count=10**6,
+                      schedule=(JoinAt(SECOND, 10**6),)).validate()
+
 
 class TestAuditIntegration:
     def test_clean_lossy_run_audits_clean_on_prod(self):
