@@ -44,7 +44,6 @@ from .group_arith import (
     encode_element,
     exp,
     load_params,
-    mul,
     parse_params_text,
     random_scalar,
     scalar_inverse,

@@ -40,31 +40,33 @@ on PROD that is about 1.5 us per factor, against about 3.3 us for Python's
 ``a * b % p`` (2-CPU VM), so at m = 100 the fold costs about 0.15 ms rather
 than 0.33 ms.  The Python loop stays the fallback wherever builtin ``pow``
 is the kernel (about 0.06 us per factor on TOY).  Products are not
-exponentiations and no counter sees them; :func:`mul` remains for a single
-product.
+exponentiations and no counter sees them.
 
 Membership answers are memoised under the closure rule: a power of an
 element of the order-q subgroup is itself in that subgroup.  The memo is one
-set of ``(value, p, q)`` keys, the same key as the ``_in_subgroup`` check,
-so each group keeps its own known elements even where two groups share
-``p``.  Only two things write to it: :func:`is_element`, after the check has
-proved a value a member, and :func:`exp`, for a power of the generator or
-of a value already in the set.  A power of the generator is filed only
+set of ints per ``(p, q)``, so each group keeps its own known elements even
+where two groups share ``p``; :attr:`GroupParams.known` holds the group's
+set, so a lookup hashes the value alone, not the 1024-bit modulus with it.
+:func:`is_element` asks about one value and :func:`all_known` about many
+at once (one ``set.issuperset``, no subgroup check).  Only two things
+write to a set: :func:`is_element`, after the check has proved a value a
+member, and :func:`exp`, for a power of the generator or of a value
+already in the set.  A power of the generator is filed only
 once the generator's order is confirmed: :meth:`GroupParams.check_generator`
 tests ``g^q = 1`` with builtin ``pow``, once per group, whether ``validate``
 or the group's first generator power asks first, and never through the
 subgroup check.  A value a node computed itself is therefore known when it
 is encoded, and no subgroup ``pow`` re-checks it; a value that arrives from
-outside is known only if it is one of those.  The set holds at most
-``1 << 16`` keys, like the check's own cache; past that an arbitrary key is
-dropped, which costs a later check, never a wrong answer.
+outside is known only if it is one of those.  Each set holds at most
+``1 << 16`` values, like the check's own cache; past that an arbitrary value
+is dropped, which costs a later check, never a wrong answer.
 """
 
 from __future__ import annotations
 
 import random
 import threading
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
 
@@ -77,11 +79,13 @@ GroupElement = int
 # for larger candidates the same fixed list gives error < 4^-15.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
-#: Entries each membership memo (known set, check cache) holds at most.
+#: Entries each membership memo (a group's known set, the check cache)
+#: holds at most.
 _MEMO_SIZE = 1 << 16
 
-# (value, p, q) for every value known to lie in the order-q subgroup of Z_p*.
-_known: set[tuple[int, int, int]] = set()
+# (p, q) -> the values known to lie in the order-q subgroup of Z_p*; every
+# GroupParams with that (p, q) holds the same set as GroupParams.known.
+_known_sets: dict[tuple[int, int], set[int]] = {}
 
 #: Widest modulus, in bits, that keeps builtin ``pow`` as its kernel: up
 #: to about here the native call's fixed cost outweighs what it saves.
@@ -127,6 +131,13 @@ class GroupParams:
         frozen dataclass without slots still has."""
         return (self.modulus.bit_length() + 7) // 8
 
+    @cached_property
+    def known(self) -> set[int]:
+        """The values known to lie in this group's order-q subgroup: one set
+        shared by every instance with the same ``(p, q)``, kept in the
+        instance dict like :attr:`element_width`."""
+        return _known_sets.setdefault((self.modulus, self.order), set())
+
     def validate(self) -> "GroupParams":
         """Check the group structure; raise ConfigError if it does not hold.
 
@@ -164,7 +175,7 @@ def _power_q_is_one(generator: int, modulus: int, order: int) -> bool:
 class ExpCounter:
     """Counts group exponentiations performed on behalf of one node.
 
-    Incremented exactly once per :func:`exp` call; mul, prodmod and
+    Incremented exactly once per :func:`exp` call; prodmod and
     encode/decode never touch it, so the count is the protocol's
     exponentiation cost.
     """
@@ -197,13 +208,13 @@ def exp(base: GroupElement, s: Scalar, params: GroupParams,
     """
     if counter is not None:
         counter.bump()
-    modulus, order = params.modulus, params.order
-    result = _powmod(base, s % order, modulus)
+    result = _powmod(base, s % params.order, params.modulus)
+    known = params.known
     if base == params.generator:
         params.check_generator()
-    elif (base, modulus, order) not in _known:
+    elif base not in known:
         return result
-    _remember((result, modulus, order))
+    _remember(result, known)
     return result
 
 
@@ -421,11 +432,6 @@ class _Scratch(_Owner):
         self.result = self.own(lib.free_bn, lib.new_bn())
 
 
-def mul(a: GroupElement, b: GroupElement, params: GroupParams) -> GroupElement:
-    """a*b mod p."""
-    return a * b % params.modulus
-
-
 def prodmod(first: GroupElement, factors: Sequence[GroupElement],
             params: GroupParams) -> GroupElement:
     """``first * prod(factors) mod p``, on the kernel :func:`_powmod`
@@ -464,10 +470,10 @@ def _in_subgroup(value: int, modulus: int, order: int) -> bool:
     return 0 < value < modulus and _powmod(value, order, modulus) == 1
 
 
-def _remember(key: tuple[int, int, int]) -> None:
-    if len(_known) >= _MEMO_SIZE:
-        _known.pop()
-    _known.add(key)
+def _remember(value: int, known: set[int]) -> None:
+    if len(known) >= _MEMO_SIZE:
+        known.pop()
+    known.add(value)
 
 
 def is_element(value: int, params: GroupParams) -> bool:
@@ -476,13 +482,22 @@ def is_element(value: int, params: GroupParams) -> bool:
     Known elements answer from the memo; any other value pays the subgroup
     check, and a value it proves a member becomes known.
     """
-    key = (value, params.modulus, params.order)
-    if key in _known:
+    known = params.known
+    if value in known:
         return True
-    if _in_subgroup(*key):
-        _remember(key)
+    if _in_subgroup(value, params.modulus, params.order):
+        _remember(value, known)
         return True
     return False
+
+
+def all_known(values: Iterable[int], params: GroupParams) -> bool:
+    """True iff every value is already a known element of the subgroup.
+
+    One set query, and no subgroup check: False means only that some value
+    is not yet known, which :func:`is_element` must then settle.
+    """
+    return params.known.issuperset(values)
 
 
 def encode_element(e: GroupElement, params: GroupParams) -> bytes:

@@ -28,8 +28,14 @@ A receiver takes each wire through these steps, cheapest refusal first:
    fixed header, and the node refuses an announcement that is not its own
    but comes from a leader it would not follow (``stale_epoch``,
    ``larger_leader``) before anything else is parsed or checked;
-2. :func:`decode`, one pass over the bytes that checks every length, flag
-   and element (one membership test per element);
+2. :func:`decode`, which checks every length, flag and element.  An
+   announcement whose every entry carries a response, at exactly the
+   length that implies, and whose every element is already known to the
+   process (``group_arith``'s per-group memo) is decoded in bulk: one
+   ``struct`` unpack of all entries and one batched membership query, with
+   no subgroup check.  Any other wire, IREPLY and DEL included, takes one
+   pass entry by entry, one membership test per element, and reports its
+   first defect;
 3. :func:`verify`, the signature over the received bytes;
 4. :func:`validate_shape`, the per-kind entry grammar (an IGROUP names no
    participant twice);
@@ -46,12 +52,20 @@ from __future__ import annotations
 
 import hashlib
 import hmac
+import struct
 from dataclasses import dataclass
 from enum import IntEnum
+from functools import lru_cache
 
 from .errors import MalformedMessage, ShapeViolation, UnknownParticipant
 from .gka_core import NONCE_LEN
-from .group_arith import GroupElement, GroupParams, encode_element, is_element
+from .group_arith import (
+    GroupElement,
+    GroupParams,
+    all_known,
+    encode_element,
+    is_element,
+)
 
 
 class MessageKind(IntEnum):
@@ -63,6 +77,7 @@ class MessageKind(IntEnum):
 _HEADER_LEN = 1 + 4 + 16 + 8 + 2
 _ENTRY_FIXED = 4 + NONCE_LEN + 1  # id, nonce, has_response
 _KINDS = {int(kind): kind for kind in MessageKind}
+_IGROUP = MessageKind.IGROUP
 #: Largest participant id: ids travel as 4-byte unsigned wire fields.
 MAX_ID = 2**32 - 1
 _MAX_EPOCH = 2**64 - 1
@@ -192,8 +207,18 @@ def read_header(data: bytes) -> tuple[MessageKind, int, int]:
 def decode(data: bytes, params: GroupParams) -> Message:
     """Parse a signed wire message; validates lengths, kinds, and subgroup
     membership of every element.  Raises MalformedMessage on any defect.
-    ``data`` must be ``bytes``: the nonces and the signature are slices."""
+    ``data`` must be ``bytes``: the nonces and the signature are slices.
+
+    An announcement first tries :func:`_decode_announcement`, the bulk
+    path for a wire whose every entry carries a response and whose every
+    element is already known; any other wire, and every IREPLY and DEL
+    after one ``kind`` comparison, takes the entry-by-entry loop below,
+    which checks each element and reports the first defect."""
     kind, sender_id, epoch = read_header(data)
+    if kind is _IGROUP:
+        msg = _decode_announcement(data, sender_id, epoch, params)
+        if msg is not None:
+            return msg
     width = params.element_width
     from_bytes = int.from_bytes
     end = len(data)
@@ -228,6 +253,45 @@ def decode(data: bytes, params: GroupParams) -> Message:
     if end != pos + sig_len:
         raise MalformedMessage("signature length mismatch")
     return Message(kind, sender_id, data[5:21], epoch, tuple(entries), data[pos:])
+
+
+@lru_cache(maxsize=8)
+def _announced_entry(width: int) -> struct.Struct:
+    """One announcement entry that carries a response, for elements of
+    ``width`` bytes: id, nonce, has_response, blinded secret, response."""
+    return struct.Struct(f">I{NONCE_LEN}sB{width}s{width}s")
+
+
+def _decode_announcement(data: bytes, sender_id: int, epoch: int,
+                         params: GroupParams) -> Message | None:
+    """The IGROUP ``data`` holds, decoded in bulk, or None where the wire
+    needs the entry-by-entry loop: an entry count of zero, a length other
+    than exactly ``count`` entries with responses plus the signature, a
+    ``has_response`` byte other than 1, or an element not yet known.
+
+    One ``iter_unpack`` splits the entries, two comprehensions convert the
+    2m elements, and one :func:`all_known` query, with no subgroup check,
+    vouches for all of them.  A wire it returns is one the loop accepts,
+    and decodes to the same message: every length and flag is as the loop
+    requires, and every element is known, which is what the loop's
+    :func:`is_element` tests first."""
+    count = int.from_bytes(data[29:31], "big")
+    layout = _announced_entry(params.element_width)
+    end = _HEADER_LEN + count * layout.size
+    if not count or len(data) != end + 2 + int.from_bytes(data[end:end + 2], "big"):
+        return None
+    ids, nonces, flags, blinds, responses = zip(
+        *layout.iter_unpack(memoryview(data)[_HEADER_LEN:end]))
+    if flags.count(1) != count:
+        return None
+    from_bytes = int.from_bytes
+    blinded = [from_bytes(field, "big") for field in blinds]
+    answered = [from_bytes(field, "big") for field in responses]
+    if not all_known(blinded + answered, params):
+        return None
+    return Message(_IGROUP, sender_id, data[5:21], epoch,
+                   tuple(map(GroupEntry, ids, nonces, blinded, answered)),
+                   data[end + 2:])
 
 
 def _non_member(value: int, params: GroupParams) -> MalformedMessage:

@@ -475,6 +475,11 @@ class Node:
                 if not just_replied:
                     self._send_ireply(now, out)
                 return
+            if my_entry.blinded_response == 1:
+                # the response to the blind of a secret in [1, q-1] is never
+                # the identity; recovering from one gives the leader blind
+                # 1, and a key any eavesdropper can compute from the wire
+                return self._refuse(out, "identity_response", sender)
             if (self.session is None or self.session_leader != sender
                     or self.session.epoch != msg.epoch):
                 leader_blind = recover_leader_blind(

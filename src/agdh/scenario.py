@@ -9,8 +9,11 @@ number means seconds) and the verbs are:
     <time> partition <ids>|<ids>[|<ids>...]
     <time> heal
 
-``<ids>`` is a comma-separated list of node ids.  Blank lines and ``#``
-comments are ignored.
+``<ids>`` is a comma-separated list of node ids.  Each verb takes exactly
+the arguments shown, and each partition cell names at least one id; a line
+that does not (``join 5 6``, ``partition 1,2||3``, ``heal now``) is a
+ConfigError naming its line, never a schedule entry that silently drops
+what it could not read.  Blank lines and ``#`` comments are ignored.
 """
 
 from __future__ import annotations
@@ -44,11 +47,41 @@ def parse_duration(text: str) -> int:
     return round(value * scale)
 
 
+#: Arguments each verb takes after ``<time> <verb>``.
+_ARITY = {"join": 1, "leave": 2, "partition": 1, "heal": 0}
+
+
 def _parse_ids(text: str) -> tuple[int, ...]:
+    if not text:
+        raise ConfigError("empty partition cell")
     try:
-        return tuple(int(part) for part in text.split(",") if part)
+        return tuple(int(part) for part in text.split(","))
     except ValueError:
         raise ConfigError(f"bad id list {text!r}") from None
+
+
+def _parse_entry(parts: list[str]):
+    at = parse_duration(parts[0])
+    if len(parts) < 2:
+        raise ConfigError("missing verb")
+    verb, args = parts[1], parts[2:]
+    arity = _ARITY.get(verb)
+    if arity is None:
+        raise ConfigError(f"unknown verb {verb!r}")
+    if len(args) != arity:
+        raise ConfigError(f"{verb} takes {arity} argument(s), got {len(args)}")
+    if verb == "join":
+        return JoinAt(at, int(args[0]))
+    if verb == "leave":
+        node, how = int(args[0]), args[1]
+        if how == "graceful":
+            return LeaveAt(at, node, graceful=True)
+        if how == "crash":
+            return CrashAt(at, node)
+        raise ConfigError(f"leave mode {how!r}")
+    if verb == "partition":
+        return PartitionAt(at, tuple(_parse_ids(cell) for cell in args[0].split("|")))
+    return HealAt(at)
 
 
 def parse_scenario(text: str) -> tuple:
@@ -58,30 +91,9 @@ def parse_scenario(text: str) -> tuple:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        parts = line.split()
         try:
-            at = parse_duration(parts[0])
-            verb = parts[1]
-            if verb == "join":
-                schedule.append(JoinAt(at, int(parts[2])))
-            elif verb == "leave":
-                how = parts[3]
-                if how == "graceful":
-                    schedule.append(LeaveAt(at, int(parts[2]), graceful=True))
-                elif how == "crash":
-                    schedule.append(CrashAt(at, int(parts[2])))
-                else:
-                    raise ConfigError(f"leave mode {how!r}")
-            elif verb == "partition":
-                cells = tuple(_parse_ids(cell) for cell in parts[2].split("|"))
-                schedule.append(PartitionAt(at, cells))
-            elif verb == "heal":
-                schedule.append(HealAt(at))
-            else:
-                raise ConfigError(f"unknown verb {verb!r}")
-        except (IndexError, ValueError) as exc:
-            raise ConfigError(f"scenario line {lineno}: {exc}") from None
-        except ConfigError as exc:
+            schedule.append(_parse_entry(line.split()))
+        except (ValueError, ConfigError) as exc:
             raise ConfigError(f"scenario line {lineno}: {exc}") from None
     return tuple(schedule)
 

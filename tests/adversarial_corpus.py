@@ -238,4 +238,18 @@ def run_corpus() -> dict[str, Outcome]:
         probe(f"del_forged_nonce_{label}", leader,
               encode_signed(forged_del, params), now)
 
+    # --- validly signed announcements answering the member with the identity -
+    # A response of 1 would make the member recover the leader blind 1, so
+    # its key would be the product of the public responses.  The epoch is
+    # new, so the member would otherwise derive a key from it.
+    for label, params in (("toy", TOY), ("prod", PROD)):
+        leader, member, other, empty, keyed, reply2, now = build_pair(params)
+        msg = keyed.message
+        entries = tuple(replace(e, blinded_response=1) if e.participant_id == 2
+                        else e for e in msg.entries)
+        identity = sign(build_igroup(1, msg.sender_nonce, msg.epoch + 1, entries),
+                        RING, params)
+        probe(f"identity_response_{label}", member,
+              encode_signed(identity, params), now)
+
     return outcomes

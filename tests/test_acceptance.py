@@ -286,6 +286,9 @@ def test_criterion_7_adversarial_rejection():
         if name.startswith("del_forged_nonce_"):
             assert outcome.reason == "del_nonce_mismatch", \
                 f"{name}: {outcome.reason}"
+        if name.startswith("identity_response_"):
+            assert outcome.reason == "identity_response", \
+                f"{name}: {outcome.reason}"
     print(f"\n  adversarial corpus: {len(outcomes)} tampered messages, "
           f"0 accepted")
 

@@ -69,6 +69,35 @@ class TestScenarioGrammar:
         with pytest.raises(ConfigError, match="line 2"):
             parse_scenario("10s heal\n20s join notanumber")
 
+    @pytest.mark.parametrize("line, reason", [
+        ("30s join 5 6", "join takes 1 argument"),
+        ("30s join", "join takes 1 argument"),
+        ("30s leave 3", "leave takes 2 argument"),
+        ("30s leave 3 crash 4", "leave takes 2 argument"),
+        ("30s partition 1,2|3,4 5,6", "partition takes 1 argument"),
+        ("30s partition", "partition takes 1 argument"),
+        ("30s partition 1,2||3", "empty partition cell"),
+        ("30s partition |", "empty partition cell"),
+        ("30s partition 1,2|", "empty partition cell"),
+        ("30s partition 1,,2|3", "bad id list"),
+        ("30s heal now", "heal takes 0 argument"),
+        ("30s", "missing verb"),
+    ])
+    def test_each_verb_takes_exactly_its_arguments(self, line, reason):
+        with pytest.raises(ConfigError, match=f"scenario line 2: {reason}"):
+            parse_scenario("10s heal\n" + line)
+
+    @pytest.mark.parametrize("line", ["30s join 5 6", "30s partition 1,2||3"])
+    def test_malformed_line_exits_two_before_the_run(self, tmp_path, capsys, line):
+        scenario = tmp_path / "s.scn"
+        scenario.write_text("10s heal\n" + line + "\n")
+        code = main(["run", "--nodes", "3", "--toy", "--scenario", str(scenario),
+                     "--duration", "40s"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "scenario line 2" in captured.err
+        assert captured.out == ""
+
 
 class TestRunCommand:
     def test_lossless_run_exits_zero_and_writes_outputs(self, tmp_path, capsys):

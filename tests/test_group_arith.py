@@ -19,9 +19,9 @@ from agdh.group_arith import (
     decode_element,
     encode_element,
     exp,
+    all_known,
     is_element,
     load_params,
-    mul,
     parse_params_text,
     prodmod,
     random_scalar,
@@ -117,17 +117,17 @@ class TestExpMul:
             assert exp(x, 0, TOY) == 1
 
     def test_mul_frozen_values(self):
-        assert mul(8, 2, TOY) == 16
-        assert mul(16, 16, TOY) == slow_exp(16, 2, TOY) == 3
+        assert prodmod(8, [2], TOY) == 16
+        assert prodmod(16, [16], TOY) == slow_exp(16, 2, TOY) == 3
 
     def test_mul_identity(self):
         for x in TOY_SUBGROUP:
-            assert mul(x, 1, TOY) == x
+            assert prodmod(x, [1], TOY) == x
 
     def test_counter_counts_only_exp(self):
         counter = ExpCounter()
         exp(2, 3, TOY, counter)
-        mul(8, 2, TOY)
+        prodmod(8, [2], TOY)
         encode_element(9, TOY)
         decode_element(b"\x09", TOY)
         exp(2, 5, TOY, counter)
@@ -140,7 +140,7 @@ class TestExpMul:
 
     @given(st.sampled_from(TOY_SUBGROUP), st.sampled_from(TOY_SUBGROUP))
     def test_closure(self, x, y):
-        assert is_element(mul(x, y, TOY), TOY)
+        assert is_element(prodmod(x, [y], TOY), TOY)
 
 
 class TestInverse:
@@ -330,14 +330,37 @@ class TestKnownElements:
             assert is_element(v, TOY) and not is_element(v, pair)
 
     def test_bound_keeps_answers_right(self, monkeypatch):
-        monkeypatch.setattr(group_arith, "_known", set())
+        # the bound holds per group: filling one group's set evicts nothing
+        # from another's
+        toy_known = set(TOY.known)
         params, p = ODD_WIDTH, ODD_WIDTH.modulus
+        monkeypatch.setitem(vars(params), "known", set())
         values = [exp(params.generator, s, params)
                   for s in range(1, _MEMO_SIZE + 500)]
-        assert len(group_arith._known) == _MEMO_SIZE
+        assert len(params.known) == _MEMO_SIZE
         assert all(is_element(v, params) for v in values)
         assert not any(is_element(p - v, params) for v in values[::16])
-        assert len(group_arith._known) == _MEMO_SIZE
+        assert len(params.known) == _MEMO_SIZE
+        assert TOY.known == toy_known
+
+    def test_equal_groups_share_one_set(self):
+        copy = GroupParams(PROD.modulus, PROD.order, PROD.generator, "copy")
+        assert copy.known is PROD.known
+        assert GroupParams(23, 2, 22, "order-2").known is not TOY.known
+
+    def test_all_known_pays_no_subgroup_check(self):
+        rng = random.Random("all-known")
+        blinded = [exp(PROD.generator, random_scalar(rng, PROD), PROD)
+                   for _ in range(3)]
+        outside = pow(PROD.generator, random_scalar(rng, PROD), PROD.modulus)
+        assert subgroup_checks(lambda: all_known(blinded, PROD)) == (True, 0)
+        assert subgroup_checks(
+            lambda: all_known(blinded + [outside], PROD)) == (False, 0)
+        assert all_known([], PROD)
+        # a member is known once a check has proved it
+        assert is_element(outside, PROD)
+        assert all_known(blinded + [outside], PROD)
+        assert not all_known([PROD.modulus - 1], PROD)
 
     @pytest.mark.parametrize("bad, honest", [
         # 5 has order 22 in Z_23*

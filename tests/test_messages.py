@@ -1,5 +1,7 @@
 import functools
+import itertools
 import os
+import random
 from dataclasses import replace
 
 import pytest
@@ -14,7 +16,15 @@ from agdh.errors import (
     UnknownParticipant,
 )
 from agdh.gka_core import NONCE_LEN
-from agdh.group_arith import PROD, TOY, decode_element
+from agdh import messages
+from agdh.group_arith import (
+    PROD,
+    TOY,
+    _in_subgroup,
+    decode_element,
+    exp,
+    random_scalar,
+)
 from agdh.messages import (
     GroupEntry,
     HmacKeyRing,
@@ -31,6 +41,7 @@ from agdh.messages import (
     sign_and_encode,
     validate_shape,
     verify,
+    _decode_announcement,
 )
 
 RING = HmacKeyRing.provision(range(1, 8), master="vector-fixture")
@@ -508,6 +519,79 @@ def test_decode_matches_reference(data):
                             data.draw(st.sampled_from(NON_MEMBERS[params])),
                             params)
     assert_decodes_like_reference(wire, params)
+
+
+# -- the bulk announcement path -----------------------------------------------
+
+
+def announcement(params, count: int) -> bytes:
+    """A signed IGROUP wire of ``count`` entries whose elements are powers
+    of the generator, so each is known once computed."""
+    rng = random.Random(f"announcement/{params.name}/{count}")
+
+    def element():
+        return exp(params.generator, random_scalar(rng, params), params)
+
+    entries = [GroupEntry(pid, rng.randbytes(16), element(), element())
+               for pid in range(2, count + 2)]
+    msg = build_igroup(1, rng.randbytes(16), count, entries)
+    return sign_and_encode(msg, RING, params)[1]
+
+
+#: TOY announcements of 1 to 40 entries and one PROD announcement of 99,
+#: with the stride that samples each one's mutants.
+BULK_CASES = [(TOY, count, 11) for count in range(1, 41)] + [(PROD, 99, 53)]
+
+
+@pytest.mark.parametrize("memo", ["warm", "cold"])
+def test_bulk_decode_matches_reference(memo, monkeypatch):
+    """Honest announcements and a sample of their mutants decode like the
+    reference, with the memo warm (an honest wire takes the bulk path) and
+    emptied before every decode (every wire takes the loop)."""
+    if memo == "cold":
+        for params in (TOY, PROD):
+            monkeypatch.setitem(vars(params), "known", set())
+
+    def forget():
+        if memo == "cold":
+            TOY.known.clear()
+            PROD.known.clear()
+
+    for params, count, stride in BULK_CASES:
+        wire = announcement(params, count)
+        forget()
+        bulk = _decode_announcement(wire, 1, count, params)
+        if memo == "warm":
+            assert bulk == reference_decode(wire, params)
+        else:
+            assert bulk is None
+        for mutant in itertools.islice(mutants(wire, params), 0, None, stride):
+            forget()
+            assert_decodes_like_reference(mutant, params)
+
+
+def test_warm_announcement_pays_no_membership_test(monkeypatch):
+    """An honest m = 30 PROD announcement whose elements are known decodes
+    without one ``is_element`` or subgroup check; an IREPLY still takes
+    one ``is_element`` for its one element."""
+    wire = announcement(PROD, 30)
+    blinded = exp(PROD.generator, 12345, PROD)
+    reply = sign_and_encode(build_ireply(2, nonce(0xAA), 1, GroupEntry(
+        2, nonce(0xAA), blinded, None)), RING, PROD)[1]
+    tested = []
+    real = messages.is_element
+    monkeypatch.setattr(messages, "is_element",
+                        lambda value, params: tested.append(value) or real(value, params))
+
+    def checks():
+        info = _in_subgroup.cache_info()
+        return info.hits + info.misses
+
+    before = checks()
+    msg = decode(wire, PROD)
+    assert len(msg.entries) == 30 and tested == [] and checks() == before
+    assert decode(reply, PROD).entries[0].blinded_secret == blinded
+    assert tested == [blinded] and checks() == before
 
 
 class TestHeader:
