@@ -10,7 +10,6 @@ from .errors import (
     ConfigError,
     CountMismatch,
     DegenerateKey,
-    DuplicateParticipant,
     MalformedMessage,
     NotInSubgroup,
     OverlapError,
@@ -21,8 +20,7 @@ from .errors import (
     ZeroScalar,
 )
 from .gka_core import (
-    BlindedResponse,
-    Contribution,
+    GroupEntry,
     SessionKey,
     batch_absorb,
     batch_finalize,
@@ -48,7 +46,7 @@ from .group_arith import (
     random_scalar,
     scalar_inverse,
 )
-from .messages import GroupEntry, HmacKeyRing, Message, MessageKind
+from .messages import HmacKeyRing, Message, MessageKind
 from .node_fsm import Mode, Node, NodeConfig
 from .oracle import AuditReport, CostRow, audit_transcript, cost_table
 from .simnet import SimConfig, SimResult, converged, leaders, run

@@ -191,8 +191,8 @@ def _bench_group(params: GroupParams, group_size: int, iters: int) -> list[str]:
         member_secrets = [random_scalar(rng, params) for _ in range(group_size - 1)]
         if (1 + sum(member_secrets)) % params.order != 0:
             break  # avoid the degenerate fold (relevant on tiny groups)
-    contributions = [
-        gka_core.Contribution(i, bytes(16), gka_core.blind(s, params))
+    shares = [
+        gka_core.GroupEntry(i, bytes(16), gka_core.blind(s, params))
         for i, s in enumerate(member_secrets, start=1)
     ]
     leader_secret = random_scalar(rng, params)
@@ -201,7 +201,7 @@ def _bench_group(params: GroupParams, group_size: int, iters: int) -> list[str]:
     # the announcement
     counter = ExpCounter()
     t0 = time.perf_counter()
-    gka_core.compute_key_leader(leader_secret, contributions, params, counter)
+    gka_core.compute_key_leader(leader_secret, shares, params, counter)
     unbatched_time = time.perf_counter() - t0
     lines.append(f"  unbatched leader (m={group_size}):"
                  f" {counter.count} expos on the critical path,"
@@ -210,8 +210,8 @@ def _bench_group(params: GroupParams, group_size: int, iters: int) -> list[str]:
     # batched: responses are precomputed on arrival; only finalize remains
     counter = ExpCounter()
     batch = gka_core.batch_new(leader_secret, params, counter)
-    for c in contributions:
-        gka_core.batch_absorb(batch, c, counter)
+    for share in shares:
+        gka_core.batch_absorb(batch, share, counter)
     before = counter.count
     t0 = time.perf_counter()
     gka_core.batch_finalize(batch)

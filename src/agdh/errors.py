@@ -21,10 +21,6 @@ class NotInSubgroup(ProtocolError):
     """Value is not a member of the prime-order subgroup."""
 
 
-class DuplicateParticipant(ProtocolError):
-    """Two contributions or responses claim the same participant id."""
-
-
 class DegenerateKey(ProtocolError):
     """The computed group key is the identity element and must not be used."""
 

@@ -11,6 +11,14 @@ where r_l is the leader secret and r_i the member secrets.  ``oracle_key``
 computes the right-hand side directly in the exponent and exists purely as an
 independent check; the protocol paths never call it.
 
+A share has one type, :class:`GroupEntry`, from the member's draw to the
+leader's announcement: the member's ``(id, nonce, g^r_i)`` travels in its
+IREPLY with no response, and the leader's batch answers it with
+``g^(r_i * r_l)`` in the same type, which the IGROUP then carries.  The
+batch keeps one entry per participant id: absorbing a share from an id it
+already holds replaces that entry and moves it to the end, as a refresh
+does in the leader's view.
+
 Both counted exponentiations of a member, the blinding (a power of the
 generator) and the recovery of the leader blind, go through
 ``group_arith``'s one kernel: OpenSSL's constant-time Montgomery
@@ -48,7 +56,7 @@ import hashlib
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
-from .errors import DegenerateKey, DuplicateParticipant, NotInSubgroup, ZeroScalar
+from .errors import DegenerateKey, NotInSubgroup, ZeroScalar
 from .group_arith import (
     ExpCounter,
     GroupElement,
@@ -65,20 +73,16 @@ DERIVED_KEY_LEN = 32
 
 
 @dataclass(frozen=True)
-class Contribution:
-    """One participant's public share: identity, nonce, and blinded secret."""
+class GroupEntry:
+    """One participant's share, the only type it has from draw to
+    announcement: id, nonce and blinded secret as the member draws it and
+    sends it in its IREPLY, and, once the leader has answered it, the
+    leader's blinded response, as the IGROUP announces it."""
 
     participant_id: int
     nonce: bytes
     blinded_secret: GroupElement
-
-
-@dataclass(frozen=True)
-class BlindedResponse:
-    """The leader's reply for one member: its blinded secret raised to r_l."""
-
-    participant_id: int
-    response: GroupElement
+    blinded_response: GroupElement | None = None
 
 
 @dataclass(frozen=True)
@@ -141,22 +145,23 @@ def compute_key_member(leader_blind: GroupElement,
 
 
 def compute_key_leader(leader_secret: Scalar,
-                       contributions: list[Contribution],
+                       shares: Sequence[GroupEntry],
                        params: GroupParams,
                        counter: ExpCounter | None = None,
-                       ) -> tuple[GroupElement, list[BlindedResponse]]:
-    """Leader side: respond to every contribution and fold the key.
+                       ) -> tuple[GroupElement, list[GroupEntry]]:
+    """Leader side: answer every share and fold the key.
 
-    A :class:`LeaderBatch` run over the whole list at once: the leader's own
-    blind, then one response per contribution in list order, so it costs
-    exactly len(contributions) + 1 exponentiations.  Raises DegenerateKey if
-    the folded key is the identity element, which happens exactly when
-    1 + sum(r_i) = 0 mod q; the caller must drop a contribution and retry
-    rather than ship an identity key.
+    A :class:`LeaderBatch` run over the whole sequence at once: the leader's
+    own blind, then one response per share in sequence order, so it costs
+    exactly len(shares) + 1 exponentiations.  Returns the key and the
+    entries to announce, responses filled in.  Raises DegenerateKey if the
+    folded key is the identity element, which happens exactly when
+    1 + sum(r_i) = 0 mod q; the caller must drop a share and retry rather
+    than ship an identity key.
     """
     batch = batch_new(leader_secret, params, counter)
-    for c in contributions:
-        batch_absorb(batch, c, counter)
+    for share in shares:
+        batch_absorb(batch, share, counter)
     return batch_finalize(batch)
 
 
@@ -199,17 +204,19 @@ def derive_session_key(key: GroupElement, epoch: int, params: GroupParams) -> by
 class LeaderBatch:
     """Incremental leader-side key computation.
 
-    Responses are produced as contributions arrive, so when the group
-    announcement must go out no exponentiation remains: finalize is one
+    Shares are answered as they arrive, so when the group announcement must
+    go out no exponentiation remains: finalize is one
     :func:`~agdh.group_arith.prodmod`, the pre-computed leader blind times
-    every response.
+    every response.  ``entries`` holds one answered :class:`GroupEntry` per
+    participant id, in the order of each id's last absorb: a share from an
+    id absorbed before replaces that id's entry and moves it to the end,
+    as a refresh does in the leader's view.
     """
 
     params: GroupParams
     leader_secret: Scalar
     leader_blind: GroupElement
-    responses: list[BlindedResponse] = field(default_factory=list)
-    _absorbed: set[int] = field(default_factory=set)
+    entries: dict[int, GroupEntry] = field(default_factory=dict)
 
 
 def batch_new(leader_secret: Scalar, params: GroupParams,
@@ -222,25 +229,25 @@ def batch_new(leader_secret: Scalar, params: GroupParams,
     )
 
 
-def batch_absorb(batch: LeaderBatch, contribution: Contribution,
+def batch_absorb(batch: LeaderBatch, share: GroupEntry,
                  counter: ExpCounter | None = None) -> LeaderBatch:
-    """Fold one contribution into the batch (one exponentiation, now)."""
-    if contribution.participant_id in batch._absorbed:
-        raise DuplicateParticipant(
-            f"participant {contribution.participant_id} already absorbed"
-        )
-    response = respond(contribution.blinded_secret, batch.leader_secret,
+    """Answer one share (one exponentiation, now), replacing any earlier
+    share of the same participant."""
+    pid = share.participant_id
+    response = respond(share.blinded_secret, batch.leader_secret,
                        batch.params, counter)
-    batch._absorbed.add(contribution.participant_id)
-    batch.responses.append(BlindedResponse(contribution.participant_id, response))
+    batch.entries.pop(pid, None)
+    batch.entries[pid] = GroupEntry(pid, share.nonce, share.blinded_secret,
+                                    response)
     return batch
 
 
-def batch_finalize(batch: LeaderBatch) -> tuple[GroupElement, list[BlindedResponse]]:
-    """Produce the key and response list; zero exponentiations left here,
-    one product over the responses."""
-    key = prodmod(batch.leader_blind, [r.response for r in batch.responses],
+def batch_finalize(batch: LeaderBatch) -> tuple[GroupElement, list[GroupEntry]]:
+    """Produce the key and the answered entries; zero exponentiations left
+    here, one product over the responses."""
+    entries = list(batch.entries.values())
+    key = prodmod(batch.leader_blind, [e.blinded_response for e in entries],
                   batch.params)
     if key == 1:
         raise DegenerateKey("group key folded to the identity element")
-    return key, list(batch.responses)
+    return key, entries

@@ -58,9 +58,8 @@ from enum import IntEnum
 from functools import lru_cache
 
 from .errors import MalformedMessage, ShapeViolation, UnknownParticipant
-from .gka_core import NONCE_LEN
+from .gka_core import NONCE_LEN, GroupEntry
 from .group_arith import (
-    GroupElement,
     GroupParams,
     all_known,
     encode_element,
@@ -81,17 +80,6 @@ _IGROUP = MessageKind.IGROUP
 #: Largest participant id: ids travel as 4-byte unsigned wire fields.
 MAX_ID = 2**32 - 1
 _MAX_EPOCH = 2**64 - 1
-
-
-@dataclass(frozen=True)
-class GroupEntry:
-    """One member's tuple inside a message: id, nonce, blinded secret, and,
-    in announcements, the leader's blinded response."""
-
-    participant_id: int
-    nonce: bytes
-    blinded_secret: GroupElement
-    blinded_response: GroupElement | None = None
 
 
 @dataclass(frozen=True)

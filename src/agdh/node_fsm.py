@@ -26,7 +26,7 @@ from enum import Enum
 
 from .errors import ConfigError, DegenerateKey, MalformedMessage, ShapeViolation
 from .gka_core import (
-    Contribution,
+    GroupEntry,
     SessionKey,
     blind,
     compute_key_leader,
@@ -36,7 +36,6 @@ from .gka_core import (
 )
 from .group_arith import ExpCounter, GroupParams, random_scalar
 from .messages import (
-    GroupEntry,
     Message,
     MessageKind,
     build_del,
@@ -115,7 +114,8 @@ class TimerFired:
 
 @dataclass(frozen=True)
 class LocalLeaveRequest:
-    graceful: bool = True
+    """The node is asked to leave its group gracefully (a crash never
+    reaches the node)."""
 
 
 # -- outputs -----------------------------------------------------------------
@@ -157,10 +157,10 @@ class FsmOutput:
 
 @dataclass
 class MemberRecord:
-    """What a leader knows about one member."""
+    """What a leader knows about one member: its registered share, as its
+    IREPLY carried it, and when it was last heard."""
 
-    nonce: bytes
-    blinded_secret: int
+    entry: GroupEntry
     last_heard: int
 
 
@@ -197,10 +197,10 @@ class Node:
         self.seq = 0  # send counter for member messages (replay protection)
 
         self.own_secret: int | None = None
-        self.contribution: Contribution | None = None
+        self.contribution: GroupEntry | None = None  # no response
         self.contribution_leader: int | None = None  # leader it was minted for
         self.prev_secret: int | None = None
-        self.prev_contribution: Contribution | None = None
+        self.prev_contribution: GroupEntry | None = None
 
         self.session: SessionKey | None = None
         self.session_leader: int | None = None
@@ -251,7 +251,7 @@ class Node:
         elif isinstance(event, TimerFired):
             self._on_timer(event.kind, now, out)
         elif isinstance(event, LocalLeaveRequest):
-            self._on_leave(event.graceful, now, out)
+            self._on_leave(now, out)
         else:
             raise TypeError(f"unknown event {event!r}")
         return out
@@ -264,9 +264,7 @@ class Node:
         """
         session = (self.session.epoch, self.session.group_key,
                    self.session.derived) if self.session else None
-        view = tuple(sorted(
-            (pid, r.nonce, r.blinded_secret) for pid, r in self.view.items()
-        ))
+        view = tuple(sorted((pid, r.entry) for pid, r in self.view.items()))
         return (
             self.mode, self.leader_id, session, self.session_leader,
             self.contribution, self.prev_contribution, view,
@@ -314,7 +312,7 @@ class Node:
         self.own_secret = random_scalar(self.rng, self.params)
         nonce = self._fresh_nonce()
         blinded = blind(self.own_secret, self.params, self.counter)
-        self.contribution = Contribution(self.node_id, nonce, blinded)
+        self.contribution = GroupEntry(self.node_id, nonce, blinded)
         self.secret_log.append(
             SecretRecord(now, "member", self.own_secret, blinded, nonce))
 
@@ -325,9 +323,8 @@ class Node:
     def _send_ireply(self, now: int, out: FsmOutput) -> None:
         assert self.contribution is not None and self.leader_id is not None
         self.seq += 1
-        entry = GroupEntry(self.node_id, self.contribution.nonce,
-                           self.contribution.blinded_secret, None)
-        msg = build_ireply(self.node_id, self.contribution.nonce, self.seq, entry)
+        msg = build_ireply(self.node_id, self.contribution.nonce, self.seq,
+                           self.contribution)
         out.sends.append(self._sign_and_pack(msg, self.leader_id))
 
     # -- message handling ------------------------------------------------------
@@ -462,8 +459,8 @@ class Node:
 
         fresh: SessionKey | None = None
         if my_entry is not None:
-            echoed = Contribution(self.node_id, my_entry.nonce,
-                                  my_entry.blinded_secret)
+            echoed = GroupEntry(self.node_id, my_entry.nonce,
+                                my_entry.blinded_secret)
             if echoed == self.contribution:
                 secret = self.own_secret
             elif echoed == self.prev_contribution:
@@ -532,13 +529,12 @@ class Node:
             self._rejoin_pending = True
 
         rec = self.view.get(sender)
-        if rec is not None and (rec.nonce, rec.blinded_secret) == \
-                (entry.nonce, entry.blinded_secret):
+        if rec is not None and rec.entry == entry:
             rec.last_heard = now
             return
         # a new or changed registration goes to the end of the view
         self.view.pop(sender, None)
-        self.view[sender] = MemberRecord(entry.nonce, entry.blinded_secret, now)
+        self.view[sender] = MemberRecord(entry, now)
         out.log.append(("register", sender, "new" if rec is None else "update"))
         if self.session is not None and rec is None and self.config.eager_rekey:
             self._rekey(now, out, reason="join")
@@ -548,7 +544,7 @@ class Node:
     def _on_del(self, msg: Message, now: int, out: FsmOutput) -> None:
         sender = msg.sender_id
         rec = self.view.get(sender)
-        if rec is not None and msg.sender_nonce != rec.nonce:
+        if rec is not None and msg.sender_nonce != rec.entry.nonce:
             return self._refuse(out, "del_nonce_mismatch", sender)
         self.seen_seq[sender] = msg.epoch
         out.accepted = True
@@ -679,17 +675,14 @@ class Node:
         while True:
             self.leader_secret = random_scalar(self.rng, self.params)
             self.leader_nonce = self._fresh_nonce()
-            contributions = [
-                Contribution(pid, rec.nonce, rec.blinded_secret)
-                for pid, rec in self.view.items()
-            ]
             try:
-                key, responses = compute_key_leader(
-                    self.leader_secret, contributions, self.params, self.counter)
+                key, entries = compute_key_leader(
+                    self.leader_secret, [r.entry for r in self.view.values()],
+                    self.params, self.counter)
                 break
             except DegenerateKey:
                 victim_id, victim = self.view.popitem()
-                self.blocked[victim_id] = victim.blinded_secret
+                self.blocked[victim_id] = victim.entry.blinded_secret
                 out.log.append(("degenerate_excluded", victim_id))
                 if not self.view:
                     self._dissolve(out)
@@ -706,10 +699,6 @@ class Node:
         out.key_changes.append(KeyChange(
             self.node_id, self.node_id, epoch, key, derived))
 
-        entries = [
-            GroupEntry(c.participant_id, c.nonce, c.blinded_secret, r.response)
-            for c, r in zip(contributions, responses)
-        ]
         msg = build_igroup(self.node_id, self.leader_nonce, epoch, entries)
         self.current_announcement = self._sign_and_pack(msg, None)
         out.sends.append(self.current_announcement)
@@ -717,10 +706,10 @@ class Node:
 
     # -- local leave ---------------------------------------------------------------
 
-    def _on_leave(self, graceful: bool, now: int, out: FsmOutput) -> None:
-        if (graceful and self.mode is Mode.MEMBER
-                and self.leader_id is not None and self.contribution is not None):
+    def _on_leave(self, now: int, out: FsmOutput) -> None:
+        if (self.mode is Mode.MEMBER and self.leader_id is not None
+                and self.contribution is not None):
             self.seq += 1
             msg = build_del(self.node_id, self.contribution.nonce, self.seq)
             out.sends.append(self._sign_and_pack(msg, self.leader_id))
-        out.log.append(("leave", "graceful" if graceful else "crash"))
+        out.log.append(("leave", "graceful"))

@@ -75,7 +75,7 @@ def _parse_entry(parts: list[str]):
     if verb == "leave":
         node, how = int(args[0]), args[1]
         if how == "graceful":
-            return LeaveAt(at, node, graceful=True)
+            return LeaveAt(at, node)
         if how == "crash":
             return CrashAt(at, node)
         raise ConfigError(f"leave mode {how!r}")

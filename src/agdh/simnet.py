@@ -64,7 +64,6 @@ class JoinAt:
 class LeaveAt:
     at: int
     node_id: int
-    graceful: bool = True
 
 
 @dataclass(frozen=True)
@@ -332,9 +331,14 @@ class _Simulation:
         elif isinstance(entry, JoinAt):
             self.transcript.append(at, "JOIN", entry.node_id)
             self._create_node(entry.node_id, at)
-        elif isinstance(entry, (LeaveAt, CrashAt)):
-            graceful = isinstance(entry, LeaveAt) and entry.graceful
-            self.node_leave(entry.node_id, graceful, at)
+        elif isinstance(entry, LeaveAt):
+            node = self.nodes[entry.node_id]
+            self._absorb(entry.node_id, node.handle(LocalLeaveRequest(), at), at)
+            self.transcript.append(at, "LEAVE", entry.node_id, ("graceful", "true"))
+            self.live.discard(entry.node_id)
+        elif isinstance(entry, CrashAt):
+            self.transcript.append(at, "CRASH", entry.node_id)
+            self.live.discard(entry.node_id)
         elif isinstance(entry, InjectAt):
             self.msg_seq += 1
             self.wire_by_id[self.msg_seq] = entry.wire
@@ -360,15 +364,6 @@ class _Simulation:
         for node_id in self.cells:
             self.cells[node_id] = 0
         self.transcript.append(at, "HEAL", None)
-
-    def node_leave(self, node_id: int, graceful: bool, at: int) -> None:
-        if graceful:
-            node = self.nodes[node_id]
-            self._absorb(node_id, node.handle(LocalLeaveRequest(True), at), at)
-            self.transcript.append(at, "LEAVE", node_id, ("graceful", "true"))
-        else:
-            self.transcript.append(at, "CRASH", node_id)
-        self.live.discard(node_id)
 
     # -- FSM output absorption --------------------------------------------------
 
@@ -477,7 +472,10 @@ def converged_by(result: SimResult) -> int | None:
     the leader's current key, reconstructed by replaying the transcript.
 
     Returns None if that state is never reached.  Later churn (and its
-    recovery window) does not retract an earlier convergence.
+    recovery window) does not retract an earlier convergence.  A node that
+    takes the lead starts an empty group with no session, so its STATE
+    record clears its replayed key: an election is not convergence, even
+    when the new leader still holds the key of the leader it replaces.
     """
     live: set[int] = set(range(1, result.config.node_count + 1))
     mode: dict[int, str] = {n: "member" for n in live}
@@ -485,6 +483,8 @@ def converged_by(result: SimResult) -> int | None:
     for rec in result.transcript:
         if rec.kind == "STATE":
             mode[rec.node] = rec.get("mode")
+            if mode[rec.node] == "leader":
+                key[rec.node] = None
         elif rec.kind == "KEY":
             key[rec.node] = rec.get("key")
         elif rec.kind == "DISSOLVE":

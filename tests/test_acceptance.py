@@ -13,7 +13,7 @@ import pytest
 
 from agdh.errors import DegenerateKey
 from agdh.gka_core import (
-    Contribution,
+    GroupEntry,
     batch_absorb,
     batch_finalize,
     batch_new,
@@ -131,23 +131,23 @@ def test_criterion_2_cost_table():
 def test_criterion_3_toy_exhaustive():
     cases = 0
     for r_l, r_i, r_j in itertools.product(range(1, 11), repeat=3):
-        contributions = [
-            Contribution(2, bytes([2]) * 16, blind(r_i, TOY)),
-            Contribution(4, bytes([4]) * 16, blind(r_j, TOY)),
+        shares = [
+            GroupEntry(2, bytes([2]) * 16, blind(r_i, TOY)),
+            GroupEntry(4, bytes([4]) * 16, blind(r_j, TOY)),
         ]
         expected = oracle_key(r_l, [r_i, r_j], TOY)
         if expected == 1:
             with pytest.raises(DegenerateKey):
-                compute_key_leader(r_l, contributions, TOY)
+                compute_key_leader(r_l, shares, TOY)
             cases += 1
             continue
-        key, responses = compute_key_leader(r_l, contributions, TOY)
+        key, entries = compute_key_leader(r_l, shares, TOY)
         assert key == expected
         for pid, secret in ((2, r_i), (4, r_j)):
-            mine = next(r for r in responses if r.participant_id == pid)
-            leader_blind = recover_leader_blind(mine.response, secret, TOY)
+            mine = next(e for e in entries if e.participant_id == pid)
+            leader_blind = recover_leader_blind(mine.blinded_response, secret, TOY)
             assert compute_key_member(
-                leader_blind, [r.response for r in responses], TOY) == expected
+                leader_blind, [e.blinded_response for e in entries], TOY) == expected
         cases += 1
     assert cases == 1000
 
@@ -155,7 +155,7 @@ def test_criterion_3_toy_exhaustive():
 @criterion(4, "rekey on join, graceful leave, and crash; departed keys dead")
 def test_criterion_4_rekey_semantics():
     schedule = (JoinAt(30 * SECOND, 9),
-                LeaveAt(60 * SECOND, 2, graceful=True),
+                LeaveAt(60 * SECOND, 2),
                 CrashAt(90 * SECOND, 3))
     result = run(SimConfig(node_count=4, seed=404, duration=130 * SECOND,
                            schedule=schedule),
@@ -301,24 +301,23 @@ def test_criterion_8_batching():
         secrets = [random_scalar(rng, PROD) for _ in range(49)]
         if (1 + sum(secrets)) % PROD.order != 0:
             break
-    contributions = [Contribution(i, bytes(16), blind(s, PROD))
-                     for i, s in enumerate(secrets, start=1)]
+    shares = [GroupEntry(i, bytes(16), blind(s, PROD))
+              for i, s in enumerate(secrets, start=1)]
     leader_secret = random_scalar(rng, PROD)
 
     # batched: responses computed on arrival; finalize costs 0 expos
     counter = ExpCounter()
     batch = batch_new(leader_secret, PROD, counter)
-    for c in contributions:
-        batch_absorb(batch, c, counter)
+    for share in shares:
+        batch_absorb(batch, share, counter)
     before_finalize = counter.count
-    key_batched, responses = batch_finalize(batch)
+    key_batched, _ = batch_finalize(batch)
     assert counter.count - before_finalize == 0
 
     # unbatched: everything lands between the last contribution and the
     # announcement
     counter = ExpCounter()
-    key_unbatched, _ = compute_key_leader(leader_secret, contributions,
-                                          PROD, counter)
+    key_unbatched, _ = compute_key_leader(leader_secret, shares, PROD, counter)
     assert counter.count >= 50
     assert key_batched == key_unbatched == oracle_key(leader_secret, secrets, PROD)
 

@@ -51,7 +51,7 @@ class TestScenarioGrammar:
         schedule = parse_scenario(text)
         assert schedule == (
             JoinAt(30_000_000, 11),
-            LeaveAt(45_000_000, 3, graceful=True),
+            LeaveAt(45_000_000, 3),
             CrashAt(60_000_000, 4),
             PartitionAt(90_000_000, ((1, 2, 3), (4, 5))),
             HealAt(120_000_000),

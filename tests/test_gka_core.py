@@ -3,12 +3,12 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from agdh.errors import DegenerateKey, DuplicateParticipant, NotInSubgroup, ZeroScalar
+from agdh.errors import DegenerateKey, NotInSubgroup, ZeroScalar
 from agdh.gka_core import (
-    Contribution,
+    GroupEntry,
     batch_absorb,
     batch_finalize,
     batch_new,
@@ -25,8 +25,8 @@ from agdh.group_arith import PROD, TOY, ExpCounter, _in_subgroup
 SCALARS = range(1, TOY.order)  # [1, 10]
 
 
-def contribution(pid: int, secret: int) -> Contribution:
-    return Contribution(pid, bytes([pid]) * 16, blind(secret, TOY))
+def share(pid: int, secret: int) -> GroupEntry:
+    return GroupEntry(pid, bytes([pid]) * 16, blind(secret, TOY))
 
 
 class TestBlindRespondRecover:
@@ -67,20 +67,22 @@ class TestKeyComputation:
         assert compute_key_member(8, [], TOY) == 8
 
     def test_leader_key_frozen(self):
-        key, responses = compute_key_leader(
-            3, [contribution(2, 4), contribution(4, 5)], TOY)
+        key, entries = compute_key_leader(
+            3, [share(2, 4), share(4, 5)], TOY)
         assert key == 3
-        assert [r.response for r in responses] == [2, 16]
+        assert [e.blinded_response for e in entries] == [2, 16]
+        assert [(e.participant_id, e.blinded_secret) for e in entries] == \
+            [(2, 16), (4, 9)]
 
     def test_leader_key_empty(self):
-        key, responses = compute_key_leader(3, [], TOY)
-        assert key == 8 and responses == []
+        key, entries = compute_key_leader(3, [], TOY)
+        assert key == 8 and entries == []
 
     def test_leader_cost_is_m(self):
         counter = ExpCounter()
-        contributions = [contribution(i, i) for i in range(1, 6)]
-        compute_key_leader(7, contributions, TOY, counter)
-        assert counter.count == len(contributions) + 1
+        shares = [share(i, i) for i in range(1, 6)]
+        compute_key_leader(7, shares, TOY, counter)
+        assert counter.count == len(shares) + 1
 
     def test_member_cost_is_two(self):
         counter = ExpCounter()
@@ -98,13 +100,18 @@ class TestKeyComputation:
 
     def test_degenerate_detected(self):
         # member secrets sum to 10, so 1 + sum = 0 mod 11
-        contributions = [contribution(1, 4), contribution(2, 6)]
+        shares = [share(1, 4), share(2, 6)]
         with pytest.raises(DegenerateKey):
-            compute_key_leader(3, contributions, TOY)
+            compute_key_leader(3, shares, TOY)
 
-    def test_leader_duplicate_rejected(self):
-        with pytest.raises(DuplicateParticipant):
-            compute_key_leader(3, [contribution(2, 4), contribution(2, 5)], TOY)
+    def test_leader_later_share_replaces_earlier(self):
+        counter = ExpCounter()
+        key, entries = compute_key_leader(
+            3, [share(2, 4), share(4, 5), share(2, 7)], TOY, counter)
+        assert [(e.participant_id, e.blinded_secret) for e in entries] == \
+            [(4, blind(5, TOY)), (2, blind(7, TOY))]
+        assert key == oracle_key(3, [5, 7], TOY)
+        assert counter.count == 1 + 3  # the replaced share was answered too
 
 
 def test_end_to_end_agreement_exhaustive_toy():
@@ -116,27 +123,27 @@ def test_end_to_end_agreement_exhaustive_toy():
         if (1 + r_i + r_j) % TOY.order == 0:
             with pytest.raises(DegenerateKey):
                 compute_key_leader(
-                    r_l, [contribution(p, s) for p, s in members], TOY)
+                    r_l, [share(p, s) for p, s in members], TOY)
             continue
-        key, responses = compute_key_leader(
-            r_l, [contribution(p, s) for p, s in members], TOY)
+        key, entries = compute_key_leader(
+            r_l, [share(p, s) for p, s in members], TOY)
         assert key == expected
         for pid, secret in members:
-            mine = next(r for r in responses if r.participant_id == pid)
-            leader_blind = recover_leader_blind(mine.response, secret, TOY)
+            mine = next(e for e in entries if e.participant_id == pid)
+            leader_blind = recover_leader_blind(mine.blinded_response, secret, TOY)
             assert compute_key_member(
-                leader_blind, [r.response for r in responses], TOY) == expected
+                leader_blind, [e.blinded_response for e in entries], TOY) == expected
 
 
 @given(st.integers(1, 10), st.lists(st.integers(1, 10), max_size=4))
 def test_agreement_randomized(r_l, member_secrets):
-    contributions = [contribution(i + 2, s) for i, s in enumerate(member_secrets)]
+    shares = [share(i + 2, s) for i, s in enumerate(member_secrets)]
     expected = oracle_key(r_l, member_secrets, TOY)
     if expected == 1:
         with pytest.raises(DegenerateKey):
-            compute_key_leader(r_l, contributions, TOY)
+            compute_key_leader(r_l, shares, TOY)
         return
-    key, _ = compute_key_leader(r_l, contributions, TOY)
+    key, _ = compute_key_leader(r_l, shares, TOY)
     assert key == expected
 
 
@@ -207,14 +214,14 @@ class TestDeriveSessionKey:
 
 class TestBatch:
     def test_matches_unbatched(self):
-        contributions = [contribution(2, 4), contribution(4, 5)]
+        shares = [share(2, 4), share(4, 5)]
         batch = batch_new(3, TOY)
-        for c in contributions:
-            batch_absorb(batch, c)
-        assert batch_finalize(batch) == compute_key_leader(3, contributions, TOY)
+        for s in shares:
+            batch_absorb(batch, s)
+        assert batch_finalize(batch) == compute_key_leader(3, shares, TOY)
 
     def test_order_independent(self):
-        a, b = contribution(2, 4), contribution(4, 5)
+        a, b = share(2, 4), share(4, 5)
         first = batch_new(3, TOY)
         batch_absorb(batch_absorb(first, a), b)
         second = batch_new(3, TOY)
@@ -223,47 +230,72 @@ class TestBatch:
 
     def test_empty_batch(self):
         batch = batch_new(3, TOY)
-        key, responses = batch_finalize(batch)
-        assert key == 8 and responses == []
+        key, entries = batch_finalize(batch)
+        assert key == 8 and entries == []
 
-    def test_duplicate_absorb_rejected(self):
+    def test_absorb_replaces_and_moves_to_end(self):
         batch = batch_new(3, TOY)
-        batch_absorb(batch, contribution(2, 4))
-        with pytest.raises(DuplicateParticipant):
-            batch_absorb(batch, contribution(2, 5))
+        for pid, secret in ((2, 4), (4, 5), (2, 6)):
+            batch_absorb(batch, share(pid, secret))
+        assert list(batch.entries) == [4, 2]
+        assert batch.entries[2] == GroupEntry(
+            2, bytes([2]) * 16, blind(6, TOY), respond(blind(6, TOY), 3, TOY))
+        assert batch_finalize(batch)[0] == oracle_key(3, [5, 6], TOY)
+
+    @given(st.integers(1, 10),
+           st.lists(st.tuples(st.integers(2, 5), st.integers(1, 10)),
+                    max_size=12))
+    def test_any_absorb_sequence_keeps_last_share_per_id(self, r_l, absorbs):
+        last: dict[int, int] = {}
+        for pid, secret in absorbs:
+            last.pop(pid, None)
+            last[pid] = secret
+        expected = oracle_key(r_l, list(last.values()), TOY)
+        assume(expected != 1)
+        counter = ExpCounter()
+        batch = batch_new(r_l, TOY, counter)
+        for pid, secret in absorbs:
+            batch_absorb(batch, share(pid, secret), counter)
+        key, entries = batch_finalize(batch)
+        assert [(e.participant_id, e.blinded_secret, e.blinded_response)
+                for e in entries] == \
+            [(pid, blind(s, TOY), blind(s * r_l % TOY.order, TOY))
+             for pid, s in last.items()]
+        assert key == expected
+        assert counter.count == 1 + len(absorbs)
 
     def test_finalize_needs_no_exponentiation(self):
         counter = ExpCounter()
         batch = batch_new(3, TOY, counter)
         for i in range(2, 8):
-            batch_absorb(batch, contribution(i, i), counter)
+            batch_absorb(batch, share(i, i), counter)
         before = counter.count
         batch_finalize(batch)
         assert counter.count == before
 
     @given(st.permutations(list(range(4))))
     def test_any_absorb_order(self, order):
-        contributions = [contribution(i + 2, 2 * i + 1) for i in range(4)]
+        shares = [share(i + 2, 2 * i + 1) for i in range(4)]
         batch = batch_new(7, TOY)
         for index in order:
-            batch_absorb(batch, contributions[index])
+            batch_absorb(batch, shares[index])
         assert batch_finalize(batch)[0] == \
-            compute_key_leader(7, contributions, TOY)[0]
+            compute_key_leader(7, shares, TOY)[0]
 
 
 def test_three_member_example_run():
     """The worked example shape: leader 1 with members 2, 4, 5; every member
     recovers the leader blind and computes g^(r1*(1+r2+r4+r5))."""
     r1, members = 3, {2: 7, 4: 2, 5: 9}
-    contributions = [contribution(pid, s) for pid, s in members.items()]
-    key, responses = compute_key_leader(r1, contributions, TOY)
+    shares = [share(pid, s) for pid, s in members.items()]
+    key, entries = compute_key_leader(r1, shares, TOY)
     assert key == oracle_key(r1, list(members.values()), TOY)
     for pid, secret in members.items():
-        mine = next(r for r in responses if r.participant_id == pid)
-        recovered = recover_leader_blind(mine.response, secret, TOY)
+        mine = next(e for e in entries if e.participant_id == pid)
+        recovered = recover_leader_blind(mine.blinded_response, secret, TOY)
         assert recovered == blind(r1, TOY)
         assert compute_key_member(
-            recovered, [r.response for r in responses], TOY) == key
+            recovered, [e.blinded_response for e in entries], TOY) == key
 
 
 def test_agreement_exhaustive_group_of_four():
@@ -274,12 +306,12 @@ def test_agreement_exhaustive_group_of_four():
             for r_b in SCALARS:
                 for r_c in SCALARS:
                     expected = oracle_key(r_l, [r_a, r_b, r_c], TOY)
-                    contributions = [contribution(2, r_a),
-                                     contribution(3, r_b),
-                                     contribution(4, r_c)]
+                    shares = [share(2, r_a),
+                                     share(3, r_b),
+                                     share(4, r_c)]
                     if expected == 1:
                         with pytest.raises(DegenerateKey):
-                            compute_key_leader(r_l, contributions, TOY)
+                            compute_key_leader(r_l, shares, TOY)
                         continue
-                    key, _ = compute_key_leader(r_l, contributions, TOY)
+                    key, _ = compute_key_leader(r_l, shares, TOY)
                     assert key == expected

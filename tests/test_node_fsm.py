@@ -238,8 +238,7 @@ class TestKeying:
                      if e.participant_id == 2)
         member.leader_id = 1
         member.own_secret = 4
-        from agdh.gka_core import Contribution
-        member.contribution = Contribution(2, entry.nonce, entry.blinded_secret)
+        member.contribution = replace(entry, blinded_response=None)
         member.contribution_leader = 1
 
         # tampered echo, validly signed by the leader's key
@@ -722,7 +721,7 @@ class TestLeave:
         lead_out, at = elect(lead2)
         member.start(0)
         deliver(member, lead_out.sends[0].wire, at + 1000)
-        out = member.handle(LocalLeaveRequest(True), at + 2000)
+        out = member.handle(LocalLeaveRequest(), at + 2000)
         [msg] = out.sends
         assert msg.message.kind is MessageKind.DEL
         assert msg.dest == 11
@@ -731,7 +730,7 @@ class TestLeave:
     def test_leaderless_member_leaves_silently(self):
         node = make_node(1)
         node.start(0)
-        out = node.handle(LocalLeaveRequest(True), 1000)
+        out = node.handle(LocalLeaveRequest(), 1000)
         assert not out.sends
 
 

@@ -49,7 +49,7 @@ class TestAuditBaseline:
 
     def test_churny_run_zero_findings(self):
         res = run(SimConfig(node_count=6, seed=23, duration=90 * SECOND,
-                            schedule=(LeaveAt(40 * SECOND, 3, graceful=True),
+                            schedule=(LeaveAt(40 * SECOND, 3),
                                       CrashAt(60 * SECOND, 5))),
                   EAGER, PROD)
         report = audit_transcript(res)
@@ -102,10 +102,10 @@ class TestAuditDetections:
         import agdh.node_fsm as node_fsm
         from agdh.gka_core import compute_key_leader as real
 
-        def corrupted(leader_secret, contributions, params, counter=None):
-            key, responses = real(leader_secret, contributions, params, counter)
+        def corrupted(leader_secret, shares, params, counter=None):
+            key, entries = real(leader_secret, shares, params, counter)
             wrong = key * params.generator % params.modulus
-            return wrong, responses
+            return wrong, entries
 
         monkeypatch.setattr(node_fsm, "compute_key_leader", corrupted)
         res = run(SimConfig(node_count=3, seed=17, duration=40 * SECOND),
@@ -319,9 +319,9 @@ def _corrupted_leader_run(monkeypatch):
     import agdh.node_fsm as node_fsm
     from agdh.gka_core import compute_key_leader as real
 
-    def corrupted(leader_secret, contributions, params, counter=None):
-        key, responses = real(leader_secret, contributions, params, counter)
-        return key * params.generator % params.modulus, responses
+    def corrupted(leader_secret, shares, params, counter=None):
+        key, entries = real(leader_secret, shares, params, counter)
+        return key * params.generator % params.modulus, entries
 
     with monkeypatch.context() as patch:
         patch.setattr(node_fsm, "compute_key_leader", corrupted)

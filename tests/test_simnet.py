@@ -1,6 +1,7 @@
 import hashlib
 import os
 from collections import Counter, defaultdict
+from types import SimpleNamespace
 
 import pytest
 
@@ -20,6 +21,7 @@ from agdh.simnet import (
     LeaveAt,
     PartitionAt,
     SimConfig,
+    Transcript,
     converged,
     converged_by,
     leaders,
@@ -94,7 +96,7 @@ def prod_churn_run():
     """A short lossy PROD run with a join, a graceful leave, a crash and a
     partition that heals: every record kind the schedule can produce, and
     128-byte elements in the rendered wires."""
-    schedule = (JoinAt(15 * SECOND, 6), LeaveAt(30 * SECOND, 2, graceful=True),
+    schedule = (JoinAt(15 * SECOND, 6), LeaveAt(30 * SECOND, 2),
                 CrashAt(45 * SECOND, 3),
                 PartitionAt(55 * SECOND, ((1, 4), (5, 6))), HealAt(70 * SECOND))
     return run(SimConfig(node_count=5, seed=11, loss_prob=0.1,
@@ -270,7 +272,7 @@ class TestChurn:
     def test_graceful_leave_rekeys_within_one_beacon(self):
         res = toy_run(node_count=4, seed=5, duration=70 * SECOND,
                       node_config=EAGER,
-                      schedule=(LeaveAt(40 * SECOND, 2, graceful=True),))
+                      schedule=(LeaveAt(40 * SECOND, 2),))
         assert converged(res)
         assert 2 not in res.live
         del_send = next(r for r in res.transcript.of_kind("SEND")
@@ -325,7 +327,7 @@ class TestChurn:
     def test_unknown_node_leave_rejected(self):
         with pytest.raises(UnknownNode):
             toy_run(node_count=3, seed=1, duration=20 * SECOND,
-                    schedule=(LeaveAt(SECOND, 77, graceful=True),))
+                    schedule=(LeaveAt(SECOND, 77),))
 
     @pytest.mark.parametrize("schedule", [
         (JoinAt(SECOND, 2),),                          # initial id
@@ -430,6 +432,28 @@ class TestAuditIntegration:
                 if r.time == at and r.kind in ("DEGENERATE_EXCLUDED",
                                                "DISSOLVE")] == \
             [("DEGENERATE_EXCLUDED", 1), ("DISSOLVE", 1)]
+
+    def test_converged_by_does_not_count_an_election(self):
+        """Leader 1 crashes while its keyed announcement is still in flight
+        to node 3.  Node 2 then wins the election still holding leader 1's
+        key, which node 3 also holds by then; convergence is only when node
+        2's own key reaches node 3."""
+        old, new = b"\x01" * 32, b"\x02" * 32
+        t = Transcript()
+        t.append(0, "STATE", 1, ("mode", "leader"), ("why", "chosen_initial"))
+        t.append(10, "KEY", 1, ("leader", 1), ("epoch", 1), ("key", old))
+        t.append(11, "KEY", 2, ("leader", 1), ("epoch", 1), ("key", old))
+        t.append(12, "CRASH", 1)
+        t.append(13, "KEY", 3, ("leader", 1), ("epoch", 1), ("key", old))
+        t.append(25, "STATE", 2, ("mode", "candidate"), ("why", "slot_5"))
+        t.append(27, "STATE", 3, ("mode", "candidate"), ("why", "slot_9"))
+        t.append(30, "STATE", 2, ("mode", "leader"), ("why", "backoff_won"))
+        t.append(31, "STATE", 3, ("mode", "member"),
+                 ("why", "announcement_during_backoff"))
+        t.append(40, "KEY", 2, ("leader", 2), ("epoch", 2), ("key", new))
+        t.append(41, "KEY", 3, ("leader", 2), ("epoch", 2), ("key", new))
+        result = SimpleNamespace(config=SimConfig(node_count=3), transcript=t)
+        assert converged_by(result) == 41
 
 
 def test_steady_state_message_rate():
