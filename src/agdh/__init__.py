@@ -21,7 +21,6 @@ from .errors import (
 )
 from .gka_core import (
     GroupEntry,
-    SessionKey,
     batch_absorb,
     batch_finalize,
     batch_new,
@@ -47,7 +46,7 @@ from .group_arith import (
     scalar_inverse,
 )
 from .messages import HmacKeyRing, Message, MessageKind
-from .node_fsm import Mode, Node, NodeConfig
+from .node_fsm import Mode, Node, NodeConfig, SessionKey
 from .oracle import AuditReport, CostRow, audit_transcript, cost_table
 from .simnet import SimConfig, SimResult, converged, leaders, run
 

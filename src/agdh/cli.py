@@ -55,34 +55,36 @@ def _run_once(sim_config: SimConfig, node_config: NodeConfig,
     }
 
 
-def _print_summary(result, report, row, stream=None) -> None:
-    stream = stream if stream is not None else sys.stdout
-    print("run summary", file=stream)
-    print(f"  live nodes:   {sorted(result.live)}", file=stream)
-    print(f"  leaders:      {leaders(result)}", file=stream)
-    print(f"  converged:    {converged(result)}", file=stream)
+def _print_summary(result, report, row) -> None:
+    print("run summary")
+    print(f"  live nodes:   {sorted(result.live)}")
+    print(f"  leaders:      {leaders(result)}")
+    print(f"  converged:    {converged(result)}")
     heads = leaders(result)
     if len(heads) == 1 and result.nodes[heads[0]].session is not None:
         session = result.nodes[heads[0]].session
-        print(f"  final epoch:  {session.epoch}", file=stream)
-        print(f"  session key:  {session.derived.hex()}", file=stream)
-    for kev in result.metrics.key_events:
-        print(f"  key t={kev.time}us node={kev.node_id} leader={kev.leader_id}"
-              f" epoch={kev.epoch}", file=stream)
+        print(f"  final epoch:  {session.epoch}")
+        print(f"  session key:  {session.derived.hex()}")
+    for key in result.metrics.key_events:
+        print(f"  key t={key.time}us node={key.node_id} leader={key.leader_id}"
+              f" epoch={key.epoch}")
     if row is not None:
-        print(f"  cost row:     {row.render()}", file=stream)
+        print(f"  cost row:     {row.render()}")
     print(f"  audit:        {'clean' if report.clean else 'FINDINGS'}"
-          f" ({len(report.findings)})", file=stream)
+          f" ({len(report.findings)})")
     for kind, detail in report.findings[:10]:
-        print(f"    finding: {kind} {detail}", file=stream)
+        print(f"    finding: {kind} {detail}")
     if len(report.findings) > 10:
-        print(f"    ... and {len(report.findings) - 10} more", file=stream)
+        print(f"    ... and {len(report.findings) - 10} more")
 
 
 def cmd_run(args) -> int:
     try:
         if args.repeat < 1:
             raise ConfigError("--repeat must be at least 1")
+        if args.repeat > 1 and args.out:
+            raise ConfigError("--out writes one run's files; it cannot be"
+                              " combined with --repeat above 1")
         params = _group_from_args(args)
         schedule = load_scenario(args.scenario) if args.scenario else ()
         node_config = NodeConfig(eager_rekey=args.eager_rekey).validate()
@@ -93,6 +95,9 @@ def cmd_run(args) -> int:
             duration=parse_duration(args.duration),
             schedule=schedule,
         ).validate()
+        if args.out:
+            # last, so that a refused configuration leaves no directory
+            os.makedirs(args.out, exist_ok=True)
     except (OSError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -123,7 +128,6 @@ def cmd_run(args) -> int:
         except CountMismatch:
             row = None
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
         with open(os.path.join(args.out, "transcript.txt"), "w") as fh:
             fh.write(result.transcript.render())
         with open(os.path.join(args.out, "metrics.txt"), "w") as fh:
@@ -251,7 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--seed", type=int, default=0)
     p_run.add_argument("--duration", default="120s")
     p_run.add_argument("--scenario", help="scenario file (join/leave/partition/heal)")
-    p_run.add_argument("--out", help="directory for transcript.txt and metrics.txt")
+    p_run.add_argument("--out", help="directory for transcript.txt and metrics.txt"
+                                     " (a single run only)")
     p_run.add_argument("--eager-rekey", action="store_true",
                        help="rekey immediately on new members instead of at the"
                             " leader's next contribution change")

@@ -85,15 +85,6 @@ class GroupEntry:
     blinded_response: GroupElement | None = None
 
 
-@dataclass(frozen=True)
-class SessionKey:
-    """An established group key plus the symmetric key derived from it."""
-
-    group_key: GroupElement
-    epoch: int
-    derived: bytes
-
-
 def _check_secret(secret: Scalar, params: GroupParams) -> None:
     if not 1 <= secret <= params.order - 1:
         raise ZeroScalar(f"secret must lie in [1, q-1], got {secret}")

@@ -27,14 +27,13 @@ from enum import Enum
 from .errors import ConfigError, DegenerateKey, MalformedMessage, ShapeViolation
 from .gka_core import (
     GroupEntry,
-    SessionKey,
     blind,
     compute_key_leader,
     compute_key_member,
     derive_session_key,
     recover_leader_blind,
 )
-from .group_arith import ExpCounter, GroupParams, random_scalar
+from .group_arith import ExpCounter, GroupElement, GroupParams, random_scalar
 from .messages import (
     Message,
     MessageKind,
@@ -127,15 +126,6 @@ class Outgoing:
     dest: int | None  # None means broadcast
 
 
-@dataclass(frozen=True)
-class KeyChange:
-    node_id: int
-    leader_id: int
-    new_epoch: int
-    group_key: int
-    derived: bytes
-
-
 @dataclass
 class FsmOutput:
     """Everything one step asks of the harness.
@@ -144,13 +134,14 @@ class FsmOutput:
     the first ``("reject", reason, ...)`` entry gives the REJECT record its
     reason; a ``("mode", mode, why)`` entry becomes a STATE record; every
     other tag becomes a record named by the tag upper-cased, with the other
-    items as fields.  Keys travel in ``key_changes``, acceptance in
-    ``accepted``.
+    items as fields.  A key the step established travels in
+    ``key_changes`` as the very :class:`SessionKey` the node now holds,
+    acceptance in ``accepted``.
     """
 
     sends: list[Outgoing] = field(default_factory=list)
     timers: list[tuple[TimerKind, int]] = field(default_factory=list)
-    key_changes: list[KeyChange] = field(default_factory=list)
+    key_changes: list[SessionKey] = field(default_factory=list)
     accepted: bool | None = None  # set for message events only
     log: list[tuple] = field(default_factory=list)
 
@@ -162,6 +153,21 @@ class MemberRecord:
 
     entry: GroupEntry
     last_heard: int
+
+
+@dataclass(frozen=True)
+class SessionKey:
+    """An established group key and the symmetric key derived from it, the
+    one record of it: the node holds it as ``session``, its step reports it
+    in ``key_changes``, and the simulator keeps it in ``Metrics.key_events``
+    and writes it as a KEY record."""
+
+    time: int
+    node_id: int
+    leader_id: int
+    epoch: int
+    group_key: GroupElement
+    derived: bytes
 
 
 @dataclass(frozen=True)
@@ -179,16 +185,14 @@ class Node:
     """One protocol participant, driven entirely by events."""
 
     def __init__(self, node_id: int, config: NodeConfig, params: GroupParams,
-                 keyring, rng: random.Random,
-                 counter: ExpCounter | None = None,
-                 skip_verify: bool = False):
+                 keyring, rng: random.Random, skip_verify: bool = False):
         config.validate()
         self.node_id = node_id
         self.config = config
         self.params = params
         self.keyring = keyring
         self.rng = rng
-        self.counter = counter if counter is not None else ExpCounter()
+        self.counter = ExpCounter()
         # test hook: a node that skips signature checks must be caught by audit
         self._skip_verify = skip_verify
 
@@ -203,7 +207,6 @@ class Node:
         self.prev_contribution: GroupEntry | None = None
 
         self.session: SessionKey | None = None
-        self.session_leader: int | None = None
         self.last_seen_epoch = 0
         self.leader_epochs: dict[int, int] = {}
         self.last_announcement_wire: bytes | None = None
@@ -262,11 +265,9 @@ class Node:
         Excludes the send counter: re-sending a contribution is an output,
         not a state change.
         """
-        session = (self.session.epoch, self.session.group_key,
-                   self.session.derived) if self.session else None
         view = tuple(sorted((pid, r.entry) for pid, r in self.view.items()))
         return (
-            self.mode, self.leader_id, session, self.session_leader,
+            self.mode, self.leader_id, self.session,
             self.contribution, self.prev_contribution, view,
             self.leader_secret, self.last_seen_epoch,
             tuple(sorted(self.leader_epochs.items())),
@@ -477,8 +478,8 @@ class Node:
                 # the identity; recovering from one gives the leader blind
                 # 1, and a key any eavesdropper can compute from the wire
                 return self._refuse(out, "identity_response", sender)
-            if (self.session is None or self.session_leader != sender
-                    or self.session.epoch != msg.epoch):
+            held = self.session
+            if held is None or (held.leader_id, held.epoch) != (sender, msg.epoch):
                 leader_blind = recover_leader_blind(
                     my_entry.blinded_response, secret, self.params, self.counter)
                 key = compute_key_member(
@@ -486,7 +487,8 @@ class Node:
                     self.params)
                 try:
                     fresh = SessionKey(
-                        key, msg.epoch, derive_session_key(key, msg.epoch, self.params))
+                        now, self.node_id, sender, msg.epoch, key,
+                        derive_session_key(key, msg.epoch, self.params))
                 except DegenerateKey:
                     # a correct leader never announces an identity key
                     return self._refuse(out, "degenerate_announcement", sender)
@@ -507,9 +509,7 @@ class Node:
             self.prev_contribution = None
         if fresh is not None:  # otherwise already keyed at this epoch
             self.session = fresh
-            self.session_leader = sender
-            out.key_changes.append(KeyChange(
-                self.node_id, sender, msg.epoch, fresh.group_key, fresh.derived))
+            out.key_changes.append(fresh)
 
     def _on_contribution(self, msg: Message, now: int, out: FsmOutput) -> None:
         sender = msg.sender_id
@@ -566,7 +566,6 @@ class Node:
         if self.session is not None:
             out.log.append(("dissolve",))
         self.session = None
-        self.session_leader = None
         self._build_empty_announcement()
 
     # -- timers ----------------------------------------------------------------
@@ -604,7 +603,6 @@ class Node:
         self.view = {}
         self.blocked = {}
         self.session = None
-        self.session_leader = None
         out.log.append(("mode", "leader", why))
         self._build_empty_announcement()
         out.sends.append(self.current_announcement)
@@ -693,11 +691,9 @@ class Node:
             now, "leader", self.leader_secret, None, self.leader_nonce))
         epoch = self.last_seen_epoch + 1
         self.last_seen_epoch = epoch
-        derived = derive_session_key(key, epoch, self.params)
-        self.session = SessionKey(key, epoch, derived)
-        self.session_leader = self.node_id
-        out.key_changes.append(KeyChange(
-            self.node_id, self.node_id, epoch, key, derived))
+        self.session = SessionKey(now, self.node_id, self.node_id, epoch, key,
+                                  derive_session_key(key, epoch, self.params))
+        out.key_changes.append(self.session)
 
         msg = build_igroup(self.node_id, self.leader_nonce, epoch, entries)
         self.current_announcement = self._sign_and_pack(msg, None)

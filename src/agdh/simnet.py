@@ -203,23 +203,13 @@ class Transcript:
 
 
 @dataclass
-class KeyEvent:
-    time: int
-    node_id: int
-    leader_id: int
-    epoch: int
-    group_key: int
-    derived: bytes
-
-
-@dataclass
 class Metrics:
     """Only what no record carries: exponentiations, and each key's group
     element.  The cost row and the benchmark read both lists; message
     counts come from the transcript."""
 
     exp_events: list = field(default_factory=list)  # (time, node, delta)
-    key_events: list = field(default_factory=list)  # KeyEvent
+    key_events: list = field(default_factory=list)  # node_fsm.SessionKey
 
 
 @dataclass
@@ -388,14 +378,12 @@ class _Simulation:
             else:
                 fields = tuple((f"a{i}", v) for i, v in enumerate(entry[1:]))
                 self.transcript.append(at, tag.upper(), node_id, *fields)
-        for kc in out.key_changes:
+        for key in out.key_changes:
             self.transcript.append(
-                at, "KEY", node_id,
-                ("leader", kc.leader_id), ("epoch", kc.new_epoch),
-                ("key", kc.derived))
-            self.metrics.key_events.append(KeyEvent(
-                at, kc.node_id, kc.leader_id, kc.new_epoch,
-                kc.group_key, kc.derived))
+                key.time, "KEY", key.node_id,
+                ("leader", key.leader_id), ("epoch", key.epoch),
+                ("key", key.derived))
+            self.metrics.key_events.append(key)
         for outgoing in out.sends:
             self._send(node_id, outgoing, at)
         for kind, deadline in out.timers:
@@ -453,7 +441,9 @@ def leaders(result: SimResult) -> list[int]:
 
 
 def converged(result: SimResult) -> bool:
-    """One live leader whose cell-mates all share its current session key."""
+    """Exactly one live leader, and every other live node holds its current
+    session key (a partitioned run whose cells each keep a leader has not
+    converged)."""
     heads = leaders(result)
     if len(heads) != 1:
         return False

@@ -172,6 +172,30 @@ class TestRunCommand:
         assert "error:" in captured.err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("where", ["file", "under_file"])
+    def test_out_that_cannot_be_a_directory_exits_two_before_running(
+            self, where, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory\n")
+        out_dir = taken if where == "file" else taken / "out"
+        code = main(["run", "--nodes", "3", "--toy", "--duration", "20s",
+                     "--out", str(out_dir)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "error:" in captured.err
+        assert taken.read_text() == "not a directory\n"
+
+    def test_repeat_with_out_exits_two_before_running(self, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        code = main(["run", "--nodes", "3", "--toy", "--duration", "20s",
+                     "--repeat", "2", "--out", str(out_dir)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "--repeat" in captured.err
+        assert not out_dir.exists()
+
     def test_non_finite_scenario_time_exits_two(self, tmp_path, capsys):
         scenario = tmp_path / "s.scn"
         scenario.write_text("inf join 3\n")

@@ -26,6 +26,7 @@ from agdh.node_fsm import (
     Mode,
     Node,
     NodeConfig,
+    SessionKey,
     TimerFired,
     TimerKind,
 )
@@ -203,7 +204,28 @@ class TestKeying:
         assert member2.session.group_key == leader2.session.group_key
         assert member2.session.derived == leader2.session.derived
         [change] = out.key_changes
-        assert change.new_epoch == leader2.session.epoch
+        assert change.epoch == leader2.session.epoch
+
+    def test_key_change_is_the_held_session(self):
+        lead = make_node(11, seed="L")
+        lead_out, at = elect(lead)
+        member = make_node(12, seed="M")
+        member.start(0)
+        out = deliver(member, lead_out.sends[0].wire, at + 1000)
+        deliver(lead, out.sends[0].wire, at + 2000)
+        out, t_beacon = fire(lead, TimerKind.BEACON)
+        # the leader's keyed step reports the record it now holds
+        assert out.key_changes == [lead.session]
+        assert out.key_changes[0] is lead.session
+        assert lead.session == SessionKey(t_beacon, 11, 11, 1,
+                                          lead.session.group_key,
+                                          lead.session.derived)
+        t_member = t_beacon + 1000
+        out = deliver(member, out.sends[0].wire, t_member)
+        assert out.key_changes == [member.session]
+        assert out.key_changes[0] is member.session
+        assert member.session == replace(lead.session, time=t_member,
+                                         node_id=12)
 
     def test_rebeacon_is_bit_identical(self):
         leader, announcement, _ = established_group({2: 4, 3: 5})
@@ -300,7 +322,7 @@ class TestMembershipChanges:
         ids = [e.participant_id for e in announcement2.message.entries]
         assert ids == [3]
         [change] = out.key_changes
-        assert change.new_epoch == epoch_before + 1
+        assert change.epoch == epoch_before + 1
 
     def test_del_with_wrong_nonce_rejected(self):
         leader, _, now = established_group({2: 4, 3: 5})
@@ -467,7 +489,7 @@ class TestDegenerateRecovery:
         out, _ = fire(leader, TimerKind.RENEWAL)
         assert out.log == [("renewal",), ("degenerate_excluded", 2),
                            ("dissolve",)]
-        assert leader.session is None and leader.session_leader is None
+        assert leader.session is None
         assert not leader.view
         assert leader.blocked == {2: pow(TOY.generator, 10, TOY.modulus)}
         # the empty announcement still goes out at once
@@ -670,7 +692,7 @@ class TestHeaderTriage:
         decoded.clear()
         out = deliver(member, rekeyed.wire, now)
         assert out.accepted is True
-        assert [change.new_epoch for change in out.key_changes] == [2]
+        assert [change.epoch for change in out.key_changes] == [2]
         assert decoded == [rekeyed.wire]
 
     def test_smaller_leader_announcement_is_decoded(self, decoded):

@@ -156,9 +156,11 @@ class TestRecords:
             assert type(rec.get("entries")) is int
         keys = res.transcript.of_kind("KEY")
         assert len(keys) == len(res.metrics.key_events)
-        for rec, kev in zip(keys, res.metrics.key_events):
+        for rec, key in zip(keys, res.metrics.key_events):
             assert type(rec.get("key")) is bytes
-            assert rec.get("key") is kev.derived
+            assert rec.get("key") is key.derived
+            assert (rec.time, rec.node, rec.get("leader"), rec.get("epoch")) \
+                == (key.time, key.node_id, key.leader_id, key.epoch)
 
 
 class TestChannel:
