@@ -34,12 +34,13 @@ its blind and the m responses.  Both products run through
 ``group_arith.prodmod`` on the same kernel as the powers: Montgomery
 multiplication on PROD.  No product is counted as an exponentiation.
 Measured on one m = 99 announcement (PROD, a shared 2-CPU VM, best of
-7 x 300 calls, ranges over five runs), a member's key step splits into
-decoding the wire, 0.19 to 0.26 ms on the bulk path
-(``messages.decode``); the fold, 0.18 to 0.37 ms, or 1.8 to 3.7 us per
-factor with each factor's conversion; the recovery, 0.09 to 0.14 ms; and
-the signature and shape checks, about 0.04 ms together.  The one counted
-exponentiation is thus about a sixth of the step.
+7 x 300 calls, ranges over six runs), a member's key step splits into
+decoding the wire, 0.12 to 0.18 ms on the bulk path
+(``messages.decode``), of which building the 99 entry tuples is about
+0.03 ms; the fold, 0.21 to 0.27 ms, or 2.1 to 2.7 us per factor with each
+factor's conversion; the recovery, 0.10 to 0.12 ms; and the signature and
+shape checks, about 0.04 ms together.  The one counted exponentiation is
+thus about a fifth of the step.
 
 ``respond`` and ``recover_leader_blind`` still check that their input is a
 subgroup element, because each raises it to a secret: a received value of
@@ -55,6 +56,7 @@ from __future__ import annotations
 import hashlib
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import DegenerateKey, NotInSubgroup, ZeroScalar
 from .group_arith import (
@@ -72,12 +74,15 @@ NONCE_LEN = 16
 DERIVED_KEY_LEN = 32
 
 
-@dataclass(frozen=True)
-class GroupEntry:
+class GroupEntry(NamedTuple):
     """One participant's share, the only type it has from draw to
     announcement: id, nonce and blinded secret as the member draws it and
     sends it in its IREPLY, and, once the leader has answered it, the
-    leader's blinded response, as the IGROUP announces it."""
+    leader's blinded response, as the IGROUP announces it.
+
+    A named tuple: immutable, hashable, built by ``tuple.__new__`` with no
+    per-field ``__setattr__``, and equal to a plain tuple of the same
+    values."""
 
     participant_id: int
     nonce: bytes

@@ -33,12 +33,15 @@ A receiver takes each wire through these steps, cheapest refusal first:
    length that implies, and whose every element is already known to the
    process (``group_arith``'s per-group memo) is decoded in bulk: one
    ``struct`` unpack of all entries and one batched membership query, with
-   no subgroup check.  Any other wire, IREPLY and DEL included, takes one
-   pass entry by entry, one membership test per element, and reports its
-   first defect;
+   no subgroup check, and each entry is built from its unpacked fields as
+   a :class:`GroupEntry` tuple.  Any other wire, IREPLY and DEL included,
+   takes one pass entry by entry, one membership test per element, and
+   reports its first defect;
 3. :func:`verify`, the signature over the received bytes;
 4. :func:`validate_shape`, the per-kind entry grammar (an IGROUP names no
-   participant twice);
+   participant twice, nor its sender, and answers every entry), checked
+   over an IGROUP's entries in one pass; only a failing one is walked
+   entry by entry to name its first defect;
 5. the state machine's own checks.
 
 Triage trusts fields no signature has yet covered, which is safe because
@@ -53,9 +56,9 @@ from __future__ import annotations
 import hashlib
 import hmac
 import struct
-from dataclasses import dataclass
 from enum import IntEnum
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import MalformedMessage, ShapeViolation, UnknownParticipant
 from .gka_core import NONCE_LEN, GroupEntry
@@ -82,8 +85,10 @@ MAX_ID = 2**32 - 1
 _MAX_EPOCH = 2**64 - 1
 
 
-@dataclass(frozen=True)
-class Message:
+class Message(NamedTuple):
+    """One decoded or built message; a named tuple, so it is immutable,
+    hashable and equal to a plain tuple of the same values."""
+
     kind: MessageKind
     sender_id: int
     sender_nonce: bytes
@@ -258,11 +263,12 @@ def _decode_announcement(data: bytes, sender_id: int, epoch: int,
     ``has_response`` byte other than 1, or an element not yet known.
 
     One ``iter_unpack`` splits the entries, two comprehensions convert the
-    2m elements, and one :func:`all_known` query, with no subgroup check,
-    vouches for all of them.  A wire it returns is one the loop accepts,
-    and decodes to the same message: every length and flag is as the loop
-    requires, and every element is known, which is what the loop's
-    :func:`is_element` tests first."""
+    2m elements, one :func:`all_known` query, with no subgroup check,
+    vouches for all of them, and ``GroupEntry._make`` turns each entry's
+    zipped fields into its tuple.  A wire it returns is one the loop
+    accepts, and decodes to the same message: every length and flag is as
+    the loop requires, and every element is known, which is what the
+    loop's :func:`is_element` tests first."""
     count = int.from_bytes(data[29:31], "big")
     layout = _announced_entry(params.element_width)
     end = _HEADER_LEN + count * layout.size
@@ -278,7 +284,8 @@ def _decode_announcement(data: bytes, sender_id: int, epoch: int,
     if not all_known(blinded + answered, params):
         return None
     return Message(_IGROUP, sender_id, data[5:21], epoch,
-                   tuple(map(GroupEntry, ids, nonces, blinded, answered)),
+                   tuple(map(GroupEntry._make,
+                             zip(ids, nonces, blinded, answered))),
                    data[end + 2:])
 
 
@@ -289,8 +296,8 @@ def _non_member(value: int, params: GroupParams) -> MalformedMessage:
 
 def sign(msg: Message, keyring, params: GroupParams) -> Message:
     """Return the message with its signature over the canonical bytes."""
-    signature = keyring.sign(msg.sender_id, encode_canonical(msg, params))
-    return _signed(msg, signature)
+    return msg._replace(
+        signature=keyring.sign(msg.sender_id, encode_canonical(msg, params)))
 
 
 def sign_and_encode(msg: Message, keyring,
@@ -298,13 +305,8 @@ def sign_and_encode(msg: Message, keyring,
     """Sign and serialize with one encoding: (signed message, wire form)."""
     canonical = encode_canonical(msg, params)
     signature = keyring.sign(msg.sender_id, canonical)
-    return _signed(msg, signature), _append_signature(canonical, signature)
-
-
-def _signed(msg: Message, signature: bytes) -> Message:
-    # built directly: dataclasses.replace is several times slower, per send
-    return Message(msg.kind, msg.sender_id, msg.sender_nonce, msg.epoch,
-                   msg.entries, signature)
+    return (msg._replace(signature=signature),
+            _append_signature(canonical, signature))
 
 
 def verify(msg: Message, wire: bytes, keyring) -> bool:
@@ -340,8 +342,16 @@ def validate_shape(msg: Message) -> Message:
         if entry.participant_id != msg.sender_id:
             raise ShapeViolation("IREPLY.entries[0].participant_id")
     else:  # IGROUP
+        # one pass for the common case; only a failing announcement walks
+        # the entries to name its first defect.  Responses are tested by
+        # identity: ``None in`` would compare every element with None.
+        entries = msg.entries
+        ids = {e.participant_id for e in entries}
+        if (len(ids) == len(entries) and msg.sender_id not in ids
+                and all(e.blinded_response is not None for e in entries)):
+            return msg
         seen: set[int] = set()
-        for i, e in enumerate(msg.entries):
+        for i, e in enumerate(entries):
             if e.blinded_response is None:
                 raise ShapeViolation(f"IGROUP.entries[{i}].blinded_response")
             if e.participant_id == msg.sender_id:

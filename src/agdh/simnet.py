@@ -19,7 +19,7 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, NamedTuple
 
 from .errors import ConfigError, OverlapError, UnknownNode
 from .group_arith import GroupParams, PROD
@@ -158,10 +158,11 @@ def _ids_of(entry) -> tuple[int, ...]:
     return (entry.node_id,)
 
 
-@dataclass(frozen=True)
-class Record:
+class Record(NamedTuple):
     """One transcript line: time, event kind, node, ordered detail fields
-    holding values as given; :meth:`render` is the only formatter."""
+    holding values as given; :meth:`render` is the only formatter.  A
+    named tuple, so a run's thousands of records each cost one
+    ``tuple.__new__``."""
 
     time: int
     kind: str
@@ -238,7 +239,10 @@ class _Simulation:
         self.transcript = Transcript()
         self.metrics = Metrics()
         self.channel_rng = random.Random(f"{config.seed}/channel")
-        self.cells: dict[int, int] = {}
+        # the active partition's cell of each node it names; empty when
+        # healed.  A node it does not name, a later joiner included, is in
+        # cell -1 with every other unnamed node.
+        self.partition: dict[int, int] = {}
         self.nodes: dict[int, Node] = {}
         self.live: set[int] = set()
         self.wire_by_id: dict[int, bytes] = {}
@@ -268,14 +272,14 @@ class _Simulation:
         )
         self.nodes[node_id] = node
         self.live.add(node_id)
-        self.cells.setdefault(node_id, 0)
         if node_id == self.config.initial_leader and now == 0:
             self._absorb(node_id, node.start_as_leader(now), now)
         else:
             self._absorb(node_id, node.start(now), now)
 
     def _same_cell(self, a: int, b: int) -> bool:
-        return self.cells.get(a, 0) == self.cells.get(b, 0)
+        partition = self.partition
+        return not partition or partition.get(a, -1) == partition.get(b, -1)
 
     # -- event processing ----------------------------------------------------
 
@@ -341,18 +345,14 @@ class _Simulation:
     def apply_partition(self, cells, at: int) -> None:
         if not cells:
             return  # no-op
-        assignment = {}
-        for index, cell in enumerate(cells, start=1):
-            for node_id in cell:
-                assignment[node_id] = index
-        for node_id in self.nodes:
-            self.cells[node_id] = assignment.get(node_id, -1)
+        self.partition = {node_id: index
+                          for index, cell in enumerate(cells, start=1)
+                          for node_id in cell}
         rendered = "|".join(",".join(str(n) for n in sorted(cell)) for cell in cells)
         self.transcript.append(at, "PARTITION", None, ("cells", rendered))
 
     def heal(self, at: int) -> None:
-        for node_id in self.cells:
-            self.cells[node_id] = 0
+        self.partition = {}
         self.transcript.append(at, "HEAL", None)
 
     # -- FSM output absorption --------------------------------------------------

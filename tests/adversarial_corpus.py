@@ -5,7 +5,7 @@ the relevant node and records whether anything was accepted or changed.
 """
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from agdh.group_arith import PROD, TOY, GroupParams
 from agdh.messages import (
@@ -135,18 +135,18 @@ def run_corpus() -> dict[str, Outcome]:
     # --- wrong-sender signatures ------------------------------------------
     leader, member, other, empty, keyed, reply2, now = build_pair()
     msg = keyed.message
-    forged = replace(msg, signature=RING.sign(5, encode_canonical(
-        replace(msg, signature=b""), TOY)))
+    forged = msg._replace(signature=RING.sign(5, encode_canonical(
+        msg._replace(signature=b""), TOY)))
     probe("igroup_wrong_key", member, encode_signed(forged, TOY), now)
     fake_reply = build_ireply(4, bytes(16), 99,
                               GroupEntry(4, bytes(16), 16, None))
-    forged_reply = replace(fake_reply, signature=RING.sign(
+    forged_reply = fake_reply._replace(signature=RING.sign(
         5, encode_canonical(fake_reply, TOY)))
     probe("ireply_wrong_key", leader, encode_signed(forged_reply, TOY), now)
 
     # --- unknown sender ----------------------------------------------------
     stranger = build_ireply(99, bytes(16), 1, GroupEntry(99, bytes(16), 16, None))
-    stranger = replace(stranger, signature=bytes(32))
+    stranger = stranger._replace(signature=bytes(32))
     probe("unknown_sender", leader, encode_signed(stranger, TOY), now)
 
     # --- stale-epoch replays ------------------------------------------------
@@ -172,7 +172,7 @@ def run_corpus() -> dict[str, Outcome]:
     entries = list(keyed.message.entries)
     index = next(i for i, e in enumerate(entries) if e.participant_id == 2)
     bad_nonce = entries.copy()
-    bad_nonce[index] = replace(entries[index], nonce=bytes(16))
+    bad_nonce[index] = entries[index]._replace(nonce=bytes(16))
     wrong_nonce = sign(build_igroup(1, keyed.message.sender_nonce,
                                     keyed.message.epoch + 1, bad_nonce),
                        RING, TOY)
@@ -180,7 +180,7 @@ def run_corpus() -> dict[str, Outcome]:
 
     bad_value = entries.copy()
     substitute = 9 if entries[index].blinded_secret != 9 else 13
-    bad_value[index] = replace(entries[index], blinded_secret=substitute)
+    bad_value[index] = entries[index]._replace(blinded_secret=substitute)
     wrong_value = sign(build_igroup(1, keyed.message.sender_nonce,
                                     keyed.message.epoch + 1, bad_value),
                        RING, TOY)
@@ -245,7 +245,7 @@ def run_corpus() -> dict[str, Outcome]:
     for label, params in (("toy", TOY), ("prod", PROD)):
         leader, member, other, empty, keyed, reply2, now = build_pair(params)
         msg = keyed.message
-        entries = tuple(replace(e, blinded_response=1) if e.participant_id == 2
+        entries = tuple(e._replace(blinded_response=1) if e.participant_id == 2
                         else e for e in msg.entries)
         identity = sign(build_igroup(1, msg.sender_nonce, msg.epoch + 1, entries),
                         RING, params)

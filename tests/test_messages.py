@@ -2,7 +2,6 @@ import functools
 import itertools
 import os
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -43,6 +42,7 @@ from agdh.messages import (
     verify,
     _decode_announcement,
 )
+from agdh.simnet import Record
 
 RING = HmacKeyRing.provision(range(1, 8), master="vector-fixture")
 VECTORS = os.path.join(os.path.dirname(__file__), "data", "message_vectors.txt")
@@ -70,7 +70,7 @@ class TestCanonicalEncoding:
     def test_injective_on_nonce(self):
         entry = GroupEntry(2, nonce(0xAA), 16, 2)
         a = build_igroup(1, nonce(0x11), 1, [entry])
-        b = build_igroup(1, nonce(0x11), 1, [replace(entry, nonce=nonce(0xAB))])
+        b = build_igroup(1, nonce(0x11), 1, [entry._replace(nonce=nonce(0xAB))])
         assert encode_canonical(a, TOY) != encode_canonical(b, TOY)
 
     def test_unknown_kind_byte(self):
@@ -147,7 +147,7 @@ def check_wire_prefix(wire: bytes, params) -> None:
 
 @given(message_strategy, st.integers(0, 8), st.booleans())
 def test_received_bytes_are_canonical(msg, sender, signed):
-    msg = replace(msg, sender_id=sender)
+    msg = msg._replace(sender_id=sender)
     if signed and RING.known(sender):
         msg = sign(msg, RING, TOY)
     check_wire_prefix(encode_signed(msg, TOY), TOY)
@@ -194,20 +194,18 @@ class TestSignatures:
     def test_bit_flip_detected(self):
         entry = GroupEntry(2, nonce(0xAA), 16, 2)
         msg = sign(build_igroup(1, nonce(0x11), 1, [entry]), RING, TOY)
-        tampered = replace(
-            msg,
-            entries=(replace(entry, blinded_secret=9),),
-        )
+        tampered = msg._replace(
+            entries=(entry._replace(blinded_secret=9),))
         assert not verify(tampered, encode_signed(tampered, TOY), RING)
 
     def test_wrong_sender_key(self):
         msg = build_del(4, bytes(16), 0)
-        forged = replace(msg, signature=RING.sign(3, encode_canonical(msg, TOY)))
+        forged = msg._replace(signature=RING.sign(3, encode_canonical(msg, TOY)))
         assert not verify(forged, encode_signed(forged, TOY), RING)
 
     def test_unknown_sender(self):
         msg = build_del(99, bytes(16), 0)
-        unsigned = replace(msg, signature=bytes(32))
+        unsigned = msg._replace(signature=bytes(32))
         assert not verify(unsigned, encode_signed(unsigned, TOY), RING)
         with pytest.raises(UnknownParticipant):
             sign(msg, RING, TOY)
@@ -216,7 +214,7 @@ class TestSignatures:
         msg = sign(build_del(5, bytes(16), 0), RING, TOY)
         bad = bytearray(msg.signature)
         bad[0] ^= 0x01
-        flipped = replace(msg, signature=bytes(bad))
+        flipped = msg._replace(signature=bytes(bad))
         assert not verify(flipped, encode_signed(flipped, TOY), RING)
 
 
@@ -242,8 +240,8 @@ class TestShapes:
         msg = build_del(2, nonce(0xAA), 5)
         assert msg.entries == ()
         with pytest.raises(ShapeViolation):
-            validate_shape(replace(
-                msg, entries=(GroupEntry(2, nonce(0xAA), 16, None),)))
+            validate_shape(msg._replace(
+                entries=(GroupEntry(2, nonce(0xAA), 16, None),)))
 
     def test_empty_igroup_ok(self):
         assert build_igroup(1, nonce(0x11), 0, []).entries == ()
@@ -284,6 +282,84 @@ class TestShapes:
         decoded = decode(encode_signed(msg, TOY), TOY)
         assert decoded == msg
         assert all(e.blinded_response is not None for e in decoded.entries)
+
+
+def reference_igroup_shape(msg: Message) -> Message:
+    """The IGROUP entry loop of ``validate_shape`` without its one-pass
+    check in front, kept as a reference."""
+    seen: set[int] = set()
+    for i, e in enumerate(msg.entries):
+        if e.blinded_response is None:
+            raise ShapeViolation(f"IGROUP.entries[{i}].blinded_response")
+        if e.participant_id == msg.sender_id:
+            raise ShapeViolation(f"IGROUP.entries[{i}].participant_id")
+        if e.participant_id in seen:
+            raise ShapeViolation(f"IGROUP.entries[{i}]: duplicate id")
+        seen.add(e.participant_id)
+    return msg
+
+
+def shape_outcome(check, msg: Message):
+    """The message the check returned, or the type and text it raised."""
+    try:
+        return check(msg)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+# small id and element pools, so repeated ids, the sender's own id and
+# missing responses all turn up, as well as announcements that pass
+igroup_strategy = st.builds(
+    Message,
+    kind=st.just(MessageKind.IGROUP),
+    sender_id=st.integers(1, 12),
+    sender_nonce=st.just(nonce(0x11)),
+    epoch=st.just(1),
+    entries=st.lists(st.builds(
+        GroupEntry,
+        participant_id=st.integers(1, 12),
+        nonce=st.just(nonce(0xAA)),
+        blinded_secret=st.sampled_from(TOY_ELEMENTS),
+        blinded_response=st.sampled_from(TOY_ELEMENTS + [None]),
+    ), max_size=8).map(tuple),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(igroup_strategy)
+def test_igroup_shape_check_matches_entry_loop(msg):
+    got = shape_outcome(validate_shape, msg)
+    assert got == shape_outcome(reference_igroup_shape, msg)
+    if isinstance(got, Message):
+        assert got is msg
+
+
+VALUE_TYPES = [
+    (GroupEntry(2, nonce(0xAA), 16, 2), "nonce", nonce(0xAB)),
+    (Message(MessageKind.IGROUP, 1, nonce(0x11), 3,
+             (GroupEntry(2, nonce(0xAA), 16, 2),), b"sig"), "epoch", 4),
+    (Record(5, "KEY", 2, (("epoch", 3), ("key", b"k"))), "node", 9),
+]
+
+
+@pytest.mark.parametrize("value, name, other", VALUE_TYPES,
+                         ids=["GroupEntry", "Message", "Record"])
+def test_value_types_are_immutable_and_compare_by_value(value, name, other):
+    with pytest.raises(AttributeError):
+        setattr(value, name, other)
+    twin = type(value)(*value)
+    assert twin == value and hash(twin) == hash(value)
+    assert value == tuple(value)
+    changed = value._replace(**{name: other})
+    assert getattr(changed, name) == other
+    assert [f for f in value._fields
+            if getattr(changed, f) != getattr(value, f)] == [name]
+
+
+def test_value_type_defaults():
+    assert GroupEntry(2, nonce(0xAA), 16).blinded_response is None
+    msg = Message(MessageKind.DEL, 2, nonce(0xAA), 5)
+    assert msg.entries == () and msg.signature == b""
 
 
 def test_vector_file():

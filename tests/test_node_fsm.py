@@ -260,11 +260,11 @@ class TestKeying:
                      if e.participant_id == 2)
         member.leader_id = 1
         member.own_secret = 4
-        member.contribution = replace(entry, blinded_response=None)
+        member.contribution = entry._replace(blinded_response=None)
         member.contribution_leader = 1
 
         # tampered echo, validly signed by the leader's key
-        bad_entry = replace(entry, nonce=bytes(16))
+        bad_entry = entry._replace(nonce=bytes(16))
         bad = sign(build_igroup(1, announcement.message.sender_nonce,
                                 announcement.message.epoch,
                                 [bad_entry] + [e for e in announcement.message.entries

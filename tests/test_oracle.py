@@ -470,7 +470,7 @@ def _unknown_leader_nonce(res):
 
 def _unknown_contribution(res):
     _, msg = _keyed(res)
-    entries = (dataclasses.replace(msg.entries[0], nonce=bytes(16)),
+    entries = (msg.entries[0]._replace(nonce=bytes(16)),
                *msg.entries[1:])
     _add_announcement(res, build_igroup(msg.sender_id, msg.sender_nonce, 99,
                                         entries))

@@ -259,6 +259,21 @@ class TestPartitions:
         assert partition_keys
         assert final not in partition_keys
 
+    def test_node_joining_inside_a_partition_takes_its_named_cell(self):
+        # in this seed nodes 1 and 2 both announce in the election race,
+        # so node 5 has a broadcast to hear from each cell-mate
+        res = toy_run(node_count=4, seed=18, duration=60 * SECOND,
+                      schedule=(PartitionAt(5 * SECOND, ((1, 2, 5), (3, 4))),
+                                JoinAt(10 * SECOND, 5), HealAt(40 * SECOND)))
+        records = res.transcript
+        heard = {r.get("from") for r in records.of_kind("DELIVER")
+                 if r.node == 5 and r.time < 40 * SECOND}
+        assert heard == {1, 2}
+        senders = {r.get("id"): r.node for r in records.of_kind("SEND")}
+        cut_off = {senders[r.get("id")] for r in records.of_kind("SUPPRESS")
+                   if r.node == 5 and r.get("reason") == "partition"}
+        assert cut_off and cut_off <= {3, 4}
+
     def test_overlapping_cells_rejected(self):
         with pytest.raises(OverlapError):
             toy_run(node_count=4, seed=1, duration=10 * SECOND,
