@@ -35,12 +35,13 @@ its blind and the m responses.  Both products run through
 multiplication on PROD.  No product is counted as an exponentiation.
 Measured on one m = 99 announcement (PROD, a shared 2-CPU VM, best of
 7 x 300 calls, ranges over six runs), a member's key step splits into
-decoding the wire, 0.12 to 0.18 ms on the bulk path
+decoding the wire, 0.12 to 0.21 ms on the bulk path
 (``messages.decode``), of which building the 99 entry tuples is about
-0.03 ms; the fold, 0.21 to 0.27 ms, or 2.1 to 2.7 us per factor with each
-factor's conversion; the recovery, 0.10 to 0.12 ms; and the signature and
-shape checks, about 0.04 ms together.  The one counted exponentiation is
-thus about a fifth of the step.
+0.02 ms; the fold, 0.17 to 0.30 ms, or 1.7 to 3.0 us per factor with each
+factor's conversion; the recovery, 0.11 to 0.16 ms; and the signature and
+shape checks, 0.04 to 0.06 ms together.  The one counted exponentiation
+is thus about a quarter of the step, and the fold about one and a half
+times the recovery.
 
 ``respond`` and ``recover_leader_blind`` still check that their input is a
 subgroup element, because each raises it to a secret: a received value of

@@ -34,12 +34,14 @@ builtin ``pow``.  Each :func:`exp` call counts as one exponentiation.
 Products of many elements, a member folding the m announced responses into
 its key and the leader folding its own, go through :func:`prodmod`, on the
 kernel the same modulus gives its powers.  On the native kernel each factor
-is one ``BN_mod_mul_montgomery`` into a per-thread accumulator, and one
-more product by a cached ``R^(n+1) mod p`` undoes the Montgomery scaling;
-on PROD that is about 1.5 us per factor, against about 3.3 us for Python's
-``a * b % p`` (2-CPU VM), so at m = 100 the fold costs about 0.15 ms rather
-than 0.33 ms.  The Python loop stays the fallback wherever builtin ``pow``
-is the kernel (about 0.06 us per factor on TOY).  Products are not
+is one ``BN_bin2bn`` and one ``BN_mod_mul_montgomery`` into a per-thread
+accumulator, which starts at a cached ``R^(n+1) mod p`` that undoes the
+Montgomery scaling.  On PROD that is about 1.6 us per factor, most of it
+the two ``ctypes`` calls' own cost, against about 4.5 us for Python's
+``a * b % p`` (the best of 20 x 100 folds of 98 factors, both in one
+process on a shared 2-CPU VM), so at m = 100 the fold costs about 0.16 ms
+rather than 0.45 ms.  The Python loop stays the fallback wherever builtin
+``pow`` is the kernel (about 0.06 us per factor on TOY).  Products are not
 exponentiations and no counter sees them.
 
 Membership answers are memoised under the closure rule: a power of an
@@ -277,53 +279,66 @@ class _OpenSSL:
     OpenSSL ``libcrypto``.
 
     Each modulus gets one Montgomery context, shared by every thread (powers
-    and products only read it); the scratch numbers and ``BN_CTX`` they
-    write belong to one thread.  ``ctypes`` releases the
+    and products only read it); the scratch numbers, ``BN_CTX`` and output
+    buffer they write belong to one thread.  ``ctypes`` releases the
     interpreter lock during each call, so threads exponentiate in parallel.
-    A call that reports failure raises RuntimeError, never returns a value.
+
+    Every binding has one calling convention: it declares its ``restype``
+    alone (``c_void_p`` for a pointer, ``c_int`` for a status or a byte
+    count), with no ``argtypes`` and no ``errcheck`` callback, so a call
+    converts nothing it need not.  That is sound only for what is passed:
+    every ``BIGNUM``, ``BN_CTX`` and ``BN_MONT_CTX`` handle is a
+    ``ctypes.c_void_p``, made once when :class:`_Modulus` or
+    :class:`_Scratch` allocates it (a bare ``int`` would be passed as a C
+    ``int`` and lose its top half), bytes pass as ``char *`` and widths as
+    ``int``.  Each call's result is tested where it is made, a NULL
+    pointer, a 0 status or a byte count other than the width; a failed
+    call raises RuntimeError naming the function, never returns a value.
     """
 
     def __init__(self, lib) -> None:
         import ctypes
 
-        ptr, text, num = ctypes.c_void_p, ctypes.c_char_p, ctypes.c_int
+        ptr, num = ctypes.c_void_p, ctypes.c_int
 
-        def bind(name, restype, *argtypes):
+        def bind(name, restype):
             fn = getattr(lib, name)
-            fn.restype, fn.argtypes = restype, argtypes
-            if restype in (ptr, num):  # pointer or status: check it
-                fn.errcheck = check
+            fn.restype = restype
             return fn
 
-        def check(result, func, args):
-            # pointers fail as NULL, byte counts as -1 and statuses as 0
-            if result is None or result <= 0:
-                clear_errors()  # leave no stale error for hashlib to report
-                raise RuntimeError(f"OpenSSL {func.__name__} failed")
-            return result
-
-        clear_errors = bind("ERR_clear_error", None)
+        self.clear_errors = bind("ERR_clear_error", None)
         self.new_bn = bind("BN_new", ptr)
-        self.free_bn = bind("BN_free", None, ptr)
+        self.free_bn = bind("BN_free", None)
         self.new_ctx = bind("BN_CTX_new", ptr)
-        self.free_ctx = bind("BN_CTX_free", None, ptr)
+        self.free_ctx = bind("BN_CTX_free", None)
         self.new_mont = bind("BN_MONT_CTX_new", ptr)
-        self.set_mont = bind("BN_MONT_CTX_set", num, ptr, ptr, ptr)
-        self.free_mont = bind("BN_MONT_CTX_free", None, ptr)
-        self.bin2bn = bind("BN_bin2bn", ptr, text, num, ptr)
-        self.bn2binpad = bind("BN_bn2binpad", num, ptr, text, num)
-        self.exp = bind("BN_mod_exp_mont_consttime", num,
-                        ptr, ptr, ptr, ptr, ptr, ptr)
-        self.mont_mul = bind("BN_mod_mul_montgomery", num,
-                             ptr, ptr, ptr, ptr, ptr)
-        self.to_mont = bind("BN_to_montgomery", num, ptr, ptr, ptr, ptr)
-        self.one = bind("BN_value_one", ptr)()
-        version = bind("OpenSSL_version", text, num)(0).decode()
+        self.set_mont = bind("BN_MONT_CTX_set", num)
+        self.free_mont = bind("BN_MONT_CTX_free", None)
+        self.bin2bn = bind("BN_bin2bn", ptr)
+        self.bn2binpad = bind("BN_bn2binpad", num)
+        self.exp = bind("BN_mod_exp_mont_consttime", num)
+        self.mont_mul = bind("BN_mod_mul_montgomery", num)
+        self.to_mont = bind("BN_to_montgomery", num)
+        self.handle = ptr
+        self.one = self.new(bind("BN_value_one", ptr))
+        version = bind("OpenSSL_version", ctypes.c_char_p)(0).decode()
         self.version = " ".join(version.split()[:2])  # "OpenSSL 3.0.2"
         self.buffer = ctypes.create_string_buffer
         self.modulus = lru_cache(maxsize=8)(partial(_Modulus, self))
         self.correction = lru_cache(maxsize=256)(self._correction)
         self._local = threading.local()
+
+    def failed(self, name: str) -> RuntimeError:
+        """The error to raise for a failed call to ``name``."""
+        self.clear_errors()  # leave no stale error for hashlib to report
+        return RuntimeError(f"OpenSSL {name} failed")
+
+    def new(self, fn, *args):
+        """The pointer ``fn(*args)`` returns, as a ``c_void_p``; NULL raises."""
+        pointer = fn(*args)
+        if pointer is None:
+            raise self.failed(fn.__name__)
+        return self.handle(pointer)
 
     def _scratch(self) -> "_Scratch":
         try:
@@ -332,51 +347,63 @@ class _OpenSSL:
             self._local.scratch = _Scratch(self)
             return self._local.scratch
 
-    def _power(self, result, base, e: int, mod: "_Modulus",
-               scratch: "_Scratch") -> None:
+    def _power(self, base, e: int, mod: "_Modulus", scratch: "_Scratch") -> None:
         exponent = e.to_bytes((e.bit_length() + 7) // 8, "big")
-        self.bin2bn(exponent, len(exponent), scratch.exponent)
-        self.exp(result, base, scratch.exponent, mod.bn, scratch.ctx, mod.mont)
+        if self.bin2bn(exponent, len(exponent), scratch.exponent) is None:
+            raise self.failed("BN_bin2bn")
+        if not self.exp(scratch.result, base, scratch.exponent, mod.bn,
+                        scratch.ctx, mod.mont):
+            raise self.failed("BN_mod_exp_mont_consttime")
 
-    def _to_bytes(self, bn, width: int) -> bytes:
-        out = self.buffer(width)
-        self.bn2binpad(bn, out, width)
-        return out.raw
+    def _read(self, bn, width: int, scratch: "_Scratch"):
+        """``bn`` as ``width`` big-endian bytes in the scratch's output
+        buffer, which the thread's next call overwrites."""
+        out = scratch.out
+        if len(out) != width:
+            out = scratch.out = self.buffer(width)
+        if self.bn2binpad(bn, out, width) != width:
+            raise self.failed("BN_bn2binpad")
+        return out
 
     def powmod(self, base: int, e: int, modulus: int) -> int:
         mod, scratch = self.modulus(modulus), self._scratch()
         width = mod.width
-        self.bin2bn((base % modulus).to_bytes(width, "big"), width, scratch.base)
-        self._power(scratch.result, scratch.base, e, mod, scratch)
-        return int.from_bytes(self._to_bytes(scratch.result, width), "big")
+        if self.bin2bn((base % modulus).to_bytes(width, "big"), width,
+                       scratch.base) is None:
+            raise self.failed("BN_bin2bn")
+        self._power(scratch.base, e, mod, scratch)
+        return int.from_bytes(self._read(scratch.result, width, scratch), "big")
 
     def _correction(self, modulus: int, n: int) -> bytes:
         mod, scratch = self.modulus(modulus), self._scratch()
-        self._power(scratch.result, mod.r, n + 1, mod, scratch)
-        return self._to_bytes(scratch.result, mod.width)
+        self._power(mod.r, n + 1, mod, scratch)
+        return self._read(scratch.result, mod.width, scratch).raw
 
     def prodmod(self, first: int, factors: Sequence[int], modulus: int) -> int:
         """``first * prod(factors) mod p`` for values already in ``(0, p)``.
 
-        Each ``BN_mod_mul_montgomery`` divides by R, so the n factor
-        products leave ``R^-n`` in the accumulator; one more product, by
-        ``R^(n+1) mod p`` (itself divided by R once), cancels it.  That correction is ``R mod p``
-        raised to the public ``n + 1`` on the exponentiation kernel, once
-        per modulus and ``n`` (about 24 us on PROD; :attr:`correction`
-        keeps the last 256): Montgomery bookkeeping, not a protocol
-        exponentiation, so no :class:`ExpCounter` sees it.
+        Each ``BN_mod_mul_montgomery`` divides by R, so the n + 1 products
+        that fold ``first`` and the n factors divide by ``R^(n+1)``; the
+        accumulator starts at ``R^(n+1) mod p``, which cancels that.  That
+        correction is ``R mod p`` raised to the public ``n + 1`` on the
+        exponentiation kernel, once per modulus and ``n`` (about 24 us on
+        PROD; :attr:`correction` keeps the last 256): Montgomery
+        bookkeeping, not a protocol exponentiation, so no
+        :class:`ExpCounter` sees it.
         """
         mod, scratch = self.modulus(modulus), self._scratch()
         width, bin2bn, mont_mul = mod.width, self.bin2bn, self.mont_mul
         acc, factor, ctx, mont = scratch.result, scratch.base, scratch.ctx, mod.mont
-        # a correction not yet cached is computed in the scratch: before acc
-        bin2bn(self.correction(modulus, len(factors)), width, factor)
-        bin2bn(first.to_bytes(width, "big"), width, acc)
-        mont_mul(acc, acc, factor, mont, ctx)
-        for value in factors:
-            bin2bn(value.to_bytes(width, "big"), width, factor)
-            mont_mul(acc, acc, factor, mont, ctx)
-        return int.from_bytes(self._to_bytes(acc, width), "big")
+        # a correction not yet cached is computed in the scratch, so it is
+        # read out before acc is loaded with it
+        if bin2bn(self.correction(modulus, len(factors)), width, acc) is None:
+            raise self.failed("BN_bin2bn")
+        for value in (first, *factors):
+            if bin2bn(value.to_bytes(width, "big"), width, factor) is None:
+                raise self.failed("BN_bin2bn")
+            if not mont_mul(acc, acc, factor, mont, ctx):
+                raise self.failed("BN_mod_mul_montgomery")
+        return int.from_bytes(self._read(acc, width, scratch), "big")
 
 
 class _Owner:
@@ -387,7 +414,7 @@ class _Owner:
     def __init__(self) -> None:
         self._owned: list = []
 
-    def own(self, free, handle: int) -> int:
+    def own(self, free, handle):
         self._owned.append((free, handle))
         return handle
 
@@ -398,38 +425,43 @@ class _Owner:
 
 class _Modulus(_Owner):
     """A modulus, its Montgomery context and ``R mod p``, where R is the
-    context's power of two (whatever the library's word size makes it)."""
+    context's power of two (whatever the library's word size makes it);
+    every handle a ``c_void_p``."""
 
     __slots__ = ("width", "bn", "mont", "r")
 
     def __init__(self, lib: _OpenSSL, modulus: int) -> None:
         super().__init__()
         self.width = (modulus.bit_length() + 7) // 8
-        self.bn = self.own(lib.free_bn, lib.bin2bn(
-            modulus.to_bytes(self.width, "big"), self.width, None))
-        self.mont = self.own(lib.free_mont, lib.new_mont())
-        self.r = self.own(lib.free_bn, lib.new_bn())
-        ctx = lib.new_ctx()
+        self.bn = self.own(lib.free_bn, lib.new(
+            lib.bin2bn, modulus.to_bytes(self.width, "big"), self.width, None))
+        self.mont = self.own(lib.free_mont, lib.new(lib.new_mont))
+        self.r = self.own(lib.free_bn, lib.new(lib.new_bn))
+        ctx = lib.new(lib.new_ctx)
         try:
-            lib.set_mont(self.mont, self.bn, ctx)
-            lib.to_mont(self.r, lib.one, self.mont, ctx)
+            if not lib.set_mont(self.mont, self.bn, ctx):
+                raise lib.failed("BN_MONT_CTX_set")
+            if not lib.to_mont(self.r, lib.one, self.mont, ctx):
+                raise lib.failed("BN_to_montgomery")
         finally:
             lib.free_ctx(ctx)
 
 
 class _Scratch(_Owner):
-    """One thread's ``BN_CTX`` and the three numbers an exponentiation
-    writes (a product uses ``result`` as its accumulator and ``base`` for
-    each factor); the thread's end drops the last reference."""
+    """One thread's ``BN_CTX``, the three numbers an exponentiation writes
+    (a product uses ``result`` as its accumulator and ``base`` for each
+    factor), every one a ``c_void_p``, and the buffer results are read
+    out through; the thread's end drops the last reference."""
 
-    __slots__ = ("ctx", "base", "exponent", "result")
+    __slots__ = ("ctx", "base", "exponent", "result", "out")
 
     def __init__(self, lib: _OpenSSL) -> None:
         super().__init__()
-        self.ctx = self.own(lib.free_ctx, lib.new_ctx())
-        self.base = self.own(lib.free_bn, lib.new_bn())
-        self.exponent = self.own(lib.free_bn, lib.new_bn())
-        self.result = self.own(lib.free_bn, lib.new_bn())
+        self.ctx = self.own(lib.free_ctx, lib.new(lib.new_ctx))
+        self.base = self.own(lib.free_bn, lib.new(lib.new_bn))
+        self.exponent = self.own(lib.free_bn, lib.new(lib.new_bn))
+        self.result = self.own(lib.free_bn, lib.new(lib.new_bn))
+        self.out = lib.buffer(0)
 
 
 def prodmod(first: GroupElement, factors: Sequence[GroupElement],

@@ -57,7 +57,7 @@ import hashlib
 import hmac
 import struct
 from enum import IntEnum
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import NamedTuple
 
 from .errors import MalformedMessage, ShapeViolation, UnknownParticipant
@@ -248,6 +248,11 @@ def decode(data: bytes, params: GroupParams) -> Message:
     return Message(kind, sender_id, data[5:21], epoch, tuple(entries), data[pos:])
 
 
+# A GroupEntry from a 4-tuple, by the tuple constructor alone: _make's
+# length check is skipped, which the bulk decode's zip of four makes safe.
+_new_entry = partial(tuple.__new__, GroupEntry)
+
+
 @lru_cache(maxsize=8)
 def _announced_entry(width: int) -> struct.Struct:
     """One announcement entry that carries a response, for elements of
@@ -264,11 +269,11 @@ def _decode_announcement(data: bytes, sender_id: int, epoch: int,
 
     One ``iter_unpack`` splits the entries, two comprehensions convert the
     2m elements, one :func:`all_known` query, with no subgroup check,
-    vouches for all of them, and ``GroupEntry._make`` turns each entry's
-    zipped fields into its tuple.  A wire it returns is one the loop
-    accepts, and decodes to the same message: every length and flag is as
-    the loop requires, and every element is known, which is what the
-    loop's :func:`is_element` tests first."""
+    vouches for all of them, and ``tuple.__new__`` turns each entry's
+    zipped fields into its :class:`GroupEntry`.  A wire it returns is one
+    the loop accepts, and decodes to the same message: every length and
+    flag is as the loop requires, and every element is known, which is
+    what the loop's :func:`is_element` tests first."""
     count = int.from_bytes(data[29:31], "big")
     layout = _announced_entry(params.element_width)
     end = _HEADER_LEN + count * layout.size
@@ -284,8 +289,7 @@ def _decode_announcement(data: bytes, sender_id: int, epoch: int,
     if not all_known(blinded + answered, params):
         return None
     return Message(_IGROUP, sender_id, data[5:21], epoch,
-                   tuple(map(GroupEntry._make,
-                             zip(ids, nonces, blinded, answered))),
+                   tuple(map(_new_entry, zip(ids, nonces, blinded, answered))),
                    data[end + 2:])
 
 

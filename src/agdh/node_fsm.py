@@ -454,9 +454,11 @@ class Node:
         """Handle an announcement from the (now) accepted leader.  Every
         check, the key derivation included, precedes the first change of
         state, so a refused announcement leaves none behind."""
-        sender = msg.sender_id
-        my_entry = next(
-            (e for e in msg.entries if e.participant_id == self.node_id), None)
+        sender, entries = msg.sender_id, msg.entries
+        # one pass over the entries: their ids and responses as columns
+        ids, _, _, responses = zip(*entries) if entries else ((),) * 4
+        my_entry = (entries[ids.index(self.node_id)] if self.node_id in ids
+                    else None)
 
         fresh: SessionKey | None = None
         if my_entry is not None:
@@ -482,9 +484,7 @@ class Node:
             if held is None or (held.leader_id, held.epoch) != (sender, msg.epoch):
                 leader_blind = recover_leader_blind(
                     my_entry.blinded_response, secret, self.params, self.counter)
-                key = compute_key_member(
-                    leader_blind, [e.blinded_response for e in msg.entries],
-                    self.params)
+                key = compute_key_member(leader_blind, responses, self.params)
                 try:
                     fresh = SessionKey(
                         now, self.node_id, sender, msg.epoch, key,

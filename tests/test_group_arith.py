@@ -1,8 +1,10 @@
+import ctypes
 import os
 import random
 import subprocess
 import sys
 import threading
+from functools import partial
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -588,6 +590,54 @@ class TestPowKernel:
         with pytest.raises(RuntimeError, match="BN_MONT_CTX_set"):
             native.powmod(3, 5, 2**200 + 2)
         assert native.powmod(3, 5, PROD.modulus) == pow(3, 5, PROD.modulus)
+
+    @needs_native
+    @pytest.mark.parametrize("call, binding, failure, name", [
+        ("powmod", "bin2bn", None, "BN_bin2bn"),
+        ("powmod", "exp", 0, "BN_mod_exp_mont_consttime"),
+        ("powmod", "bn2binpad", -1, "BN_bn2binpad"),
+        ("powmod", "bn2binpad", 127, "BN_bn2binpad"),
+        ("prodmod", "bin2bn", None, "BN_bin2bn"),
+        ("prodmod", "mont_mul", 0, "BN_mod_mul_montgomery"),
+        ("prodmod", "bn2binpad", -1, "BN_bn2binpad"),
+    ])
+    def test_each_hot_call_checks_its_result(self, monkeypatch, call, binding,
+                                             failure, name):
+        """A NULL pointer, a 0 status or a byte count other than PROD's
+        128-byte width, from any call on the hot paths, raises naming that
+        function after clearing the error queue; the next real call is
+        right."""
+        native, m = group_arith._openssl(), PROD.modulus
+        rng = random.Random(f"{call}/{binding}")
+        base, e = rng.randrange(2, m), rng.randrange(PROD.order)
+        factors = [rng.randrange(1, m) for _ in range(5)]
+        if call == "powmod":
+            run, expected = partial(native.powmod, base, e, m), pow(base, e, m)
+        else:
+            run = partial(native.prodmod, base, factors, m)
+            expected = python_fold(base, factors, m)
+        assert run() == expected  # the modulus and correction are cached
+        cleared = []
+        with monkeypatch.context() as patch:
+            patch.setattr(native, binding, lambda *args: failure)
+            patch.setattr(native, "clear_errors", lambda: cleared.append(1))
+            with pytest.raises(RuntimeError, match=f"^OpenSSL {name} failed$"):
+                run()
+        assert cleared == [1]
+        assert run() == expected
+
+    @needs_native
+    def test_every_handle_is_a_pointer(self):
+        """Without ``argtypes`` a bare int would be passed as a C int, so
+        every handle the kernel passes is a ``c_void_p``."""
+        native = group_arith._openssl()
+        mod = native.modulus(PROD.modulus)
+        scratch = native._scratch()
+        handles = [native.one, mod.bn, mod.mont, mod.r, scratch.ctx,
+                   scratch.base, scratch.exponent, scratch.result]
+        assert all(type(h) is ctypes.c_void_p and h.value for h in handles)
+        owned = [h for owner in (mod, scratch) for _, h in owner._owned]
+        assert owned == handles[1:]
 
     def test_import_binds_no_kernel(self):
         src = os.path.dirname(os.path.dirname(os.path.abspath(agdh.__file__)))

@@ -639,6 +639,8 @@ def test_bulk_decode_matches_reference(memo, monkeypatch):
         bulk = _decode_announcement(wire, 1, count, params)
         if memo == "warm":
             assert bulk == reference_decode(wire, params)
+            # a plain tuple would compare equal: the type is checked apart
+            assert all(type(e) is GroupEntry for e in bulk.entries)
         else:
             assert bulk is None
         for mutant in itertools.islice(mutants(wire, params), 0, None, stride):
