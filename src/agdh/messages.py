@@ -18,6 +18,13 @@ present only when has_response is 1.  The signed wire form appends
 [sig_len:2][signature].  The encoding is injective over valid messages, so
 signing the canonical bytes covers every field.
 
+The fixed parts have precompiled ``struct`` layouts.  :func:`encode_canonical`
+first checks every field the layout cannot carry as given (a kind that is
+no :class:`MessageKind`, an id, epoch or count out of range, a nonce that
+is not 16 ``bytes``), then packs the header and each entry's fixed part,
+has each element encoded by ``encode_element`` with its membership check,
+and joins the parts once.
+
 The ``epoch`` field carries the group key epoch on leader announcements and a
 per-sender monotone send counter on member messages; either way a stale value
 is detectable and replays can be rejected.
@@ -25,18 +32,23 @@ is detectable and replays can be rejected.
 A receiver takes each wire through these steps, cheapest refusal first:
 
 1. header triage: :func:`read_header` reads kind, sender and epoch from the
-   fixed header, and the node refuses an announcement that is not its own
-   but comes from a leader it would not follow (``stale_epoch``,
-   ``larger_leader``) before anything else is parsed or checked;
-2. :func:`decode`, which checks every length, flag and element.  An
-   announcement whose every entry carries a response, at exactly the
-   length that implies, and whose every element is already known to the
-   process (``group_arith``'s per-group memo) is decoded in bulk: one
-   ``struct`` unpack of all entries and one batched membership query, with
-   no subgroup check, and each entry is built from its unpacked fields as
-   a :class:`GroupEntry` tuple.  Any other wire, IREPLY and DEL included,
-   takes one pass entry by entry, one membership test per element, and
-   reports its first defect;
+   fixed header with one ``struct`` unpack, and the node refuses an
+   announcement that is not its own but comes from a leader it would not
+   follow (``stale_epoch``, ``larger_leader``) before anything else is
+   parsed or checked;
+2. :func:`decode`, which checks every length, flag and element.  Two
+   exact layouts skip the entry loop.  An IREPLY whose bytes are exactly
+   one entry without a response plus its signature is read with one
+   unpack and one membership test of its element.  An announcement whose
+   every entry carries a response, at exactly the length that implies,
+   and whose every element is already known to the process
+   (``group_arith``'s per-group memo) is decoded in bulk: one ``struct``
+   unpack of all entries and one batched membership query, with no
+   subgroup check, and each entry is built from its unpacked fields as a
+   :class:`GroupEntry` tuple.  Any other wire, DEL included, takes one
+   pass entry by entry, one membership test per element, and reports its
+   first defect; a wire either exact path takes decodes there to the same
+   message, and one it refuses fails with the same error;
 3. :func:`verify`, the signature over the received bytes;
 4. :func:`validate_shape`, the per-kind entry grammar (an IGROUP names no
    participant twice, nor its sender, and answers every entry), checked
@@ -76,10 +88,19 @@ class MessageKind(IntEnum):
     DEL = 0x07
 
 
-_HEADER_LEN = 1 + 4 + 16 + 8 + 2
-_ENTRY_FIXED = 4 + NONCE_LEN + 1  # id, nonce, has_response
+#: The header: kind, sender_id, sender_nonce, epoch, entry_count.
+_HEADER = struct.Struct(f">BI{NONCE_LEN}sQH")
+_HEADER_LEN = _HEADER.size
+#: Where the entry count starts: the IREPLY layout is read from there.
+_COUNT_AT = _HEADER_LEN - 2
+#: The header fields triage reads: kind, sender_id and epoch.
+_TRIAGE = struct.Struct(f">BI{NONCE_LEN}xQ")
+#: An entry's fixed part: id, nonce, has_response.
+_ENTRY = struct.Struct(f">I{NONCE_LEN}sB")
+_ENTRY_FIXED = _ENTRY.size
 _KINDS = {int(kind): kind for kind in MessageKind}
 _IGROUP = MessageKind.IGROUP
+_IREPLY = MessageKind.IREPLY
 #: Largest participant id: ids travel as 4-byte unsigned wire fields.
 MAX_ID = 2**32 - 1
 _MAX_EPOCH = 2**64 - 1
@@ -138,9 +159,14 @@ class HmacKeyRing:
 
 
 def _check_fields(msg: Message, params: GroupParams) -> None:
+    """Refuse any field the wire layout cannot carry as given; ``struct``
+    would pad or cut a nonce of another length, and its own errors would
+    name no field."""
+    if not isinstance(msg.kind, MessageKind):
+        raise ShapeViolation("kind")
     if not 0 <= msg.sender_id <= MAX_ID:
         raise ShapeViolation("sender_id")
-    if len(msg.sender_nonce) != NONCE_LEN:
+    if not isinstance(msg.sender_nonce, bytes) or len(msg.sender_nonce) != NONCE_LEN:
         raise ShapeViolation("sender_nonce")
     if not 0 <= msg.epoch <= _MAX_EPOCH:
         raise ShapeViolation("epoch")
@@ -149,27 +175,22 @@ def _check_fields(msg: Message, params: GroupParams) -> None:
     for i, e in enumerate(msg.entries):
         if not 0 <= e.participant_id <= MAX_ID:
             raise ShapeViolation(f"entries[{i}].participant_id")
-        if len(e.nonce) != NONCE_LEN:
+        if not isinstance(e.nonce, bytes) or len(e.nonce) != NONCE_LEN:
             raise ShapeViolation(f"entries[{i}].nonce")
 
 
 def encode_canonical(msg: Message, params: GroupParams) -> bytes:
     """Deterministic signature-less encoding; injective over valid messages."""
     _check_fields(msg, params)
-    out = bytearray()
-    out.append(int(msg.kind))
-    out += msg.sender_id.to_bytes(4, "big")
-    out += msg.sender_nonce
-    out += msg.epoch.to_bytes(8, "big")
-    out += len(msg.entries).to_bytes(2, "big")
-    for e in msg.entries:
-        out += e.participant_id.to_bytes(4, "big")
-        out += e.nonce
-        out.append(1 if e.blinded_response is not None else 0)
-        out += encode_element(e.blinded_secret, params)
-        if e.blinded_response is not None:
-            out += encode_element(e.blinded_response, params)
-    return bytes(out)
+    kind, sender_id, sender_nonce, epoch, entries = msg[:5]
+    parts = [_HEADER.pack(kind, sender_id, sender_nonce, epoch, len(entries))]
+    append, pack_entry = parts.append, _ENTRY.pack
+    for participant_id, nonce, blinded, response in entries:
+        append(pack_entry(participant_id, nonce, response is not None))
+        append(encode_element(blinded, params))
+        if response is not None:
+            append(encode_element(response, params))
+    return b"".join(parts)
 
 
 def _append_signature(canonical: bytes, signature: bytes) -> bytes:
@@ -190,11 +211,11 @@ def read_header(data: bytes) -> tuple[MessageKind, int, int]:
     unauthenticated until the whole wire has been decoded and verified."""
     if len(data) < _HEADER_LEN:
         raise MalformedMessage("truncated header")
-    kind = _KINDS.get(data[0])
+    kind_byte, sender_id, epoch = _TRIAGE.unpack_from(data)
+    kind = _KINDS.get(kind_byte)
     if kind is None:
-        raise MalformedMessage(f"unknown kind byte {data[0]:#04x}")
-    return (kind, int.from_bytes(data[1:5], "big"),
-            int.from_bytes(data[21:29], "big"))
+        raise MalformedMessage(f"unknown kind byte {kind_byte:#04x}")
+    return kind, sender_id, epoch
 
 
 def decode(data: bytes, params: GroupParams) -> Message:
@@ -202,17 +223,35 @@ def decode(data: bytes, params: GroupParams) -> Message:
     membership of every element.  Raises MalformedMessage on any defect.
     ``data`` must be ``bytes``: the nonces and the signature are slices.
 
-    An announcement first tries :func:`_decode_announcement`, the bulk
-    path for a wire whose every entry carries a response and whose every
-    element is already known; any other wire, and every IREPLY and DEL
-    after one ``kind`` comparison, takes the entry-by-entry loop below,
-    which checks each element and reports the first defect."""
+    An IREPLY of exactly one response-less entry plus its signature is
+    read with one unpack and one :func:`is_element`.  An announcement
+    first tries :func:`_decode_announcement`, the bulk path for a wire
+    whose every entry carries a response and whose every element is
+    already known.  Any other wire, DEL included, takes the entry-by-entry
+    loop below, which checks each element and reports the first defect;
+    the exact paths give the loop's message, or its error, for every wire
+    they take."""
     kind, sender_id, epoch = read_header(data)
+    width = params.element_width
     if kind is _IGROUP:
         msg = _decode_announcement(data, sender_id, epoch, params)
         if msg is not None:
             return msg
-    width = params.element_width
+    elif kind is _IREPLY:
+        # the one layout an honest IREPLY has: exactly one entry without a
+        # response, then the signature
+        layout = _reply_body(width)
+        sig_at = _COUNT_AT + layout.size
+        if len(data) >= sig_at:
+            count, pid, nonce, has_response, field, sig_len = \
+                layout.unpack_from(data, _COUNT_AT)
+            if count == 1 and not has_response and len(data) == sig_at + sig_len:
+                blinded = int.from_bytes(field, "big")
+                if not is_element(blinded, params):
+                    raise _non_member(blinded, params)
+                return _new_message((kind, sender_id, data[5:21], epoch,
+                                     (_new_entry((pid, nonce, blinded, None)),),
+                                     data[sig_at:]))
     from_bytes = int.from_bytes
     end = len(data)
     pos = _HEADER_LEN
@@ -248,9 +287,18 @@ def decode(data: bytes, params: GroupParams) -> Message:
     return Message(kind, sender_id, data[5:21], epoch, tuple(entries), data[pos:])
 
 
-# A GroupEntry from a 4-tuple, by the tuple constructor alone: _make's
-# length check is skipped, which the bulk decode's zip of four makes safe.
+# A GroupEntry or Message from a tuple, by the tuple constructor alone:
+# _make's length check is skipped, so each caller passes every field.
 _new_entry = partial(tuple.__new__, GroupEntry)
+_new_message = partial(tuple.__new__, Message)
+
+
+@lru_cache(maxsize=8)
+def _reply_body(width: int) -> struct.Struct:
+    """An IREPLY from its entry count to its signature length, for
+    elements of ``width`` bytes: count, id, nonce, has_response, blinded
+    secret, signature length."""
+    return struct.Struct(f">HI{NONCE_LEN}sB{width}sH")
 
 
 @lru_cache(maxsize=8)
@@ -309,7 +357,7 @@ def sign_and_encode(msg: Message, keyring,
     """Sign and serialize with one encoding: (signed message, wire form)."""
     canonical = encode_canonical(msg, params)
     signature = keyring.sign(msg.sender_id, canonical)
-    return (msg._replace(signature=signature),
+    return (_new_message(msg[:5] + (signature,)),
             _append_signature(canonical, signature))
 
 

@@ -177,8 +177,8 @@ class Record(NamedTuple):
 
     def render(self) -> str:
         node = "-" if self.node is None else self.node
-        detail = " ".join(f"{k}={v.hex() if isinstance(v, bytes) else v}"
-                          for k, v in self.fields)
+        detail = " ".join([f"{k}={v.hex() if type(v) is bytes else v}"
+                           for k, v in self.fields])
         return f"{self.time} {self.kind} {node} {detail}".rstrip()
 
 
@@ -194,7 +194,13 @@ class Transcript:
         return [r for r in self.records if r.kind in wanted]
 
     def render(self) -> str:
-        return "\n".join(r.render() for r in self.records) + "\n"
+        """One line per record, each ended by a newline; an empty
+        transcript is one empty line.  The lines are joined once, with an
+        empty last item for the final newline, so the output is never
+        copied."""
+        lines = [r.render() for r in self.records] or [""]
+        lines.append("")
+        return "\n".join(lines)
 
     def __iter__(self):
         return iter(self.records)

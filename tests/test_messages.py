@@ -21,6 +21,7 @@ from agdh.group_arith import (
     TOY,
     _in_subgroup,
     decode_element,
+    encode_element,
     exp,
     random_scalar,
 )
@@ -93,6 +94,23 @@ class TestCanonicalEncoding:
         wire[offset] = 5  # not in the subgroup
         with pytest.raises(MalformedMessage):
             decode(bytes(wire), TOY)
+
+    def test_kind_must_be_a_message_kind(self):
+        """A kind byte that names no kind is refused before any packing:
+        decoders would refuse the wire with ``unknown kind byte``."""
+        for kind in (5, 0x102, MessageKind.IREPLY.value, None):
+            with pytest.raises(ShapeViolation, match="^kind$"):
+                encode_canonical(Message(kind, 1, nonce(0x11), 0), TOY)
+
+    def test_nonces_must_be_bytes(self):
+        """A 16-character str is not a nonce, for the sender or an entry."""
+        with pytest.raises(ShapeViolation, match="^sender_nonce$"):
+            encode_canonical(Message(MessageKind.DEL, 1, "n" * 16, 0), TOY)
+        entries = (GroupEntry(2, nonce(0xAA), 16, 2),
+                   GroupEntry(3, "n" * 16, 9, 16))
+        msg = Message(MessageKind.IGROUP, 1, nonce(0x11), 0, entries)
+        with pytest.raises(ShapeViolation, match=r"^entries\[1\]\.nonce$"):
+            encode_canonical(msg, TOY)
 
     @pytest.mark.parametrize("value", [0, PROD.modulus - 1, PROD.modulus])
     def test_non_subgroup_element_rejected_on_prod(self, value):
@@ -459,6 +477,9 @@ def assert_decodes_like_reference(wire: bytes, params) -> None:
     got = outcome(decode, wire, params)
     assert got == outcome(reference_decode, wire, params)
     if isinstance(got, Message):
+        # a plain tuple would compare equal: the types are checked apart
+        assert type(got) is Message
+        assert all(type(e) is GroupEntry for e in got.entries)
         assert type(got.sender_nonce) is bytes and type(got.signature) is bytes
         assert all(type(e.nonce) is bytes for e in got.entries)
 
@@ -472,9 +493,9 @@ NON_MEMBERS = {
 UNKNOWN_KINDS = [b for b in range(256) if b not in {int(k) for k in MessageKind}]
 
 
-def entry_fields(wire: bytes, params) -> tuple[list[int], list[int]]:
-    """Offsets of each entry's has_response byte and of each element field
-    in a wire that decodes."""
+def entry_fields(wire: bytes, params) -> tuple[list[int], list[int], int]:
+    """Offsets of each entry's has_response byte, of each element field
+    and of the signature length in a wire that decodes."""
     width = params.element_width
     flags, elements, pos = [], [], _HEADER_LEN
     for _ in range(int.from_bytes(wire[29:31], "big")):
@@ -484,7 +505,7 @@ def entry_fields(wire: bytes, params) -> tuple[list[int], list[int]]:
         for _ in range(1 + wire[flag]):
             elements.append(pos)
             pos += width
-    return flags, elements
+    return flags, elements, pos
 
 
 def with_byte(wire: bytes, offset: int, value: int) -> bytes:
@@ -496,16 +517,30 @@ def with_element(wire: bytes, offset: int, value: int, params) -> bytes:
     return wire[:offset] + value.to_bytes(width, "big") + wire[offset + width:]
 
 
+def with_u16(wire: bytes, offset: int, value: int) -> bytes:
+    return wire[:offset] + value.to_bytes(2, "big") + wire[offset + 2:]
+
+
 def mutants(wire: bytes, params):
     """Every hostile variant of one decodable wire the equivalence covers,
     except single-byte values beyond a one-bit flip (the property draws
     those)."""
-    flags, elements = entry_fields(wire, params)
+    flags, elements, sig_len_at = entry_fields(wire, params)
+    count = int.from_bytes(wire[29:31], "big")
+    sig_len = int.from_bytes(wire[sig_len_at:sig_len_at + 2], "big")
     yield wire
     for cut in range(len(wire)):
         yield wire[:cut]
+    for extra in (0x00, 0xFF):
+        yield wire + bytes([extra])
     for offset in range(len(wire)):
         yield with_byte(wire, offset, wire[offset] ^ 0x01)
+    for value in (0, count + 1):
+        if value != count:
+            yield with_u16(wire, 29, value)
+    for value in (sig_len - 1, sig_len + 1):
+        if 0 <= value <= 0xFFFF:
+            yield with_u16(wire, sig_len_at, value)
     for kind in UNKNOWN_KINDS:
         yield with_byte(wire, 0, kind)
     for flag in flags:
@@ -532,8 +567,10 @@ def fixed_wires() -> tuple[tuple[bytes, object], ...]:
 
 def test_decode_matches_reference_on_fixed_wires():
     """Honest corpus and vector wires, and every mutant of each: truncated
-    at every offset, one bit flipped at every offset, every unknown kind
-    byte, has_response 2-255 in each entry, a non-member in each element."""
+    at every offset, one byte longer, one bit flipped at every offset, an
+    entry count of 0 or one more, the signature length off by one, every
+    unknown kind byte, has_response 2-255 in each entry, a non-member in
+    each element."""
     params_seen = set()
     for wire, params in fixed_wires():
         params_seen.add(params)
@@ -577,7 +614,7 @@ def test_decode_matches_reference(data):
     MalformedMessage text."""
     params = data.draw(st.sampled_from([TOY, PROD]))
     wire = encode_signed(data.draw(messages_of(params)), params)
-    flags, elements = entry_fields(wire, params)
+    flags, elements, _ = entry_fields(wire, params)
     mutation = data.draw(st.sampled_from(
         ["honest", "truncate", "byte", "kind", "flag", "element"]))
     if mutation == "truncate":
@@ -681,3 +718,90 @@ class TestHeader:
         assert read_header(wire) == (MessageKind.IGROUP, 7, 2**40 + 3)
         assert read_header(wire[:31]) == read_header(wire)
         assert read_header(with_byte(wire, 31 + 4 + 16, 9)) == read_header(wire)
+
+
+# -- the struct-packed encoder and the IREPLY exact-layout decode ---------------
+
+
+def reference_encode(msg: Message, params) -> bytes:
+    """The field-at-a-time encoder the packed one replaced, kept as a
+    reference: the same field checks, then one ``bytearray`` append per
+    field."""
+    messages._check_fields(msg, params)
+    out = bytearray()
+    out.append(int(msg.kind))
+    out += msg.sender_id.to_bytes(4, "big")
+    out += msg.sender_nonce
+    out += msg.epoch.to_bytes(8, "big")
+    out += len(msg.entries).to_bytes(2, "big")
+    for e in msg.entries:
+        out += e.participant_id.to_bytes(4, "big")
+        out += e.nonce
+        out.append(1 if e.blinded_response is not None else 0)
+        out += encode_element(e.blinded_secret, params)
+        if e.blinded_response is not None:
+            out += encode_element(e.blinded_response, params)
+    return bytes(out)
+
+
+def codec_outcome(codec, data, params):
+    """What ``codec`` makes of ``data``: its result, or the type and text
+    of whatever it raised."""
+    try:
+        return codec(data, params)
+    except Exception as exc:  # noqa: BLE001 - the type is compared too
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_encode_matches_reference_encoder(data):
+    """On TOY and PROD, every kind: the packed encoder returns the
+    reference's bytes, or raises what it raises for a non-member element
+    or an id the wire cannot carry."""
+    params = data.draw(st.sampled_from([TOY, PROD]))
+    msg = data.draw(messages_of(params))
+    if msg.entries and data.draw(st.booleans()):
+        i = data.draw(st.integers(0, len(msg.entries) - 1))
+        bad = data.draw(st.one_of(st.sampled_from(NON_MEMBERS[params]),
+                                  st.just(2 ** 32), st.just(-1)))
+        field = data.draw(st.sampled_from(["blinded_secret", "participant_id"]))
+        entries = list(msg.entries)
+        entries[i] = entries[i]._replace(**{field: bad})
+        msg = msg._replace(entries=tuple(entries))
+    assert codec_outcome(encode_canonical, msg, params) == \
+        codec_outcome(reference_encode, msg, params)
+
+
+def reply_wire(params, sender: int, signature: bytes, seed: int = 0) -> bytes:
+    """A signed-form IREPLY: one entry without a response."""
+    rng = random.Random(f"reply/{params.name}/{seed}")
+    blinded = exp(params.generator, random_scalar(rng, params), params)
+    msg = Message(MessageKind.IREPLY, sender, rng.randbytes(16), seed,
+                  (GroupEntry(sender, rng.randbytes(16), blinded, None),),
+                  signature)
+    return encode_signed(msg, params)
+
+
+@pytest.mark.parametrize("params", [TOY, PROD], ids=["TOY", "PROD"])
+@pytest.mark.parametrize("sig_len", [0, 1, 32])
+def test_reply_decode_matches_reference_on_every_mutant(params, sig_len):
+    """The exact-layout IREPLY path, on every mutant of a reply: among
+    them truncated, one byte longer, has_response 1, an entry count of 0
+    or 2, a non-member element and the signature length off by one."""
+    for mutant in mutants(reply_wire(params, 2, bytes(range(sig_len))), params):
+        assert_decodes_like_reference(mutant, params)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_reply_decode_matches_reference(data):
+    """On TOY and PROD, an IREPLY of any sender, nonce, element and
+    signature, or one of its mutants, decodes to the same message as the
+    reference entry loop or fails with the same error."""
+    params = data.draw(st.sampled_from([TOY, PROD]))
+    wire = reply_wire(params, data.draw(st.integers(0, 2**32 - 1)),
+                      data.draw(st.binary(max_size=40)),
+                      data.draw(st.integers(0, 2**16)))
+    assert_decodes_like_reference(
+        data.draw(st.sampled_from(list(mutants(wire, params)))), params)

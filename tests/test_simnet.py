@@ -4,6 +4,8 @@ from collections import Counter, defaultdict
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from agdh.cli import _metrics_text
 from agdh.errors import ConfigError, OverlapError, UnknownNode
@@ -20,6 +22,7 @@ from agdh.simnet import (
     JoinAt,
     LeaveAt,
     PartitionAt,
+    Record,
     SimConfig,
     Transcript,
     converged,
@@ -161,6 +164,49 @@ class TestRecords:
             assert rec.get("key") is key.derived
             assert (rec.time, rec.node, rec.get("leader"), rec.get("epoch")) \
                 == (key.time, key.node_id, key.leader_id, key.epoch)
+
+
+def reference_record_render(rec: Record) -> str:
+    """The record formatter as it was before its list comprehension and
+    ``type(v) is bytes`` test, kept as a reference."""
+    node = "-" if rec.node is None else rec.node
+    detail = " ".join(f"{k}={v.hex() if isinstance(v, bytes) else v}"
+                      for k, v in rec.fields)
+    return f"{rec.time} {rec.kind} {node} {detail}".rstrip()
+
+
+field_values = st.one_of(
+    st.integers(-2**70, 2**70),
+    st.text(max_size=8),
+    st.text(max_size=4).map(lambda text: text + "  "),
+    st.binary(max_size=12),
+    st.tuples(st.integers(0, 9), st.text(max_size=3)),
+)
+records = st.builds(
+    Record,
+    time=st.integers(0, 10**12),
+    kind=st.sampled_from(["SEND", "KEY", "STATE", "HEAL"]),
+    node=st.one_of(st.none(), st.integers(0, 2**32 - 1)),
+    fields=st.lists(st.tuples(st.sampled_from(["id", "wire", "a0", "why"]),
+                              field_values), max_size=6).map(tuple),
+)
+
+
+@settings(deadline=None)
+@given(st.lists(records, max_size=8))
+def test_render_is_one_line_per_record(recs):
+    """Each record renders as before, and the transcript is its records'
+    lines, each ended by a newline."""
+    transcript = Transcript()
+    for rec in recs:
+        transcript.append(rec.time, rec.kind, rec.node, *rec.fields)
+        assert rec.render() == reference_record_render(rec)
+    assert transcript.render() == \
+        "\n".join(r.render() for r in recs) + "\n"
+
+
+def test_empty_transcript_renders_one_newline():
+    assert Transcript().render() == "\n"
 
 
 class TestChannel:
