@@ -149,10 +149,26 @@ class FsmOutput:
 @dataclass
 class MemberRecord:
     """What a leader knows about one member: its registered share, as its
-    IREPLY carried it, and when it was last heard."""
+    IREPLY carried it, and when it was last heard.  The leader keeps one per
+    member in its view, ``LeaderRole.view``."""
 
     entry: GroupEntry
     last_heard: int
+
+
+@dataclass(slots=True)
+class LeaderRole:
+    """Everything a node holds only while it leads.  ``Node._lead`` creates
+    it, as ``Node.lead``, when the node takes the lead of an empty group, and
+    ``Node._demote`` drops it, so none of it outlives the lead."""
+
+    nonce: bytes
+    announcement: Outgoing  # the latest, which a quiet beacon repeats
+    secret: int | None = None  # None until the first rekey
+    # in registration order: a changed registration moves to the end
+    view: dict[int, MemberRecord] = field(default_factory=dict)
+    blocked: dict[int, int] = field(default_factory=dict)  # id -> rejected blind
+    rejoin_pending: bool = False  # a blocked member re-registered fresh
 
 
 @dataclass(frozen=True)
@@ -213,15 +229,8 @@ class Node:
         self._last_wire_included = False  # our entry was in that announcement
         self.absent_streak = 0  # accepted announcements omitting our entry
 
-        # leader-side state
-        self.leader_secret: int | None = None
-        self.leader_nonce: bytes | None = None
-        # in registration order: a changed contribution moves to the end
-        self.view: dict[int, MemberRecord] = {}
-        self.seen_seq: dict[int, int] = {}  # survives member removal
-        self.blocked: dict[int, int] = {}   # id -> blinded secret rejected for degeneracy
-        self._rejoin_pending = False        # a blocked member re-registered fresh
-        self.current_announcement: Outgoing | None = None
+        self.lead: LeaderRole | None = None  # set exactly while leading
+        self.seen_seq: dict[int, int] = {}  # survives removal and demotion
 
         self.deadlines: dict[TimerKind, int] = {}
         # periodic timers are anchored to a drift-free grid; the jitter only
@@ -265,11 +274,13 @@ class Node:
         Excludes the send counter: re-sending a contribution is an output,
         not a state change.
         """
-        view = tuple(sorted((pid, r.entry) for pid, r in self.view.items()))
+        lead = self.lead
+        view = (tuple(sorted((pid, r.entry) for pid, r in lead.view.items()))
+                if lead else ())
         return (
             self.mode, self.leader_id, self.session,
             self.contribution, self.prev_contribution, view,
-            self.leader_secret, self.last_seen_epoch,
+            lead and lead.secret, self.last_seen_epoch,
             tuple(sorted(self.leader_epochs.items())),
         )
 
@@ -439,15 +450,12 @@ class Node:
 
     def _demote(self, new_leader: int, out: FsmOutput) -> None:
         """Leader heard a smaller-id leader: stop beaconing and drop the
-        group; the caller then adopts the new leader."""
+        whole leader role, group and all; the caller then adopts the new
+        leader."""
         out.log.append(("mode", "member", f"demoted_to_{new_leader}"))
         self.mode = Mode.MEMBER
         self._disarm(TimerKind.BEACON)
-        self.view = {}
-        self.blocked = {}
-        self.leader_secret = None
-        self.leader_nonce = None
-        self.current_announcement = None
+        self.lead = None
 
     def _process_announcement(self, msg: Message, wire: bytes, now: int,
                               out: FsmOutput, just_replied: bool) -> None:
@@ -520,21 +528,22 @@ class Node:
             return self._refuse(out, "identity_contribution", sender)
         self.seen_seq[sender] = msg.epoch
         out.accepted = True
-        if self.blocked.get(sender) == entry.blinded_secret:
+        lead = self.lead
+        if lead.blocked.get(sender) == entry.blinded_secret:
             out.log.append(("blocked_contribution", sender))
             return
-        if self.blocked.pop(sender, None) is not None:
+        if lead.blocked.pop(sender, None) is not None:
             # recovery from a degenerate-key exclusion must not wait for the
             # renewal period: fold the fresh value at the next beacon
-            self._rejoin_pending = True
+            lead.rejoin_pending = True
 
-        rec = self.view.get(sender)
+        rec = lead.view.get(sender)
         if rec is not None and rec.entry == entry:
             rec.last_heard = now
             return
         # a new or changed registration goes to the end of the view
-        self.view.pop(sender, None)
-        self.view[sender] = MemberRecord(entry, now)
+        lead.view.pop(sender, None)
+        lead.view[sender] = MemberRecord(entry, now)
         out.log.append(("register", sender, "new" if rec is None else "update"))
         if self.session is not None and rec is None and self.config.eager_rekey:
             self._rekey(now, out, reason="join")
@@ -543,7 +552,7 @@ class Node:
 
     def _on_del(self, msg: Message, now: int, out: FsmOutput) -> None:
         sender = msg.sender_id
-        rec = self.view.get(sender)
+        rec = self.lead.view.get(sender)
         if rec is not None and msg.sender_nonce != rec.entry.nonce:
             return self._refuse(out, "del_nonce_mismatch", sender)
         self.seen_seq[sender] = msg.epoch
@@ -551,12 +560,12 @@ class Node:
         if rec is None:
             out.log.append(("del_unknown", sender))
             return
-        del self.view[sender]
+        del self.lead.view[sender]
         out.log.append(("withdraw", sender))
         self._after_removal(now, out)
 
     def _after_removal(self, now: int, out: FsmOutput) -> None:
-        if self.view:
+        if self.lead.view:
             self._rekey(now, out, reason="removal")
         else:
             self._dissolve(out)
@@ -566,7 +575,7 @@ class Node:
         if self.session is not None:
             out.log.append(("dissolve",))
         self.session = None
-        self._build_empty_announcement()
+        self.lead.announcement = self._empty_announcement(self.lead.nonce)
 
     # -- timers ----------------------------------------------------------------
 
@@ -595,43 +604,41 @@ class Node:
             self._lead(now, out, "backoff_won")
 
     def _lead(self, now: int, out: FsmOutput, why: str) -> None:
-        """Take the lead of an empty group: broadcast its announcement at
-        once and beacon from now on."""
+        """Take the lead of an empty group with a new leader role: broadcast
+        its announcement at once and beacon from now on."""
         self.mode = Mode.LEADER
         self.leader_id = self.node_id
-        self.leader_nonce = self._fresh_nonce()
-        self.view = {}
-        self.blocked = {}
+        nonce = self._fresh_nonce()
+        self.lead = LeaderRole(nonce, self._empty_announcement(nonce))
         self.session = None
         out.log.append(("mode", "leader", why))
-        self._build_empty_announcement()
-        out.sends.append(self.current_announcement)
+        out.sends.append(self.lead.announcement)
         self._arm_periodic(TimerKind.BEACON, now, out, restart=True)
 
-    def _build_empty_announcement(self) -> None:
-        msg = build_igroup(self.node_id, self.leader_nonce,
-                           self.last_seen_epoch, [])
-        self.current_announcement = self._sign_and_pack(msg, None)
+    def _empty_announcement(self, nonce: bytes) -> Outgoing:
+        msg = build_igroup(self.node_id, nonce, self.last_seen_epoch, [])
+        return self._sign_and_pack(msg, None)
 
     def _on_beacon(self, now: int, out: FsmOutput) -> None:
-        if self.mode is not Mode.LEADER:
+        lead = self.lead
+        if lead is None:
             return
         queued = len(out.sends)
-        expired = [pid for pid, rec in self.view.items()
+        expired = [pid for pid, rec in lead.view.items()
                    if now - rec.last_heard >= self.config.silence_threshold]
         if expired:
             for pid in expired:
-                del self.view[pid]
+                del lead.view[pid]
             out.log.append(("expire", tuple(sorted(expired))))
             self._after_removal(now, out)
-        elif self.session is None and self.view:
+        elif self.session is None and lead.view:
             # group formation: fold everything heard so far
             self._rekey(now, out, reason="formation")
-        elif self._rejoin_pending and self.view:
+        elif lead.rejoin_pending and lead.view:
             self._rekey(now, out, reason="rejoin")
         if len(out.sends) == queued:
             # nothing changed: repeat the previous announcement bit for bit
-            out.sends.append(self.current_announcement)
+            out.sends.append(lead.announcement)
         self._arm_periodic(TimerKind.BEACON, now, out)
 
     def _on_reply(self, now: int, out: FsmOutput) -> None:
@@ -643,11 +650,11 @@ class Node:
         self._arm_periodic(TimerKind.RENEWAL, now, out)
         if self.mode is Mode.LEADER:
             out.log.append(("renewal",))
-            if self.view:
+            if self.lead.view:
                 self._rekey(now, out, reason="renewal")
             else:
-                self.leader_nonce = self._fresh_nonce()
-                self._build_empty_announcement()
+                self.lead.nonce = self._fresh_nonce()
+                self.lead.announcement = self._empty_announcement(self.lead.nonce)
         elif self.mode is Mode.MEMBER and self.leader_id is not None:
             out.log.append(("renewal",))
             self._fresh_contribution(now)
@@ -660,44 +667,45 @@ class Node:
         """Resample the leader secret, fold the registered contributions, and
         broadcast the rebuilt announcement.
 
-        The view is kept in the order in which registrations last changed,
-        and the announcement lists its entries in that order.  If the key
-        degenerates to the identity (1 + sum of member secrets divisible by
-        the group order), the view's last entry, the most recently changed
-        contribution, is excluded and blocklisted until that member sends a
-        different one; this terminates with probability 1 because the member
-        renews its contribution periodically.
+        The view, ``self.lead.view``, is kept in the order in which
+        registrations last changed, and the announcement lists its entries in
+        that order.  If the key degenerates to the identity (1 + sum of member
+        secrets divisible by the group order), the view's last entry, the most
+        recently changed contribution, is excluded and blocklisted (in
+        ``self.lead.blocked``) until that member sends a different one; this
+        terminates with probability 1 because the member renews its
+        contribution periodically.
         """
-        assert self.mode is Mode.LEADER
-        self._rejoin_pending = False
+        lead = self.lead
+        lead.rejoin_pending = False
         while True:
-            self.leader_secret = random_scalar(self.rng, self.params)
-            self.leader_nonce = self._fresh_nonce()
+            lead.secret = random_scalar(self.rng, self.params)
+            lead.nonce = self._fresh_nonce()
             try:
                 key, entries = compute_key_leader(
-                    self.leader_secret, [r.entry for r in self.view.values()],
+                    lead.secret, [r.entry for r in lead.view.values()],
                     self.params, self.counter)
                 break
             except DegenerateKey:
-                victim_id, victim = self.view.popitem()
-                self.blocked[victim_id] = victim.entry.blinded_secret
+                victim_id, victim = lead.view.popitem()
+                lead.blocked[victim_id] = victim.entry.blinded_secret
                 out.log.append(("degenerate_excluded", victim_id))
-                if not self.view:
+                if not lead.view:
                     self._dissolve(out)
-                    out.sends.append(self.current_announcement)
+                    out.sends.append(lead.announcement)
                     return
 
         self.secret_log.append(SecretRecord(
-            now, "leader", self.leader_secret, None, self.leader_nonce))
+            now, "leader", lead.secret, None, lead.nonce))
         epoch = self.last_seen_epoch + 1
         self.last_seen_epoch = epoch
         self.session = SessionKey(now, self.node_id, self.node_id, epoch, key,
                                   derive_session_key(key, epoch, self.params))
         out.key_changes.append(self.session)
 
-        msg = build_igroup(self.node_id, self.leader_nonce, epoch, entries)
-        self.current_announcement = self._sign_and_pack(msg, None)
-        out.sends.append(self.current_announcement)
+        msg = build_igroup(self.node_id, lead.nonce, epoch, entries)
+        lead.announcement = self._sign_and_pack(msg, None)
+        out.sends.append(lead.announcement)
         out.log.append(("rekey", reason, epoch))
 
     # -- local leave ---------------------------------------------------------------
@@ -708,4 +716,3 @@ class Node:
             self.seq += 1
             msg = build_del(self.node_id, self.contribution.nonce, self.seq)
             out.sends.append(self._sign_and_pack(msg, self.leader_id))
-        out.log.append(("leave", "graceful"))

@@ -334,7 +334,7 @@ class _Simulation:
         elif isinstance(entry, LeaveAt):
             node = self.nodes[entry.node_id]
             self._absorb(entry.node_id, node.handle(LocalLeaveRequest(), at), at)
-            self.transcript.append(at, "LEAVE", entry.node_id, ("graceful", "true"))
+            self.transcript.append(at, "LEAVE", entry.node_id)
             self.live.discard(entry.node_id)
         elif isinstance(entry, CrashAt):
             self.transcript.append(at, "CRASH", entry.node_id)

@@ -121,9 +121,41 @@ class TestLeaderConflict:
         elect(high)
         out = deliver(high, low_out.sends[0].wire, at + 1000)
         assert high.mode is Mode.MEMBER
+        assert high.lead is None
         assert high.leader_id == 7
         assert any(s.message.kind is MessageKind.IREPLY and s.dest == 7
                    for s in out.sends)
+
+    def test_demoted_leader_leads_again_from_scratch(self):
+        """A demotion drops the whole leader role: a rejoin pending, a
+        blocklist, a view and a secret do not carry over into the next
+        lead."""
+        low, high = make_node(7), make_node(12)
+        low_out, _ = elect(low)
+        _, at = elect(high)
+        # 1 + 4 + 6 = 0 mod 11: member 3, registered last, is blocked
+        deliver(high, ireply_wire(2, 1, 4, bytes([2]) * 16), at + 1000)
+        deliver(high, ireply_wire(3, 1, 6, bytes([3]) * 16), at + 2000)
+        out, now = fire(high, TimerKind.BEACON)
+        assert ("degenerate_excluded", 3) in out.log
+        # and so is member 5 at the renewal, with 1 + 4 + 6 again
+        deliver(high, ireply_wire(5, 1, 6, bytes([5]) * 16), now + 1000)
+        out, now = fire(high, TimerKind.RENEWAL)
+        assert ("degenerate_excluded", 5) in out.log
+        # member 3 re-registers fresh: a rejoin rekey is pending
+        deliver(high, ireply_wire(3, 2, 9, bytes([9]) * 16), now + 1000)
+        role = high.lead
+        assert role.rejoin_pending and role.secret is not None
+        assert set(role.view) == {2, 3} and set(role.blocked) == {5}
+
+        deliver(high, low_out.sends[0].wire, now + 2000)
+        assert high.mode is Mode.MEMBER and high.lead is None
+        fire(high, TimerKind.SILENCE)
+        assert high.mode is Mode.CANDIDATE
+        fire(high, TimerKind.BACKOFF)
+        assert high.mode is Mode.LEADER and high.lead is not role
+        assert high.lead.view == {} and high.lead.blocked == {}
+        assert high.lead.secret is None and not high.lead.rejoin_pending
 
     def test_smaller_leader_discards_larger(self):
         low, high = make_node(7), make_node(12)
@@ -177,7 +209,7 @@ def established_group(member_secrets: dict[int, int], leader_id=1, config=CONFIG
 class TestKeying:
     def test_formation_key_matches_oracle(self):
         leader, announcement, _ = established_group({2: 4, 3: 5})
-        expected = oracle_key(leader.leader_secret, [4, 5], TOY)
+        expected = oracle_key(leader.lead.secret, [4, 5], TOY)
         assert leader.session.group_key == expected
         assert announcement.message.epoch == leader.session.epoch == 1
 
@@ -310,14 +342,14 @@ class TestMembershipChanges:
     def test_del_removes_and_rekeys(self):
         leader, announcement, now = established_group({2: 4, 3: 5})
         epoch_before = leader.session.epoch
-        secret_before = leader.leader_secret
+        secret_before = leader.lead.secret
         nonce2 = bytes([2]) * 16
         wire = encode_signed(sign(build_del(2, nonce2, 7), RING, TOY), TOY)
         out = deliver(leader, wire, now + 1000)
         assert out.accepted
-        assert 2 not in leader.view
+        assert 2 not in leader.lead.view
         assert leader.session.epoch == epoch_before + 1
-        assert leader.leader_secret != secret_before  # fresh contribution
+        assert leader.lead.secret != secret_before  # fresh contribution
         [announcement2] = out.sends
         ids = [e.participant_id for e in announcement2.message.entries]
         assert ids == [3]
@@ -329,7 +361,7 @@ class TestMembershipChanges:
         wire = encode_signed(sign(build_del(2, bytes(16), 7), RING, TOY), TOY)
         out = deliver(leader, wire, now + 1000)
         assert out.accepted is False
-        assert 2 in leader.view
+        assert 2 in leader.lead.view
 
     def test_del_replay_rejected(self):
         leader, _, now = established_group({2: 4, 3: 5})
@@ -344,7 +376,7 @@ class TestMembershipChanges:
         wire = encode_signed(sign(build_del(2, bytes([2]) * 16, 7), RING, TOY), TOY)
         out = deliver(leader, wire, now + 1000)
         assert leader.session is None
-        assert not leader.view
+        assert not leader.lead.view
 
     def test_batched_expiry_single_rekey(self):
         leader, _, now = established_group({2: 4, 3: 5, 6: 2})
@@ -358,8 +390,8 @@ class TestMembershipChanges:
             rekeys += sum(1 for entry in out.log if entry[0] == "rekey")
             seq += 1
             deliver(leader, ireply_wire(6, seq, 2, bytes([6]) * 16), t + 1000)
-        assert 2 not in leader.view and 3 not in leader.view
-        assert 6 in leader.view
+        assert 2 not in leader.lead.view and 3 not in leader.lead.view
+        assert 6 in leader.lead.view
         assert leader.session.epoch == epoch_before + 1
         assert rekeys == 1
 
@@ -375,7 +407,7 @@ class TestMembershipChanges:
         epoch_before = leader.session.epoch
         out = deliver(leader, ireply_wire(9, 1, 7, bytes([9]) * 16), now + 1000)
         assert out.accepted
-        assert 9 in leader.view
+        assert 9 in leader.lead.view
         assert leader.session.epoch == epoch_before  # folded later
         assert not out.sends
         # the join folds at the leader's own renewal
@@ -397,13 +429,13 @@ class TestMembershipChanges:
         leader, _, now = established_group({2: 4, 3: 5})
         epoch_before = leader.session.epoch
         key_before = leader.session.group_key
-        secret_before = leader.leader_secret
+        secret_before = leader.lead.secret
         out, _ = fire(leader, TimerKind.RENEWAL)
         assert leader.session.epoch == epoch_before + 1
-        assert leader.leader_secret != secret_before
+        assert leader.lead.secret != secret_before
         # fresh leader secret changes the key except on exponent collision
         if (secret_before * (1 + 4 + 5)) % TOY.order != \
-                (leader.leader_secret * (1 + 4 + 5)) % TOY.order:
+                (leader.lead.secret * (1 + 4 + 5)) % TOY.order:
             assert leader.session.group_key != key_before
 
     def test_member_renewal_carried_in_next_reply(self):
@@ -439,14 +471,14 @@ class TestDegenerateRecovery:
         # the same blinded value from node 3 is now ignored
         out = deliver(leader, ireply_wire(3, 2, 6, bytes([3]) * 16), now + 1000)
         assert out.accepted
-        assert 3 not in leader.view
+        assert 3 not in leader.lead.view
         # a fresh secret unblocks and rejoins
         out = deliver(leader, ireply_wire(3, 3, 9, bytes([9]) * 16), now + 2000)
-        assert 3 in leader.view
+        assert 3 in leader.lead.view
         out, _ = fire(leader, TimerKind.RENEWAL)
         assert {e.participant_id for e in out.sends[0].message.entries} == {2, 3}
         assert leader.session.group_key == oracle_key(
-            leader.leader_secret, [4, 9], TOY)
+            leader.lead.secret, [4, 9], TOY)
 
     def test_refresh_moves_registration_last(self):
         """A changed contribution counts as the newest registration: it is
@@ -470,13 +502,13 @@ class TestDegenerateRecovery:
         leader, out = formed(4)
         assert ("degenerate_excluded", 2) in out.log
         assert [e.participant_id for e in out.sends[0].message.entries] == [3]
-        assert leader.blocked == {2: pow(TOY.generator, 4, TOY.modulus)}
+        assert leader.lead.blocked == {2: pow(TOY.generator, 4, TOY.modulus)}
 
         leader, out = formed(2)
         assert not any(e[0] == "degenerate_excluded" for e in out.log)
         assert [e.participant_id for e in out.sends[0].message.entries] == [3, 2]
         assert leader.session.group_key == oracle_key(
-            leader.leader_secret, [6, 2], TOY)
+            leader.lead.secret, [6, 2], TOY)
 
     def test_excluding_the_last_member_dissolves(self):
         # 1 + 10 = 0 mod 11: the refreshed contribution is the only one
@@ -490,11 +522,11 @@ class TestDegenerateRecovery:
         assert out.log == [("renewal",), ("degenerate_excluded", 2),
                            ("dissolve",)]
         assert leader.session is None
-        assert not leader.view
-        assert leader.blocked == {2: pow(TOY.generator, 10, TOY.modulus)}
+        assert not leader.lead.view
+        assert leader.lead.blocked == {2: pow(TOY.generator, 10, TOY.modulus)}
         # the empty announcement still goes out at once
         [sent] = out.sends
-        assert sent is leader.current_announcement
+        assert sent is leader.lead.announcement
         assert not sent.message.entries
 
 
@@ -599,7 +631,7 @@ class TestRefusalsKeepState:
         cancel = pow(leader_blind * response % p, -1, p)
         entries = [GroupEntry(5, mine.nonce, mine.blinded_secret, response),
                    GroupEntry(7, bytes([7]) * 16, g, cancel)]
-        wire = signed_igroup(1, leader.leader_nonce, 1, entries)
+        wire = signed_igroup(1, leader.lead.nonce, 1, entries)
         assert self.refuse(member, wire, now) == "degenerate_announcement"
         # nothing about the refused wire is remembered: its repeat is
         # checked in full and refused again
@@ -710,12 +742,12 @@ class TestHeaderTriage:
 class TestLeaderBookkeeping:
     def test_del_from_unknown_member(self):
         leader, _, now = established_group({2: 4, 3: 5})
-        view = dict(leader.view)
+        view = dict(leader.lead.view)
         wire = encode_signed(sign(build_del(9, bytes([9]) * 16, 4), RING, TOY), TOY)
         out = deliver(leader, wire, now + 1000)
         assert out.accepted is True
         assert ("del_unknown", 9) in out.log
-        assert leader.view == view and not out.sends and not out.key_changes
+        assert leader.lead.view == view and not out.sends and not out.key_changes
         # its sequence number is spent: the same DEL again is a replay
         assert refusal(deliver(leader, wire, now + 2000)) == "replay_seq"
 
@@ -731,7 +763,7 @@ class TestLeaderBookkeeping:
         [beacon] = out.sends
         assert beacon.message.entries == ()
         assert beacon.message.epoch == first.message.epoch
-        assert beacon.message.sender_nonce == leader.leader_nonce
+        assert beacon.message.sender_nonce == leader.lead.nonce
         assert beacon.message.sender_nonce != first.message.sender_nonce
 
 
@@ -787,4 +819,4 @@ def test_identity_contribution_rejected():
     msg = sign(_build(2, bytes([2]) * 16, 1, entry), RING, TOY)
     out = deliver(leader, encode_signed(msg, TOY), at + 1000)
     assert out.accepted is False
-    assert 2 not in leader.view
+    assert 2 not in leader.lead.view

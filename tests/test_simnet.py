@@ -11,7 +11,7 @@ from agdh.cli import _metrics_text
 from agdh.errors import ConfigError, OverlapError, UnknownNode
 from agdh.group_arith import PROD, TOY
 from agdh.messages import MessageKind
-from agdh.node_fsm import Mode, NodeConfig
+from agdh.node_fsm import Mode, Node, NodeConfig
 from agdh.oracle import audit_transcript
 from agdh.scenario import load_scenario
 from agdh.simnet import (
@@ -108,7 +108,7 @@ def prod_churn_run():
 
 # sha256 of prod_churn_run's rendered transcript and of its metrics.txt
 PROD_CHURN_DIGESTS = (
-    "24c9ccb1a29b17e1ac89310c5d04b6146aa7a71a0654293393724533cd2aa94a",
+    "51a1c737a10d41aa8bed3c304237dd3f0a2e72db65ef5fd0cf16d197b0866531",
     "67c49d61f3cc9832d71dc03d3de68b9bf9a48a0a5ea1379ab80c2d593056b42d",
 )
 
@@ -126,15 +126,27 @@ class TestRecords:
                 "SUPPRESS", "REJECT", "EXPIRE", "KEY"} <= kinds
         assert prod_churn_digests(res) == PROD_CHURN_DIGESTS
 
-    def test_toy_churn_render_is_pinned(self):
+    def test_toy_churn_render_is_pinned(self, monkeypatch):
         """A lossy TOY churn run with short renewals that reaches the
         leader transitions the goldens barely touch: a degenerate-key
         exclusion and its blocklist, demotions and leader switches, rejoin
-        and renewal rekeys, a wrong echo and a re-minted contribution."""
+        and renewal rekeys, a wrong echo and a re-minted contribution.
+        After every step, a node holds its leader role exactly while it
+        leads."""
+        real_handle, steps = Node.handle, Counter()
+
+        def checked_handle(node, event, now):
+            out = real_handle(node, event, now)
+            assert (node.mode is Mode.LEADER) == (node.lead is not None)
+            steps[node.mode] += 1
+            return out
+
+        monkeypatch.setattr(Node, "handle", checked_handle)
         schedule = load_scenario(os.path.join(SCENARIO_DIR, "churn.scn"))
         res = run(SimConfig(node_count=10, loss_prob=0.3, seed=4,
                             duration=300 * SECOND, schedule=schedule),
                   NodeConfig(renew_p=60 * SECOND), TOY)
+        assert steps[Mode.LEADER] and steps[Mode.MEMBER]
         kinds = {r.kind for r in res.transcript}
         assert {"DEGENERATE_EXCLUDED", "BLOCKED_CONTRIBUTION", "SWITCH_LEADER",
                 "RENEWAL", "CONTRIBUTION_REMINTED"} <= kinds
@@ -145,7 +157,7 @@ class TestRecords:
                                 for r in res.transcript.of_kind("REJECT")}
         digest = hashlib.sha256(res.transcript.render().encode()).hexdigest()
         assert digest == \
-            "c95135638b772d5a098d18da3d29c29d54ff27375ece15f8d3624e7cbea2cd20"
+            "701e73819c4365214217d218588209ca95163fd09f5d82931004d7f844f8fe82"
         digest = hashlib.sha256(_metrics_text(res).encode()).hexdigest()
         assert digest == \
             "aaa7f4a5d478e93ffb140f381fd26a926c12938c46e815ff6c9551e7f9a8da57"
@@ -343,6 +355,12 @@ class TestChurn:
         rekey = next(r for r in res.transcript.of_kind("REKEY")
                      if r.time > 40 * SECOND)
         assert rekey.time - del_send.time <= NodeConfig().period_t
+
+    def test_graceful_leave_is_one_leave_record(self):
+        res = toy_run(node_count=4, seed=1, duration=60 * SECOND,
+                      schedule=(LeaveAt(40 * SECOND, 3),))
+        [leave] = res.transcript.of_kind("LEAVE")
+        assert leave.render() == "40000000 LEAVE 3"
 
     def test_crash_rekeys_within_expiry_window(self):
         res = toy_run(node_count=4, seed=5, duration=80 * SECOND,
