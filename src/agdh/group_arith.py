@@ -28,8 +28,10 @@ when ``hashlib`` is not backed by OpenSSL.  The choice follows from the
 modulus and the running interpreter alone.  Both kernels return the same
 integers, so counts, wires and transcripts do not depend on it.  The
 library is bound on the first power that needs it, never at import.
-``validate``, ``_is_probable_prime`` and ``gka_core.oracle_key`` keep
-builtin ``pow``.  Each :func:`exp` call counts as one exponentiation.
+``validate`` and ``_is_probable_prime`` keep builtin ``pow``;
+``gka_core.oracle_key`` computes its powers with its own fixed-base comb
+in Python ints and calls nothing here.  Each :func:`exp` call counts as
+one exponentiation.
 
 Products of many elements, a member folding the m announced responses into
 its key and the leader folding its own, go through :func:`prodmod`, on the

@@ -4,7 +4,10 @@ The auditor recomputes every announced key directly in the exponent from the
 ground-truth secrets (which the nodes log locally and never send), re-verifies
 every message a node accepted, and scans outgoing wire bytes for secret
 material.  It deliberately shares nothing with the leader/member computation
-paths beyond the group primitives, so corrupting either path trips it.
+paths beyond the wire codec, whose decode consults ``group_arith``'s memo
+of known elements: its expected keys come from ``gka_core.oracle_key``'s
+own fixed-base comb, which uses neither that memo nor ``group_arith``'s
+kernel, so corrupting either path trips it.
 """
 
 from __future__ import annotations
@@ -119,8 +122,9 @@ def audit_transcript(result: SimResult, scan_secrets: bool | None = None) -> Aud
     pigeonhole coincidence, not leakage.  By default the scan runs only when
     the widths differ; pass ``scan_secrets=True`` to force it.  On PROD the
     default scan compares nothing: no wire field has the 20-byte scalar
-    width (nonces are 16 bytes and elements 128), so it decodes no send
-    and only counts them.
+    width (nonces are 16 bytes and elements 128), so it builds no set of
+    secret encodings, scans no wire the other checks decode, decodes no
+    send and only counts them.
     """
     params = result.params
     report = AuditReport()
@@ -135,11 +139,14 @@ def audit_transcript(result: SimResult, scan_secrets: bool | None = None) -> Aud
                 leader_secret_by_nonce[(node_id, rec.nonce)] = rec.secret
             else:
                 member_secret[(node_id, rec.blinded, rec.nonce)] = rec.secret
+    # Only a field as wide as a scalar can equal a secret's encoding; with
+    # no such field there is nothing to compare, so no wire is scanned.
     width = _scalar_width(params)
+    comparable = width in (NONCE_LEN, params.element_width)
     secret_encodings = {
         rec.secret.to_bytes(width, "big")
         for records in result.secrets.values() for rec in records
-    } if scan_secrets else None
+    } if scan_secrets and comparable else None
     wires = _WireChecks(result, secret_encodings)
 
     # --- reconstruct announced group compositions -------------------------
@@ -226,9 +233,8 @@ def audit_transcript(result: SimResult, scan_secrets: bool | None = None) -> Aud
                        f"node={rec.node} id={rec.get('id')} kind={detail}")
 
     # --- no protocol message may carry a secret's encoding ----------------
-    # Only a field as wide as a scalar can equal a secret's encoding; with
-    # no such field, a send need not be decoded to know it leaks nothing.
-    comparable = width in (NONCE_LEN, params.element_width)
+    # A send with no comparable field need not be decoded to know it leaks
+    # nothing, but it is still counted.
     for rec in sends if scan_secrets else ():
         report.sends_scanned += 1
         if not comparable:

@@ -116,10 +116,14 @@ class SimConfig:
         """Replay the schedule in run order, (at, index), and reject entries
         that could only fail mid-run: an id the wire cannot carry, a join
         of an id that already exists, a leave or crash of an id that is not
-        live, and partition cells that overlap.  The starting ids are a
-        range, never a set, so a large ``node_count`` costs no memory here."""
+        live, partition cells that overlap, and a cell naming an id that
+        neither starts nor joins at any time in the run (a later joiner and
+        a departed node may be named).  The starting ids are a range, never
+        a set, so a large ``node_count`` costs no memory here."""
         joined: set[int] = set()
         departed: set[int] = set()
+        ever_joins = {entry.node_id for entry in self.schedule
+                      if isinstance(entry, JoinAt)}
 
         def known(node_id: int) -> bool:
             return 1 <= node_id <= self.node_count or node_id in joined
@@ -146,6 +150,11 @@ class SimConfig:
                         if node_id in seen:
                             raise OverlapError(
                                 f"node {node_id} in two partition cells")
+                        if not (1 <= node_id <= self.node_count
+                                or node_id in ever_joins):
+                            raise UnknownNode(
+                                f"partition names node {node_id},"
+                                " which is never in the run")
                         seen.add(node_id)
 
 

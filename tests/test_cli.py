@@ -136,6 +136,18 @@ class TestRunCommand:
         assert "node 99 is not live" in capsys.readouterr().err
         assert not out_dir.exists()
 
+    def test_partition_naming_an_absent_id_exits_two(self, tmp_path, capsys):
+        scenario = tmp_path / "s.scn"
+        scenario.write_text("10s partition 1,2|3,99\n")
+        out_dir = tmp_path / "out"
+        code = main(["run", "--nodes", "4", "--toy", "--scenario", str(scenario),
+                     "--out", str(out_dir)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "node 99" in captured.err
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize("line", ["10s join 4294967296", "10s join -5"])
     def test_id_outside_the_wire_range_exits_two(self, line, tmp_path, capsys):
         scenario = tmp_path / "s.scn"

@@ -3,7 +3,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from agdh.errors import DegenerateKey, NotInSubgroup, ZeroScalar
@@ -19,8 +19,11 @@ from agdh.gka_core import (
     oracle_key,
     recover_leader_blind,
     respond,
+    _comb_table,
 )
-from agdh.group_arith import PROD, TOY, ExpCounter, _in_subgroup
+from agdh import gka_core, group_arith
+from agdh.group_arith import PROD, TOY, ExpCounter, GroupParams, _in_subgroup
+from test_group_arith import FULL_WIDTH, ODD_WIDTH
 
 SCALARS = range(1, TOY.order)  # [1, 10]
 
@@ -315,3 +318,95 @@ def test_agreement_exhaustive_group_of_four():
                         continue
                     key, _ = compute_key_leader(r_l, shares, TOY)
                     assert key == expected
+
+
+# -- the exponent oracle's comb against builtin pow --------------------------
+
+ORACLE_GROUPS = [PROD, TOY, ODD_WIDTH, FULL_WIDTH]
+
+
+def pow_key(leader_secret: int, member_secrets: list[int],
+            params: GroupParams) -> int:
+    """The oracle's key by builtin pow, the reference for its comb."""
+    exponent = leader_secret * (1 + sum(member_secrets)) % params.order
+    return pow(params.generator, exponent, params.modulus)
+
+
+def secrets_for(exponent: int, params: GroupParams) -> list[tuple[int, list[int]]]:
+    """Leader and member secrets whose oracle exponent is ``exponent``:
+    as the leader secret alone, and through the members' sum."""
+    q = params.order
+    e = exponent % q
+    if e == 0:  # member secrets summing to -1 mod q
+        return [(1, [q - 1]), (5, [1, q - 2])]
+    cases = [(e, [])]
+    if e >= 2:
+        cases.append((1, [e - 1]))
+    return cases
+
+
+def comb_edge_exponents(params: GroupParams) -> list[int]:
+    """0, 1, q-1, every single bit below q's length, and all-ones runs
+    across each column and row boundary of the comb."""
+    q = params.order
+    rows, columns, _ = _comb_table(params.generator, params.modulus, q)
+    values = [0, 1, q - 1]
+    values += [1 << i for i in range(q.bit_length())]
+    # one full column: every row's bit k set, so the last table entry
+    values += [sum(1 << (j * columns + k) for j in range(rows))
+               for k in range(columns)]
+    # all ones below each row boundary, and a run of two across it
+    values += [(1 << (j * columns)) - 1 for j in range(1, rows + 1)]
+    values += [0b11 << (j * columns - 1) for j in range(1, rows)]
+    # a run of ones from each row's lowest bit up to each column
+    values += [((1 << k) - 1) << (j * columns)
+               for j in range(rows) for k in range(1, columns + 1)]
+    values.append((1 << q.bit_length()) - 1)
+    return [v % q for v in values]
+
+
+class TestOracleComb:
+    @pytest.mark.parametrize("params", ORACLE_GROUPS, ids=lambda p: p.name)
+    def test_edge_exponents_match_pow(self, params):
+        for e in comb_edge_exponents(params):
+            for leader_secret, member_secrets in secrets_for(e, params):
+                assert (oracle_key(leader_secret, member_secrets, params)
+                        == pow_key(leader_secret, member_secrets, params)
+                        == pow(params.generator, e, params.modulus)), e
+
+    @settings(max_examples=80)
+    @given(st.sampled_from(ORACLE_GROUPS), st.data())
+    def test_drawn_secrets_match_pow(self, params, data):
+        scalar = st.integers(1, params.order - 1)
+        leader_secret = data.draw(scalar)
+        member_secrets = data.draw(st.lists(scalar, max_size=8))
+        assert (oracle_key(leader_secret, member_secrets, params)
+                == pow_key(leader_secret, member_secrets, params))
+
+    @pytest.mark.parametrize("params", ORACLE_GROUPS, ids=lambda p: p.name)
+    def test_table_has_at_most_64_powers(self, params):
+        rows, columns, table = _comb_table(
+            params.generator, params.modulus, params.order)
+        assert len(table) == 1 << rows <= 64
+        assert rows * columns >= params.order.bit_length()
+
+    def test_independent_of_group_arith(self, monkeypatch):
+        """With every group_arith power and product patched to raise, the
+        oracle still answers, builds its table and files no known element."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("the oracle called group_arith")
+
+        for module in (group_arith, gka_core):
+            for name in ("exp", "_powmod", "prodmod", "is_element",
+                         "all_known"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, refuse)
+        known = set(PROD.known)
+        _comb_table.cache_clear()
+        rng = random.Random(19)
+        for _ in range(5):
+            leader_secret = rng.randrange(1, PROD.order)
+            member_secrets = [rng.randrange(1, PROD.order) for _ in range(4)]
+            assert (oracle_key(leader_secret, member_secrets, PROD)
+                    == pow_key(leader_secret, member_secrets, PROD))
+        assert PROD.known == known

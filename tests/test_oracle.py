@@ -5,7 +5,7 @@ from itertools import combinations
 import pytest
 
 from agdh.errors import CountMismatch, MalformedMessage
-from agdh.gka_core import derive_session_key, oracle_key
+from agdh.gka_core import derive_session_key
 from agdh.group_arith import PROD, TOY, encode_element
 from agdh.messages import (
     GroupEntry,
@@ -185,7 +185,9 @@ class TestCostTable:
 
 def reference_audit(result, scan_secrets=None) -> AuditReport:
     """The per-accept auditor: decodes wires from the transcript's hex,
-    once per use, and verifies each accepted delivery by re-encoding it."""
+    once per use, and verifies each accepted delivery by re-encoding it.
+    Its expected key elements come from builtin pow, so comparing it with
+    the audit also checks ``oracle_key``'s comb over whole runs."""
     params = result.params
     report = AuditReport()
     if scan_secrets is None:
@@ -238,7 +240,9 @@ def reference_audit(result, scan_secrets=None) -> AuditReport:
                 break
             member_secrets.append(secret)
         else:
-            key_element = oracle_key(r_l, member_secrets, params)
+            key_element = pow(params.generator,
+                              r_l * (1 + sum(member_secrets)) % params.order,
+                              params.modulus)
             if key_element == 1:
                 report.add("identity_key", f"leader={leader_id} epoch={epoch}")
                 continue
@@ -390,6 +394,24 @@ def test_audit_decodes_each_distinct_wire_once(monkeypatch):
     assert report.accepts_checked > len(calls) > 0
     assert max(calls.values()) == 1
     assert set(calls) == set(res.wire_by_id.values())
+
+
+def test_prod_audit_scans_no_wire_for_secrets(monkeypatch):
+    """No PROD wire field is as wide as a scalar, so the default audit
+    runs the secret comparison on no wire, yet reports what the
+    reference auditor reports."""
+    import agdh.oracle as oracle
+
+    res = run(SimConfig(node_count=8, seed=2, loss_prob=0.1,
+                        duration=60 * SECOND), NodeConfig(), PROD)
+
+    def refuse(self, msg):
+        raise AssertionError("a PROD wire was scanned for secrets")
+
+    monkeypatch.setattr(oracle._WireChecks, "_leaks", refuse)
+    report = TestAuditEquivalence.assert_same(res)
+    assert report.clean
+    assert report.sends_scanned == len(res.transcript.of_kind("SEND")) > 0
 
 
 def test_prod_audit_decodes_only_accepted_or_composed_wires(monkeypatch):

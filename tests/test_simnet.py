@@ -417,11 +417,22 @@ class TestChurn:
         (CrashAt(SECOND, 2), LeaveAt(2 * SECOND, 2)),  # no longer live
         (LeaveAt(2 * SECOND, 9), JoinAt(5 * SECOND, 9)),
         (LeaveAt(SECOND, 9), JoinAt(SECOND, 9)),       # same time: list order
+        # a partition naming an id that neither starts nor ever joins
+        (PartitionAt(SECOND, ((1, 2), (3, 99))),),
+        (JoinAt(SECOND, 9), PartitionAt(2 * SECOND, ((1, 2, 9), (3, 8)))),
+        (PartitionAt(SECOND, ((0, 1), (2, 3))),),      # ids start at 1
     ])
     def test_bad_schedule_rejected_by_validate(self, schedule):
         """The schedule is replayed in (time, index) order before the run."""
         with pytest.raises(UnknownNode):
             SimConfig(node_count=3, schedule=schedule).validate()
+
+    def test_partition_may_name_a_later_joiner_or_a_departed_node(self):
+        config = SimConfig(node_count=3, schedule=(
+            CrashAt(SECOND, 3),
+            PartitionAt(2 * SECOND, ((1, 3), (2, 9))),
+            JoinAt(5 * SECOND, 9)))
+        assert config.validate() is config
 
     def test_schedule_replay_follows_time_not_list_order(self):
         config = SimConfig(node_count=3, schedule=(
