@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
-import dataclasses
 import os
 import random
 import sys
@@ -105,7 +104,7 @@ def cmd_run(args) -> int:
     if args.repeat > 1:
         ok = 0
         configs = [
-            (dataclasses.replace(sim_config, seed=args.seed + i), node_config, params)
+            (sim_config._replace(seed=args.seed + i), node_config, params)
             for i in range(args.repeat)
         ]
         with concurrent.futures.ProcessPoolExecutor() as pool:

@@ -63,7 +63,6 @@ from __future__ import annotations
 
 import hashlib
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -249,7 +248,6 @@ def derive_session_key(key: GroupElement, epoch: int, params: GroupParams) -> by
     return hashlib.sha256(material).digest()
 
 
-@dataclass
 class LeaderBatch:
     """Incremental leader-side key computation.
 
@@ -262,10 +260,14 @@ class LeaderBatch:
     as a refresh does in the leader's view.
     """
 
-    params: GroupParams
-    leader_secret: Scalar
-    leader_blind: GroupElement
-    entries: dict[int, GroupEntry] = field(default_factory=dict)
+    __slots__ = ("params", "leader_secret", "leader_blind", "entries")
+
+    def __init__(self, params: GroupParams, leader_secret: Scalar,
+                 leader_blind: GroupElement) -> None:
+        self.params = params
+        self.leader_secret = leader_secret
+        self.leader_blind = leader_blind
+        self.entries: dict[int, GroupEntry] = {}
 
 
 def batch_new(leader_secret: Scalar, params: GroupParams,

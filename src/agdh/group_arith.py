@@ -71,8 +71,7 @@ from __future__ import annotations
 import random
 import threading
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial
+from functools import lru_cache, partial
 
 from .errors import BadLength, ConfigError, NotInSubgroup, ZeroScalar
 
@@ -119,28 +118,44 @@ def _is_probable_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
 class GroupParams:
-    """A named subgroup of prime order ``order`` of the integers mod ``modulus``."""
+    """A named subgroup of prime order ``order`` of the integers mod ``modulus``.
 
-    modulus: int
-    order: int
-    generator: int
-    name: str
+    It compares, hashes and pickles as ``(modulus, order, generator,
+    name)``: an unpickled copy binds its own process's :attr:`known` set,
+    and no memo travels with it.
+    """
 
-    @cached_property
-    def element_width(self) -> int:
-        """Byte width of one encoded group element (big-endian, fixed);
-        computed on first use and kept in the instance dict, which a
-        frozen dataclass without slots still has."""
-        return (self.modulus.bit_length() + 7) // 8
+    __slots__ = ("modulus", "order", "generator", "name", "element_width",
+                 "known")
 
-    @cached_property
-    def known(self) -> set[int]:
-        """The values known to lie in this group's order-q subgroup: one set
-        shared by every instance with the same ``(p, q)``, kept in the
-        instance dict like :attr:`element_width`."""
-        return _known_sets.setdefault((self.modulus, self.order), set())
+    def __init__(self, modulus: int, order: int, generator: int,
+                 name: str) -> None:
+        self.modulus = modulus
+        self.order = order
+        self.generator = generator
+        self.name = name
+        #: Byte width of one encoded group element (big-endian, fixed).
+        self.element_width = (modulus.bit_length() + 7) // 8
+        #: The values known to lie in this group's order-q subgroup: one set
+        #: shared by every instance with the same ``(p, q)``.
+        self.known: set[int] = _known_sets.setdefault((modulus, order), set())
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not GroupParams:
+            return NotImplemented
+        return (self.modulus, self.order, self.generator, self.name) == \
+            (other.modulus, other.order, other.generator, other.name)
+
+    def __hash__(self) -> int:
+        return hash((self.modulus, self.order, self.generator, self.name))
+
+    def __reduce__(self):
+        return GroupParams, (self.modulus, self.order, self.generator, self.name)
+
+    def __repr__(self) -> str:
+        return (f"GroupParams(modulus={self.modulus!r}, order={self.order!r},"
+                f" generator={self.generator!r}, name={self.name!r})")
 
     def validate(self) -> "GroupParams":
         """Check the group structure; raise ConfigError if it does not hold.
@@ -582,8 +597,12 @@ def parse_params_text(text: str, default_name: str = "custom") -> GroupParams:
 
 def load_params(path: str) -> GroupParams:
     """Load and validate a parameter set from a file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_params_text(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"parameter file {path}: not UTF-8 ({exc})") from None
+    return parse_params_text(text)
 
 
 #: Tiny group for exhaustive testing: the order-11 subgroup of Z_23*,

@@ -21,8 +21,8 @@ returned in :class:`FsmOutput` for the harness to act on.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import ConfigError, DegenerateKey, MalformedMessage, ShapeViolation
 from .gka_core import (
@@ -64,8 +64,7 @@ class TimerKind(Enum):
     RENEWAL = "renewal"
 
 
-@dataclass(frozen=True)
-class NodeConfig:
+class NodeConfig(NamedTuple):
     """Protocol timing knobs.  Defaults: 5 s beacons, 20 min renewals,
     3 missed beacons before presuming departure, backoff window of 20 slots
     of 100 ms, jitter up to a tenth of the beacon period."""
@@ -101,32 +100,27 @@ class NodeConfig:
 
 # -- events ------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MessageArrived:
+class MessageArrived(NamedTuple):
     wire: bytes
 
 
-@dataclass(frozen=True)
-class TimerFired:
+class TimerFired(NamedTuple):
     kind: TimerKind
 
 
-@dataclass(frozen=True)
-class LocalLeaveRequest:
+class LocalLeaveRequest(NamedTuple):
     """The node is asked to leave its group gracefully (a crash never
     reaches the node)."""
 
 
 # -- outputs -----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Outgoing:
+class Outgoing(NamedTuple):
     message: Message
     wire: bytes
     dest: int | None  # None means broadcast
 
 
-@dataclass
 class FsmOutput:
     """Everything one step asks of the harness.
 
@@ -139,40 +133,47 @@ class FsmOutput:
     acceptance in ``accepted``.
     """
 
-    sends: list[Outgoing] = field(default_factory=list)
-    timers: list[tuple[TimerKind, int]] = field(default_factory=list)
-    key_changes: list[SessionKey] = field(default_factory=list)
-    accepted: bool | None = None  # set for message events only
-    log: list[tuple] = field(default_factory=list)
+    __slots__ = ("sends", "timers", "key_changes", "accepted", "log")
+
+    def __init__(self) -> None:
+        self.sends: list[Outgoing] = []
+        self.timers: list[tuple[TimerKind, int]] = []
+        self.key_changes: list[SessionKey] = []
+        self.accepted: bool | None = None  # set for message events only
+        self.log: list[tuple] = []
 
 
-@dataclass
 class MemberRecord:
     """What a leader knows about one member: its registered share, as its
     IREPLY carried it, and when it was last heard.  The leader keeps one per
     member in its view, ``LeaderRole.view``."""
 
-    entry: GroupEntry
-    last_heard: int
+    __slots__ = ("entry", "last_heard")
+
+    def __init__(self, entry: GroupEntry, last_heard: int) -> None:
+        self.entry = entry
+        self.last_heard = last_heard
 
 
-@dataclass(slots=True)
 class LeaderRole:
     """Everything a node holds only while it leads.  ``Node._lead`` creates
     it, as ``Node.lead``, when the node takes the lead of an empty group, and
     ``Node._demote`` drops it, so none of it outlives the lead."""
 
-    nonce: bytes
-    announcement: Outgoing  # the latest, which a quiet beacon repeats
-    secret: int | None = None  # None until the first rekey
-    # in registration order: a changed registration moves to the end
-    view: dict[int, MemberRecord] = field(default_factory=dict)
-    blocked: dict[int, int] = field(default_factory=dict)  # id -> rejected blind
-    rejoin_pending: bool = False  # a blocked member re-registered fresh
+    __slots__ = ("nonce", "announcement", "secret", "view", "blocked",
+                 "rejoin_pending")
+
+    def __init__(self, nonce: bytes, announcement: Outgoing) -> None:
+        self.nonce = nonce
+        self.announcement = announcement  # the latest, which a quiet beacon repeats
+        self.secret: int | None = None  # None until the first rekey
+        # in registration order: a changed registration moves to the end
+        self.view: dict[int, MemberRecord] = {}
+        self.blocked: dict[int, int] = {}  # id -> rejected blind
+        self.rejoin_pending = False  # a blocked member re-registered fresh
 
 
-@dataclass(frozen=True)
-class SessionKey:
+class SessionKey(NamedTuple):
     """An established group key and the symmetric key derived from it, the
     one record of it: the node holds it as ``session``, its step reports it
     in ``key_changes``, and the simulator keeps it in ``Metrics.key_events``
@@ -186,8 +187,7 @@ class SessionKey:
     derived: bytes
 
 
-@dataclass(frozen=True)
-class SecretRecord:
+class SecretRecord(NamedTuple):
     """Ground-truth log entry for audits; never leaves the node over the wire."""
 
     time: int

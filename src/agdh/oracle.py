@@ -13,7 +13,7 @@ kernel, so corrupting either path trips it.
 from __future__ import annotations
 
 import contextlib
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import CountMismatch, MalformedMessage
 from .gka_core import NONCE_LEN, derive_session_key, oracle_key
@@ -25,12 +25,15 @@ _ANNOUNCEMENT_NAMES = {MessageKind.IGROUP.name}
 _CONTRIBUTION_NAMES = {MessageKind.IREPLY.name}
 
 
-@dataclass
 class AuditReport:
-    findings: list = field(default_factory=list)
-    epochs_checked: int = 0
-    accepts_checked: int = 0
-    sends_scanned: int = 0
+    __slots__ = ("findings", "epochs_checked", "accepts_checked",
+                 "sends_scanned")
+
+    def __init__(self) -> None:
+        self.findings: list = []
+        self.epochs_checked = 0
+        self.accepts_checked = 0
+        self.sends_scanned = 0
 
     @property
     def clean(self) -> bool:
@@ -246,8 +249,7 @@ def audit_transcript(result: SimResult, scan_secrets: bool | None = None) -> Aud
     return report
 
 
-@dataclass(frozen=True)
-class CostRow:
+class CostRow(NamedTuple):
     group_size: int
     member_expos: int
     leader_expos: int

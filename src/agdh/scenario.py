@@ -99,5 +99,9 @@ def parse_scenario(text: str) -> tuple:
 
 
 def load_scenario(path: str) -> tuple:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_scenario(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"scenario file {path}: not UTF-8 ({exc})") from None
+    return parse_scenario(text)

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import heapq
 import random
-from dataclasses import dataclass, field
 from typing import Any, NamedTuple
 
 from .errors import ConfigError, OverlapError, UnknownNode
@@ -43,37 +42,31 @@ _TIMER, _DELIVER, _SCHED = 0, 1, 2
 MAX_DURATION = 24 * 3600 * SECOND
 
 
-@dataclass(frozen=True)
-class PartitionAt:
+class PartitionAt(NamedTuple):
     at: int
     cells: tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class HealAt:
+class HealAt(NamedTuple):
     at: int
 
 
-@dataclass(frozen=True)
-class JoinAt:
+class JoinAt(NamedTuple):
     at: int
     node_id: int
 
 
-@dataclass(frozen=True)
-class LeaveAt:
+class LeaveAt(NamedTuple):
     at: int
     node_id: int
 
 
-@dataclass(frozen=True)
-class CrashAt:
+class CrashAt(NamedTuple):
     at: int
     node_id: int
 
 
-@dataclass(frozen=True)
-class InjectAt:
+class InjectAt(NamedTuple):
     """Deliver raw bytes to one node as if they came off the network.
 
     Test hook for adversarial and replay scenarios; not part of the scenario
@@ -85,8 +78,7 @@ class InjectAt:
     wire: bytes
 
 
-@dataclass(frozen=True)
-class SimConfig:
+class SimConfig(NamedTuple):
     node_count: int
     loss_prob: float = 0.0
     latency_min: int = 10_000
@@ -218,28 +210,36 @@ class Transcript:
         return len(self.records)
 
 
-@dataclass
 class Metrics:
     """Only what no record carries: exponentiations, and each key's group
     element.  The cost row and the benchmark read both lists; message
     counts come from the transcript."""
 
-    exp_events: list = field(default_factory=list)  # (time, node, delta)
-    key_events: list = field(default_factory=list)  # node_fsm.SessionKey
+    __slots__ = ("exp_events", "key_events")
+
+    def __init__(self) -> None:
+        self.exp_events: list = []  # (time, node, delta)
+        self.key_events: list = []  # node_fsm.SessionKey
 
 
-@dataclass
 class SimResult:
-    config: SimConfig
-    node_config: NodeConfig
-    params: GroupParams
-    transcript: Transcript
-    metrics: Metrics
-    nodes: dict
-    live: set
-    keyring: HmacKeyRing
-    secrets: dict  # node_id -> list[SecretRecord]
-    wire_by_id: dict  # msg_id -> bytes
+    __slots__ = ("config", "node_config", "params", "transcript", "metrics",
+                 "nodes", "live", "keyring", "secrets", "wire_by_id")
+
+    def __init__(self, config: SimConfig, node_config: NodeConfig,
+                 params: GroupParams, transcript: Transcript, metrics: Metrics,
+                 nodes: dict, live: set, keyring: HmacKeyRing,
+                 secrets: dict, wire_by_id: dict) -> None:
+        self.config = config
+        self.node_config = node_config
+        self.params = params
+        self.transcript = transcript
+        self.metrics = metrics
+        self.nodes = nodes
+        self.live = live
+        self.keyring = keyring
+        self.secrets = secrets  # node_id -> list[SecretRecord]
+        self.wire_by_id = wire_by_id  # msg_id -> bytes
 
 
 class _Simulation:
@@ -428,16 +428,18 @@ class _Simulation:
             if not targets:
                 self.transcript.append(at, "SUPPRESS", outgoing.dest,
                                        ("id", msg_id), ("reason", "dead"))
+        config = self.config
+        loss_prob, latency_min = config.loss_prob, config.latency_min
+        latency_end = config.latency_max + 1
         for receiver in targets:
             if not self._same_cell(sender, receiver):
                 self.transcript.append(at, "SUPPRESS", receiver,
                                        ("id", msg_id), ("reason", "partition"))
                 continue
-            if self.channel_rng.random() < self.config.loss_prob:
+            if self.channel_rng.random() < loss_prob:
                 self.transcript.append(at, "DROP", receiver, ("id", msg_id))
                 continue
-            latency = self.channel_rng.randrange(
-                self.config.latency_min, self.config.latency_max + 1)
+            latency = self.channel_rng.randrange(latency_min, latency_end)
             self._push(at + latency, _DELIVER, (msg_id, receiver, sender))
 
 

@@ -1,4 +1,7 @@
 import os
+import pickle
+import subprocess
+import sys
 
 import pytest
 
@@ -56,6 +59,10 @@ class TestScenarioGrammar:
             PartitionAt(90_000_000, ((1, 2, 3), (4, 5))),
             HealAt(120_000_000),
         )
+        # a schedule entry is a named tuple, so LeaveAt(t, 3) equals
+        # CrashAt(t, 3): the kinds are checked apart
+        assert [type(e) for e in schedule] == [
+            JoinAt, LeaveAt, CrashAt, PartitionAt, HealAt]
 
     def test_bad_verb(self):
         with pytest.raises(ConfigError):
@@ -220,6 +227,20 @@ class TestRunCommand:
         assert "scenario line 1" in captured.err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("flag", ["--scenario", "--params"])
+    def test_file_that_is_not_utf8_exits_two_before_running(
+            self, flag, tmp_path, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"\xff\xfe\x00bad")
+        out_dir = tmp_path / "out"
+        code = main(["run", "--nodes", "3", "--toy", flag, str(bad),
+                     "--out", str(out_dir)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and str(bad) in captured.err
+        assert not out_dir.exists()
+
     def test_custom_params_file(self, tmp_path, capsys):
         params = tmp_path / "g.params"
         params.write_text("name=toyclone\np=17\nq=B\ng=2\n")
@@ -233,6 +254,34 @@ class TestRunCommand:
         assert code == 0
         out = capsys.readouterr().out
         assert "3/3 runs converged with a clean audit" in out
+
+    def test_repeat_bundle_pickles_without_the_memo(self):
+        """What ``--repeat`` sends each worker comes back equal, and the
+        group binds the receiving process's known set instead of carrying
+        a copy of the sender's."""
+        run(SimConfig(node_count=3, seed=1, duration=20 * SECOND),
+            NodeConfig(), PROD)
+        assert PROD.known
+        bundle = (SimConfig(node_count=4, seed=7,
+                            schedule=(JoinAt(SECOND, 5), CrashAt(SECOND, 5))),
+                  NodeConfig(eager_rekey=True), PROD)
+        assert pickle.loads(pickle.dumps(bundle)) == bundle
+        assert pickle.loads(pickle.dumps(PROD)).known is PROD.known
+        assert len(pickle.dumps(PROD)) < 1024
+
+
+def test_import_loads_no_dataclasses():
+    """``import agdh`` leaves ``dataclasses``, and with it ``inspect`` and
+    ``ast``, unloaded: every ``agdh run``, worker and benchmark sample pays
+    the package's import."""
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    probe = "import sys, agdh; print('dataclasses' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-S", "-c", probe],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60,
+                          check=True)
+    assert proc.stdout == "False\n"
 
 
 class TestMetricsText:
@@ -285,6 +334,16 @@ class TestBenchCommand:
         assert code == 2
         assert captured.out == ""
         assert "error:" in captured.err
+
+    def test_bench_params_not_utf8_exits_two_before_timing(
+            self, tmp_path, capsys):
+        bad = tmp_path / "bad.params"
+        bad.write_bytes(b"\xff\xfe\x00bad")
+        code = main(["bench", "--params", str(bad)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and str(bad) in captured.err
 
     def test_bench_times_no_subgroup_pow(self):
         # every value the bench exponentiates is a power of the generator, so

@@ -336,7 +336,7 @@ class TestKnownElements:
         # from another's
         toy_known = set(TOY.known)
         params, p = ODD_WIDTH, ODD_WIDTH.modulus
-        monkeypatch.setitem(vars(params), "known", set())
+        monkeypatch.setattr(params, "known", set())
         values = [exp(params.generator, s, params)
                   for s in range(1, _MEMO_SIZE + 500)]
         assert len(params.known) == _MEMO_SIZE

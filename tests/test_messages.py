@@ -43,7 +43,27 @@ from agdh.messages import (
     verify,
     _decode_announcement,
 )
-from agdh.simnet import Record
+from agdh.node_fsm import (
+    SECOND,
+    MessageArrived,
+    NodeConfig,
+    Outgoing,
+    SecretRecord,
+    SessionKey,
+    TimerFired,
+    TimerKind,
+)
+from agdh.oracle import CostRow
+from agdh.simnet import (
+    CrashAt,
+    HealAt,
+    InjectAt,
+    JoinAt,
+    LeaveAt,
+    PartitionAt,
+    Record,
+    SimConfig,
+)
 
 RING = HmacKeyRing.provision(range(1, 8), master="vector-fixture")
 VECTORS = os.path.join(os.path.dirname(__file__), "data", "message_vectors.txt")
@@ -357,11 +377,25 @@ VALUE_TYPES = [
     (Message(MessageKind.IGROUP, 1, nonce(0x11), 3,
              (GroupEntry(2, nonce(0xAA), 16, 2),), b"sig"), "epoch", 4),
     (Record(5, "KEY", 2, (("epoch", 3), ("key", b"k"))), "node", 9),
+    (NodeConfig(), "miss_k", 4),
+    (SimConfig(3, schedule=(JoinAt(5, 4),)), "seed", 9),
+    (MessageArrived(b"wire"), "wire", b"other"),
+    (TimerFired(TimerKind.BEACON), "kind", TimerKind.REPLY),
+    (Outgoing(build_del(1, nonce(0x11), 2), b"wire", None), "dest", 3),
+    (SessionKey(5, 2, 1, 3, 8, b"derived"), "epoch", 4),
+    (SecretRecord(5, "member", 3, 8, nonce(0xAA)), "secret", 4),
+    (PartitionAt(5, ((1, 2), (3,))), "cells", ((1,), (2, 3))),
+    (HealAt(5), "at", 6),
+    (JoinAt(5, 4), "node_id", 6),
+    (LeaveAt(5, 4), "node_id", 6),
+    (CrashAt(5, 4), "node_id", 6),
+    (InjectAt(5, 4, b"wire"), "wire", b"other"),
+    (CostRow(10, 2, 10, 10, 1, 2), "rounds", 3),
 ]
 
 
 @pytest.mark.parametrize("value, name, other", VALUE_TYPES,
-                         ids=["GroupEntry", "Message", "Record"])
+                         ids=[type(value).__name__ for value, _, _ in VALUE_TYPES])
 def test_value_types_are_immutable_and_compare_by_value(value, name, other):
     with pytest.raises(AttributeError):
         setattr(value, name, other)
@@ -378,6 +412,10 @@ def test_value_type_defaults():
     assert GroupEntry(2, nonce(0xAA), 16).blinded_response is None
     msg = Message(MessageKind.DEL, 2, nonce(0xAA), 5)
     assert msg.entries == () and msg.signature == b""
+    assert NodeConfig() == (5 * SECOND, 20 * 60 * SECOND, 3, 20, 100_000,
+                            500_000, False)
+    assert SimConfig(3) == (3, 0.0, 10_000, 50_000, 0, 120 * SECOND, (),
+                            frozenset(), None)
 
 
 def test_vector_file():
@@ -663,7 +701,7 @@ def test_bulk_decode_matches_reference(memo, monkeypatch):
     emptied before every decode (every wire takes the loop)."""
     if memo == "cold":
         for params in (TOY, PROD):
-            monkeypatch.setitem(vars(params), "known", set())
+            monkeypatch.setattr(params, "known", set())
 
     def forget():
         if memo == "cold":

@@ -1,4 +1,3 @@
-import dataclasses
 from collections import Counter
 from itertools import combinations
 
@@ -517,12 +516,12 @@ def _identity_key(res):
 
 def _unannounced_epoch(res):
     kev = res.metrics.key_events[-1]
-    res.metrics.key_events.append(dataclasses.replace(kev, epoch=99))
+    res.metrics.key_events.append(kev._replace(epoch=99))
 
 
 def _foreign_key(res):
     kev = res.metrics.key_events[-1]
-    res.metrics.key_events.append(dataclasses.replace(kev, node_id=99))
+    res.metrics.key_events.append(kev._replace(node_id=99))
 
 
 def _accept_without_wire(res):
