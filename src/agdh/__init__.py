@@ -21,9 +21,6 @@ from .errors import (
 )
 from .gka_core import (
     GroupEntry,
-    batch_absorb,
-    batch_finalize,
-    batch_new,
     blind,
     compute_key_leader,
     compute_key_member,

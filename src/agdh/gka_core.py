@@ -20,11 +20,8 @@ and the table about 0.8 ms once per process.
 
 A share has one type, :class:`GroupEntry`, from the member's draw to the
 leader's announcement: the member's ``(id, nonce, g^r_i)`` travels in its
-IREPLY with no response, and the leader's batch answers it with
-``g^(r_i * r_l)`` in the same type, which the IGROUP then carries.  The
-batch keeps one entry per participant id: absorbing a share from an id it
-already holds replaces that entry and moves it to the end, as a refresh
-does in the leader's view.
+IREPLY with no response, and the leader answers it with ``g^(r_i * r_l)``
+in the same type, which the IGROUP then carries.
 
 Both counted exponentiations of a member, the blinding (a power of the
 generator) and the recovery of the leader blind, go through
@@ -36,7 +33,7 @@ responses.  Each counts as one exponentiation.
 
 The paper's cost model treats multiplications as free; at m = 100 they are
 not.  A member's key step is therefore 1 counted exponentiation (the
-recovery) plus m products, and the leader's finalize is one product over
+recovery) plus m products, and the leader's fold is one product over
 its blind and the m responses.  Both products run through
 ``group_arith.prodmod`` on the same kernel as the powers: Montgomery
 multiplication on PROD.  No product is counted as an exponentiation.
@@ -155,18 +152,23 @@ def compute_key_leader(leader_secret: Scalar,
                        ) -> tuple[GroupElement, list[GroupEntry]]:
     """Leader side: answer every share and fold the key.
 
-    A :class:`LeaderBatch` run over the whole sequence at once: the leader's
-    own blind, then one response per share in sequence order, so it costs
-    exactly len(shares) + 1 exponentiations.  Returns the key and the
-    entries to announce, responses filled in.  Raises DegenerateKey if the
-    folded key is the identity element, which happens exactly when
-    1 + sum(r_i) = 0 mod q; the caller must drop a share and retry rather
-    than ship an identity key.
+    The leader's own blind, then one response per share in sequence order,
+    so it costs exactly len(shares) + 1 exponentiations, then one
+    :func:`~agdh.group_arith.prodmod` over the blind and the responses.
+    Returns the key and the entries to announce, responses filled in.
+    Raises DegenerateKey if the folded key is the identity element, which
+    happens exactly when 1 + sum(r_i) = 0 mod q; the caller must drop a
+    share and retry rather than ship an identity key.
     """
-    batch = batch_new(leader_secret, params, counter)
-    for share in shares:
-        batch_absorb(batch, share, counter)
-    return batch_finalize(batch)
+    leader_blind = blind(leader_secret, params, counter)
+    entries = [GroupEntry(s.participant_id, s.nonce, s.blinded_secret,
+                          respond(s.blinded_secret, leader_secret, params,
+                                  counter))
+               for s in shares]
+    key = prodmod(leader_blind, [e.blinded_response for e in entries], params)
+    if key == 1:
+        raise DegenerateKey("group key folded to the identity element")
+    return key, entries
 
 
 def oracle_key(leader_secret: Scalar, member_secrets: list[Scalar],
@@ -246,59 +248,3 @@ def derive_session_key(key: GroupElement, epoch: int, params: GroupParams) -> by
     material = (key.to_bytes(params.element_width, "big")
                 + epoch.to_bytes(8, "big"))
     return hashlib.sha256(material).digest()
-
-
-class LeaderBatch:
-    """Incremental leader-side key computation.
-
-    Shares are answered as they arrive, so when the group announcement must
-    go out no exponentiation remains: finalize is one
-    :func:`~agdh.group_arith.prodmod`, the pre-computed leader blind times
-    every response.  ``entries`` holds one answered :class:`GroupEntry` per
-    participant id, in the order of each id's last absorb: a share from an
-    id absorbed before replaces that id's entry and moves it to the end,
-    as a refresh does in the leader's view.
-    """
-
-    __slots__ = ("params", "leader_secret", "leader_blind", "entries")
-
-    def __init__(self, params: GroupParams, leader_secret: Scalar,
-                 leader_blind: GroupElement) -> None:
-        self.params = params
-        self.leader_secret = leader_secret
-        self.leader_blind = leader_blind
-        self.entries: dict[int, GroupEntry] = {}
-
-
-def batch_new(leader_secret: Scalar, params: GroupParams,
-              counter: ExpCounter | None = None) -> LeaderBatch:
-    """Start a batch; performs the leader's own blinding up front."""
-    return LeaderBatch(
-        params=params,
-        leader_secret=leader_secret,
-        leader_blind=blind(leader_secret, params, counter),
-    )
-
-
-def batch_absorb(batch: LeaderBatch, share: GroupEntry,
-                 counter: ExpCounter | None = None) -> LeaderBatch:
-    """Answer one share (one exponentiation, now), replacing any earlier
-    share of the same participant."""
-    pid = share.participant_id
-    response = respond(share.blinded_secret, batch.leader_secret,
-                       batch.params, counter)
-    batch.entries.pop(pid, None)
-    batch.entries[pid] = GroupEntry(pid, share.nonce, share.blinded_secret,
-                                    response)
-    return batch
-
-
-def batch_finalize(batch: LeaderBatch) -> tuple[GroupElement, list[GroupEntry]]:
-    """Produce the key and the answered entries; zero exponentiations left
-    here, one product over the responses."""
-    entries = list(batch.entries.values())
-    key = prodmod(batch.leader_blind, [e.blinded_response for e in entries],
-                  batch.params)
-    if key == 1:
-        raise DegenerateKey("group key folded to the identity element")
-    return key, entries

@@ -14,17 +14,22 @@ import pytest
 from agdh.errors import DegenerateKey
 from agdh.gka_core import (
     GroupEntry,
-    batch_absorb,
-    batch_finalize,
-    batch_new,
     blind,
     compute_key_leader,
     compute_key_member,
     derive_session_key,
     oracle_key,
     recover_leader_blind,
+    respond,
 )
-from agdh.group_arith import PROD, TOY, ExpCounter, is_element, random_scalar
+from agdh.group_arith import (
+    PROD,
+    TOY,
+    ExpCounter,
+    is_element,
+    prodmod,
+    random_scalar,
+)
 from agdh.node_fsm import Mode, NodeConfig
 from agdh.oracle import audit_transcript, cost_table
 from agdh.scenario import load_scenario
@@ -305,13 +310,14 @@ def test_criterion_8_batching():
               for i, s in enumerate(secrets, start=1)]
     leader_secret = random_scalar(rng, PROD)
 
-    # batched: responses computed on arrival; finalize costs 0 expos
+    # batched: the leader's blind and every response computed on arrival;
+    # the finalize is one product and costs 0 expos
     counter = ExpCounter()
-    batch = batch_new(leader_secret, PROD, counter)
-    for share in shares:
-        batch_absorb(batch, share, counter)
+    leader_blind = blind(leader_secret, PROD, counter)
+    responses = [respond(share.blinded_secret, leader_secret, PROD, counter)
+                 for share in shares]
     before_finalize = counter.count
-    key_batched, _ = batch_finalize(batch)
+    key_batched = prodmod(leader_blind, responses, PROD)
     assert counter.count - before_finalize == 0
 
     # unbatched: everything lands between the last contribution and the

@@ -5,11 +5,12 @@ import sys
 
 import pytest
 
-from agdh import group_arith
-from agdh.cli import _bench_group, _metrics_text, main
+from agdh import cli, group_arith
+from agdh.cli import _bench_group, _metrics_text, _print_summary, main
 from agdh.errors import ConfigError
 from agdh.group_arith import PROD, TOY, _in_subgroup, kernel_name
 from agdh.node_fsm import NodeConfig
+from agdh.oracle import audit_transcript
 from agdh.scenario import parse_duration, parse_scenario
 from agdh.simnet import (
     SECOND,
@@ -254,6 +255,55 @@ class TestRunCommand:
         assert code == 0
         out = capsys.readouterr().out
         assert "3/3 runs converged with a clean audit" in out
+
+    @pytest.mark.parametrize("repeat, cpus, workers", [
+        (2, 8, 2),
+        (3, 2, 2),
+        (2, None, 1),
+    ])
+    def test_repeat_starts_at_most_one_worker_per_run(
+            self, monkeypatch, capsys, repeat, cpus, workers):
+        """The pool is sized to the runs, never to the whole machine: under
+        ``fork`` an unsized pool starts ``os.cpu_count()`` workers."""
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers=None):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, iterable):
+                return map(fn, iterable)
+
+        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor",
+                            InlinePool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        code = main(["run", "--nodes", "3", "--seed", "0", "--duration", "60s",
+                     "--toy", "--repeat", str(repeat)])
+        assert code == 0
+        assert sizes == [workers]
+        assert f"{repeat}/{repeat} runs converged" in capsys.readouterr().out
+
+    def test_summary_prints_one_key_line_per_key_record(self, capsys):
+        res = run(SimConfig(node_count=4, seed=5, duration=80 * SECOND,
+                            schedule=(LeaveAt(40 * SECOND, 2),)),
+                  NodeConfig(eager_rekey=True), TOY)
+        _print_summary(res, audit_transcript(res), None)
+        printed = [line for line in capsys.readouterr().out.splitlines()
+                   if line.startswith("  key t=")]
+        records = res.transcript.of_kind("KEY")
+        assert len(records) > 4
+        assert printed == [
+            f"  key t={r.time}us node={r.node} leader={r.get('leader')}"
+            f" epoch={r.get('epoch')}" for r in records]
+        assert printed == [
+            f"  key t={k.time}us node={k.node_id} leader={k.leader_id}"
+            f" epoch={k.epoch}" for k in res.metrics.key_events]
 
     def test_repeat_bundle_pickles_without_the_memo(self):
         """What ``--repeat`` sends each worker comes back equal, and the

@@ -3,15 +3,12 @@ import itertools
 import random
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from agdh.errors import DegenerateKey, NotInSubgroup, ZeroScalar
 from agdh.gka_core import (
     GroupEntry,
-    batch_absorb,
-    batch_finalize,
-    batch_new,
     blind,
     compute_key_leader,
     compute_key_member,
@@ -22,7 +19,14 @@ from agdh.gka_core import (
     _comb_table,
 )
 from agdh import gka_core, group_arith
-from agdh.group_arith import PROD, TOY, ExpCounter, GroupParams, _in_subgroup
+from agdh.group_arith import (
+    PROD,
+    TOY,
+    ExpCounter,
+    GroupParams,
+    _in_subgroup,
+    prodmod,
+)
 from test_group_arith import FULL_WIDTH, ODD_WIDTH
 
 SCALARS = range(1, TOY.order)  # [1, 10]
@@ -78,8 +82,31 @@ class TestKeyComputation:
             [(2, 16), (4, 9)]
 
     def test_leader_key_empty(self):
+        # a singleton group: the key is the leader's own blind
         key, entries = compute_key_leader(3, [], TOY)
-        assert key == 8 and entries == []
+        assert key == blind(3, TOY) == 8 and entries == []
+
+    def test_leader_key_is_one_fold_over_responses(self):
+        # the leader's blind and one response per share hold every
+        # exponentiation; the fold that follows is one product
+        shares = [share(i, i) for i in range(2, 8)]
+        counter = ExpCounter()
+        leader_blind = blind(3, TOY, counter)
+        responses = [respond(s.blinded_secret, 3, TOY, counter)
+                     for s in shares]
+        assert counter.count == len(shares) + 1
+        assert compute_key_leader(3, shares, TOY) == (
+            prodmod(leader_blind, responses, TOY),
+            [s._replace(blinded_response=r)
+             for s, r in zip(shares, responses)])
+
+    @given(st.permutations(list(range(4))))
+    def test_any_share_order(self, order):
+        shares = [share(i + 2, 2 * i + 1) for i in range(4)]
+        key, entries = compute_key_leader(7, [shares[i] for i in order], TOY)
+        assert key == compute_key_leader(7, shares, TOY)[0]
+        assert [e.participant_id for e in entries] == \
+            [shares[i].participant_id for i in order]
 
     def test_leader_cost_is_m(self):
         counter = ExpCounter()
@@ -106,15 +133,6 @@ class TestKeyComputation:
         shares = [share(1, 4), share(2, 6)]
         with pytest.raises(DegenerateKey):
             compute_key_leader(3, shares, TOY)
-
-    def test_leader_later_share_replaces_earlier(self):
-        counter = ExpCounter()
-        key, entries = compute_key_leader(
-            3, [share(2, 4), share(4, 5), share(2, 7)], TOY, counter)
-        assert [(e.participant_id, e.blinded_secret) for e in entries] == \
-            [(4, blind(5, TOY)), (2, blind(7, TOY))]
-        assert key == oracle_key(3, [5, 7], TOY)
-        assert counter.count == 1 + 3  # the replaced share was answered too
 
 
 def test_end_to_end_agreement_exhaustive_toy():
@@ -213,77 +231,6 @@ class TestDeriveSessionKey:
         assert (after.hits, after.misses) == (before.hits, before.misses)
         material = key.to_bytes(128, "big") + (7).to_bytes(8, "big")
         assert derived == hashlib.sha256(material).digest()
-
-
-class TestBatch:
-    def test_matches_unbatched(self):
-        shares = [share(2, 4), share(4, 5)]
-        batch = batch_new(3, TOY)
-        for s in shares:
-            batch_absorb(batch, s)
-        assert batch_finalize(batch) == compute_key_leader(3, shares, TOY)
-
-    def test_order_independent(self):
-        a, b = share(2, 4), share(4, 5)
-        first = batch_new(3, TOY)
-        batch_absorb(batch_absorb(first, a), b)
-        second = batch_new(3, TOY)
-        batch_absorb(batch_absorb(second, b), a)
-        assert batch_finalize(first)[0] == batch_finalize(second)[0]
-
-    def test_empty_batch(self):
-        batch = batch_new(3, TOY)
-        key, entries = batch_finalize(batch)
-        assert key == 8 and entries == []
-
-    def test_absorb_replaces_and_moves_to_end(self):
-        batch = batch_new(3, TOY)
-        for pid, secret in ((2, 4), (4, 5), (2, 6)):
-            batch_absorb(batch, share(pid, secret))
-        assert list(batch.entries) == [4, 2]
-        assert batch.entries[2] == GroupEntry(
-            2, bytes([2]) * 16, blind(6, TOY), respond(blind(6, TOY), 3, TOY))
-        assert batch_finalize(batch)[0] == oracle_key(3, [5, 6], TOY)
-
-    @given(st.integers(1, 10),
-           st.lists(st.tuples(st.integers(2, 5), st.integers(1, 10)),
-                    max_size=12))
-    def test_any_absorb_sequence_keeps_last_share_per_id(self, r_l, absorbs):
-        last: dict[int, int] = {}
-        for pid, secret in absorbs:
-            last.pop(pid, None)
-            last[pid] = secret
-        expected = oracle_key(r_l, list(last.values()), TOY)
-        assume(expected != 1)
-        counter = ExpCounter()
-        batch = batch_new(r_l, TOY, counter)
-        for pid, secret in absorbs:
-            batch_absorb(batch, share(pid, secret), counter)
-        key, entries = batch_finalize(batch)
-        assert [(e.participant_id, e.blinded_secret, e.blinded_response)
-                for e in entries] == \
-            [(pid, blind(s, TOY), blind(s * r_l % TOY.order, TOY))
-             for pid, s in last.items()]
-        assert key == expected
-        assert counter.count == 1 + len(absorbs)
-
-    def test_finalize_needs_no_exponentiation(self):
-        counter = ExpCounter()
-        batch = batch_new(3, TOY, counter)
-        for i in range(2, 8):
-            batch_absorb(batch, share(i, i), counter)
-        before = counter.count
-        batch_finalize(batch)
-        assert counter.count == before
-
-    @given(st.permutations(list(range(4))))
-    def test_any_absorb_order(self, order):
-        shares = [share(i + 2, 2 * i + 1) for i in range(4)]
-        batch = batch_new(7, TOY)
-        for index in order:
-            batch_absorb(batch, shares[index])
-        assert batch_finalize(batch)[0] == \
-            compute_key_leader(7, shares, TOY)[0]
 
 
 def test_three_member_example_run():
