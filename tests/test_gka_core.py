@@ -86,20 +86,6 @@ class TestKeyComputation:
         key, entries = compute_key_leader(3, [], TOY)
         assert key == blind(3, TOY) == 8 and entries == []
 
-    def test_leader_key_is_one_fold_over_responses(self):
-        # the leader's blind and one response per share hold every
-        # exponentiation; the fold that follows is one product
-        shares = [share(i, i) for i in range(2, 8)]
-        counter = ExpCounter()
-        leader_blind = blind(3, TOY, counter)
-        responses = [respond(s.blinded_secret, 3, TOY, counter)
-                     for s in shares]
-        assert counter.count == len(shares) + 1
-        assert compute_key_leader(3, shares, TOY) == (
-            prodmod(leader_blind, responses, TOY),
-            [s._replace(blinded_response=r)
-             for s, r in zip(shares, responses)])
-
     @given(st.permutations(list(range(4))))
     def test_any_share_order(self, order):
         shares = [share(i + 2, 2 * i + 1) for i in range(4)]
@@ -231,6 +217,50 @@ class TestDeriveSessionKey:
         assert (after.hits, after.misses) == (before.hits, before.misses)
         material = key.to_bytes(128, "big") + (7).to_bytes(8, "big")
         assert derived == hashlib.sha256(material).digest()
+
+
+class TestBatch:
+    """The batched schedule of ``agdh bench`` and criterion 8: the leader's
+    blind and every response computed as shares arrive, then one
+    :func:`prodmod` at announcement time."""
+
+    @staticmethod
+    def fold(leader_secret, shares, counter=None):
+        leader_blind = blind(leader_secret, TOY, counter)
+        responses = [respond(s.blinded_secret, leader_secret, TOY, counter)
+                     for s in shares]
+        return prodmod(leader_blind, responses, TOY), responses
+
+    def test_matches_unbatched(self):
+        shares = [share(2, 4), share(4, 5)]
+        key, responses = self.fold(3, shares)
+        assert compute_key_leader(3, shares, TOY) == (
+            key,
+            [s._replace(blinded_response=r)
+             for s, r in zip(shares, responses)])
+
+    def test_order_independent(self):
+        a, b = share(2, 4), share(4, 5)
+        assert self.fold(3, [a, b])[0] == self.fold(3, [b, a])[0]
+
+    def test_empty_batch(self):
+        key, responses = self.fold(3, [])
+        assert key == 8 and responses == []
+
+    def test_finalize_needs_no_exponentiation(self):
+        # the blind and the responses hold every exponentiation of
+        # compute_key_leader, so its fold costs none
+        shares = [share(i, i) for i in range(2, 8)]
+        ahead, unbatched = ExpCounter(), ExpCounter()
+        self.fold(3, shares, ahead)
+        compute_key_leader(3, shares, TOY, unbatched)
+        assert ahead.count == unbatched.count == len(shares) + 1
+
+    @given(st.permutations(list(range(4))))
+    def test_any_absorb_order(self, order):
+        shares = [share(i + 2, 2 * i + 1) for i in range(4)]
+        assert self.fold(7, [shares[i] for i in order])[0] == \
+            compute_key_leader(7, shares, TOY)[0]
 
 
 def test_three_member_example_run():
