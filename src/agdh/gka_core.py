@@ -39,8 +39,9 @@ its blind and the m responses.  Both products run through
 multiplication on PROD.  No product is counted as an exponentiation.
 Measured on one m = 99 announcement (PROD, a shared 2-CPU VM, best of
 7 x 300 calls, ranges over six runs), a member's key step splits into
-decoding the wire, 0.12 to 0.21 ms on the bulk path
-(``messages.decode``), of which building the 99 entry tuples is about
+decoding the wire, 0.12 to 0.21 ms when the process already knows every
+element (``messages.decode`` vouches for all 198 with one batched
+membership query), of which building the 99 entry tuples is about
 0.02 ms; the fold, 0.17 to 0.30 ms, or 1.7 to 3.0 us per factor with each
 factor's conversion; the recovery, 0.11 to 0.16 ms; and the signature and
 shape checks, 0.04 to 0.06 ms together.  The one counted exponentiation

@@ -18,6 +18,12 @@ present only when has_response is 1.  The signed wire form appends
 [sig_len:2][signature].  The encoding is injective over valid messages, so
 signing the canonical bytes covers every field.
 
+Each kind has the one layout its honest sender writes, and only that
+layout decodes: an IREPLY holds exactly one entry, without a response; an
+IGROUP holds ``entry_count`` entries, each with a response; a DEL holds no
+entries.  The encoder still writes any layout, so a test can build the
+wires a receiver must refuse.
+
 The fixed parts have precompiled ``struct`` layouts.  :func:`encode_canonical`
 first checks every field the layout cannot carry as given (a kind that is
 no :class:`MessageKind`, an id, epoch or count out of range, a nonce that
@@ -36,24 +42,20 @@ A receiver takes each wire through these steps, cheapest refusal first:
    announcement that is not its own but comes from a leader it would not
    follow (``stale_epoch``, ``larger_leader``) before anything else is
    parsed or checked;
-2. :func:`decode`, which checks every length, flag and element.  Two
-   exact layouts skip the entry loop.  An IREPLY whose bytes are exactly
-   one entry without a response plus its signature is read with one
-   unpack and one membership test of its element.  An announcement whose
-   every entry carries a response, at exactly the length that implies,
-   and whose every element is already known to the process
-   (``group_arith``'s per-group memo) is decoded in bulk: one ``struct``
-   unpack of all entries and one batched membership query, with no
-   subgroup check, and each entry is built from its unpacked fields as a
-   :class:`GroupEntry` tuple.  Any other wire, DEL included, takes one
-   pass entry by entry, one membership test per element, and reports its
-   first defect; a wire either exact path takes decodes there to the same
-   message, and one it refuses fails with the same error;
+2. :func:`decode`, which checks every length, flag and element of the
+   kind's one layout and refuses any other.  An IREPLY is read with one
+   unpack and one membership test of its element.  An announcement is
+   decoded in bulk: one ``struct`` unpack of all entries, then one batched
+   membership query that, when every element is already known to the
+   process (``group_arith``'s per-group memo), vouches for all of them
+   with no subgroup check; otherwise the converted elements are tested
+   one by one, and the first non-member in entry order is reported;
 3. :func:`verify`, the signature over the received bytes;
-4. :func:`validate_shape`, the per-kind entry grammar (an IGROUP names no
-   participant twice, nor its sender, and answers every entry), checked
-   over an IGROUP's entries in one pass; only a failing one is walked
-   entry by entry to name its first defect;
+4. :func:`validate_shape`, the per-kind entry grammar, of which a decoded
+   wire can break only what its layout leaves open (an IREPLY's entry is
+   its sender's own; an IGROUP names no participant twice, nor its
+   sender), checked over an IGROUP's entries in one pass; only a failing
+   one is walked entry by entry to name its first defect;
 5. the state machine's own checks.
 
 Triage trusts fields no signature has yet covered, which is safe because
@@ -70,6 +72,7 @@ import hmac
 import struct
 from enum import IntEnum
 from functools import lru_cache, partial
+from itertools import chain
 from typing import NamedTuple
 
 from .errors import MalformedMessage, ShapeViolation, UnknownParticipant
@@ -97,7 +100,8 @@ _COUNT_AT = _HEADER_LEN - 2
 _TRIAGE = struct.Struct(f">BI{NONCE_LEN}xQ")
 #: An entry's fixed part: id, nonce, has_response.
 _ENTRY = struct.Struct(f">I{NONCE_LEN}sB")
-_ENTRY_FIXED = _ENTRY.size
+#: Where the first entry's has_response byte lies.
+_FLAG_AT = _HEADER_LEN + _ENTRY.size - 1
 _KINDS = {int(kind): kind for kind in MessageKind}
 _IGROUP = MessageKind.IGROUP
 _IREPLY = MessageKind.IREPLY
@@ -219,28 +223,21 @@ def read_header(data: bytes) -> tuple[MessageKind, int, int]:
 
 
 def decode(data: bytes, params: GroupParams) -> Message:
-    """Parse a signed wire message; validates lengths, kinds, and subgroup
-    membership of every element.  Raises MalformedMessage on any defect.
-    ``data`` must be ``bytes``: the nonces and the signature are slices.
+    """Parse a signed wire message laid out as its kind's honest sender
+    writes it; checks every length and flag and the subgroup membership of
+    every element, and raises MalformedMessage on any defect.  ``data``
+    must be ``bytes``: the nonces and the signature are slices.
 
-    An IREPLY of exactly one response-less entry plus its signature is
-    read with one unpack and one :func:`is_element`.  An announcement
-    first tries :func:`_decode_announcement`, the bulk path for a wire
-    whose every entry carries a response and whose every element is
-    already known.  Any other wire, DEL included, takes the entry-by-entry
-    loop below, which checks each element and reports the first defect;
-    the exact paths give the loop's message, or its error, for every wire
-    they take."""
+    An IREPLY is one entry without a response, read with one unpack and
+    one :func:`is_element`; an IGROUP is ``entry_count`` answered entries,
+    decoded in bulk by :func:`_decode_announcement`; a DEL is the header
+    alone.  Any other layout of a known kind is malformed, though the
+    encoder writes it: no honest sender does."""
     kind, sender_id, epoch = read_header(data)
-    width = params.element_width
     if kind is _IGROUP:
-        msg = _decode_announcement(data, sender_id, epoch, params)
-        if msg is not None:
-            return msg
-    elif kind is _IREPLY:
-        # the one layout an honest IREPLY has: exactly one entry without a
-        # response, then the signature
-        layout = _reply_body(width)
+        return _decode_announcement(data, sender_id, epoch, params)
+    if kind is _IREPLY:
+        layout = _reply_body(params.element_width)
         sig_at = _COUNT_AT + layout.size
         if len(data) >= sig_at:
             count, pid, nonce, has_response, field, sig_len = \
@@ -252,39 +249,12 @@ def decode(data: bytes, params: GroupParams) -> Message:
                 return _new_message((kind, sender_id, data[5:21], epoch,
                                      (_new_entry((pid, nonce, blinded, None)),),
                                      data[sig_at:]))
-    from_bytes = int.from_bytes
-    end = len(data)
-    pos = _HEADER_LEN
-    entries = []
-    for _ in range(from_bytes(data[29:31], "big")):
-        blind_at = pos + _ENTRY_FIXED
-        if end < blind_at:
-            raise MalformedMessage("truncated entry")
-        has_response = data[blind_at - 1]
-        if has_response > 1:
-            raise MalformedMessage("bad has_response flag")
-        response_at = blind_at + width
-        stop = response_at + width * has_response
-        if end < stop:
-            raise MalformedMessage("truncated entry elements")
-        blinded = from_bytes(data[blind_at:response_at], "big")
-        if not is_element(blinded, params):
-            raise _non_member(blinded, params)
-        response = None
-        if has_response:
-            response = from_bytes(data[response_at:stop], "big")
-            if not is_element(response, params):
-                raise _non_member(response, params)
-        entries.append(GroupEntry(from_bytes(data[pos:pos + 4], "big"),
-                                  data[pos + 4:blind_at - 1], blinded, response))
-        pos = stop
-    if end < pos + 2:
-        raise MalformedMessage("truncated signature length")
-    sig_len = from_bytes(data[pos:pos + 2], "big")
-    pos += 2
-    if end != pos + sig_len:
-        raise MalformedMessage("signature length mismatch")
-    return Message(kind, sender_id, data[5:21], epoch, tuple(entries), data[pos:])
+    elif data[_COUNT_AT:_HEADER_LEN] == b"\0\0":
+        sig_at = _HEADER_LEN + 2
+        if len(data) == sig_at + int.from_bytes(data[_HEADER_LEN:sig_at], "big"):
+            return _new_message((kind, sender_id, data[5:21], epoch, (),
+                                 data[sig_at:]))
+    raise _refusal(data, kind, params)
 
 
 # A GroupEntry or Message from a tuple, by the tuple constructor alone:
@@ -303,42 +273,67 @@ def _reply_body(width: int) -> struct.Struct:
 
 @lru_cache(maxsize=8)
 def _announced_entry(width: int) -> struct.Struct:
-    """One announcement entry that carries a response, for elements of
-    ``width`` bytes: id, nonce, has_response, blinded secret, response."""
+    """One announcement entry, for elements of ``width`` bytes: id, nonce,
+    has_response, blinded secret, response."""
     return struct.Struct(f">I{NONCE_LEN}sB{width}s{width}s")
 
 
 def _decode_announcement(data: bytes, sender_id: int, epoch: int,
-                         params: GroupParams) -> Message | None:
-    """The IGROUP ``data`` holds, decoded in bulk, or None where the wire
-    needs the entry-by-entry loop: an entry count of zero, a length other
-    than exactly ``count`` entries with responses plus the signature, a
-    ``has_response`` byte other than 1, or an element not yet known.
+                         params: GroupParams) -> Message:
+    """The IGROUP ``data`` holds: exactly ``entry_count`` entries that each
+    carry a response, then the signature.
 
     One ``iter_unpack`` splits the entries, two comprehensions convert the
-    2m elements, one :func:`all_known` query, with no subgroup check,
-    vouches for all of them, and ``tuple.__new__`` turns each entry's
-    zipped fields into its :class:`GroupEntry`.  A wire it returns is one
-    the loop accepts, and decodes to the same message: every length and
-    flag is as the loop requires, and every element is known, which is
-    what the loop's :func:`is_element` tests first."""
-    count = int.from_bytes(data[29:31], "big")
+    2m elements, and one :func:`all_known` query, with no subgroup check,
+    vouches for all of them when each is already known.  Otherwise the
+    converted values meet :func:`is_element` one by one, each entry's
+    blinded secret before its response, so the first non-member is the
+    one reported.  ``tuple.__new__`` turns each entry's zipped fields into
+    its :class:`GroupEntry`."""
+    count = int.from_bytes(data[_COUNT_AT:_HEADER_LEN], "big")
     layout = _announced_entry(params.element_width)
     end = _HEADER_LEN + count * layout.size
-    if not count or len(data) != end + 2 + int.from_bytes(data[end:end + 2], "big"):
-        return None
+    if len(data) != end + 2 + int.from_bytes(data[end:end + 2], "big"):
+        raise _refusal(data, _IGROUP, params)
+    if not count:
+        return _new_message((_IGROUP, sender_id, data[5:21], epoch, (), data[end + 2:]))
     ids, nonces, flags, blinds, responses = zip(
         *layout.iter_unpack(memoryview(data)[_HEADER_LEN:end]))
     if flags.count(1) != count:
-        return None
+        raise _refusal(data, _IGROUP, params)
     from_bytes = int.from_bytes
     blinded = [from_bytes(field, "big") for field in blinds]
     answered = [from_bytes(field, "big") for field in responses]
     if not all_known(blinded + answered, params):
-        return None
-    return Message(_IGROUP, sender_id, data[5:21], epoch,
-                   tuple(map(_new_entry, zip(ids, nonces, blinded, answered))),
-                   data[end + 2:])
+        for value in chain.from_iterable(zip(blinded, answered)):
+            if not is_element(value, params):
+                raise _non_member(value, params)
+    return _new_message((_IGROUP, sender_id, data[5:21], epoch,
+                         tuple(map(_new_entry, zip(ids, nonces, blinded, answered))),
+                         data[end + 2:]))
+
+
+def _refusal(data: bytes, kind: MessageKind, params: GroupParams) -> MalformedMessage:
+    """Why a wire of ``kind`` does not fit its kind's layout, naming its
+    first departure: a wrong entry count, then the first entry whose
+    ``has_response`` byte is not the layout's (each lies at a fixed stride
+    after the header, so the entries before it fit), then a wire cut short
+    of its signature length, or one that length does not end."""
+    count = int.from_bytes(data[_COUNT_AT:_HEADER_LEN], "big")
+    if kind is _IREPLY and count != 1:
+        return MalformedMessage("IREPLY: entry_count must be 1")
+    if kind is MessageKind.DEL and count:
+        return MalformedMessage("DEL: entry_count must be 0")
+    flag = int(kind is _IGROUP)
+    size = _ENTRY.size + params.element_width * (1 + flag)
+    end = _HEADER_LEN + count * size
+    for i, value in enumerate(data[_FLAG_AT:end:size]):
+        if value != flag:
+            return MalformedMessage(
+                f"{kind.name}.entries[{i}]: has_response must be {flag}")
+    if len(data) < end + 2:
+        return MalformedMessage("truncated message")
+    return MalformedMessage("signature length mismatch")
 
 
 def _non_member(value: int, params: GroupParams) -> MalformedMessage:
@@ -367,13 +362,15 @@ def verify(msg: Message, wire: bytes, keyring) -> bool:
     ``msg`` must be ``decode(wire, params)``.  The signature is checked over
     the received bytes, ``wire`` minus its ``[sig_len][signature]`` trailer,
     without re-encoding: that prefix is exactly ``encode_canonical(msg)``
-    because :func:`decode` accepts only the canonical form.  Every header
-    field has a fixed width and is re-emitted as read; the kind byte must
-    name a kind; ``entry_count`` is the number of entries parsed;
-    ``has_response`` must be 0 or 1, the same byte the encoder writes;
-    each element must be exactly ``element_width`` bytes and a subgroup
-    member, so it re-encodes to the same big-endian bytes; and the
-    signature length must end the wire exactly, so nothing trails it.
+    because :func:`decode` accepts only the canonical form of the kind's
+    one layout.  Every header field has a fixed width and is re-emitted as
+    read; the kind byte must name a kind; ``entry_count`` must be 1 for an
+    IREPLY and 0 for a DEL, and an IGROUP holds exactly that many entries;
+    ``has_response`` must be 0 in an IREPLY and 1 in an IGROUP, the byte
+    the encoder writes for a decoded entry; each element must be exactly
+    ``element_width`` bytes and a subgroup member, so it re-encodes to the
+    same big-endian bytes; and the signature length must end the wire
+    exactly, so nothing trails it.
     """
     signed = wire[:len(wire) - 2 - len(msg.signature)]
     return keyring.verify(msg.sender_id, signed, msg.signature)

@@ -201,7 +201,7 @@ class Node:
     """One protocol participant, driven entirely by events."""
 
     def __init__(self, node_id: int, config: NodeConfig, params: GroupParams,
-                 keyring, rng: random.Random, skip_verify: bool = False):
+                 keyring, rng: random.Random):
         config.validate()
         self.node_id = node_id
         self.config = config
@@ -209,8 +209,6 @@ class Node:
         self.keyring = keyring
         self.rng = rng
         self.counter = ExpCounter()
-        # test hook: a node that skips signature checks must be caught by audit
-        self._skip_verify = skip_verify
 
         self.mode = Mode.MEMBER
         self.leader_id: int | None = None
@@ -369,7 +367,7 @@ class Node:
             msg = decode(wire, self.params)
         except MalformedMessage as exc:
             return self._refuse(out, "malformed", str(exc))
-        if not self._skip_verify and not verify(msg, wire, self.keyring):
+        if not verify(msg, wire, self.keyring):
             return self._refuse(out, "bad_signature", sender)
         try:
             validate_shape(msg)

@@ -86,7 +86,6 @@ class SimConfig(NamedTuple):
     seed: int = 0
     duration: int = 120 * SECOND
     schedule: tuple = ()
-    skip_verify_nodes: frozenset = frozenset()
     initial_leader: int | None = None  # skip the election, per the IKA setup
 
     def validate(self) -> "SimConfig":
@@ -283,7 +282,6 @@ class _Simulation:
         node = Node(
             node_id, self.node_config, self.params, self.keyring,
             rng=random.Random(f"{self.config.seed}/node/{node_id}"),
-            skip_verify=node_id in self.config.skip_verify_nodes,
         )
         self.nodes[node_id] = node
         self.live.add(node_id)

@@ -252,4 +252,30 @@ def run_corpus() -> dict[str, Outcome]:
         probe(f"identity_response_{label}", member,
               encode_signed(identity, params), now)
 
+    # --- validly signed wires in a layout no honest sender writes ----------
+    # Each would be fresh (a new seq or epoch) and correctly signed, but an
+    # IREPLY carries exactly one entry without a response, an IGROUP answers
+    # every entry and a DEL carries none, so each is malformed.
+    for label, params in (("toy", TOY), ("prod", PROD)):
+        leader, member, other, empty, keyed, reply2, now = build_pair(params)
+        seq, own = member.seq + 1, member.contribution
+        off_layout = {
+            "ireply_two_entries": (leader, Message(
+                MessageKind.IREPLY, 2, own.nonce, seq,
+                (own, own._replace(nonce=bytes(16))))),
+            "ireply_response": (leader, Message(
+                MessageKind.IREPLY, 2, own.nonce, seq,
+                (own._replace(blinded_response=own.blinded_secret),))),
+            "igroup_unanswered": (member, Message(
+                MessageKind.IGROUP, 1, keyed.message.sender_nonce,
+                keyed.message.epoch + 1,
+                tuple(e._replace(blinded_response=None) if e.participant_id == 3
+                      else e for e in keyed.message.entries))),
+            "del_entry": (leader, Message(MessageKind.DEL, 2, own.nonce, seq,
+                                          (own,))),
+        }
+        for name, (node, msg) in off_layout.items():
+            probe(f"off_layout_{name}_{label}", node,
+                  encode_signed(sign(msg, RING, params), params), now)
+
     return outcomes

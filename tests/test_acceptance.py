@@ -288,6 +288,8 @@ def test_criterion_7_adversarial_rejection():
             assert not is_element(outcome.element, outcome.params), name
         if name.startswith("duplicate_ids_"):
             assert outcome.reason == "shape", f"{name}: {outcome.reason}"
+        if name.startswith("off_layout_"):
+            assert outcome.reason == "malformed", f"{name}: {outcome.reason}"
         if name.startswith("del_forged_nonce_"):
             assert outcome.reason == "del_nonce_mismatch", \
                 f"{name}: {outcome.reason}"

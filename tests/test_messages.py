@@ -2,6 +2,7 @@ import functools
 import itertools
 import os
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -41,7 +42,6 @@ from agdh.messages import (
     sign_and_encode,
     validate_shape,
     verify,
-    _decode_announcement,
 )
 from agdh.node_fsm import (
     SECOND,
@@ -144,28 +144,75 @@ class TestCanonicalEncoding:
             decode(header + entry + (0).to_bytes(2, "big"), PROD)
 
 
-entry_strategy = st.builds(
-    GroupEntry,
-    participant_id=st.integers(0, 2**32 - 1),
-    nonce=st.binary(min_size=16, max_size=16),
-    blinded_secret=st.sampled_from(TOY_ELEMENTS),
-    blinded_response=st.one_of(st.none(), st.sampled_from(TOY_ELEMENTS)),
-)
+def elements_of(params):
+    if params is TOY:
+        return st.sampled_from(TOY_ELEMENTS)
+    return st.integers(1, PROD.order - 1).map(
+        lambda k: pow(PROD.generator, k, PROD.modulus))
 
-message_strategy = st.builds(
-    Message,
-    kind=st.sampled_from(list(MessageKind)),
-    sender_id=st.integers(0, 2**32 - 1),
-    sender_nonce=st.binary(min_size=16, max_size=16),
-    epoch=st.integers(0, 2**64 - 1),
-    entries=st.lists(entry_strategy, max_size=5).map(tuple),
-    signature=st.binary(max_size=80),
-)
+
+@st.composite
+def messages_of(draw, params, laid_out=False, max_entries=3, max_sig=40):
+    """Messages of every kind over ``params``: each in the one layout its
+    kind's honest sender writes if ``laid_out``, else in any layout."""
+    elements = elements_of(params)
+    kind = draw(st.sampled_from(list(MessageKind)))
+    if not laid_out:
+        response, sizes = st.one_of(st.none(), elements), (0, max_entries)
+    elif kind is MessageKind.IREPLY:
+        response, sizes = st.none(), (1, 1)
+    elif kind is MessageKind.IGROUP:
+        response, sizes = elements, (0, max_entries)
+    else:
+        response, sizes = st.none(), (0, 0)
+    entries = draw(st.lists(st.builds(
+        GroupEntry,
+        participant_id=st.integers(0, 2**32 - 1),
+        nonce=st.binary(min_size=16, max_size=16),
+        blinded_secret=elements,
+        blinded_response=response,
+    ), min_size=sizes[0], max_size=sizes[1]))
+    return Message(kind, draw(st.integers(0, 2**32 - 1)),
+                   draw(st.binary(min_size=16, max_size=16)),
+                   draw(st.integers(0, 2**64 - 1)), tuple(entries),
+                   draw(st.binary(max_size=max_sig)))
+
+
+def has_layout(msg: Message) -> bool:
+    """True iff ``msg`` is laid out as its kind's honest sender writes it:
+    an IREPLY of one entry without a response, an IGROUP whose every entry
+    carries one, a DEL without entries."""
+    answered = [e.blinded_response is not None for e in msg.entries]
+    if msg.kind is MessageKind.IREPLY:
+        return answered == [False]
+    if msg.kind is MessageKind.IGROUP:
+        return all(answered)
+    return not answered
+
+
+#: TOY messages in their kind's layout, up to 5 entries and 80 signature bytes
+message_strategy = messages_of(TOY, laid_out=True, max_entries=5, max_sig=80)
 
 
 @given(message_strategy)
 def test_roundtrip_random_messages(msg):
     assert decode(encode_signed(msg, TOY), TOY) == msg
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_off_layout_messages_encode_but_never_decode(data):
+    """On TOY and PROD, a message in any layout but its kind's own
+    encodes, signed or not, and its wire is malformed."""
+    params = data.draw(st.sampled_from([TOY, PROD]))
+    msg = data.draw(messages_of(params).filter(lambda m: not has_layout(m)))
+    msg = msg._replace(sender_id=data.draw(st.integers(0, 8)))
+    if RING.known(msg.sender_id) and data.draw(st.booleans()):
+        msg = sign(msg, RING, params)
+    wire = encode_signed(msg, params)
+    assert reference_decode(wire, params) == msg
+    with pytest.raises(MalformedMessage):
+        decode(wire, params)
 
 
 def reference_verify(msg, keyring, params) -> bool:
@@ -197,7 +244,8 @@ def test_received_bytes_are_canonical_on_fixed_wires():
     import adversarial_corpus
 
     with open(VECTORS) as fh:
-        wires = {f"vector {line.split()[1]}": (bytes.fromhex(line.split()[0]), TOY)
+        wires = {"vector " + " ".join(line.split()[1:]):
+                 (bytes.fromhex(line.split()[0]), TOY)
                  for line in fh
                  if line.strip() and not line.startswith("#")}
     wires.update((name, (outcome.wire, outcome.params)) for name, outcome
@@ -210,11 +258,14 @@ def test_received_bytes_are_canonical_on_fixed_wires():
             malformed.add(name)
             continue
         check_wire_prefix(wire, params)
-    retired = {f"vector kind={kind}" for kind in RETIRED_KINDS}
+    retired = {name for name in wires for kind in RETIRED_KINDS
+               if name.startswith(f"vector kind={kind} ")}
     retired |= {name for name in wires if name.startswith("retired_kind_")}
     hostile = {name for name in wires if name.startswith("hostile_element_")}
-    assert len(hostile) == 4
-    assert malformed == {"truncated", "unknown_kind"} | retired | hostile
+    off_layout = {name for name in wires
+                  if name.endswith(" layout=off") or name.startswith("off_layout_")}
+    assert len(retired) == 15 and len(hostile) == 4 and len(off_layout) == 11
+    assert malformed == {"truncated", "unknown_kind"} | retired | hostile | off_layout
 
 
 def test_sign_and_encode_matches_sign_then_encode():
@@ -414,15 +465,15 @@ def test_value_type_defaults():
     assert msg.entries == () and msg.signature == b""
     assert NodeConfig() == (5 * SECOND, 20 * 60 * SECOND, 3, 20, 100_000,
                             500_000, False)
-    assert SimConfig(3) == (3, 0.0, 10_000, 50_000, 0, 120 * SECOND, (),
-                            frozenset(), None)
+    assert SimConfig(3) == (3, 0.0, 10_000, 50_000, 0, 120 * SECOND, (), None)
 
 
 def test_vector_file():
     """The checked-in vectors of the three kinds decode to the stated
     fields, re-encode bit-exactly, and verify under the fixture keyring;
-    the vectors of the retired kinds are malformed."""
-    positive, negative = [], []
+    the vectors of the retired kinds are malformed, and so is each kind's
+    vector marked ``layout=off``, though its signature is valid."""
+    positive, negative, off_layout = [], [], []
     with open(VECTORS) as fh:
         for line in fh:
             line = line.strip()
@@ -435,6 +486,15 @@ def test_vector_file():
                     decode(bytes.fromhex(hexbytes), TOY)
                 negative.append(expected["kind"])
                 continue
+            if expected.get("layout") == "off":
+                wire = bytes.fromhex(hexbytes)
+                msg = reference_decode(wire, TOY)
+                assert verify(msg, wire, RING) and not has_layout(msg)
+                assert len(msg.entries) == int(expected["entries"])
+                with pytest.raises(MalformedMessage, match=LAYOUT_REFUSAL):
+                    decode(wire, TOY)
+                off_layout.append(expected["kind"])
+                continue
             msg = decode(bytes.fromhex(hexbytes), TOY)
             assert msg.kind.name == expected["kind"]
             assert msg.sender_id == int(expected["sender"])
@@ -445,6 +505,59 @@ def test_vector_file():
             positive.append(msg.kind.name)
     assert sorted(positive) == sorted(k.name for k in MessageKind)
     assert sorted(negative) == sorted(RETIRED_KINDS)
+    assert sorted(off_layout) == sorted(k.name for k in MessageKind)
+
+
+# -- one layout per kind ----------------------------------------------------------
+
+#: Each layout refusal, on one validly signed TOY message: the message, and
+#: the text ``decode`` refuses its wire with.
+OFF_LAYOUT = [
+    (Message(MessageKind.IREPLY, 2, nonce(0xAA), 4,
+             (GroupEntry(2, nonce(0xAA), 16), GroupEntry(2, nonce(0xAB), 9))),
+     "IREPLY: entry_count must be 1"),
+    (Message(MessageKind.IREPLY, 2, nonce(0xAA), 4),
+     "IREPLY: entry_count must be 1"),
+    (Message(MessageKind.IREPLY, 2, nonce(0xAA), 4,
+             (GroupEntry(2, nonce(0xAA), 16, 2),)),
+     "IREPLY.entries[0]: has_response must be 0"),
+    (Message(MessageKind.IGROUP, 1, nonce(0x11), 8,
+             (GroupEntry(2, nonce(0xAA), 16, 2), GroupEntry(4, nonce(0xBB), 9))),
+     "IGROUP.entries[1]: has_response must be 1"),
+    (Message(MessageKind.DEL, 2, nonce(0xAA), 6,
+             (GroupEntry(2, nonce(0xAA), 16),)),
+     "DEL: entry_count must be 0"),
+]
+LAYOUT_REFUSAL = "|".join(f"^{re.escape(text)}$" for _, text in OFF_LAYOUT)
+
+
+@pytest.mark.parametrize("msg, text", OFF_LAYOUT, ids=[
+    "ireply_two_entries", "ireply_no_entry", "ireply_response",
+    "igroup_unanswered", "del_entry"])
+def test_off_layout_refusal_text(msg, text):
+    """A validly signed wire in a layout no honest sender writes is
+    refused with the text naming its first departure from the layout."""
+    wire = encode_signed(sign(msg, RING, TOY), TOY)
+    assert verify(reference_decode(wire, TOY), wire, RING)
+    with pytest.raises(MalformedMessage) as refused:
+        decode(wire, TOY)
+    assert str(refused.value) == text
+
+
+def test_trailer_refusal_text():
+    """A wire cut before its signature length, or one whose signature
+    length does not end it, is refused with the text naming that."""
+    msg = sign(build_igroup(1, nonce(0x11), 1, [GroupEntry(2, nonce(0xAA), 16, 2)]),
+               RING, TOY)
+    wire = encode_signed(msg, TOY)
+    cut_at = len(wire) - 2 - len(msg.signature) - 1
+    for data, text in ((wire[:31], "truncated message"),
+                       (wire[:cut_at], "truncated message"),
+                       (wire + b"\0", "signature length mismatch"),
+                       (wire[:-1], "signature length mismatch")):
+        with pytest.raises(MalformedMessage) as refused:
+            decode(data, TOY)
+        assert str(refused.value) == text
 
 
 # -- decode against the previous implementation ---------------------------------
@@ -511,9 +624,22 @@ def outcome(decoder, wire: bytes, params):
         return f"malformed: {exc}"
 
 
+#: The reference's refusals that ``decode`` must word the same way.
+SAME_TEXT = ("malformed: truncated header", "malformed: unknown kind byte")
+
+
 def assert_decodes_like_reference(wire: bytes, params) -> None:
+    """``decode`` returns the reference's message where that message has
+    its kind's layout, and refuses every other wire as malformed, with the
+    reference's text for a short header or an unknown kind byte."""
     got = outcome(decode, wire, params)
-    assert got == outcome(reference_decode, wire, params)
+    want = outcome(reference_decode, wire, params)
+    if isinstance(want, Message) and has_layout(want):
+        assert got == want
+    else:
+        assert isinstance(got, str), (want, got)
+        if isinstance(want, str) and want.startswith(SAME_TEXT):
+            assert got == want
     if isinstance(got, Message):
         # a plain tuple would compare equal: the types are checked apart
         assert type(got) is Message
@@ -617,41 +743,15 @@ def test_decode_matches_reference_on_fixed_wires():
     assert params_seen == {TOY, PROD}
 
 
-def elements_of(params):
-    if params is TOY:
-        return st.sampled_from(TOY_ELEMENTS)
-    return st.integers(1, PROD.order - 1).map(
-        lambda k: pow(PROD.generator, k, PROD.modulus))
-
-
-def messages_of(params):
-    elements = elements_of(params)
-    entries = st.builds(
-        GroupEntry,
-        participant_id=st.integers(0, 2**32 - 1),
-        nonce=st.binary(min_size=16, max_size=16),
-        blinded_secret=elements,
-        blinded_response=st.one_of(st.none(), elements),
-    )
-    return st.builds(
-        Message,
-        kind=st.sampled_from(list(MessageKind)),
-        sender_id=st.integers(0, 2**32 - 1),
-        sender_nonce=st.binary(min_size=16, max_size=16),
-        epoch=st.integers(0, 2**64 - 1),
-        entries=st.lists(entries, max_size=3).map(tuple),
-        signature=st.binary(max_size=40),
-    )
-
-
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_decode_matches_reference(data):
-    """On TOY and PROD: an honest wire, or one mutation of it, decodes to
-    the same message as the reference decoder or fails with the same
-    MalformedMessage text."""
+    """On TOY and PROD: a wire in its kind's layout or in any other, or
+    one mutation of it, decodes to the reference decoder's message where
+    that message has its kind's layout, and is malformed otherwise."""
     params = data.draw(st.sampled_from([TOY, PROD]))
-    wire = encode_signed(data.draw(messages_of(params)), params)
+    laid_out = data.draw(st.booleans())
+    wire = encode_signed(data.draw(messages_of(params, laid_out)), params)
     flags, elements, _ = entry_fields(wire, params)
     mutation = data.draw(st.sampled_from(
         ["honest", "truncate", "byte", "kind", "flag", "element"]))
@@ -697,8 +797,9 @@ BULK_CASES = [(TOY, count, 11) for count in range(1, 41)] + [(PROD, 99, 53)]
 @pytest.mark.parametrize("memo", ["warm", "cold"])
 def test_bulk_decode_matches_reference(memo, monkeypatch):
     """Honest announcements and a sample of their mutants decode like the
-    reference, with the memo warm (an honest wire takes the bulk path) and
-    emptied before every decode (every wire takes the loop)."""
+    reference, with the memo warm (one ``all_known`` query vouches for an
+    honest wire) and emptied before every decode (every element meets
+    ``is_element``)."""
     if memo == "cold":
         for params in (TOY, PROD):
             monkeypatch.setattr(params, "known", set())
@@ -711,16 +812,45 @@ def test_bulk_decode_matches_reference(memo, monkeypatch):
     for params, count, stride in BULK_CASES:
         wire = announcement(params, count)
         forget()
-        bulk = _decode_announcement(wire, 1, count, params)
-        if memo == "warm":
-            assert bulk == reference_decode(wire, params)
-            # a plain tuple would compare equal: the type is checked apart
-            assert all(type(e) is GroupEntry for e in bulk.entries)
-        else:
-            assert bulk is None
+        msg = decode(wire, params)
+        assert msg == reference_decode(wire, params)
+        # a plain tuple would compare equal: the type is checked apart
+        assert all(type(e) is GroupEntry for e in msg.entries)
         for mutant in itertools.islice(mutants(wire, params), 0, None, stride):
             forget()
             assert_decodes_like_reference(mutant, params)
+
+
+def test_cold_announcement_checks_each_element_in_entry_order(monkeypatch):
+    """The path of a device that knows none of its leader's elements: an
+    m = 99 PROD announcement decodes as it does warm, with one
+    ``is_element`` per element, each entry's blinded secret before its
+    response; a non-member planted at entry k is the value refused, ahead
+    of one planted later."""
+    wire = announcement(PROD, 99)
+    warm = decode(wire, PROD)
+    in_order = [value for e in warm.entries
+                for value in (e.blinded_secret, e.blinded_response)]
+    _, elements, _ = entry_fields(wire, PROD)
+    monkeypatch.setattr(PROD, "known", set())
+    tested = []
+    real = messages.is_element
+    monkeypatch.setattr(messages, "is_element",
+                        lambda value, params: tested.append(value) or real(value, params))
+    assert decode(wire, PROD) == warm
+    assert tested == in_order
+    p = PROD.modulus
+    for k in (0, 1, 50, 97):
+        for field in (0, 1):
+            at = 2 * k + field
+            planted = with_element(wire, elements[at], p - 1, PROD)
+            planted = with_element(planted, elements[-1], p - in_order[-1], PROD)
+            PROD.known.clear()
+            tested.clear()
+            with pytest.raises(MalformedMessage,
+                               match=f"^bad group element: {p - 1} is not"):
+                decode(planted, PROD)
+            assert tested == in_order[:at] + [p - 1]
 
 
 def test_warm_announcement_pays_no_membership_test(monkeypatch):

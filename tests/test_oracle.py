@@ -59,37 +59,12 @@ class TestAuditDetections:
     def test_skipped_verification_is_caught(self):
         """A node with signature checks disabled accepts a tampered wire;
         the auditor re-verifies every accepted message and flags it."""
-        probe = run(SimConfig(node_count=3, seed=31, duration=40 * SECOND),
-                    NodeConfig(), PROD)
-        keyed = next(r for r in probe.transcript.of_kind("SEND")
-                     if r.get("kind") == "IGROUP" and r.get("entries") > 0)
-        tampered = bytearray(probe.wire_by_id[keyed.get("id")])
-        tampered[-1] ^= 0x01  # break the signature
-
-        member = next(n for n in probe.live
-                      if probe.nodes[n].mode.value == "member")
-        res = run(SimConfig(node_count=3, seed=31, duration=40 * SECOND,
-                            skip_verify_nodes=frozenset({member}),
-                            schedule=(InjectAt(35 * SECOND, member,
-                                               bytes(tampered)),)),
-                  NodeConfig(), PROD)
-        report = audit_transcript(res)
+        report = audit_transcript(_injected_run(skip_verify=True))
         kinds = {kind for kind, _ in report.findings}
         assert "accepted_unverified" in kinds
 
     def test_honest_node_rejects_same_injection(self):
-        probe = run(SimConfig(node_count=3, seed=31, duration=40 * SECOND),
-                    NodeConfig(), PROD)
-        keyed = next(r for r in probe.transcript.of_kind("SEND")
-                     if r.get("kind") == "IGROUP" and r.get("entries") > 0)
-        tampered = bytearray(probe.wire_by_id[keyed.get("id")])
-        tampered[-1] ^= 0x01
-        member = next(n for n in probe.live
-                      if probe.nodes[n].mode.value == "member")
-        res = run(SimConfig(node_count=3, seed=31, duration=40 * SECOND,
-                            schedule=(InjectAt(35 * SECOND, member,
-                                               bytes(tampered)),)),
-                  NodeConfig(), PROD)
+        res = _injected_run(skip_verify=False)
         assert audit_transcript(res).clean
         rejects = [r for r in res.transcript.of_kind("REJECT")
                    if r.get("reason") == "bad_signature"]
@@ -301,7 +276,11 @@ def reference_audit(result, scan_secrets=None) -> AuditReport:
 
 def _injected_run(skip_verify: bool):
     """A 3-node PROD run where one member is fed a keyed announcement with
-    a broken signature; with ``skip_verify`` that member accepts it."""
+    a broken signature; with ``skip_verify`` the nodes' signature check is
+    patched out for the run, and that member accepts it.  Only the member
+    receives the tampered wire, and every other wire verifies."""
+    import agdh.node_fsm as node_fsm
+
     probe = run(SimConfig(node_count=3, seed=31, duration=40 * SECOND),
                 NodeConfig(), PROD)
     keyed = next(r for r in probe.transcript.of_kind("SEND")
@@ -310,12 +289,13 @@ def _injected_run(skip_verify: bool):
     tampered[-1] ^= 0x01
     member = next(n for n in probe.live
                   if probe.nodes[n].mode.value == "member")
-    return run(SimConfig(node_count=3, seed=31, duration=40 * SECOND,
-                         skip_verify_nodes=frozenset({member}) if skip_verify
-                         else frozenset(),
-                         schedule=(InjectAt(35 * SECOND, member,
-                                            bytes(tampered)),)),
-               NodeConfig(), PROD)
+    with pytest.MonkeyPatch.context() as patch:
+        if skip_verify:
+            patch.setattr(node_fsm, "verify", lambda msg, wire, keyring: True)
+        return run(SimConfig(node_count=3, seed=31, duration=40 * SECOND,
+                             schedule=(InjectAt(35 * SECOND, member,
+                                                bytes(tampered)),)),
+                   NodeConfig(), PROD)
 
 
 def _corrupted_leader_run(monkeypatch):
