@@ -145,9 +145,6 @@ class HmacKeyRing:
         }
         return cls(keys)
 
-    def known(self, participant_id: int) -> bool:
-        return participant_id in self._keys
-
     def sign(self, sender_id: int, data: bytes) -> bytes:
         key = self._keys.get(sender_id)
         if key is None:

@@ -174,10 +174,10 @@ class LeaderRole:
 
 
 class SessionKey(NamedTuple):
-    """An established group key and the symmetric key derived from it, the
-    one record of it: the node holds it as ``session``, its step reports it
-    in ``key_changes``, and the simulator keeps it in ``Metrics.key_events``
-    and writes it as a KEY record."""
+    """An established group key and the symmetric key derived from it: the
+    node holds it as ``session``, its step reports it in ``key_changes``,
+    and the simulator writes it as a KEY record, from which the auditor
+    reads it (``Metrics.key_events`` keeps a copy for the benchmark)."""
 
     time: int
     node_id: int

@@ -1,13 +1,15 @@
 """Independent verification paths, used only by tests and the CLI.
 
-The auditor recomputes every announced key directly in the exponent from the
-ground-truth secrets (which the nodes log locally and never send), re-verifies
-every message a node accepted, and scans outgoing wire bytes for secret
-material.  It deliberately shares nothing with the leader/member computation
-paths beyond the wire codec, whose decode consults ``group_arith``'s memo
-of known elements: its expected keys come from ``gka_core.oracle_key``'s
-own fixed-base comb, which uses neither that memo nor ``group_arith``'s
-kernel, so corrupting either path trips it.
+The auditor reads a finished run from one record, the transcript, plus the
+ground-truth secrets each node logged locally and never sent (its
+``secret_log``): the announced compositions from SEND records, every key a
+node derived from KEY records, and every accepted message from ACCEPT
+records.  It recomputes each announced key directly in the exponent and
+re-verifies every accepted message.  It deliberately shares nothing with
+the leader/member computation paths beyond the wire codec, whose decode
+consults ``group_arith``'s memo of known elements: its expected keys come
+from ``gka_core.oracle_key``'s own fixed-base comb, which uses neither that
+memo nor ``group_arith``'s kernel, so corrupting either path trips it.
 """
 
 from __future__ import annotations
@@ -16,8 +18,7 @@ import contextlib
 from typing import NamedTuple
 
 from .errors import CountMismatch, MalformedMessage
-from .gka_core import NONCE_LEN, derive_session_key, oracle_key
-from .group_arith import GroupParams, encode_element
+from .gka_core import derive_session_key, oracle_key
 from .messages import Message, MessageKind, decode, verify
 from .simnet import Record, SimResult
 
@@ -26,14 +27,12 @@ _CONTRIBUTION_NAMES = {MessageKind.IREPLY.name}
 
 
 class AuditReport:
-    __slots__ = ("findings", "epochs_checked", "accepts_checked",
-                 "sends_scanned")
+    __slots__ = ("findings", "epochs_checked", "accepts_checked")
 
     def __init__(self) -> None:
         self.findings: list = []
         self.epochs_checked = 0
         self.accepts_checked = 0
-        self.sends_scanned = 0
 
     @property
     def clean(self) -> bool:
@@ -46,118 +45,82 @@ class AuditReport:
         lines = [
             f"audit: epochs={self.epochs_checked}"
             f" accepts={self.accepts_checked}"
-            f" sends={self.sends_scanned}"
             f" findings={len(self.findings)}"
         ]
         lines += [f"FINDING {kind} {detail}" for kind, detail in self.findings]
         return "\n".join(lines) + "\n"
 
 
-def _scalar_width(params: GroupParams) -> int:
-    return (params.order.bit_length() + 7) // 8
-
-
 class _WireChecks:
     """Each distinct wire decoded and signature-checked at most once.
 
     Only a small verdict is kept per wire, never the decoded message:
-    ``(problem, leaks)``, where ``problem`` is None, ``("malformed",
-    reason)`` or ``("unverified", kind name)``, and ``leaks`` holds the
-    fields that equal a secret's encoding (empty unless scanning).
+    None, ``("malformed", reason)`` or ``("unverified", kind name)``.
     """
 
-    def __init__(self, result: SimResult, secret_encodings: set | None):
+    def __init__(self, result: SimResult):
         self._params = result.params
         self._keyring = result.keyring
-        self._secrets = secret_encodings
-        self._width = _scalar_width(result.params)
-        self._facts: dict[bytes, tuple] = {}
+        self._problems: dict[bytes, tuple | None] = {}
 
     def decode(self, wire: bytes) -> Message:
-        """Decode a wire not seen before and record its facts."""
+        """Decode a wire not seen before and record its verdict."""
         try:
             msg = decode(wire, self._params)
         except MalformedMessage as exc:
-            self._facts[wire] = (("malformed", str(exc)), ())
+            self._problems[wire] = ("malformed", str(exc))
             raise
-        problem = None
-        if not verify(msg, wire, self._keyring):
-            problem = ("unverified", msg.kind.name)
-        leaks = self._leaks(msg) if self._secrets else ()
-        self._facts[wire] = (problem, leaks)
+        self._problems[wire] = None if verify(msg, wire, self._keyring) \
+            else ("unverified", msg.kind.name)
         return msg
 
-    def facts(self, wire: bytes) -> tuple:
-        found = self._facts.get(wire)
-        if found is None:
+    def problem(self, wire: bytes) -> tuple | None:
+        if wire not in self._problems:
             with contextlib.suppress(MalformedMessage):
                 self.decode(wire)
-            found = self._facts[wire]
-        return found
-
-    def _leaks(self, msg: Message) -> tuple:
-        # Only fields as wide as a scalar can equal a secret's encoding, so
-        # elements are encoded only when the two widths agree.
-        width, params = self._width, self._params
-        fields = [msg.sender_nonce]
-        for e in msg.entries:
-            fields.append(e.nonce)
-            if params.element_width == width:
-                fields.append(encode_element(e.blinded_secret, params))
-                if e.blinded_response is not None:
-                    fields.append(encode_element(e.blinded_response, params))
-        return tuple(data for data in fields
-                     if len(data) == width and data in self._secrets)
+        return self._problems[wire]
 
 
-def audit_transcript(result: SimResult, scan_secrets: bool | None = None) -> AuditReport:
+def audit_transcript(result: SimResult) -> AuditReport:
     """Cross-check a finished run against ground truth.
 
-    Checks, per announced epoch: the key every node derived equals the
-    direct-exponent recomputation from the logged secrets, and is never the
-    identity element.  Also: every accepted message re-verifies under the
-    keyring, and no message field carries a secret's encoding.  Each
-    distinct wire is decoded and verified at most once; a wire accepted by
-    many nodes yields one finding per offending ACCEPT record.
-
-    The secret scan compares raw bytes, so on a group whose element width
-    equals the scalar width (the toy group: one byte each) equality is
-    pigeonhole coincidence, not leakage.  By default the scan runs only when
-    the widths differ; pass ``scan_secrets=True`` to force it.  On PROD the
-    default scan compares nothing: no wire field has the 20-byte scalar
-    width (nonces are 16 bytes and elements 128), so it builds no set of
-    secret encodings, scans no wire the other checks decode, decodes no
-    send and only counts them.
+    Checks, per announced epoch: the key every KEY record names equals the
+    direct-exponent recomputation from the nodes' logged secrets, is never
+    the identity element, and is held only by a node the epoch's group
+    includes.  Also: every accepted message re-verifies under the keyring.
+    One pass over the transcript gathers the announcements, keys and
+    accepts; each distinct wire is decoded and verified at most once, and a
+    wire accepted by many nodes yields one finding per offending ACCEPT
+    record.
     """
     params = result.params
     report = AuditReport()
-    if scan_secrets is None:
-        scan_secrets = _scalar_width(params) != params.element_width
 
     leader_secret_by_nonce: dict[tuple[int, bytes], int] = {}
     member_secret: dict[tuple[int, int, bytes], int] = {}
-    for node_id, records in result.secrets.items():
-        for rec in records:
+    for node_id, node in result.nodes.items():
+        for rec in node.secret_log:
             if rec.role == "leader":
                 leader_secret_by_nonce[(node_id, rec.nonce)] = rec.secret
             else:
                 member_secret[(node_id, rec.blinded, rec.nonce)] = rec.secret
-    # Only a field as wide as a scalar can equal a secret's encoding; with
-    # no such field there is nothing to compare, so no wire is scanned.
-    width = _scalar_width(params)
-    comparable = width in (NONCE_LEN, params.element_width)
-    secret_encodings = {
-        rec.secret.to_bytes(width, "big")
-        for records in result.secrets.values() for rec in records
-    } if scan_secrets and comparable else None
-    wires = _WireChecks(result, secret_encodings)
+    wires = _WireChecks(result)
 
-    # --- reconstruct announced group compositions -------------------------
-    sends = result.transcript.of_kind("SEND")
+    # --- one pass: announced compositions, keys and accepts ---------------
     composition: dict[tuple[int, int], tuple] = {}
     composed: set[bytes] = set()
-    for rec in sends:
-        if rec.get("kind") not in _ANNOUNCEMENT_NAMES or not rec.get("entries"):
+    keys: list[Record] = []
+    accepts: list[Record] = []
+    for rec in result.transcript:
+        kind = rec.kind
+        if kind == "ACCEPT":
+            accepts.append(rec)
+            continue
+        if kind == "KEY":
+            keys.append(rec)
+            continue
+        if kind != "SEND" or rec.get("kind") not in _ANNOUNCEMENT_NAMES \
+                or not rec.get("entries"):
             continue
         wire = rec.get("wire")
         if wire in composed:
@@ -204,28 +167,28 @@ def audit_transcript(result: SimResult, scan_secrets: bool | None = None) -> Aud
     report.epochs_checked = len(expected)
 
     # --- every derived key must match the oracle --------------------------
-    for kev in result.metrics.key_events:
-        slot = (kev.leader_id, kev.epoch)
+    for rec in keys:
+        node_id, leader_id, epoch = rec.node, rec.get("leader"), rec.get("epoch")
+        slot = (leader_id, epoch)
         want = expected.get(slot)
         if want is None:
             report.add("unannounced_epoch",
-                       f"node={kev.node_id} leader={kev.leader_id} epoch={kev.epoch}")
+                       f"node={node_id} leader={leader_id} epoch={epoch}")
             continue
-        if kev.node_id not in included[slot]:
-            report.add("foreign_key",
-                       f"node={kev.node_id} not in epoch {kev.epoch} group")
-        if kev.derived != want:
+        if node_id not in included[slot]:
+            report.add("foreign_key", f"node={node_id} not in epoch {epoch} group")
+        if rec.get("key") != want:
             report.add("key_mismatch",
-                       f"node={kev.node_id} leader={kev.leader_id} epoch={kev.epoch}")
+                       f"node={node_id} leader={leader_id} epoch={epoch}")
 
     # --- every accepted message must re-verify ----------------------------
-    for rec in result.transcript.of_kind("ACCEPT"):
+    for rec in accepts:
         report.accepts_checked += 1
         wire = result.wire_by_id.get(rec.get("id"))
         if wire is None:
             report.add("accept_without_wire", f"id={rec.get('id')}")
             continue
-        problem, _ = wires.facts(wire)
+        problem = wires.problem(wire)
         if problem is None:
             continue
         what, detail = problem
@@ -234,18 +197,6 @@ def audit_transcript(result: SimResult, scan_secrets: bool | None = None) -> Aud
         else:
             report.add("accepted_unverified",
                        f"node={rec.node} id={rec.get('id')} kind={detail}")
-
-    # --- no protocol message may carry a secret's encoding ----------------
-    # A send with no comparable field need not be decoded to know it leaks
-    # nothing, but it is still counted.
-    for rec in sends if scan_secrets else ():
-        report.sends_scanned += 1
-        if not comparable:
-            continue
-        _, leaks = wires.facts(rec.get("wire"))
-        for data in leaks:
-            report.add("secret_leak",
-                       f"send id={rec.get('id')} field={data.hex()}")
     return report
 
 
@@ -273,14 +224,18 @@ def cost_table(result: SimResult, m: int) -> CostRow:
     protocol message count is over distinct logical messages.
     """
     params = result.params
-    # one pass in time order: every delivery, the first announcement with
-    # entries, and the distinct member contributions sent up to its instant
+    # one pass in time order: every delivery and key, the first announcement
+    # with entries, and the distinct member contributions sent up to its
+    # instant
     delivered_at: dict[int, list[tuple[int, int]]] = {}
+    keys: list[Record] = []
     contributions: dict[tuple, Record] = {}
     establishing = None
     for rec in result.transcript:
         if rec.kind == "DELIVER":
             delivered_at.setdefault(rec.get("id"), []).append((rec.time, rec.node))
+        elif rec.kind == "KEY":
+            keys.append(rec)
         if rec.kind != "SEND":
             continue
         kind = rec.get("kind")
@@ -326,8 +281,8 @@ def cost_table(result: SimResult, m: int) -> CostRow:
     rounds = max(depth(i, memo) for i in counted)
 
     # exponentiations up to the instant the last member derives the key
-    key_times = [k.time for k in result.metrics.key_events
-                 if k.leader_id == leader_id and k.epoch == epoch]
+    key_times = [rec.time for rec in keys
+                 if rec.get("leader") == leader_id and rec.get("epoch") == epoch]
     t_conv = max(key_times) if key_times else t_end
     expos: dict[int, int] = {}
     for when, node_id, delta in result.metrics.exp_events:

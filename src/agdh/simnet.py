@@ -210,9 +210,11 @@ class Transcript:
 
 
 class Metrics:
-    """Only what no record carries: exponentiations, and each key's group
-    element.  The cost row and the benchmark read both lists; message
-    counts come from the transcript."""
+    """Exponentiations, which no record carries, and a copy of each
+    :class:`~agdh.node_fsm.SessionKey` that a KEY record describes.  The
+    benchmark reads both lists; the auditor and the cost row read keys from
+    the KEY records and only exponentiations from here, and message counts
+    come from the transcript."""
 
     __slots__ = ("exp_events", "key_events")
 
@@ -223,21 +225,20 @@ class Metrics:
 
 class SimResult:
     __slots__ = ("config", "node_config", "params", "transcript", "metrics",
-                 "nodes", "live", "keyring", "secrets", "wire_by_id")
+                 "nodes", "live", "keyring", "wire_by_id")
 
     def __init__(self, config: SimConfig, node_config: NodeConfig,
                  params: GroupParams, transcript: Transcript, metrics: Metrics,
                  nodes: dict, live: set, keyring: HmacKeyRing,
-                 secrets: dict, wire_by_id: dict) -> None:
+                 wire_by_id: dict) -> None:
         self.config = config
         self.node_config = node_config
         self.params = params
         self.transcript = transcript
         self.metrics = metrics
-        self.nodes = nodes
+        self.nodes = nodes  # every node that ran, with its own secret_log
         self.live = live
         self.keyring = keyring
-        self.secrets = secrets  # node_id -> list[SecretRecord]
         self.wire_by_id = wire_by_id  # msg_id -> bytes
 
 
@@ -314,7 +315,6 @@ class _Simulation:
             config=self.config, node_config=self.node_config, params=self.params,
             transcript=self.transcript, metrics=self.metrics, nodes=self.nodes,
             live=set(self.live), keyring=self.keyring,
-            secrets={nid: list(n.secret_log) for nid, n in self.nodes.items()},
             wire_by_id=self.wire_by_id,
         )
 

@@ -81,12 +81,12 @@ def establishment_epoch_key(result):
     from agdh.messages import decode
     msg = decode(result.wire_by_id[announcement.get("id")], result.params)
     leader_secret = next(
-        rec.secret for rec in reversed(result.secrets[leader_id])
+        rec.secret for rec in reversed(result.nodes[leader_id].secret_log)
         if rec.role == "leader" and rec.nonce == msg.sender_nonce)
     member_secrets = []
     for entry in msg.entries:
         member_secrets.append(next(
-            rec.secret for rec in result.secrets[entry.participant_id]
+            rec.secret for rec in result.nodes[entry.participant_id].secret_log
             if rec.role == "member" and rec.blinded == entry.blinded_secret
             and rec.nonce == entry.nonce))
     element = oracle_key(leader_secret, member_secrets, result.params)
@@ -181,7 +181,7 @@ def test_criterion_4_rekey_semantics():
     assert epochs == sorted(epochs) and len(set(epochs)) == len(epochs)
 
     # the leader contribution changes at every rekey
-    leader_secrets = [rec.secret for rec in result.secrets[leader_id]
+    leader_secrets = [rec.secret for rec in result.nodes[leader_id].secret_log
                       if rec.role == "leader"]
     assert len(set(leader_secrets)) == len(leader_secrets)
 

@@ -5,7 +5,7 @@ import pytest
 
 from agdh.errors import CountMismatch, MalformedMessage
 from agdh.gka_core import derive_session_key
-from agdh.group_arith import PROD, TOY, encode_element
+from agdh.group_arith import PROD, TOY
 from agdh.messages import (
     GroupEntry,
     build_igroup,
@@ -18,7 +18,6 @@ from agdh.node_fsm import NodeConfig
 from agdh.oracle import (
     _ANNOUNCEMENT_NAMES,
     AuditReport,
-    _scalar_width,
     audit_transcript,
     cost_table,
 )
@@ -106,31 +105,6 @@ class TestAuditDetections:
         report = audit_transcript(hit)
         assert report.clean, report.findings
 
-    def test_secret_scan_behaviour(self):
-        """The byte scan runs on width-separated groups and stays silent; on
-        the 1-byte toy group it is skipped by default because equality there
-        is pigeonhole coincidence, but forcing it shows the comparison is
-        real.  On PROD the silence is trivial: no wire field has the 20-byte
-        scalar width (nonces are 16 bytes, elements 128), so the scan only
-        counts sends and compares nothing."""
-        res = run(SimConfig(node_count=8, seed=2, duration=60 * SECOND),
-                  NodeConfig(), PROD)
-        report = audit_transcript(res)
-        assert report.sends_scanned > 0
-        assert not [f for f in report.findings if f[0] == "secret_leak"]
-        # hunt a toy-group coincidence to prove the scanner actually compares
-        found = False
-        for seed in range(50):
-            res = run(SimConfig(node_count=8, seed=seed, duration=40 * SECOND),
-                      NodeConfig(), TOY)
-            default_report = audit_transcript(res)
-            assert default_report.sends_scanned == 0  # auto-skipped
-            forced = audit_transcript(res, scan_secrets=True)
-            if [f for f in forced.findings if f[0] == "secret_leak"]:
-                found = True
-                break
-        assert found
-
 
 class TestCostTable:
     def test_exact_rows(self):
@@ -157,31 +131,30 @@ class TestCostTable:
             cost_table(res, 1)
 
 
-def reference_audit(result, scan_secrets=None) -> AuditReport:
+def reference_audit(result) -> AuditReport:
     """The per-accept auditor: decodes wires from the transcript's hex,
     once per use, and verifies each accepted delivery by re-encoding it.
-    Its expected key elements come from builtin pow, so comparing it with
-    the audit also checks ``oracle_key``'s comb over whole runs."""
+    It reads keys from the KEY records and secrets from the nodes' own
+    logs, one list of records at a time.  Its expected key elements come
+    from builtin pow, so comparing it with the audit also checks
+    ``oracle_key``'s comb over whole runs."""
     params = result.params
     report = AuditReport()
-    if scan_secrets is None:
-        scan_secrets = _scalar_width(params) != params.element_width
 
     def verifies(msg):
         return result.keyring.verify(
             msg.sender_id, encode_canonical(msg, params), msg.signature)
 
     leader_secret_by_nonce, member_secret = {}, {}
-    for node_id, records in result.secrets.items():
-        for rec in records:
+    for node_id, node in result.nodes.items():
+        for rec in node.secret_log:
             if rec.role == "leader":
                 leader_secret_by_nonce[(node_id, rec.nonce)] = rec.secret
             else:
                 member_secret[(node_id, rec.blinded, rec.nonce)] = rec.secret
 
-    sends = result.transcript.of_kind("SEND")
     composition = {}
-    for rec in sends:
+    for rec in result.transcript.of_kind("SEND"):
         if rec.get("kind") not in _ANNOUNCEMENT_NAMES:
             continue
         if rec.get("entries") == 0:
@@ -225,19 +198,19 @@ def reference_audit(result, scan_secrets=None) -> AuditReport:
             included[(leader_id, epoch)] = {p for p, _, _ in shape} | {leader_id}
     report.epochs_checked = len(expected)
 
-    for kev in result.metrics.key_events:
-        slot = (kev.leader_id, kev.epoch)
-        want = expected.get(slot)
+    for rec in result.transcript.of_kind("KEY"):
+        node_id, leader_id, epoch = rec.node, rec.get("leader"), rec.get("epoch")
+        want = expected.get((leader_id, epoch))
         if want is None:
             report.add("unannounced_epoch",
-                       f"node={kev.node_id} leader={kev.leader_id} epoch={kev.epoch}")
+                       f"node={node_id} leader={leader_id} epoch={epoch}")
             continue
-        if kev.node_id not in included[slot]:
+        if node_id not in included[(leader_id, epoch)]:
             report.add("foreign_key",
-                       f"node={kev.node_id} not in epoch {kev.epoch} group")
-        if kev.derived != want:
+                       f"node={node_id} not in epoch {epoch} group")
+        if rec.get("key") != want:
             report.add("key_mismatch",
-                       f"node={kev.node_id} leader={kev.leader_id} epoch={kev.epoch}")
+                       f"node={node_id} leader={leader_id} epoch={epoch}")
 
     for rec in result.transcript.of_kind("ACCEPT"):
         report.accepts_checked += 1
@@ -253,24 +226,6 @@ def reference_audit(result, scan_secrets=None) -> AuditReport:
         if not verifies(msg):
             report.add("accepted_unverified",
                        f"node={rec.node} id={rec.get('id')} kind={msg.kind.name}")
-
-    width = _scalar_width(params)
-    secret_encodings = {rec.secret.to_bytes(width, "big")
-                        for records in result.secrets.values()
-                        for rec in records}
-    for rec in sends if scan_secrets else ():
-        report.sends_scanned += 1
-        msg = decode(result.wire_by_id[rec.get("id")], params)
-        fields = [msg.sender_nonce]
-        for e in msg.entries:
-            fields.append(e.nonce)
-            fields.append(encode_element(e.blinded_secret, params))
-            if e.blinded_response is not None:
-                fields.append(encode_element(e.blinded_response, params))
-        for data in fields:
-            if len(data) == width and data in secret_encodings:
-                report.add("secret_leak",
-                           f"send id={rec.get('id')} field={data.hex()}")
     return report
 
 
@@ -317,12 +272,11 @@ class TestAuditEquivalence:
     reference auditor reports."""
 
     @staticmethod
-    def assert_same(res, scan_secrets=None):
-        got = audit_transcript(res, scan_secrets)
-        want = reference_audit(res, scan_secrets)
+    def assert_same(res):
+        got = audit_transcript(res)
+        want = reference_audit(res)
         assert got.findings == want.findings
         assert got.accepts_checked == want.accepts_checked
-        assert got.sends_scanned == want.sends_scanned
         assert got.epochs_checked == want.epochs_checked
         return got
 
@@ -330,7 +284,7 @@ class TestAuditEquivalence:
         res = run(SimConfig(node_count=8, seed=2, duration=60 * SECOND),
                   NodeConfig(), PROD)
         report = self.assert_same(res)
-        assert report.clean and report.sends_scanned > 0
+        assert report.clean and report.epochs_checked > 0
 
     def test_skip_verify_tampered_injection(self):
         report = self.assert_same(_injected_run(skip_verify=True))
@@ -344,63 +298,20 @@ class TestAuditEquivalence:
         report = self.assert_same(_corrupted_leader_run(monkeypatch))
         assert "key_mismatch" in {k for k, _ in report.findings}
 
-    def test_forced_toy_scan(self):
-        leaks = 0
+    def test_toy_runs(self):
         for seed in range(6):
             res = run(SimConfig(node_count=8, seed=seed, duration=40 * SECOND),
                       NodeConfig(), TOY)
-            self.assert_same(res)
-            report = self.assert_same(res, scan_secrets=True)
-            leaks += sum(1 for k, _ in report.findings if k == "secret_leak")
-        assert leaks > 0
+            report = self.assert_same(res)
+            assert report.clean and report.epochs_checked > 0
 
 
-def test_audit_decodes_each_distinct_wire_once(monkeypatch):
-    """Rebeacons repeat an announcement's bytes and every member accepts
-    it, yet the auditor decodes each distinct wire at most once."""
+def _decoded_wires(monkeypatch, res):
+    """Audit ``res``, counting the oracle's decodes per wire; returns the
+    counts, the report, and the distinct wires some node accepted or that
+    announce a group composition."""
     import agdh.oracle as oracle
 
-    res = _injected_run(skip_verify=True)
-    calls = Counter()
-    real = oracle.decode
-
-    def counting(wire, params):
-        calls[wire] += 1
-        return real(wire, params)
-
-    monkeypatch.setattr(oracle, "decode", counting)
-    report = audit_transcript(res, scan_secrets=True)
-    assert report.accepts_checked > len(calls) > 0
-    assert max(calls.values()) == 1
-    assert set(calls) == set(res.wire_by_id.values())
-
-
-def test_prod_audit_scans_no_wire_for_secrets(monkeypatch):
-    """No PROD wire field is as wide as a scalar, so the default audit
-    runs the secret comparison on no wire, yet reports what the
-    reference auditor reports."""
-    import agdh.oracle as oracle
-
-    res = run(SimConfig(node_count=8, seed=2, loss_prob=0.1,
-                        duration=60 * SECOND), NodeConfig(), PROD)
-
-    def refuse(self, msg):
-        raise AssertionError("a PROD wire was scanned for secrets")
-
-    monkeypatch.setattr(oracle._WireChecks, "_leaks", refuse)
-    report = TestAuditEquivalence.assert_same(res)
-    assert report.clean
-    assert report.sends_scanned == len(res.transcript.of_kind("SEND")) > 0
-
-
-def test_prod_audit_decodes_only_accepted_or_composed_wires(monkeypatch):
-    """No PROD wire field is as wide as a scalar, so the default secret
-    scan decodes no send: the audit decodes exactly the distinct wires
-    that some node accepted or that announce a group composition."""
-    import agdh.oracle as oracle
-
-    res = run(SimConfig(node_count=8, seed=2, loss_prob=0.1,
-                        duration=60 * SECOND), NodeConfig(), PROD)
     calls = Counter()
     real = oracle.decode
 
@@ -410,15 +321,36 @@ def test_prod_audit_decodes_only_accepted_or_composed_wires(monkeypatch):
 
     monkeypatch.setattr(oracle, "decode", counting)
     report = audit_transcript(res)
-    sends = res.transcript.of_kind("SEND")
-    assert report.clean and report.sends_scanned == len(sends)
     wire_of = res.wire_by_id
-    accepted = {wire_of[r.get("id")]
-                for r in res.transcript.of_kind("ACCEPT")}
-    composed = {wire_of[r.get("id")] for r in sends
-                if r.get("kind") in _ANNOUNCEMENT_NAMES
-                and r.get("entries") > 0}
-    assert set(calls) == accepted | composed
+    accepted = {wire_of[r.get("id")] for r in res.transcript.of_kind("ACCEPT")}
+    composed = {wire_of[r.get("id")] for r in res.transcript.of_kind("SEND")
+                if r.get("kind") in _ANNOUNCEMENT_NAMES and r.get("entries") > 0}
+    return calls, report, accepted | composed
+
+
+def test_audit_decodes_each_distinct_wire_once(monkeypatch):
+    """On TOY, rebeacons repeat an announcement's bytes and every member
+    accepts it, yet the auditor decodes each distinct wire at most once,
+    and only the wires some node accepted or that announce a group."""
+    res = run(SimConfig(node_count=8, seed=2, loss_prob=0.1,
+                        duration=60 * SECOND), NodeConfig(), TOY)
+    calls, report, wanted = _decoded_wires(monkeypatch, res)
+    assert report.clean
+    assert report.accepts_checked > len(calls) > 0
+    assert max(calls.values()) == 1
+    assert set(calls) == wanted
+
+
+def test_prod_audit_decodes_only_accepted_or_composed_wires(monkeypatch):
+    """The audit decodes exactly the distinct PROD wires that some node
+    accepted or that announce a group composition, each once, and reports
+    what the reference auditor reports."""
+    res = run(SimConfig(node_count=8, seed=2, loss_prob=0.1,
+                        duration=60 * SECOND), NodeConfig(), PROD)
+    TestAuditEquivalence.assert_same(res)
+    calls, report, wanted = _decoded_wires(monkeypatch, res)
+    assert report.clean
+    assert set(calls) == wanted
     assert max(calls.values()) == 1
 
 
@@ -481,8 +413,8 @@ def _identity_key(res):
     """Announce, under the leader's real nonce, members whose logged
     secrets sum to -1 mod q: the oracle's key is then the identity."""
     _, msg = _keyed(res)
-    logged = [(node_id, rec) for node_id, records in res.secrets.items()
-              for rec in records if rec.role == "member"]
+    logged = [(node_id, rec) for node_id, node in res.nodes.items()
+              for rec in node.secret_log if rec.role == "member"]
     chosen = next(
         combo for size in range(1, len(logged) + 1)
         for combo in combinations(logged, size)
@@ -494,14 +426,24 @@ def _identity_key(res):
                                         entries))
 
 
+def _plant_key(res, node=None, **fields):
+    """Record one more KEY: a copy of the last, with ``node`` or the named
+    fields replaced."""
+    last = res.transcript.of_kind("KEY")[-1]
+    res.transcript.append(last.time, "KEY", last.node if node is None else node,
+                          *dict(last.fields, **fields).items())
+
+
 def _unannounced_epoch(res):
-    kev = res.metrics.key_events[-1]
-    res.metrics.key_events.append(kev._replace(epoch=99))
+    _plant_key(res, epoch=99)
 
 
 def _foreign_key(res):
-    kev = res.metrics.key_events[-1]
-    res.metrics.key_events.append(kev._replace(node_id=99))
+    _plant_key(res, node=99)
+
+
+def _wrong_key(res):
+    _plant_key(res, key=bytes(32))
 
 
 def _accept_without_wire(res):
@@ -519,6 +461,7 @@ def _accepted_malformed(res):
     (_identity_key, "identity_key"),
     (_unannounced_epoch, "unannounced_epoch"),
     (_foreign_key, "foreign_key"),
+    (_wrong_key, "key_mismatch"),
     (_accept_without_wire, "accept_without_wire"),
     (_accepted_malformed, "accepted_malformed"),
 ])
@@ -528,3 +471,47 @@ def test_each_alteration_yields_exactly_its_finding(alter, finding):
     report = audit_transcript(res)
     assert [kind for kind, _ in report.findings] == [finding]
     assert report.findings == reference_audit(res).findings
+
+
+def test_audit_and_cost_row_read_keys_from_records(monkeypatch):
+    """Keys come from the transcript's KEY records: with the metrics' copy
+    of them cleared, a run with key findings reports the same, and the cost
+    row still counts exponentiations up to the last member's key."""
+    res = _corrupted_leader_run(monkeypatch)
+    before = audit_transcript(res)
+    assert "key_mismatch" in {k for k, _ in before.findings}
+    res.metrics.key_events.clear()
+    after = audit_transcript(res)
+    assert after.findings == before.findings
+    assert (after.epochs_checked, after.accepts_checked) == \
+        (before.epochs_checked, before.accepts_checked)
+
+    res = run(SimConfig(node_count=4, seed=104, duration=40 * SECOND),
+              NodeConfig(), PROD)
+    row = cost_table(res, 4)
+    res.metrics.key_events.clear()
+    assert cost_table(res, 4) == row
+
+
+def test_audit_reads_secrets_from_node_logs():
+    """Secrets come from each node's own ``secret_log``: with a member's
+    log forgotten, every epoch it contributed to has an unknown
+    contribution, and with the leader's forgotten, an unknown leader
+    secret; either way those epochs get no expected key, so their KEY
+    records read as unannounced."""
+    res = _toy_run()
+    _, msg = _keyed(res)
+    member = msg.entries[0].participant_id
+    res.nodes[member].secret_log.clear()
+    report = audit_transcript(res)
+    assert report.findings == reference_audit(res).findings
+    assert {k for k, _ in report.findings} == {"unknown_contribution",
+                                                "unannounced_epoch"}
+    assert all(f"member={member}" in detail for kind, detail in report.findings
+               if kind == "unknown_contribution")
+
+    res.nodes[msg.sender_id].secret_log.clear()
+    report = audit_transcript(res)
+    assert report.findings == reference_audit(res).findings
+    assert {k for k, _ in report.findings} == {"unknown_leader_secret",
+                                                "unannounced_epoch"}
