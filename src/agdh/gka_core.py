@@ -44,7 +44,7 @@ element (``messages.decode`` vouches for all 198 with one batched
 membership query), of which building the 99 entry tuples is about
 0.02 ms; the fold, 0.17 to 0.30 ms, or 1.7 to 3.0 us per factor with each
 factor's conversion; the recovery, 0.11 to 0.16 ms; and the signature and
-shape checks, 0.04 to 0.06 ms together.  The one counted exponentiation
+entry-grammar checks, 0.04 to 0.06 ms together.  The one counted exponentiation
 is thus about a quarter of the step, and the fold about one and a half
 times the recovery.
 
@@ -140,8 +140,8 @@ def compute_key_member(leader_blind: GroupElement,
     exponentiation; with no responses the key is the leader blind itself
     (singleton group).  ``responses`` are the announced response values,
     one per member; the caller passes them from an announcement that
-    ``messages.validate_shape`` has accepted, which refuses an IGROUP
-    naming a participant twice, so no duplicate check is repeated here.
+    ``messages.decode`` has accepted, which refuses an IGROUP naming a
+    participant twice, so no duplicate check is repeated here.
     """
     return prodmod(leader_blind, responses, params)
 

@@ -42,27 +42,22 @@ A receiver takes each wire through these steps, cheapest refusal first:
    announcement that is not its own but comes from a leader it would not
    follow (``stale_epoch``, ``larger_leader``) before anything else is
    parsed or checked;
-2. :func:`decode`, which checks every length, flag and element of the
-   kind's one layout and refuses any other.  An IREPLY is read with one
-   unpack and one membership test of its element.  An announcement is
-   decoded in bulk: one ``struct`` unpack of all entries, then one batched
-   membership query that, when every element is already known to the
-   process (``group_arith``'s per-group memo), vouches for all of them
-   with no subgroup check; otherwise the converted elements are tested
-   one by one, and the first non-member in entry order is reported;
+2. :func:`decode`, given that header, which refuses any wire that is not
+   its kind's one layout or breaks its entry grammar (an IREPLY entry not
+   its sender's own; an IGROUP naming a participant twice, or its sender),
+   then tests each element: an IREPLY's one with one ``is_element``; an
+   announcement's with one batched query that, when every element is
+   known to the process (``group_arith``'s per-group memo), vouches for
+   all with no subgroup check, else one by one in entry order, reporting
+   the first non-member;
 3. :func:`verify`, the signature over the received bytes;
-4. :func:`validate_shape`, the per-kind entry grammar, of which a decoded
-   wire can break only what its layout leaves open (an IREPLY's entry is
-   its sender's own; an IGROUP names no participant twice, nor its
-   sender), checked over an IGROUP's entries in one pass; only a failing
-   one is walked entry by entry to name its first defect;
-5. the state machine's own checks.
+4. the state machine's own checks.
 
 Triage trusts fields no signature has yet covered, which is safe because
 it can only refuse: a refusal changes no state, so a forged header can get
 only its own wire refused, and a wire that passes triage still meets every
 later check.  A triaged announcement reports the header's reason even if
-its body is malformed, badly signed or misshapen.
+its body is malformed or badly signed.
 """
 
 from __future__ import annotations
@@ -219,18 +214,19 @@ def read_header(data: bytes) -> tuple[MessageKind, int, int]:
     return kind, sender_id, epoch
 
 
-def decode(data: bytes, params: GroupParams) -> Message:
+def decode(data: bytes, params: GroupParams, header=None) -> Message:
     """Parse a signed wire message laid out as its kind's honest sender
-    writes it; checks every length and flag and the subgroup membership of
-    every element, and raises MalformedMessage on any defect.  ``data``
-    must be ``bytes``: the nonces and the signature are slices.
+    writes it; checks every length and flag, the entry grammar and the
+    subgroup membership of every element, and raises MalformedMessage on
+    any defect.  ``data`` must be ``bytes``: the nonces and the signature
+    are slices.  ``header`` is ``read_header(data)``, read here if not given.
 
-    An IREPLY is one entry without a response, read with one unpack and
-    one :func:`is_element`; an IGROUP is ``entry_count`` answered entries,
-    decoded in bulk by :func:`_decode_announcement`; a DEL is the header
-    alone.  Any other layout of a known kind is malformed, though the
-    encoder writes it: no honest sender does."""
-    kind, sender_id, epoch = read_header(data)
+    An IREPLY is one entry of its sender's, without a response, read with
+    one unpack and one :func:`is_element`; an IGROUP is ``entry_count``
+    answered entries, decoded in bulk by :func:`_decode_announcement`; a
+    DEL is the header alone.  Any other layout of a known kind is
+    malformed, though the encoder writes it: no honest sender does."""
+    kind, sender_id, epoch = read_header(data) if header is None else header
     if kind is _IGROUP:
         return _decode_announcement(data, sender_id, epoch, params)
     if kind is _IREPLY:
@@ -240,6 +236,8 @@ def decode(data: bytes, params: GroupParams) -> Message:
             count, pid, nonce, has_response, field, sig_len = \
                 layout.unpack_from(data, _COUNT_AT)
             if count == 1 and not has_response and len(data) == sig_at + sig_len:
+                if pid != sender_id:
+                    raise MalformedMessage("IREPLY.entries[0].participant_id")
                 blinded = int.from_bytes(field, "big")
                 if not is_element(blinded, params):
                     raise _non_member(blinded, params)
@@ -277,16 +275,17 @@ def _announced_entry(width: int) -> struct.Struct:
 
 def _decode_announcement(data: bytes, sender_id: int, epoch: int,
                          params: GroupParams) -> Message:
-    """The IGROUP ``data`` holds: exactly ``entry_count`` entries that each
-    carry a response, then the signature.
+    """The IGROUP ``data`` holds: exactly ``entry_count`` answered entries,
+    no two naming one participant and none the sender, then the signature.
 
-    One ``iter_unpack`` splits the entries, two comprehensions convert the
-    2m elements, and one :func:`all_known` query, with no subgroup check,
-    vouches for all of them when each is already known.  Otherwise the
-    converted values meet :func:`is_element` one by one, each entry's
-    blinded secret before its response, so the first non-member is the
-    one reported.  ``tuple.__new__`` turns each entry's zipped fields into
-    its :class:`GroupEntry`."""
+    One ``iter_unpack`` splits the entries, one set over their ids refuses
+    a repeated or the sender's id (only a refused wire meets
+    :func:`validate_shape`, which names its first defect), and two
+    comprehensions convert the 2m elements.  One :func:`all_known` query, with no subgroup check,
+    vouches for all of them when each is already known.  Otherwise they
+    meet :func:`is_element` one by one, each entry's blinded secret before
+    its response, so the first non-member is the one reported.
+    ``tuple.__new__`` makes each entry's zipped fields its GroupEntry."""
     count = int.from_bytes(data[_COUNT_AT:_HEADER_LEN], "big")
     layout = _announced_entry(params.element_width)
     end = _HEADER_LEN + count * layout.size
@@ -298,6 +297,14 @@ def _decode_announcement(data: bytes, sender_id: int, epoch: int,
         *layout.iter_unpack(memoryview(data)[_HEADER_LEN:end]))
     if flags.count(1) != count:
         raise _refusal(data, _IGROUP, params)
+    named = set(ids)
+    if len(named) != count or sender_id in named:
+        try:
+            validate_shape(Message(_IGROUP, sender_id, data[5:21], epoch, tuple(
+                map(_new_entry, zip(ids, nonces, blinds, responses))),
+                data[end + 2:]))
+        except ShapeViolation as exc:
+            raise MalformedMessage(str(exc)) from None
     from_bytes = int.from_bytes
     blinded = [from_bytes(field, "big") for field in blinds]
     answered = [from_bytes(field, "big") for field in responses]
@@ -356,48 +363,37 @@ def sign_and_encode(msg: Message, keyring,
 def verify(msg: Message, wire: bytes, keyring) -> bool:
     """True iff the signature verifies under the claimed sender's key.
 
-    ``msg`` must be ``decode(wire, params)``.  The signature is checked over
-    the received bytes, ``wire`` minus its ``[sig_len][signature]`` trailer,
-    without re-encoding: that prefix is exactly ``encode_canonical(msg)``
-    because :func:`decode` accepts only the canonical form of the kind's
-    one layout.  Every header field has a fixed width and is re-emitted as
+    ``msg`` is what :func:`decode` returned for ``wire`` (a receiver's
+    step 3 of 4).  The signature is checked over the received bytes,
+    ``wire`` minus its ``[sig_len][signature]`` trailer, without
+    re-encoding: that prefix is exactly ``encode_canonical(msg)`` because
+    :func:`decode` accepts only the canonical form of the kind's one
+    layout.  Every header field has a fixed width and is re-emitted as
     read; the kind byte must name a kind; ``entry_count`` must be 1 for an
     IREPLY and 0 for a DEL, and an IGROUP holds exactly that many entries;
     ``has_response`` must be 0 in an IREPLY and 1 in an IGROUP, the byte
     the encoder writes for a decoded entry; each element must be exactly
     ``element_width`` bytes and a subgroup member, so it re-encodes to the
     same big-endian bytes; and the signature length must end the wire
-    exactly, so nothing trails it.
-    """
+    exactly, so nothing trails it."""
     signed = wire[:len(wire) - 2 - len(msg.signature)]
     return keyring.verify(msg.sender_id, signed, msg.signature)
 
 
 def validate_shape(msg: Message) -> Message:
-    """Enforce the per-kind entry grammar; raises ShapeViolation."""
-    kind = msg.kind
-    if kind is MessageKind.DEL:
-        if msg.entries:
-            raise ShapeViolation("DEL.entries: must be empty")
-    elif kind is MessageKind.IREPLY:
-        if len(msg.entries) != 1:
-            raise ShapeViolation("IREPLY.entries: exactly one expected")
+    """The builders' guard: the entry grammar :func:`decode` enforces on a
+    received wire, whose entry count each builder fixes for an IREPLY and
+    a DEL; raises ShapeViolation.  :func:`decode` calls it only to name
+    the first id defect of an announcement it refuses."""
+    if msg.kind is MessageKind.IREPLY:
         entry = msg.entries[0]
         if entry.blinded_response is not None:
             raise ShapeViolation("IREPLY.entries[0].blinded_response")
         if entry.participant_id != msg.sender_id:
             raise ShapeViolation("IREPLY.entries[0].participant_id")
-    else:  # IGROUP
-        # one pass for the common case; only a failing announcement walks
-        # the entries to name its first defect.  Responses are tested by
-        # identity: ``None in`` would compare every element with None.
-        entries = msg.entries
-        ids = {e.participant_id for e in entries}
-        if (len(ids) == len(entries) and msg.sender_id not in ids
-                and all(e.blinded_response is not None for e in entries)):
-            return msg
+    elif msg.kind is MessageKind.IGROUP:
         seen: set[int] = set()
-        for i, e in enumerate(entries):
+        for i, e in enumerate(msg.entries):
             if e.blinded_response is None:
                 raise ShapeViolation(f"IGROUP.entries[{i}].blinded_response")
             if e.participant_id == msg.sender_id:

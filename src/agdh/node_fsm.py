@@ -24,7 +24,7 @@ import random
 from enum import Enum
 from typing import NamedTuple
 
-from .errors import ConfigError, DegenerateKey, MalformedMessage, ShapeViolation
+from .errors import ConfigError, DegenerateKey, MalformedMessage
 from .gka_core import (
     GroupEntry,
     blind,
@@ -43,7 +43,6 @@ from .messages import (
     decode,
     read_header,
     sign_and_encode,
-    validate_shape,
     verify,
 )
 
@@ -356,7 +355,7 @@ class Node:
         # checking the signature.  A refusal changes no state, so a forged
         # header can only get its own wire refused (see ``agdh.messages``).
         try:
-            kind, sender, epoch = read_header(wire)
+            header = kind, sender, epoch = read_header(wire)
             if kind is MessageKind.IGROUP and sender != self.node_id:
                 if epoch < self.leader_epochs.get(sender, 0):
                     return self._refuse(out, "stale_epoch", sender, epoch)
@@ -364,15 +363,11 @@ class Node:
                 # leader's is its own id and a candidate's is None
                 if self.leader_id is not None and sender > self.leader_id:
                     return self._refuse(out, "larger_leader", sender)
-            msg = decode(wire, self.params)
+            msg = decode(wire, self.params, header)
         except MalformedMessage as exc:
             return self._refuse(out, "malformed", str(exc))
         if not verify(msg, wire, self.keyring):
             return self._refuse(out, "bad_signature", sender)
-        try:
-            validate_shape(msg)
-        except ShapeViolation as exc:
-            return self._refuse(out, "shape", str(exc))
         if sender == self.node_id:
             return self._refuse(out, "self_echo", sender)
 

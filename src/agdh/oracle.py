@@ -14,7 +14,6 @@ memo nor ``group_arith``'s kernel, so corrupting either path trips it.
 
 from __future__ import annotations
 
-import contextlib
 from typing import NamedTuple
 
 from .errors import CountMismatch, MalformedMessage
@@ -63,21 +62,20 @@ class _WireChecks:
         self._keyring = result.keyring
         self._problems: dict[bytes, tuple | None] = {}
 
-    def decode(self, wire: bytes) -> Message:
-        """Decode a wire not seen before and record its verdict."""
+    def decode(self, wire: bytes) -> Message | None:
+        """Record a new wire's verdict; its message, or None if malformed."""
         try:
             msg = decode(wire, self._params)
         except MalformedMessage as exc:
             self._problems[wire] = ("malformed", str(exc))
-            raise
+            return None
         self._problems[wire] = None if verify(msg, wire, self._keyring) \
             else ("unverified", msg.kind.name)
         return msg
 
     def problem(self, wire: bytes) -> tuple | None:
         if wire not in self._problems:
-            with contextlib.suppress(MalformedMessage):
-                self.decode(wire)
+            self.decode(wire)
         return self._problems[wire]
 
 
@@ -87,7 +85,8 @@ def audit_transcript(result: SimResult) -> AuditReport:
     Checks, per announced epoch: the key every KEY record names equals the
     direct-exponent recomputation from the nodes' logged secrets, is never
     the identity element, and is held only by a node the epoch's group
-    includes.  Also: every accepted message re-verifies under the keyring.
+    includes.  Also: every sent announcement decodes, and every accepted
+    message re-verifies under the keyring.
     One pass over the transcript gathers the announcements, keys and
     accepts; each distinct wire is decoded and verified at most once, and a
     wire accepted by many nodes yields one finding per offending ACCEPT
@@ -127,6 +126,10 @@ def audit_transcript(result: SimResult) -> AuditReport:
             continue  # a rebeacon: same bytes, same key and shape
         composed.add(wire)
         msg = wires.decode(wire)
+        if msg is None:
+            report.add("malformed_announcement",
+                       f"id={rec.get('id')} leader={rec.node}")
+            continue
         key = (msg.sender_id, msg.epoch)
         shape = tuple((e.participant_id, e.nonce, e.blinded_secret)
                       for e in msg.entries)

@@ -130,7 +130,7 @@ def run_corpus() -> dict[str, Outcome]:
 
     # --- payload bit flips break the signature ----------------------------
     probe("igroup_payload_flip", member, _flip(keyed.wire, 40), now)
-    probe("ireply_payload_flip", leader, _flip(reply2.wire, 33), now)
+    probe("ireply_payload_flip", leader, _flip(reply2.wire, 40), now)
 
     # --- wrong-sender signatures ------------------------------------------
     leader, member, other, empty, keyed, reply2, now = build_pair()
@@ -218,8 +218,8 @@ def run_corpus() -> dict[str, Outcome]:
     # --- validly signed announcements naming a member twice, TOY and PROD ----
     # The member's key fold multiplies every announced response and checks
     # no ids itself, so a repeated entry would fold its response twice; the
-    # shape check must refuse the wire first.  The epoch is new, so the
-    # member would otherwise derive a key from it.
+    # decoder must refuse the wire first.  The epoch is new, so the member
+    # would otherwise derive a key from it.
     for label, params in (("toy", TOY), ("prod", PROD)):
         leader, member, other, empty, keyed, reply2, now = build_pair(params)
         msg = keyed.message
@@ -227,6 +227,27 @@ def run_corpus() -> dict[str, Outcome]:
         twice = sign(Message(MessageKind.IGROUP, msg.sender_id, msg.sender_nonce,
                              msg.epoch + 1, entries), RING, params)
         probe(f"duplicate_ids_{label}", member, encode_signed(twice, params), now)
+
+    # --- validly signed announcements that name their own sender -----------
+    # The leader's entry would fold a response into the key that no member
+    # answered for.  The epoch is new, so only the grammar stops the wire.
+    for label, params in (("toy", TOY), ("prod", PROD)):
+        leader, member, other, empty, keyed, reply2, now = build_pair(params)
+        msg = keyed.message
+        entries = msg.entries + (msg.entries[-1]._replace(participant_id=1),)
+        own = sign(Message(MessageKind.IGROUP, msg.sender_id, msg.sender_nonce,
+                           msg.epoch + 1, entries), RING, params)
+        probe(f"sender_in_entries_{label}", member, encode_signed(own, params), now)
+
+    # --- validly signed IREPLYs carrying another member's contribution -----
+    # Member 2 registers member 3's share under its own name; the seq is
+    # fresh, so only the grammar stops the wire.
+    for label, params in (("toy", TOY), ("prod", PROD)):
+        leader, member, other, empty, keyed, reply2, now = build_pair(params)
+        foreign = sign(Message(MessageKind.IREPLY, 2, member.contribution.nonce,
+                               member.seq + 1, (other.contribution,)), RING, params)
+        probe(f"ireply_foreign_entry_{label}", leader,
+              encode_signed(foreign, params), now)
 
     # --- validly signed DELs with a forged nonce, TOY and PROD --------------
     # A fresh seq passes the replay check, so only the nonce, which does not

@@ -286,10 +286,11 @@ def test_criterion_7_adversarial_rejection():
         if outcome.element is not None:
             assert outcome.reason == "malformed", f"{name}: {outcome.reason}"
             assert not is_element(outcome.element, outcome.params), name
-        if name.startswith("duplicate_ids_"):
-            assert outcome.reason == "shape", f"{name}: {outcome.reason}"
-        if name.startswith("off_layout_"):
+        if name.startswith(("duplicate_ids_", "sender_in_entries_",
+                            "ireply_foreign_entry_", "off_layout_")):
             assert outcome.reason == "malformed", f"{name}: {outcome.reason}"
+        if "_sig_flip" in name or name.endswith("_payload_flip"):
+            assert outcome.reason == "bad_signature", f"{name}: {outcome.reason}"
         if name.startswith("del_forged_nonce_"):
             assert outcome.reason == "del_nonce_mismatch", \
                 f"{name}: {outcome.reason}"

@@ -154,10 +154,12 @@ def elements_of(params):
 
 @st.composite
 def messages_of(draw, params, laid_out=False, max_entries=3, max_sig=40):
-    """Messages of every kind over ``params``: each in the one layout its
-    kind's honest sender writes if ``laid_out``, else in any layout."""
+    """Messages of every kind over ``params``: each as its kind's honest
+    sender writes it if ``laid_out`` (its one layout, and an entry grammar
+    :func:`validate_shape` accepts), else in any layout."""
     elements = elements_of(params)
     kind = draw(st.sampled_from(list(MessageKind)))
+    sender = draw(st.integers(0, 2**32 - 1))
     if not laid_out:
         response, sizes = st.one_of(st.none(), elements), (0, max_entries)
     elif kind is MessageKind.IREPLY:
@@ -166,14 +168,19 @@ def messages_of(draw, params, laid_out=False, max_entries=3, max_sig=40):
         response, sizes = elements, (0, max_entries)
     else:
         response, sizes = st.none(), (0, 0)
+    ids = st.integers(0, 2**32 - 1)
+    if laid_out:
+        ids = st.just(sender) if kind is MessageKind.IREPLY \
+            else ids.filter(lambda pid: pid != sender)
     entries = draw(st.lists(st.builds(
         GroupEntry,
-        participant_id=st.integers(0, 2**32 - 1),
+        participant_id=ids,
         nonce=st.binary(min_size=16, max_size=16),
         blinded_secret=elements,
         blinded_response=response,
-    ), min_size=sizes[0], max_size=sizes[1]))
-    return Message(kind, draw(st.integers(0, 2**32 - 1)),
+    ), min_size=sizes[0], max_size=sizes[1],
+        unique_by=(lambda e: e.participant_id) if laid_out else None))
+    return Message(kind, sender,
                    draw(st.binary(min_size=16, max_size=16)),
                    draw(st.integers(0, 2**64 - 1)), tuple(entries),
                    draw(st.binary(max_size=max_sig)))
@@ -191,7 +198,18 @@ def has_layout(msg: Message) -> bool:
     return not answered
 
 
-#: TOY messages in their kind's layout, up to 5 entries and 80 signature bytes
+def in_grammar(msg: Message) -> bool:
+    """True iff ``msg`` is what a receiver may decode: laid out as its
+    kind's honest sender writes it, with an entry grammar
+    :func:`validate_shape` accepts."""
+    try:
+        return has_layout(msg) and validate_shape(msg) is msg
+    except ShapeViolation:
+        return False
+
+
+#: TOY messages as honest senders write them, up to 5 entries and 80
+#: signature bytes
 message_strategy = messages_of(TOY, laid_out=True, max_entries=5, max_sig=80)
 
 
@@ -233,10 +251,19 @@ def check_wire_prefix(wire: bytes, params) -> None:
 
 @given(message_strategy, st.integers(0, 8), st.booleans())
 def test_received_bytes_are_canonical(msg, sender, signed):
+    """With another sender, and an IREPLY's entry renamed to match it, a
+    message satisfies the identity; an IGROUP that names the new sender
+    does not decode."""
     msg = msg._replace(sender_id=sender)
+    if msg.kind is MessageKind.IREPLY:
+        msg = msg._replace(entries=(msg.entries[0]._replace(participant_id=sender),))
     if signed and sender in RING_IDS:
         msg = sign(msg, RING, TOY)
-    check_wire_prefix(encode_signed(msg, TOY), TOY)
+    if in_grammar(msg):
+        check_wire_prefix(encode_signed(msg, TOY), TOY)
+    else:
+        with pytest.raises(MalformedMessage):
+            decode(encode_signed(msg, TOY), TOY)
 
 
 def test_received_bytes_are_canonical_on_fixed_wires():
@@ -265,8 +292,16 @@ def test_received_bytes_are_canonical_on_fixed_wires():
     hostile = {name for name in wires if name.startswith("hostile_element_")}
     off_layout = {name for name in wires
                   if name.endswith(" layout=off") or name.startswith("off_layout_")}
+    grammar = {name for name in wires if name.startswith(GRAMMAR_PROBES)}
     assert len(retired) == 15 and len(hostile) == 4 and len(off_layout) == 11
-    assert malformed == {"truncated", "unknown_kind"} | retired | hostile | off_layout
+    assert len(grammar) == 6
+    assert malformed == {"truncated", "unknown_kind"} | retired | hostile \
+        | off_layout | grammar
+
+
+#: The corpus probes whose wires are laid out as their kind's but break
+#: the entry grammar.
+GRAMMAR_PROBES = ("duplicate_ids_", "sender_in_entries_", "ireply_foreign_entry_")
 
 
 def test_sign_and_encode_matches_sign_then_encode():
@@ -327,11 +362,15 @@ class TestShapes:
             build_ireply(2, nonce(0xAA), 1, GroupEntry(3, nonce(0xAA), 16, None))
 
     def test_del_carries_no_entries(self):
+        """The builder writes no entries, and a validly signed DEL that
+        carries one does not decode."""
         msg = build_del(2, nonce(0xAA), 5)
         assert msg.entries == ()
-        with pytest.raises(ShapeViolation):
-            validate_shape(msg._replace(
-                entries=(GroupEntry(2, nonce(0xAA), 16, None),)))
+        wire = encode_signed(sign(msg._replace(
+            entries=(GroupEntry(2, nonce(0xAA), 16, None),)), RING, TOY), TOY)
+        assert verify(reference_decode(wire, TOY), wire, RING)
+        with pytest.raises(MalformedMessage, match="^DEL: entry_count must be 0$"):
+            decode(wire, TOY)
 
     def test_empty_igroup_ok(self):
         assert build_igroup(1, nonce(0x11), 0, []).entries == ()
@@ -343,16 +382,15 @@ class TestShapes:
     def test_duplicate_responses_refused_before_any_fold(self):
         """The member's key fold multiplies every announced response and
         checks no ids of its own: a validly signed IGROUP that names a
-        member twice must stop here, after decoding and verifying."""
+        member twice must stop at decoding."""
         entries = (GroupEntry(2, nonce(0xAA), 16, 2),
                    GroupEntry(2, nonce(0xAB), 9, 16))
         msg = sign(Message(MessageKind.IGROUP, 1, nonce(0x11), 1, entries),
                    RING, TOY)
         wire = encode_signed(msg, TOY)
-        decoded = decode(wire, TOY)
-        assert verify(decoded, wire, RING)
-        with pytest.raises(ShapeViolation, match="duplicate id"):
-            validate_shape(decoded)
+        assert verify(reference_decode(wire, TOY), wire, RING)
+        with pytest.raises(MalformedMessage, match=r"^IGROUP.entries\[1\]: duplicate id$"):
+            decode(wire, TOY)
 
     def test_igroup_rejects_duplicate_ids(self):
         entries = [GroupEntry(2, nonce(0xAA), 16, 2),
@@ -375,8 +413,8 @@ class TestShapes:
 
 
 def reference_igroup_shape(msg: Message) -> Message:
-    """The IGROUP entry loop of ``validate_shape`` without its one-pass
-    check in front, kept as a reference."""
+    """The IGROUP entry loop ``validate_shape`` ran behind a one-pass
+    check, kept as a reference for its texts and their order."""
     seen: set[int] = set()
     for i, e in enumerate(msg.entries):
         if e.blinded_response is None:
@@ -561,6 +599,39 @@ def test_trailer_refusal_text():
         assert str(refused.value) == text
 
 
+#: Each grammar refusal, on one validly signed TOY message laid out as its
+#: kind's: the message, and the text both ``decode`` and ``validate_shape``
+#: give.
+GRAMMAR = [
+    (Message(MessageKind.IREPLY, 2, nonce(0xAA), 4,
+             (GroupEntry(3, nonce(0xAA), 16),)),
+     "IREPLY.entries[0].participant_id"),
+    (Message(MessageKind.IGROUP, 1, nonce(0x11), 8,
+             (GroupEntry(2, nonce(0xAA), 16, 2), GroupEntry(1, nonce(0xBB), 9, 3))),
+     "IGROUP.entries[1].participant_id"),
+    (Message(MessageKind.IGROUP, 1, nonce(0x11), 8,
+             (GroupEntry(2, nonce(0xAA), 16, 2), GroupEntry(4, nonce(0xBB), 9, 3),
+              GroupEntry(2, nonce(0xCC), 13, 6))),
+     "IGROUP.entries[2]: duplicate id"),
+]
+
+
+@pytest.mark.parametrize("msg, text", GRAMMAR, ids=[
+    "ireply_foreign_entry", "igroup_names_sender", "igroup_repeats_id"])
+def test_grammar_refusal_text(msg, text):
+    """A validly signed wire in its kind's layout whose entries break the
+    grammar does not decode, and is refused with the text the builders'
+    guard gives the same message."""
+    wire = encode_signed(sign(msg, RING, TOY), TOY)
+    assert verify(reference_decode(wire, TOY), wire, RING)
+    with pytest.raises(MalformedMessage) as refused:
+        decode(wire, TOY)
+    assert str(refused.value) == text
+    with pytest.raises(ShapeViolation) as guarded:
+        validate_shape(msg)
+    assert str(guarded.value) == text
+
+
 # -- decode against the previous implementation ---------------------------------
 
 _HEADER_LEN = 31
@@ -631,16 +702,30 @@ SAME_TEXT = ("malformed: truncated header", "malformed: unknown kind byte")
 
 def assert_decodes_like_reference(wire: bytes, params) -> None:
     """``decode`` returns the reference's message where that message has
-    its kind's layout, and refuses every other wire as malformed, with the
-    reference's text for a short header or an unknown kind byte."""
+    its kind's layout and an entry grammar ``validate_shape`` accepts, and
+    refuses every other wire as malformed: with the reference's text for a
+    short header or an unknown kind byte, and with ``validate_shape``'s for
+    a laid-out message that breaks the grammar.  Given the header
+    ``read_header`` reads, it does exactly the same."""
     got = outcome(decode, wire, params)
     want = outcome(reference_decode, wire, params)
-    if isinstance(want, Message) and has_layout(want):
+    if isinstance(want, Message) and in_grammar(want):
         assert got == want
     else:
         assert isinstance(got, str), (want, got)
         if isinstance(want, str) and want.startswith(SAME_TEXT):
             assert got == want
+        if isinstance(want, Message) and has_layout(want):
+            with pytest.raises(ShapeViolation) as refused:
+                validate_shape(want)
+            assert got == f"malformed: {refused.value}"
+    try:
+        header = read_header(wire)
+    except MalformedMessage as exc:
+        assert got == f"malformed: {exc}"
+    else:
+        assert outcome(functools.partial(decode, header=header),
+                       wire, params) == got
     if isinstance(got, Message):
         # a plain tuple would compare equal: the types are checked apart
         assert type(got) is Message

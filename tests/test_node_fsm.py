@@ -16,6 +16,7 @@ from agdh.messages import (
     build_ireply,
     decode,
     encode_signed,
+    read_header,
     sign,
     verify,
 )
@@ -608,14 +609,14 @@ class TestRefusalsKeepState:
         assert not out.key_changes
         return refusal(out)
 
-    def test_duplicate_entry_id_is_a_shape_violation(self):
+    def test_duplicate_entry_id_is_malformed(self):
         leader, announcement, now = established_group({2: 4, 3: 5})
         member = make_node(9, seed="dup")
         member.start(0)
         entry = announcement.message.entries[0]
         wire = signed_igroup(1, announcement.message.sender_nonce,
                              announcement.message.epoch, [entry, entry])
-        assert self.refuse(member, wire, now + 1000) == "shape"
+        assert self.refuse(member, wire, now + 1000) == "malformed"
 
     def test_own_message_heard_back(self):
         leader, announcement, now = established_group({2: 4, 3: 5})
@@ -697,7 +698,7 @@ class TestHeaderTriage:
         leader, member, now = keyed_member()
         wire = hostile_igroup(sender, epoch, defect)
 
-        def forbidden(wire, params):
+        def forbidden(wire, params, header=None):
             raise AssertionError("a triaged wire was decoded")
 
         monkeypatch.setattr(node_fsm, "decode", forbidden)
@@ -711,9 +712,10 @@ class TestHeaderTriage:
     def decoded(self, monkeypatch):
         wires = []
 
-        def spy(wire, params):
+        def spy(wire, params, header=None):
+            assert header == read_header(wire)
             wires.append(wire)
-            return decode(wire, params)
+            return decode(wire, params, header)
 
         monkeypatch.setattr(node_fsm, "decode", spy)
         return wires
@@ -738,6 +740,51 @@ class TestHeaderTriage:
         assert out.accepted is True
         assert member.leader_id == 1
         assert decoded == [announcement.wire]
+
+
+def test_receive_reads_each_header_once_and_checks_no_shape(monkeypatch):
+    """Over a lossy TOY run with elections, rekeys and two malformed
+    injections: every wire that misses the rebeacon fast path has its
+    header read exactly once, by triage, whose header ``decode`` takes; a
+    fast-path wire is not read at all.  ``validate_shape`` runs only inside
+    the builders: on a received wire it only names the id defect of an
+    announcement ``decode`` refuses, and this run sends none."""
+    from agdh import messages
+    from agdh.simnet import SECOND, InjectAt, SimConfig, run
+
+    reads, shapes, builds = [], [], []
+    per_wire = {"fast": [], "slow": []}
+
+    def counted(fn, calls):
+        def wrapper(*args, **kwargs):
+            calls.append(1)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    header_reader = counted(messages.read_header, reads)
+    monkeypatch.setattr(messages, "read_header", header_reader)
+    monkeypatch.setattr(node_fsm, "read_header", header_reader)
+    monkeypatch.setattr(messages, "validate_shape",
+                        counted(messages.validate_shape, shapes))
+    monkeypatch.setattr(messages, "_build", counted(messages._build, builds))
+    real_on_wire = Node._on_wire
+
+    def on_wire(self, wire, now, out):
+        fast = (self.mode is Mode.MEMBER and self.leader_id is not None
+                and wire == self.last_announcement_wire)
+        before = len(reads)
+        real_on_wire(self, wire, now, out)
+        per_wire["fast" if fast else "slow"].append(len(reads) - before)
+
+    monkeypatch.setattr(Node, "_on_wire", on_wire)
+    run(SimConfig(node_count=6, seed=4, loss_prob=0.2, duration=60 * SECOND,
+                  schedule=(InjectAt(30 * SECOND, 2, b"\x09garbage"),
+                            InjectAt(31 * SECOND, 3, bytes(20)))),
+        NodeConfig(eager_rekey=True), TOY)
+    assert per_wire["fast"] and set(per_wire["fast"]) == {0}
+    assert per_wire["slow"] and set(per_wire["slow"]) == {1}
+    assert not hasattr(node_fsm, "validate_shape")
+    assert builds and len(shapes) == len(builds)
 
 
 class TestLeaderBookkeeping:

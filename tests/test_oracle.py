@@ -159,7 +159,12 @@ def reference_audit(result) -> AuditReport:
             continue
         if rec.get("entries") == 0:
             continue
-        msg = decode(result.wire_by_id[rec.get("id")], params)
+        try:
+            msg = decode(result.wire_by_id[rec.get("id")], params)
+        except MalformedMessage:
+            report.add("malformed_announcement",
+                       f"id={rec.get('id')} leader={rec.node}")
+            continue
         key = (msg.sender_id, msg.epoch)
         shape = tuple((e.participant_id, e.nonce, e.blinded_secret)
                       for e in msg.entries)
@@ -371,9 +376,11 @@ def _keyed(res):
     return rec, decode(rec.get("wire"), res.params)
 
 
-def _add_announcement(res, msg):
-    """Record ``msg``, signed by its sender, as one more sent announcement."""
-    wire = encode_signed(sign(msg, res.keyring, res.params), res.params)
+def _add_announcement(res, msg, wire=None):
+    """Record ``msg``, signed by its sender, as one more sent announcement;
+    or ``wire`` in its place, if given."""
+    if wire is None:
+        wire = encode_signed(sign(msg, res.keyring, res.params), res.params)
     msg_id = max(res.wire_by_id) + 1
     res.wire_by_id[msg_id] = wire
     res.transcript.records.append(Record(
@@ -426,6 +433,19 @@ def _identity_key(res):
                                         entries))
 
 
+def _garbled_announcement(res):
+    """A sent keyed announcement whose wire does not parse."""
+    _, msg = _keyed(res)
+    _add_announcement(res, msg._replace(epoch=99), wire=b"\x09garbage")
+
+
+def _repeated_id_announcement(res):
+    """A validly signed keyed announcement that names a member twice."""
+    _, msg = _keyed(res)
+    _add_announcement(res, msg._replace(epoch=99,
+                                        entries=msg.entries + msg.entries[:1]))
+
+
 def _plant_key(res, node=None, **fields):
     """Record one more KEY: a copy of the last, with ``node`` or the named
     fields replaced."""
@@ -464,6 +484,8 @@ def _accepted_malformed(res):
     (_wrong_key, "key_mismatch"),
     (_accept_without_wire, "accept_without_wire"),
     (_accepted_malformed, "accepted_malformed"),
+    (_garbled_announcement, "malformed_announcement"),
+    (_repeated_id_announcement, "malformed_announcement"),
 ])
 def test_each_alteration_yields_exactly_its_finding(alter, finding):
     res = _toy_run()
@@ -471,6 +493,23 @@ def test_each_alteration_yields_exactly_its_finding(alter, finding):
     report = audit_transcript(res)
     assert [kind for kind, _ in report.findings] == [finding]
     assert report.findings == reference_audit(res).findings
+
+
+@pytest.mark.parametrize("alter", [_garbled_announcement,
+                                   _repeated_id_announcement])
+def test_malformed_sent_announcement_is_a_finding(alter):
+    """A sent keyed announcement whose wire does not decode, garbled or
+    naming a member twice under a valid signature, is reported with its
+    id and leader, and the audit goes on: every key is still checked."""
+    res = _toy_run()
+    clean = audit_transcript(res)
+    alter(res)
+    sent = res.transcript.records[-1]
+    report = audit_transcript(res)
+    assert report.findings == [("malformed_announcement",
+                                f"id={sent.get('id')} leader={sent.node}")]
+    assert (report.epochs_checked, report.accepts_checked) == \
+        (clean.epochs_checked, clean.accepts_checked)
 
 
 def test_audit_and_cost_row_read_keys_from_records(monkeypatch):
