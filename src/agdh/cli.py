@@ -44,8 +44,8 @@ def _group_from_args(args) -> GroupParams:
     return PROD
 
 
-def _run_once(sim_config: SimConfig, node_config: NodeConfig,
-              params: GroupParams) -> dict:
+def _run_once(bundle: tuple[SimConfig, NodeConfig, GroupParams]) -> dict:
+    sim_config, node_config, params = bundle
     result = run(sim_config, node_config, params)
     return {
         "seed": sim_config.seed,
@@ -69,7 +69,7 @@ def _print_summary(result, report, row) -> None:
         print(f"  key t={rec.time}us node={rec.node}"
               f" leader={rec.get('leader')} epoch={rec.get('epoch')}")
     if row is not None:
-        print(f"  cost row:     {row.render()}")
+        print(f"  cost row:     {row}")
     print(f"  audit:        {'clean' if report.clean else 'FINDINGS'}"
           f" ({len(report.findings)})")
     for kind, detail in report.findings[:10]:
@@ -110,7 +110,7 @@ def cmd_run(args) -> int:
         ]
         workers = min(args.repeat, os.cpu_count() or 1)
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            summaries = list(pool.map(_run_many_worker, configs))
+            summaries = list(pool.map(_run_once, configs))
         for summary in summaries:
             status = "ok" if summary["converged"] and summary["findings"] == 0 else "FAIL"
             print(f"seed={summary['seed']} converged={summary['converged']}"
@@ -125,9 +125,9 @@ def cmd_run(args) -> int:
     row = None
     if args.loss == 0 and not args.scenario:
         try:
-            row = cost_table(result, args.nodes)
-        except CountMismatch:
-            row = None
+            row = cost_table(result, args.nodes).render()
+        except CountMismatch as exc:
+            row = f"not the paper's row ({exc})"
     if args.out:
         with open(os.path.join(args.out, "transcript.txt"), "w") as fh:
             fh.write(result.transcript.render())
@@ -135,11 +135,6 @@ def cmd_run(args) -> int:
             fh.write(_metrics_text(result))
     _print_summary(result, report, row)
     return 0 if report.clean and converged(result) else 1
-
-
-def _run_many_worker(bundle):
-    sim_config, node_config, params = bundle
-    return _run_once(sim_config, node_config, params)
 
 
 def _metrics_text(result) -> str:

@@ -224,75 +224,63 @@ def cost_table(result: SimResult, m: int) -> CostRow:
 
     Empty beacons are excluded (they are the group-discovery round), and
     periodic retransmissions of an unchanged contribution count once: the
-    protocol message count is over distinct logical messages.
+    protocol message count is over distinct logical messages.  The counted
+    messages are the first announcement with entries and the contributions
+    sent before it.  Throughout, "before" means earlier in the transcript,
+    so of two records at one instant the first one listed comes first.
+
+    One pass over the transcript in record order.  A counted message's
+    round is its happened-before depth (Lamport, CACM 1978): one more than
+    the deepest counted message delivered to its sender before it was
+    sent.  The rounds are the deepest such chain.
     """
     params = result.params
-    # one pass in time order: every delivery and key, the first announcement
-    # with entries, and the distinct member contributions sent up to its
-    # instant
-    delivered_at: dict[int, list[tuple[int, int]]] = {}
-    keys: list[Record] = []
-    contributions: dict[tuple, Record] = {}
+    depth: dict[int, int] = {}  # counted message id -> its round
+    reached: dict[int, int] = {}  # node -> deepest counted message delivered
+    contributions: set[tuple] = set()
     establishing = None
+    key_times: list[int] = []
     for rec in result.transcript:
-        if rec.kind == "DELIVER":
-            delivered_at.setdefault(rec.get("id"), []).append((rec.time, rec.node))
-        elif rec.kind == "KEY":
-            keys.append(rec)
-        if rec.kind != "SEND":
-            continue
-        kind = rec.get("kind")
-        if kind in _CONTRIBUTION_NAMES and (
-                establishing is None or rec.time <= establishing.time):
-            msg = decode(rec.get("wire"), params)
-            entry = msg.entries[0]
-            logical = (msg.sender_id, entry.nonce, entry.blinded_secret)
-            contributions.setdefault(logical, rec)
-        elif kind in _ANNOUNCEMENT_NAMES and establishing is None \
-                and rec.get("entries"):
-            establishing = rec
+        kind = rec.kind
+        if establishing is not None:
+            if kind == "KEY" and rec.get("leader") == leader_id \
+                    and rec.get("epoch") == epoch:
+                key_times.append(rec.time)
+        elif kind == "DELIVER":
+            sent_depth = depth.get(rec.get("id"), 0)
+            if sent_depth > reached.get(rec.node, 0):
+                reached[rec.node] = sent_depth
+        elif kind == "SEND":
+            sent_kind = rec.get("kind")
+            if sent_kind in _CONTRIBUTION_NAMES:
+                msg = decode(rec.get("wire"), params)
+                entry = msg.entries[0]
+                logical = (msg.sender_id, entry.nonce, entry.blinded_secret)
+                if logical in contributions:
+                    continue  # a retransmission
+                contributions.add(logical)
+            elif sent_kind in _ANNOUNCEMENT_NAMES and rec.get("entries"):
+                establishing = decode(rec.get("wire"), params)
+                leader_id, epoch = establishing.sender_id, establishing.epoch
+                t_end = rec.time
+            else:
+                continue
+            depth[rec.get("id")] = reached.get(rec.node, 0) + 1
     if establishing is None:
         raise CountMismatch("no keyed announcement in transcript")
-    establishing_msg = decode(establishing.get("wire"), params)
-    leader_id, epoch = establishing_msg.sender_id, establishing_msg.epoch
-    t_end = establishing.time
 
     messages = len(contributions) + 1
     broadcasts = 1
-
-    # causal rounds: longest dependency chain among the counted messages,
-    # where a message depends on any counted message delivered to its sender
-    # before it was sent
-    counted = {r.get("id"): r for r in (*contributions.values(), establishing)}
-
-    def depth(msg_id: int, memo: dict) -> int:
-        if msg_id in memo:
-            return memo[msg_id]
-        best = 0
-        sent = counted[msg_id]
-        for other in counted:
-            if other == msg_id:
-                continue
-            for when, receiver in delivered_at.get(other, ()):
-                if receiver == sent.node and when <= sent.time:
-                    best = max(best, depth(other, memo))
-                    break
-        memo[msg_id] = best + 1
-        return memo[msg_id]
-
-    memo: dict[int, int] = {}
-    rounds = max(depth(i, memo) for i in counted)
+    rounds = max(depth.values())
 
     # exponentiations up to the instant the last member derives the key
-    key_times = [rec.time for rec in keys
-                 if rec.get("leader") == leader_id and rec.get("epoch") == epoch]
-    t_conv = max(key_times) if key_times else t_end
+    t_conv = max(key_times, default=t_end)
     expos: dict[int, int] = {}
     for when, node_id, delta in result.metrics.exp_events:
         if when <= t_conv:
             expos[node_id] = expos.get(node_id, 0) + delta
 
-    member_ids = {e.participant_id for e in establishing_msg.entries}
+    member_ids = {e.participant_id for e in establishing.entries}
     problems = []
     leader_expos = expos.get(leader_id, 0)
     if leader_expos != m:

@@ -224,15 +224,13 @@ class Metrics:
 
 
 class SimResult:
-    __slots__ = ("config", "node_config", "params", "transcript", "metrics",
-                 "nodes", "live", "keyring", "wire_by_id")
+    __slots__ = ("config", "params", "transcript", "metrics", "nodes", "live",
+                 "keyring", "wire_by_id")
 
-    def __init__(self, config: SimConfig, node_config: NodeConfig,
-                 params: GroupParams, transcript: Transcript, metrics: Metrics,
-                 nodes: dict, live: set, keyring: HmacKeyRing,
-                 wire_by_id: dict) -> None:
+    def __init__(self, config: SimConfig, params: GroupParams,
+                 transcript: Transcript, metrics: Metrics, nodes: dict,
+                 live: set, keyring: HmacKeyRing, wire_by_id: dict) -> None:
         self.config = config
-        self.node_config = node_config
         self.params = params
         self.transcript = transcript
         self.metrics = metrics
@@ -312,10 +310,9 @@ class _Simulation:
             else:
                 self._schedule_entry(payload, at)
         return SimResult(
-            config=self.config, node_config=self.node_config, params=self.params,
-            transcript=self.transcript, metrics=self.metrics, nodes=self.nodes,
-            live=set(self.live), keyring=self.keyring,
-            wire_by_id=self.wire_by_id,
+            config=self.config, params=self.params, transcript=self.transcript,
+            metrics=self.metrics, nodes=self.nodes, live=set(self.live),
+            keyring=self.keyring, wire_by_id=self.wire_by_id,
         )
 
     def _deliver(self, msg_id: int, receiver: int, sender: int | None, at: int) -> None:

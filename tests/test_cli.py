@@ -116,11 +116,24 @@ class TestRunCommand:
         captured = capsys.readouterr().out
         assert "converged:    True" in captured
         assert "audit:        clean" in captured
-        assert "cost row:" in captured
+        assert "  cost row:     m=4 expo/member=2 expo/leader=4 messages=4" \
+            " broadcasts=1 rounds=2\n" in captured
         transcript = (out_dir / "transcript.txt").read_text()
         assert transcript.splitlines()[0].endswith("mode=member why=start")
         metrics = (out_dir / "metrics.txt").read_text()
         assert "expos node=" in metrics
+
+    def test_mismatching_cost_row_is_printed_with_its_reason(self, capsys):
+        """At seed 0 two candidates win the same slot, and one member
+        answers the one that steps down, then draws a fresh contribution
+        for the other: an extra blind and an extra message.  The summary
+        says why the row is not the paper's, and the exit code still reads
+        only convergence and the audit."""
+        code = main(["run", "--nodes", "6", "--seed", "0", "--duration", "60s",
+                     "--toy"])
+        assert code == 0
+        assert "  cost row:     not the paper's row (member expos [2, 3] != 2;" \
+            " messages 7 != 6)\n" in capsys.readouterr().out
 
     def test_scenario_run(self, tmp_path, capsys):
         scenario = tmp_path / "s.scn"

@@ -1,5 +1,6 @@
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, product
+from types import SimpleNamespace
 
 import pytest
 
@@ -8,16 +9,20 @@ from agdh.gka_core import derive_session_key
 from agdh.group_arith import PROD, TOY
 from agdh.messages import (
     GroupEntry,
+    HmacKeyRing,
     build_igroup,
+    build_ireply,
     decode,
     encode_canonical,
     encode_signed,
     sign,
+    sign_and_encode,
 )
 from agdh.node_fsm import NodeConfig
 from agdh.oracle import (
     _ANNOUNCEMENT_NAMES,
     AuditReport,
+    CostRow,
     audit_transcript,
     cost_table,
 )
@@ -28,6 +33,7 @@ from agdh.simnet import (
     LeaveAt,
     Record,
     SimConfig,
+    Transcript,
     converged,
     run,
 )
@@ -129,6 +135,185 @@ class TestCostTable:
                   NodeConfig(), TOY)
         with pytest.raises(CountMismatch):
             cost_table(res, 1)
+
+
+def reference_cost_table(result, m: int) -> CostRow:
+    """The recursive cost row: each counted message's round is found by a
+    memoised search over every other counted message's deliveries, by
+    time.  It reads "before" as "at or before the same instant", so a
+    delivery listed after a send at that send's instant deepens it, and a
+    contribution sent at the announcement's instant counts even when it is
+    listed after the announcement."""
+    params = result.params
+    delivered_at: dict[int, list[tuple[int, int]]] = {}
+    keys = []
+    contributions: dict[tuple, Record] = {}
+    establishing = None
+    for rec in result.transcript:
+        if rec.kind == "DELIVER":
+            delivered_at.setdefault(rec.get("id"), []).append((rec.time, rec.node))
+        elif rec.kind == "KEY":
+            keys.append(rec)
+        if rec.kind != "SEND":
+            continue
+        kind = rec.get("kind")
+        if kind == "IREPLY" and (
+                establishing is None or rec.time <= establishing.time):
+            msg = decode(rec.get("wire"), params)
+            entry = msg.entries[0]
+            logical = (msg.sender_id, entry.nonce, entry.blinded_secret)
+            contributions.setdefault(logical, rec)
+        elif kind == "IGROUP" and establishing is None and rec.get("entries"):
+            establishing = rec
+    if establishing is None:
+        raise CountMismatch("no keyed announcement in transcript")
+    establishing_msg = decode(establishing.get("wire"), params)
+    leader_id, epoch = establishing_msg.sender_id, establishing_msg.epoch
+    messages = len(contributions) + 1
+    counted = {r.get("id"): r for r in (*contributions.values(), establishing)}
+
+    def depth(msg_id: int, memo: dict) -> int:
+        if msg_id in memo:
+            return memo[msg_id]
+        best = 0
+        sent = counted[msg_id]
+        for other in counted:
+            if other == msg_id:
+                continue
+            for when, receiver in delivered_at.get(other, ()):
+                if receiver == sent.node and when <= sent.time:
+                    best = max(best, depth(other, memo))
+                    break
+        memo[msg_id] = best + 1
+        return memo[msg_id]
+
+    memo: dict[int, int] = {}
+    rounds = max(depth(i, memo) for i in counted)
+
+    key_times = [rec.time for rec in keys
+                 if rec.get("leader") == leader_id and rec.get("epoch") == epoch]
+    t_conv = max(key_times) if key_times else establishing.time
+    expos: dict[int, int] = {}
+    for when, node_id, delta in result.metrics.exp_events:
+        if when <= t_conv:
+            expos[node_id] = expos.get(node_id, 0) + delta
+
+    member_ids = {e.participant_id for e in establishing_msg.entries}
+    problems = []
+    leader_expos = expos.get(leader_id, 0)
+    if leader_expos != m:
+        problems.append(f"leader expos {leader_expos} != {m}")
+    member_expo_values = {expos.get(pid, 0) for pid in member_ids}
+    if member_expo_values != {2}:
+        problems.append(f"member expos {sorted(member_expo_values)} != 2")
+    if len(member_ids) != m - 1:
+        problems.append(f"group size {len(member_ids) + 1} != {m}")
+    if messages != m:
+        problems.append(f"messages {messages} != {m}")
+    if rounds != 2:
+        problems.append(f"rounds {rounds} != 2")
+    if problems:
+        raise CountMismatch("; ".join(problems))
+    return CostRow(m, 2, leader_expos, messages, 1, rounds)
+
+
+def _cost_outcome(table, result, m: int):
+    """The row, or the mismatch's text."""
+    try:
+        return table(result, m)
+    except CountMismatch as exc:
+        return str(exc)
+
+
+class TestCostTableEquivalence:
+    def test_one_pass_matches_the_recursion_on_toy_runs(self):
+        """Lossless and lossy TOY formations, eager and deferred: the
+        one-pass row equals the recursive one, row for row and mismatch
+        text for mismatch text, and the grid reaches chains other than the
+        paper's 2 rounds, so the causal depth is really compared."""
+        outcomes = []
+        for n, seed, loss in product((3, 5, 8), range(6), (0, 0.1, 0.3)):
+            res = run(SimConfig(node_count=n, seed=seed, loss_prob=loss,
+                                duration=40 * SECOND),
+                      NodeConfig(eager_rekey=(n + seed) % 2 == 0), TOY)
+            want = _cost_outcome(reference_cost_table, res, n)
+            assert _cost_outcome(cost_table, res, n) == want, (n, seed, loss)
+            outcomes.append(want)
+        assert any(isinstance(o, CostRow) for o in outcomes)
+        other_rounds = {o.split("rounds ")[1] for o in outcomes
+                        if isinstance(o, str) and "rounds " in o}
+        assert {"1 != 2", "3 != 2"} <= other_rounds
+
+    @staticmethod
+    def tie_run(ties_first: bool):
+        """Leader 1 keys members 2 and 3 (m = 3) at t=40.  Node 2 first
+        answers candidate 3, then repeats the same contribution to leader
+        1, where it counts once.  Two records share an instant with a
+        send: node 2's contribution reaches node 3 at t=20, the instant
+        node 3 sends its own, and late node 4 sends a contribution at
+        t=40, the announcement's instant.  With ``ties_first`` each is
+        listed before the send it ties with, otherwise after it."""
+        ring = HmacKeyRing.provision(range(1, 5))
+
+        def nonce(node):
+            return bytes([node]) * 16
+
+        def reply(node, blinded):
+            entry = GroupEntry(node, nonce(node), blinded, None)
+            return sign_and_encode(build_ireply(node, nonce(node), 1, entry),
+                                   ring, TOY)[1]
+
+        announcement = sign_and_encode(build_igroup(1, nonce(1), 1, [
+            GroupEntry(2, nonce(2), 2, 4), GroupEntry(3, nonce(3), 3, 9)]),
+            ring, TOY)[1]
+        t = Transcript()
+
+        def send(at, node, msg_id, dest, wire, kind="IREPLY", entries=1):
+            t.append(at, "SEND", node, ("id", msg_id), ("kind", kind),
+                     ("dest", dest), ("epoch", 1), ("entries", entries),
+                     ("wire", wire))
+
+        def tie_at_20():
+            t.append(20, "DELIVER", 3, ("id", 1), ("from", 2))
+
+        def tie_at_40():
+            send(40, 4, 5, 1, reply(4, 6))
+
+        send(10, 2, 1, 3, reply(2, 2))
+        if ties_first:
+            tie_at_20()
+        send(20, 3, 2, 1, reply(3, 3))
+        if not ties_first:
+            tie_at_20()
+        send(25, 2, 3, 1, reply(2, 2))
+        t.append(30, "DELIVER", 1, ("id", 2), ("from", 3))
+        t.append(35, "DELIVER", 1, ("id", 3), ("from", 2))
+        if ties_first:
+            tie_at_40()
+        send(40, 1, 4, "bcast", announcement, kind="IGROUP", entries=2)
+        if not ties_first:
+            tie_at_40()
+        for at, node in ((50, 2), (55, 3)):
+            t.append(at, "DELIVER", node, ("id", 4), ("from", 1))
+            t.append(at, "KEY", node, ("leader", 1), ("epoch", 1),
+                     ("key", bytes(32)))
+        exp_events = [(10, 2, 1), (20, 3, 1), (40, 1, 3), (40, 4, 1),
+                      (50, 2, 1), (55, 3, 1)]
+        return SimpleNamespace(params=TOY, transcript=t,
+                               metrics=SimpleNamespace(exp_events=exp_events))
+
+    def test_same_instant_ties_follow_record_order(self):
+        """A delivery listed after a send at the same instant does not
+        deepen that send, and a contribution listed after the announcement
+        at its instant is not counted; listed before, both do, as the
+        recursion, which reads only times, has them either way."""
+        tied = "messages 4 != 3; rounds 3 != 2"
+        res = self.tie_run(ties_first=False)
+        assert cost_table(res, 3) == CostRow(3, 2, 3, 3, 1, 2)
+        assert _cost_outcome(reference_cost_table, res, 3) == tied
+        res = self.tie_run(ties_first=True)
+        assert _cost_outcome(cost_table, res, 3) == tied
+        assert _cost_outcome(reference_cost_table, res, 3) == tied
 
 
 def reference_audit(result) -> AuditReport:
