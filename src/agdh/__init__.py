@@ -45,6 +45,6 @@ from .group_arith import (
 from .messages import HmacKeyRing, Message, MessageKind
 from .node_fsm import Mode, Node, NodeConfig, SessionKey
 from .oracle import AuditReport, CostRow, audit_transcript, cost_table
-from .simnet import SimConfig, SimResult, converged, leaders, run
+from .simnet import SimConfig, SimResult, converged, leaders, replay, run
 
 __version__ = "0.1.0"

@@ -33,38 +33,38 @@ from .group_arith import (
 from .node_fsm import NodeConfig
 from .oracle import audit_transcript, cost_table
 from .scenario import load_scenario, parse_duration
-from .simnet import SimConfig, converged, leaders, run
+from .simnet import SimConfig, replay, run
 
 
-def _group_from_args(args) -> GroupParams:
-    if getattr(args, "params", None):
-        return load_params(args.params)
-    if getattr(args, "toy", False):
-        return TOY
-    return PROD
-
-
-def _run_once(bundle: tuple[SimConfig, NodeConfig, GroupParams]) -> dict:
+def _run_once(bundle: tuple[SimConfig, NodeConfig, GroupParams]
+              ) -> tuple[bool, str]:
+    """Whether one ``--repeat`` run converged with a clean audit, and its
+    summary line."""
     sim_config, node_config, params = bundle
     result = run(sim_config, node_config, params)
-    return {
-        "seed": sim_config.seed,
-        "converged": converged(result),
-        "leaders": leaders(result),
-        "findings": len(audit_transcript(result).findings),
-    }
+    fold = replay(result)
+    findings = len(audit_transcript(result).findings)
+    ok = fold.converged and findings == 0
+    return ok, (f"seed={sim_config.seed} converged={fold.converged}"
+                f" converged_at={_time_or_never(fold.converged_at)}"
+                f" leaders={fold.leaders} findings={findings}"
+                f" [{'ok' if ok else 'FAIL'}]")
 
 
-def _print_summary(result, report, row) -> None:
+def _time_or_never(at: int | None) -> str:
+    return "never" if at is None else f"{at}us"
+
+
+def _print_summary(result, fold, report, row) -> None:
     print("run summary")
-    print(f"  live nodes:   {sorted(result.live)}")
-    print(f"  leaders:      {leaders(result)}")
-    print(f"  converged:    {converged(result)}")
-    heads = leaders(result)
-    if len(heads) == 1 and result.nodes[heads[0]].session is not None:
-        session = result.nodes[heads[0]].session
-        print(f"  final epoch:  {session.epoch}")
-        print(f"  session key:  {session.derived.hex()}")
+    print(f"  live nodes:   {fold.live}")
+    print(f"  leaders:      {fold.leaders}")
+    print(f"  converged:    {fold.converged}")
+    print(f"  converged at: {_time_or_never(fold.converged_at)}")
+    key = fold.keys[fold.leaders[0]] if len(fold.leaders) == 1 else None
+    if key is not None:
+        print(f"  final epoch:  {key.get('epoch')}")
+        print(f"  session key:  {key.get('key').hex()}")
     for rec in result.transcript.of_kind("KEY"):
         print(f"  key t={rec.time}us node={rec.node}"
               f" leader={rec.get('leader')} epoch={rec.get('epoch')}")
@@ -85,7 +85,8 @@ def cmd_run(args) -> int:
         if args.repeat > 1 and args.out:
             raise ConfigError("--out writes one run's files; it cannot be"
                               " combined with --repeat above 1")
-        params = _group_from_args(args)
+        params = (load_params(args.params) if args.params
+                  else TOY if args.toy else PROD)
         schedule = load_scenario(args.scenario) if args.scenario else ()
         node_config = NodeConfig(eager_rekey=args.eager_rekey).validate()
         sim_config = SimConfig(
@@ -103,7 +104,6 @@ def cmd_run(args) -> int:
         return 2
 
     if args.repeat > 1:
-        ok = 0
         configs = [
             (sim_config._replace(seed=args.seed + i), node_config, params)
             for i in range(args.repeat)
@@ -111,12 +111,9 @@ def cmd_run(args) -> int:
         workers = min(args.repeat, os.cpu_count() or 1)
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             summaries = list(pool.map(_run_once, configs))
-        for summary in summaries:
-            status = "ok" if summary["converged"] and summary["findings"] == 0 else "FAIL"
-            print(f"seed={summary['seed']} converged={summary['converged']}"
-                  f" leaders={summary['leaders']} findings={summary['findings']}"
-                  f" [{status}]")
-            ok += status == "ok"
+        for _, line in summaries:
+            print(line)
+        ok = sum(passed for passed, _ in summaries)
         print(f"{ok}/{args.repeat} runs converged with a clean audit")
         return 0 if ok == args.repeat else 1
 
@@ -133,8 +130,9 @@ def cmd_run(args) -> int:
             fh.write(result.transcript.render())
         with open(os.path.join(args.out, "metrics.txt"), "w") as fh:
             fh.write(_metrics_text(result))
-    _print_summary(result, report, row)
-    return 0 if report.clean and converged(result) else 1
+    fold = replay(result)
+    _print_summary(result, fold, report, row)
+    return 0 if report.clean and fold.converged else 1
 
 
 def _metrics_text(result) -> str:

@@ -7,11 +7,11 @@ latency draws.  Events are processed in (time, insertion-sequence) order, so
 identical inputs produce byte-identical transcripts.
 
 The transcript is the run's complete observable history: every send,
-delivery, drop, state transition, and key change, one line per event, and
-message counts are read from it.  A :class:`Record` holds each field's
-value as given; only :meth:`Record.render` formats it (``bytes`` as hex).
-A SEND record's ``wire`` is the very object in ``SimResult.wire_by_id``, so
-each wire is held once.
+delivery, drop, state transition, and key change, one line per event;
+message counts and convergence are read from it.  A :class:`Record`
+holds each field's value as given; only :meth:`Record.render` formats it
+(``bytes`` as hex).  A SEND record's ``wire`` is the very object in
+``SimResult.wire_by_id``, so each wire is held once.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .group_arith import GroupParams, PROD
 from .node_fsm import (
     LocalLeaveRequest,
     MessageArrived,
-    Mode,
     Node,
     NodeConfig,
     SECOND,
@@ -223,21 +222,14 @@ class Metrics:
         self.key_events: list = []  # node_fsm.SessionKey
 
 
-class SimResult:
-    __slots__ = ("config", "params", "transcript", "metrics", "nodes", "live",
-                 "keyring", "wire_by_id")
-
-    def __init__(self, config: SimConfig, params: GroupParams,
-                 transcript: Transcript, metrics: Metrics, nodes: dict,
-                 live: set, keyring: HmacKeyRing, wire_by_id: dict) -> None:
-        self.config = config
-        self.params = params
-        self.transcript = transcript
-        self.metrics = metrics
-        self.nodes = nodes  # every node that ran, with its own secret_log
-        self.live = live
-        self.keyring = keyring
-        self.wire_by_id = wire_by_id  # msg_id -> bytes
+class SimResult(NamedTuple):
+    config: SimConfig
+    params: GroupParams
+    transcript: Transcript
+    metrics: Metrics
+    nodes: dict  # every node that ran, with its own secret_log
+    keyring: HmacKeyRing
+    wire_by_id: dict  # msg_id -> bytes
 
 
 class _Simulation:
@@ -309,11 +301,9 @@ class _Simulation:
                 self._deliver(msg_id, receiver, sender, at)
             else:
                 self._schedule_entry(payload, at)
-        return SimResult(
-            config=self.config, params=self.params, transcript=self.transcript,
-            metrics=self.metrics, nodes=self.nodes, live=set(self.live),
-            keyring=self.keyring, wire_by_id=self.wire_by_id,
-        )
+        return SimResult(self.config, self.params, self.transcript,
+                         self.metrics, self.nodes, self.keyring,
+                         self.wire_by_id)
 
     def _deliver(self, msg_id: int, receiver: int, sender: int | None, at: int) -> None:
         if receiver not in self.live:
@@ -447,62 +437,71 @@ def run(config: SimConfig, node_config: NodeConfig | None = None,
 # -- post-run helpers ------------------------------------------------------------
 
 
-def leaders(result: SimResult) -> list[int]:
-    return sorted(n for n in result.live
-                  if result.nodes[n].mode is Mode.LEADER)
+class Replay(NamedTuple):
+    """The first time a run converged (None if never) and, at its end, the
+    live ids, their leaders, the KEY record each holds (None if keyless),
+    and whether the run is converged then."""
+
+    converged_at: int | None
+    live: list[int]
+    leaders: list[int]
+    keys: dict[int, Record | None]
+    converged: bool
 
 
-def converged(result: SimResult) -> bool:
-    """Exactly one live leader, and every other live node holds its current
-    session key (a partitioned run whose cells each keep a leader has not
-    converged)."""
-    heads = leaders(result)
-    if len(heads) != 1:
-        return False
-    leader = result.nodes[heads[0]]
-    peers = [result.nodes[n] for n in result.live if n != heads[0]]
-    if leader.session is None:
-        return not peers
-    for node in peers:
-        if node.session is None or node.session.derived != leader.session.derived:
-            return False
-    return True
+def replay(result: SimResult) -> Replay:
+    """One pass over ``result.transcript`` in record order, which with
+    ``result.config.node_count`` is all it reads.  JOIN, LEAVE and CRASH
+    keep the live set, STATE each node's mode, and KEY the key it holds,
+    which DISSOLVE clears, as does a STATE to ``leader``: a new leader
+    starts an empty group, so an election is not convergence.  A run is
+    converged when exactly one live node leads and every other live node
+    holds its key; a leader alone needs none.  Later churn does not retract
+    an earlier convergence."""
+    live = set(range(1, result.config.node_count + 1))
+    mode: dict[int, str] = {}
+    held: dict[int, Record] = {}
 
+    def agreed() -> bool:
+        heads = [n for n in live if mode.get(n) == "leader"]
+        if len(heads) != 1 or len(live) == 1:
+            return len(heads) == 1
+        keys = {held[n].get("key") if n in held else None for n in live}
+        return len(keys) == 1 and None not in keys
 
-def converged_by(result: SimResult) -> int | None:
-    """Earliest time at which exactly one node led and every live node held
-    the leader's current key, reconstructed by replaying the transcript.
-
-    Returns None if that state is never reached.  Later churn (and its
-    recovery window) does not retract an earlier convergence.  A node that
-    takes the lead starts an empty group with no session, so its STATE
-    record clears its replayed key: an election is not convergence, even
-    when the new leader still holds the key of the leader it replaces.
-    """
-    live: set[int] = set(range(1, result.config.node_count + 1))
-    mode: dict[int, str] = {n: "member" for n in live}
-    key: dict[int, bytes | None] = {n: None for n in live}
+    first = None
     for rec in result.transcript:
-        if rec.kind == "STATE":
+        kind = rec.kind
+        if kind == "KEY":
+            held[rec.node] = rec
+        elif kind == "STATE":
             mode[rec.node] = rec.get("mode")
             if mode[rec.node] == "leader":
-                key[rec.node] = None
-        elif rec.kind == "KEY":
-            key[rec.node] = rec.get("key")
-        elif rec.kind == "DISSOLVE":
-            key[rec.node] = None
-        elif rec.kind == "JOIN":
+                held.pop(rec.node, None)
+        elif kind == "DISSOLVE":
+            held.pop(rec.node, None)
+        elif kind == "JOIN":
             live.add(rec.node)
-            mode[rec.node] = "member"
-            key[rec.node] = None
-        elif rec.kind in ("CRASH", "LEAVE"):
+        elif kind in ("CRASH", "LEAVE"):
             live.discard(rec.node)
         else:
             continue
-        heads = [n for n in live if mode.get(n) == "leader"]
-        if len(heads) != 1 or key.get(heads[0]) is None:
-            continue
-        wanted = key[heads[0]]
-        if all(key.get(n) == wanted for n in live):
-            return rec.time
-    return None
+        if first is None and agreed():
+            first = rec.time
+    ids = sorted(live)
+    return Replay(first, ids, [n for n in ids if mode.get(n) == "leader"],
+                  {n: held.get(n) for n in ids}, agreed())
+
+
+def leaders(result: SimResult) -> list[int]:
+    return replay(result).leaders
+
+
+def converged(result: SimResult) -> bool:
+    """Whether the run ends converged, by :func:`replay`'s rule."""
+    return replay(result).converged
+
+
+def converged_by(result: SimResult) -> int | None:
+    """Earliest time at which the run converged, or None if it never did."""
+    return replay(result).converged_at

@@ -30,7 +30,7 @@ from agdh.group_arith import (
     prodmod,
     random_scalar,
 )
-from agdh.node_fsm import Mode, NodeConfig
+from agdh.node_fsm import NodeConfig
 from agdh.oracle import audit_transcript, cost_table
 from agdh.scenario import load_scenario
 from agdh.simnet import (
@@ -44,6 +44,7 @@ from agdh.simnet import (
     converged,
     converged_by,
     leaders,
+    replay,
     run,
 )
 
@@ -100,7 +101,7 @@ def test_criterion_1_key_agreement_exactness():
         result = run(SimConfig(node_count=n, seed=1000 + n,
                                duration=40 * SECOND), config, PROD)
         expected, announcement_msg = establishment_epoch_key(result)
-        for node_id in result.live:
+        for node_id in replay(result).live:
             node = result.nodes[node_id]
             assert node.session is not None, f"n={n}: node {node_id} keyless"
             assert node.session.derived == expected, \
@@ -245,13 +246,12 @@ def test_criterion_5_leader_election():
         for rec in result.transcript.of_kind("STATE"):
             if rec.get("mode") == "leader" and 20 * SECOND < rec.time <= 60 * SECOND:
                 pre_heal.add(rec.node)
-        heads = leaders(result)
+        fold = replay(result)
+        heads = fold.leaders
         assert len(heads) == 1, f"seed {seed}: merge left {heads}"
-        live_pre_heal = {n for n in pre_heal if n in result.live}
+        live_pre_heal = {n for n in pre_heal if n in fold.live}
         if live_pre_heal:
-            candidates = live_pre_heal | {
-                n for n in result.live
-                if result.nodes[n].mode is Mode.LEADER}
+            candidates = live_pre_heal | set(heads)
             assert heads[0] <= min(candidates), \
                 f"seed {seed}: merge chose {heads[0]}, not the minimum leader"
 

@@ -1,5 +1,6 @@
 import os
 import pickle
+import re
 import subprocess
 import sys
 
@@ -20,6 +21,7 @@ from agdh.simnet import (
     LeaveAt,
     PartitionAt,
     SimConfig,
+    replay,
     run,
 )
 
@@ -114,12 +116,14 @@ class TestRunCommand:
                      "--toy", "--out", str(out_dir)])
         assert code == 0
         captured = capsys.readouterr().out
-        assert "converged:    True" in captured
+        assert "  converged:    True\n  converged at: 20813828us\n" in captured
         assert "audit:        clean" in captured
         assert "  cost row:     m=4 expo/member=2 expo/leader=4 messages=4" \
             " broadcasts=1 rounds=2\n" in captured
         transcript = (out_dir / "transcript.txt").read_text()
         assert transcript.splitlines()[0].endswith("mode=member why=start")
+        # the time is a record's: the last member's first KEY
+        assert "20813828 KEY " in transcript
         metrics = (out_dir / "metrics.txt").read_text()
         assert "expos node=" in metrics
 
@@ -134,6 +138,24 @@ class TestRunCommand:
         assert code == 0
         assert "  cost row:     not the paper's row (member expos [2, 3] != 2;" \
             " messages 7 != 6)\n" in capsys.readouterr().out
+
+    def test_one_node_run_converges_when_it_leads(self, capsys):
+        """A lone leader has no peer to share a key with; the run converges
+        when it takes the lead."""
+        code = main(["run", "--nodes", "1"])
+        assert code == 0
+        assert "  converged:    True\n  converged at: 16400000us\n" \
+            in capsys.readouterr().out
+
+    def test_split_run_never_converges(self, tmp_path, capsys):
+        scenario = tmp_path / "s.scn"
+        scenario.write_text("1s partition 1|2\n")
+        code = main(["run", "--nodes", "2", "--seed", "1", "--duration", "60s",
+                     "--toy", "--scenario", str(scenario)])
+        assert code == 1
+        out = capsys.readouterr().out
+        assert "  converged:    False\n  converged at: never\n" in out
+        assert "final epoch" not in out
 
     def test_scenario_run(self, tmp_path, capsys):
         scenario = tmp_path / "s.scn"
@@ -268,6 +290,10 @@ class TestRunCommand:
         assert code == 0
         out = capsys.readouterr().out
         assert "3/3 runs converged with a clean audit" in out
+        lines = out.splitlines()[:3]
+        assert [re.fullmatch(r"seed=(\d) converged=True converged_at=\d+us"
+                             r" leaders=\[\d\] findings=0 \[ok\]", line)[1]
+                for line in lines] == ["0", "1", "2"]
 
     @pytest.mark.parametrize("repeat, cpus, workers", [
         (2, 8, 2),
@@ -306,7 +332,7 @@ class TestRunCommand:
         res = run(SimConfig(node_count=4, seed=5, duration=80 * SECOND,
                             schedule=(LeaveAt(40 * SECOND, 2),)),
                   NodeConfig(eager_rekey=True), TOY)
-        _print_summary(res, audit_transcript(res), None)
+        _print_summary(res, replay(res), audit_transcript(res), None)
         printed = [line for line in capsys.readouterr().out.splitlines()
                    if line.startswith("  key t=")]
         records = res.transcript.of_kind("KEY")

@@ -35,6 +35,7 @@ from agdh.simnet import (
     SimConfig,
     Transcript,
     converged,
+    replay,
     run,
 )
 
@@ -432,7 +433,7 @@ def _injected_run(skip_verify: bool):
                  if r.get("kind") == "IGROUP" and r.get("entries") > 0)
     tampered = bytearray(probe.wire_by_id[keyed.get("id")])
     tampered[-1] ^= 0x01
-    member = next(n for n in probe.live
+    member = next(n for n in replay(probe).live
                   if probe.nodes[n].mode.value == "member")
     with pytest.MonkeyPatch.context() as patch:
         if skip_verify:

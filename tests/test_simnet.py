@@ -1,5 +1,7 @@
 import hashlib
+import itertools
 import os
+import random
 from collections import Counter, defaultdict
 from types import SimpleNamespace
 
@@ -28,6 +30,7 @@ from agdh.simnet import (
     converged,
     converged_by,
     leaders,
+    replay,
     run,
 )
 
@@ -281,7 +284,7 @@ class TestPartitions:
         res = toy_run(node_count=5, seed=8, duration=120 * SECOND,
                       node_config=EAGER,
                       schedule=(PartitionAt(40 * SECOND, ((1, 2, 3), (4, 5))),))
-        modes = {n: res.nodes[n].mode for n in res.live}
+        modes = {n: res.nodes[n].mode for n in replay(res).live}
         side_a = [n for n in (1, 2, 3) if modes[n] is Mode.LEADER]
         side_b = [n for n in (4, 5) if modes[n] is Mode.LEADER]
         assert len(side_a) == 1 and len(side_b) == 1
@@ -349,7 +352,7 @@ class TestChurn:
                       node_config=EAGER,
                       schedule=(LeaveAt(40 * SECOND, 2),))
         assert converged(res)
-        assert 2 not in res.live
+        assert 2 not in replay(res).live
         del_send = next(r for r in res.transcript.of_kind("SEND")
                         if r.get("kind") == "DEL")
         rekey = next(r for r in res.transcript.of_kind("REKEY")
@@ -546,6 +549,86 @@ class TestAuditIntegration:
         t.append(41, "KEY", 3, ("leader", 2), ("epoch", 2), ("key", new))
         result = SimpleNamespace(config=SimConfig(node_count=3), transcript=t)
         assert converged_by(result) == 41
+
+
+def churn_timeline(node_count: int, rng: random.Random) -> tuple:
+    """A valid schedule of up to four entries, 5-30 s apart: a join of a
+    fresh id, a leave or crash of a live id, a two-cell partition of the
+    live ids, or a heal."""
+    live, fresh, at, entries = list(range(1, node_count + 1)), node_count + 1, 0, []
+    for _ in range(rng.randint(1, 4)):
+        at += rng.randrange(5, 30) * SECOND
+        pick = rng.randrange(4)
+        if pick == 0:
+            entries.append(JoinAt(at, fresh))
+            live.append(fresh)
+            fresh += 1
+        elif pick == 1 and len(live) > 1:
+            victim = live.pop(rng.randrange(len(live)))
+            entries.append(rng.choice((LeaveAt, CrashAt))(at, victim))
+        elif pick == 2 and len(live) > 1:
+            ids = rng.sample(live, len(live))
+            split = rng.randint(1, len(ids) - 1)
+            entries.append(PartitionAt(at, (tuple(ids[:split]),
+                                            tuple(ids[split:]))))
+        else:
+            entries.append(HealAt(at))
+    return tuple(entries)
+
+
+class TestConvergenceFold:
+    def test_one_node_run_converges_when_it_takes_the_lead(self):
+        res = toy_run(node_count=1, seed=0)
+        [lead] = [r.time for r in res.transcript.of_kind("STATE")
+                  if r.get("mode") == "leader"]
+        assert converged(res)
+        assert converged_by(res) == lead == 16_400_000
+
+    def test_one_pass_gives_the_first_time_and_the_end_state(self):
+        """The run converges, then splits for good: each cell keeps a
+        leader, so it ends unconverged, and the first time stands."""
+        res = toy_run(node_count=6, seed=0, duration=120 * SECOND,
+                      schedule=(PartitionAt(60 * SECOND,
+                                            ((1, 2, 3), (4, 5, 6))),))
+        fold = replay(res)
+        assert fold.converged_at == 21_001_069
+        assert not fold.converged
+        assert fold.leaders == [3, 4]
+        assert fold.live == [1, 2, 3, 4, 5, 6]
+
+    def test_end_state_equals_the_nodes_end_state(self):
+        """Over a TOY grid with churn and partitions, the records say what
+        the nodes hold at the end: the live ids, the leaders, each live
+        node's key, and the end-state convergence rule read off them."""
+        rng = random.Random(26)
+        outcomes = set()
+        for n, loss, eager, seed in itertools.product(
+                range(1, 10), (0.0, 0.1, 0.3), (False, True), range(2)):
+            schedule = churn_timeline(n, rng)
+            res = toy_run(node_count=n, loss_prob=loss, seed=seed,
+                          duration=schedule[-1].at + 40 * SECOND,
+                          schedule=schedule,
+                          node_config=NodeConfig(eager_rekey=eager))
+            fold = replay(res)
+            gone = {e.node_id for e in schedule
+                    if isinstance(e, (LeaveAt, CrashAt))}
+            joined = {e.node_id for e in schedule if isinstance(e, JoinAt)}
+            live = sorted((set(range(1, n + 1)) | joined) - gone)
+            assert fold.live == live
+            heads = [i for i in live if res.nodes[i].mode is Mode.LEADER]
+            assert fold.leaders == heads
+            keys = {i: res.nodes[i].session for i in live}
+            assert {i: rec and rec.get("key") for i, rec in fold.keys.items()} \
+                == {i: key and key.derived for i, key in keys.items()}
+            lead = keys[heads[0]] if len(heads) == 1 else None
+            assert fold.converged == (len(heads) == 1 and (
+                len(live) == 1 or lead is not None and all(
+                    key is not None and key.derived == lead.derived
+                    for key in keys.values())))
+            outcomes.add((fold.converged, bool(gone)))
+        # the grid holds converged and split ends, with and without departures
+        assert outcomes == {(True, False), (True, True), (False, False),
+                            (False, True)}
 
 
 def test_steady_state_message_rate():
