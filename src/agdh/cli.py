@@ -127,7 +127,7 @@ def cmd_run(args) -> int:
             row = f"not the paper's row ({exc})"
     if args.out:
         with open(os.path.join(args.out, "transcript.txt"), "w") as fh:
-            fh.write(result.transcript.render())
+            fh.writelines(result.transcript.render_chunks())
         with open(os.path.join(args.out, "metrics.txt"), "w") as fh:
             fh.write(_metrics_text(result))
     fold = replay(result)

@@ -8,17 +8,24 @@ identical inputs produce byte-identical transcripts.
 
 The transcript is the run's complete observable history: every send,
 delivery, drop, state transition, and key change, one line per event;
-message counts and convergence are read from it.  A :class:`Record`
-holds each field's value as given; only :meth:`Record.render` formats it
-(``bytes`` as hex).  A SEND record's ``wire`` is the very object in
+message counts and convergence are read from it.  A :class:`Record` is
+``(time, kind, node, names, values)``: ``names`` is one tuple per record
+shape, shared by every record of that shape, and ``values`` holds each
+field's value as given; only :meth:`Record.render` formats it (``bytes``
+as hex).  A SEND record's ``wire`` is the very object in
 ``SimResult.wire_by_id``, so each wire is held once.
+:meth:`Transcript.render` renders the records in chunks of
+``_RENDER_CHUNK`` lines and joins the chunks once, so beside the text it
+returns it holds the chunks and one chunk's lines; ``agdh run --out``
+writes the same chunks one at a time.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import random
-from typing import Any, NamedTuple
+from typing import Any, Iterator, NamedTuple
 
 from .errors import ConfigError, OverlapError, UnknownNode
 from .group_arith import GroupParams, PROD
@@ -158,48 +165,82 @@ def _ids_of(entry) -> tuple[int, ...]:
 
 
 class Record(NamedTuple):
-    """One transcript line: time, event kind, node, ordered detail fields
-    holding values as given; :meth:`render` is the only formatter.  A
-    named tuple, so a run's thousands of records each cost one
-    ``tuple.__new__``."""
+    """One transcript line: time, event kind, node, and the detail fields
+    as two parallel tuples.  ``names`` is shared by every record of one
+    shape (the writers pass module-level tuples), and ``values`` holds the
+    values as given; :meth:`render` is the only formatter.  A DELIVER costs
+    one record tuple and one two-item ``values`` tuple, not a tuple per
+    field."""
 
     time: int
     kind: str
     node: int | None
-    fields: tuple[tuple[str, Any], ...] = ()
+    names: tuple[str, ...] = ()
+    values: tuple = ()
 
     def get(self, key: str) -> Any:
-        for k, v in self.fields:
-            if k == key:
-                return v
-        return None
+        """The value of the first field named ``key``, or None if none is."""
+        try:
+            return self.values[self.names.index(key)]
+        except ValueError:
+            return None
 
     def render(self) -> str:
         node = "-" if self.node is None else self.node
         detail = " ".join([f"{k}={v.hex() if type(v) is bytes else v}"
-                           for k, v in self.fields])
+                           for k, v in zip(self.names, self.values)])
         return f"{self.time} {self.kind} {node} {detail}".rstrip()
+
+
+# Records rendered per chunk: bounds render's transient list of lines.
+_RENDER_CHUNK = 4096
+
+# The field names of each record shape simnet writes, one tuple per shape.
+_ID_NAMES = ("id",)
+_ID_FROM_NAMES = ("id", "from")
+_ID_REASON_NAMES = ("id", "reason")
+_CELLS_NAMES = ("cells",)
+_STATE_NAMES = ("mode", "why")
+_KEY_NAMES = ("leader", "epoch", "key")
+_SEND_NAMES = ("id", "kind", "dest", "epoch", "entries", "wire")
+
+
+@functools.cache
+def _arg_names(arity: int) -> tuple[str, ...]:
+    """``("a0", ..., "a<arity-1>")``, one tuple per arity, for the records
+    copied from a node's log."""
+    return tuple(f"a{i}" for i in range(arity))
 
 
 class Transcript:
     def __init__(self) -> None:
         self.records: list[Record] = []
 
-    def append(self, time: int, kind: str, node: int | None, *fields) -> None:
-        self.records.append(Record(time, kind, node, fields))
+    def append(self, time: int, kind: str, node: int | None,
+               names: tuple[str, ...], *values) -> None:
+        """Add one record; ``names`` should be a tuple shared by every
+        record of its shape, so that each record holds only its values."""
+        self.records.append(Record(time, kind, node, names, values))
 
     def of_kind(self, *kinds: str) -> list[Record]:
         wanted = set(kinds)
         return [r for r in self.records if r.kind in wanted]
 
+    def render_chunks(self) -> Iterator[str]:
+        """The rendered text in pieces of at most ``_RENDER_CHUNK`` lines,
+        each line ended by a newline; an empty transcript is one empty
+        line.  Only one chunk's lines are held at a time."""
+        records = self.records
+        for start in range(0, len(records) or 1, _RENDER_CHUNK):
+            lines = [r.render()
+                     for r in records[start:start + _RENDER_CHUNK]] or [""]
+            lines.append("")
+            yield "\n".join(lines)
+
     def render(self) -> str:
-        """One line per record, each ended by a newline; an empty
-        transcript is one empty line.  The lines are joined once, with an
-        empty last item for the final newline, so the output is never
-        copied."""
-        lines = [r.render() for r in self.records] or [""]
-        lines.append("")
-        return "\n".join(lines)
+        """The chunks of :meth:`render_chunks`, joined once: the transient
+        is the chunks and one chunk's lines, not a line per record."""
+        return "".join(self.render_chunks())
 
     def __iter__(self):
         return iter(self.records)
@@ -308,10 +349,10 @@ class _Simulation:
     def _deliver(self, msg_id: int, receiver: int, sender: int | None, at: int) -> None:
         if receiver not in self.live:
             self.transcript.append(at, "SUPPRESS", receiver,
-                                   ("id", msg_id), ("reason", "dead"))
+                                   _ID_REASON_NAMES, msg_id, "dead")
             return
-        self.transcript.append(at, "DELIVER", receiver,
-                               ("id", msg_id), ("from", sender if sender is not None else "-"))
+        self.transcript.append(at, "DELIVER", receiver, _ID_FROM_NAMES,
+                               msg_id, "-" if sender is None else sender)
         node = self.nodes[receiver]
         wire = self.wire_by_id[msg_id]
         self._absorb(receiver, node.handle(MessageArrived(wire), at), at,
@@ -323,21 +364,21 @@ class _Simulation:
         elif isinstance(entry, HealAt):
             self.heal(at)
         elif isinstance(entry, JoinAt):
-            self.transcript.append(at, "JOIN", entry.node_id)
+            self.transcript.append(at, "JOIN", entry.node_id, ())
             self._create_node(entry.node_id, at)
         elif isinstance(entry, LeaveAt):
             node = self.nodes[entry.node_id]
             self._absorb(entry.node_id, node.handle(LocalLeaveRequest(), at), at)
-            self.transcript.append(at, "LEAVE", entry.node_id)
+            self.transcript.append(at, "LEAVE", entry.node_id, ())
             self.live.discard(entry.node_id)
         elif isinstance(entry, CrashAt):
-            self.transcript.append(at, "CRASH", entry.node_id)
+            self.transcript.append(at, "CRASH", entry.node_id, ())
             self.live.discard(entry.node_id)
         elif isinstance(entry, InjectAt):
             self.msg_seq += 1
             self.wire_by_id[self.msg_seq] = entry.wire
-            self.transcript.append(at, "INJECT", entry.node_id,
-                                   ("id", self.msg_seq))
+            self.transcript.append(at, "INJECT", entry.node_id, _ID_NAMES,
+                                   self.msg_seq)
             self._push(at, _DELIVER, (self.msg_seq, entry.node_id, None))
         else:
             raise ConfigError(f"unknown schedule entry {entry!r}")
@@ -349,11 +390,11 @@ class _Simulation:
                           for index, cell in enumerate(cells, start=1)
                           for node_id in cell}
         rendered = "|".join(",".join(str(n) for n in sorted(cell)) for cell in cells)
-        self.transcript.append(at, "PARTITION", None, ("cells", rendered))
+        self.transcript.append(at, "PARTITION", None, _CELLS_NAMES, rendered)
 
     def heal(self, at: int) -> None:
         self.partition = {}
-        self.transcript.append(at, "HEAL", None)
+        self.transcript.append(at, "HEAL", None, ())
 
     # -- FSM output absorption --------------------------------------------------
 
@@ -361,28 +402,26 @@ class _Simulation:
         node = self.nodes[node_id]
         if msg_id is not None and out.accepted is not None:
             if out.accepted:
-                self.transcript.append(at, "ACCEPT", node_id, ("id", msg_id))
+                self.transcript.append(at, "ACCEPT", node_id, _ID_NAMES,
+                                       msg_id)
             else:
                 reason = next((entry[1] for entry in out.log
                                if entry[0] == "reject"), "unspecified")
                 self.transcript.append(at, "REJECT", node_id,
-                                       ("id", msg_id), ("reason", reason))
+                                       _ID_REASON_NAMES, msg_id, reason)
         for entry in out.log:
             tag = entry[0]
             if tag == "reject":
                 continue
             if tag == "mode":
-                self.transcript.append(
-                    at, "STATE", node_id,
-                    ("mode", entry[1]), ("why", entry[2]))
+                self.transcript.append(at, "STATE", node_id, _STATE_NAMES,
+                                       entry[1], entry[2])
             else:
-                fields = tuple((f"a{i}", v) for i, v in enumerate(entry[1:]))
-                self.transcript.append(at, tag.upper(), node_id, *fields)
+                self.transcript.append(at, tag.upper(), node_id,
+                                       _arg_names(len(entry) - 1), *entry[1:])
         for key in out.key_changes:
-            self.transcript.append(
-                key.time, "KEY", key.node_id,
-                ("leader", key.leader_id), ("epoch", key.epoch),
-                ("key", key.derived))
+            self.transcript.append(key.time, "KEY", key.node_id, _KEY_NAMES,
+                                   key.leader_id, key.epoch, key.derived)
             self.metrics.key_events.append(key)
         for outgoing in out.sends:
             self._send(node_id, outgoing, at)
@@ -401,28 +440,26 @@ class _Simulation:
         self.wire_by_id[msg_id] = outgoing.wire
         msg = outgoing.message
         dest = "bcast" if outgoing.dest is None else outgoing.dest
-        self.transcript.append(
-            at, "SEND", sender,
-            ("id", msg_id), ("kind", msg.kind.name), ("dest", dest),
-            ("epoch", msg.epoch), ("entries", len(msg.entries)),
-            ("wire", outgoing.wire))
+        self.transcript.append(at, "SEND", sender, _SEND_NAMES, msg_id,
+                               msg.kind.name, dest, msg.epoch,
+                               len(msg.entries), outgoing.wire)
         if outgoing.dest is None:
             targets = [n for n in sorted(self.live) if n != sender]
         else:
             targets = [outgoing.dest] if outgoing.dest in self.live else []
             if not targets:
                 self.transcript.append(at, "SUPPRESS", outgoing.dest,
-                                       ("id", msg_id), ("reason", "dead"))
+                                       _ID_REASON_NAMES, msg_id, "dead")
         config = self.config
         loss_prob, latency_min = config.loss_prob, config.latency_min
         latency_end = config.latency_max + 1
         for receiver in targets:
             if not self._same_cell(sender, receiver):
                 self.transcript.append(at, "SUPPRESS", receiver,
-                                       ("id", msg_id), ("reason", "partition"))
+                                       _ID_REASON_NAMES, msg_id, "partition")
                 continue
             if self.channel_rng.random() < loss_prob:
-                self.transcript.append(at, "DROP", receiver, ("id", msg_id))
+                self.transcript.append(at, "DROP", receiver, _ID_NAMES, msg_id)
                 continue
             latency = self.channel_rng.randrange(latency_min, latency_end)
             self._push(at + latency, _DELIVER, (msg_id, receiver, sender))

@@ -21,6 +21,7 @@ from agdh.simnet import (
     LeaveAt,
     PartitionAt,
     SimConfig,
+    _RENDER_CHUNK,
     replay,
     run,
 )
@@ -126,6 +127,27 @@ class TestRunCommand:
         assert "20813828 KEY " in transcript
         metrics = (out_dir / "metrics.txt").read_text()
         assert "expos node=" in metrics
+
+    def test_out_streams_the_rendered_transcript(self, tmp_path, monkeypatch,
+                                                 capsys):
+        """``--out`` writes transcript.txt a render chunk at a time; on a
+        run of several chunks the file is ``render()``'s text, byte for
+        byte."""
+        results = []
+
+        def kept_run(*args):
+            results.append(run(*args))
+            return results[-1]
+
+        monkeypatch.setattr(cli, "run", kept_run)
+        out_dir = tmp_path / "out"
+        main(["run", "--nodes", "10", "--seed", "2", "--loss", "0.3",
+              "--duration", "500s", "--toy", "--out", str(out_dir)])
+        assert "audit:        clean" in capsys.readouterr().out
+        transcript = results[0].transcript
+        assert len(transcript) > _RENDER_CHUNK
+        assert (out_dir / "transcript.txt").read_bytes() == \
+            transcript.render().encode()
 
     def test_mismatching_cost_row_is_printed_with_its_reason(self, capsys):
         """At seed 0 two candidates win the same slot, and one member

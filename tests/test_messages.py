@@ -466,7 +466,7 @@ VALUE_TYPES = [
     (GroupEntry(2, nonce(0xAA), 16, 2), "nonce", nonce(0xAB)),
     (Message(MessageKind.IGROUP, 1, nonce(0x11), 3,
              (GroupEntry(2, nonce(0xAA), 16, 2),), b"sig"), "epoch", 4),
-    (Record(5, "KEY", 2, (("epoch", 3), ("key", b"k"))), "node", 9),
+    (Record(5, "KEY", 2, ("epoch", "key"), (3, b"k")), "node", 9),
     (NodeConfig(), "miss_k", 4),
     (SimConfig(3, schedule=(JoinAt(5, 4),)), "seed", 9),
     (MessageArrived(b"wire"), "wire", b"other"),

@@ -270,12 +270,12 @@ class TestCostTableEquivalence:
         t = Transcript()
 
         def send(at, node, msg_id, dest, wire, kind="IREPLY", entries=1):
-            t.append(at, "SEND", node, ("id", msg_id), ("kind", kind),
-                     ("dest", dest), ("epoch", 1), ("entries", entries),
-                     ("wire", wire))
+            t.append(at, "SEND", node,
+                     ("id", "kind", "dest", "epoch", "entries", "wire"),
+                     msg_id, kind, dest, 1, entries, wire)
 
         def tie_at_20():
-            t.append(20, "DELIVER", 3, ("id", 1), ("from", 2))
+            t.append(20, "DELIVER", 3, ("id", "from"), 1, 2)
 
         def tie_at_40():
             send(40, 4, 5, 1, reply(4, 6))
@@ -287,17 +287,17 @@ class TestCostTableEquivalence:
         if not ties_first:
             tie_at_20()
         send(25, 2, 3, 1, reply(2, 2))
-        t.append(30, "DELIVER", 1, ("id", 2), ("from", 3))
-        t.append(35, "DELIVER", 1, ("id", 3), ("from", 2))
+        t.append(30, "DELIVER", 1, ("id", "from"), 2, 3)
+        t.append(35, "DELIVER", 1, ("id", "from"), 3, 2)
         if ties_first:
             tie_at_40()
         send(40, 1, 4, "bcast", announcement, kind="IGROUP", entries=2)
         if not ties_first:
             tie_at_40()
         for at, node in ((50, 2), (55, 3)):
-            t.append(at, "DELIVER", node, ("id", 4), ("from", 1))
-            t.append(at, "KEY", node, ("leader", 1), ("epoch", 1),
-                     ("key", bytes(32)))
+            t.append(at, "DELIVER", node, ("id", "from"), 4, 1)
+            t.append(at, "KEY", node, ("leader", "epoch", "key"), 1, 1,
+                     bytes(32))
         exp_events = [(10, 2, 1), (20, 3, 1), (40, 1, 3), (40, 4, 1),
                       (50, 2, 1), (55, 3, 1)]
         return SimpleNamespace(params=TOY, transcript=t,
@@ -569,10 +569,10 @@ def _add_announcement(res, msg, wire=None):
         wire = encode_signed(sign(msg, res.keyring, res.params), res.params)
     msg_id = max(res.wire_by_id) + 1
     res.wire_by_id[msg_id] = wire
-    res.transcript.records.append(Record(
+    res.transcript.append(
         res.transcript.records[-1].time, "SEND", msg.sender_id,
-        (("id", msg_id), ("kind", "IGROUP"), ("dest", "bcast"),
-         ("epoch", msg.epoch), ("entries", len(msg.entries)), ("wire", wire))))
+        ("id", "kind", "dest", "epoch", "entries", "wire"),
+        msg_id, "IGROUP", "bcast", msg.epoch, len(msg.entries), wire)
 
 
 def _accepted_ireply_id(res) -> int:
@@ -636,8 +636,9 @@ def _plant_key(res, node=None, **fields):
     """Record one more KEY: a copy of the last, with ``node`` or the named
     fields replaced."""
     last = res.transcript.of_kind("KEY")[-1]
+    values = dict(zip(last.names, last.values), **fields)
     res.transcript.append(last.time, "KEY", last.node if node is None else node,
-                          *dict(last.fields, **fields).items())
+                          last.names, *values.values())
 
 
 def _unannounced_epoch(res):

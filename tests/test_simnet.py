@@ -1,7 +1,9 @@
+import contextlib
 import hashlib
 import itertools
 import os
 import random
+import tracemalloc
 from collections import Counter, defaultdict
 from types import SimpleNamespace
 
@@ -27,6 +29,7 @@ from agdh.simnet import (
     Record,
     SimConfig,
     Transcript,
+    _RENDER_CHUNK,
     converged,
     converged_by,
     leaders,
@@ -186,8 +189,14 @@ def reference_record_render(rec: Record) -> str:
     ``type(v) is bytes`` test, kept as a reference."""
     node = "-" if rec.node is None else rec.node
     detail = " ".join(f"{k}={v.hex() if isinstance(v, bytes) else v}"
-                      for k, v in rec.fields)
+                      for k, v in zip(rec.names, rec.values))
     return f"{rec.time} {rec.kind} {node} {detail}".rstrip()
+
+
+def record_of(time, kind, node, fields) -> Record:
+    """A record of the ``(name, value)`` pairs ``fields``."""
+    return Record(time, kind, node, tuple(k for k, _ in fields),
+                  tuple(v for _, v in fields))
 
 
 field_values = st.one_of(
@@ -198,7 +207,7 @@ field_values = st.one_of(
     st.tuples(st.integers(0, 9), st.text(max_size=3)),
 )
 records = st.builds(
-    Record,
+    record_of,
     time=st.integers(0, 10**12),
     kind=st.sampled_from(["SEND", "KEY", "STATE", "HEAL"]),
     node=st.one_of(st.none(), st.integers(0, 2**32 - 1)),
@@ -214,7 +223,8 @@ def test_render_is_one_line_per_record(recs):
     lines, each ended by a newline."""
     transcript = Transcript()
     for rec in recs:
-        transcript.append(rec.time, rec.kind, rec.node, *rec.fields)
+        transcript.append(rec.time, rec.kind, rec.node, rec.names,
+                          *rec.values)
         assert rec.render() == reference_record_render(rec)
     assert transcript.render() == \
         "\n".join(r.render() for r in recs) + "\n"
@@ -222,6 +232,103 @@ def test_render_is_one_line_per_record(recs):
 
 def test_empty_transcript_renders_one_newline():
     assert Transcript().render() == "\n"
+    assert list(Transcript().render_chunks()) == ["\n"]
+
+
+@pytest.mark.parametrize("count", [
+    _RENDER_CHUNK - 1, _RENDER_CHUNK, _RENDER_CHUNK + 1, 2 * _RENDER_CHUNK + 5])
+def test_render_joins_chunks_of_lines(count):
+    """A transcript of several chunks renders as one line per record, and
+    each chunk holds at most ``_RENDER_CHUNK`` whole lines."""
+    transcript = Transcript()
+    for i in range(count):
+        transcript.append(i, "SEND", i % 7 or None, ("id", "wire"), i,
+                          bytes([i % 256]))
+    chunks = list(transcript.render_chunks())
+    assert len(chunks) == -(-count // _RENDER_CHUNK)
+    assert [chunk.count("\n") for chunk in chunks[:-1]] == \
+        [_RENDER_CHUNK] * (len(chunks) - 1)
+    assert all(chunk.endswith("\n") for chunk in chunks)
+    assert transcript.render() == "".join(chunks) == \
+        "".join(f"{reference_record_render(r)}\n" for r in transcript)
+
+
+def test_get_reads_the_first_field_of_a_name():
+    rec = Record(5, "X", 1, ("a", "b", "a"), (1, None, 3))
+    assert (rec.get("a"), rec.get("b"), rec.get("c")) == (1, None, None)
+    assert Record(5, "HEAL", None).get("a") is None
+    assert rec.render() == "5 X 1 a=1 b=None a=3"
+
+
+@contextlib.contextmanager
+def traced():
+    """Trace allocations for the block, unless they already are."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        yield
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+class TestRecordMemory:
+    """What a transcript retains per record.  Each record shape has one
+    tuple of field names, shared by every record of it, so a record is its
+    own tuple and one tuple of values."""
+
+    @pytest.fixture(scope="class")
+    def churn(self):
+        schedule = load_scenario(os.path.join(SCENARIO_DIR, "churn.scn"))
+        return toy_run(node_count=10, seed=1, loss_prob=0.1,
+                       duration=120 * SECOND, schedule=schedule)
+
+    def test_each_shape_has_one_names_tuple(self, churn):
+        recs = list(churn.transcript)
+        assert {r.kind for r in recs} >= {"SEND", "DELIVER", "KEY", "STATE",
+                                          "REGISTER", "JOIN", "LEAVE"}
+        assert len({id(r.names) for r in recs}) == len({r.names for r in recs})
+
+    # Bytes retained per appended record, traced by tracemalloc, with about
+    # 10% over the sizes measured on CPython 3.11 (153 and 185): the record
+    # tuple (88 B with the tuple subclass's spare slot), its values tuple
+    # and the list slot.  A (name, value) tuple per field would cost 257
+    # and 513.
+    @pytest.mark.parametrize("kind, bound", [("DELIVER", 168), ("SEND", 204)])
+    def test_bytes_per_record(self, churn, kind, bound):
+        rec = churn.transcript.of_kind(kind)[0]
+        transcript = Transcript()
+
+        def fill(count):
+            for _ in range(count):
+                transcript.append(rec.time, rec.kind, rec.node, rec.names,
+                                  *rec.values)
+
+        count = 20_000
+        with traced():
+            fill(5_000)  # empties the interpreter's tuple free lists
+            before = tracemalloc.get_traced_memory()[0]
+            fill(count)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        assert list(transcript)[-1] == rec
+        assert retained / count <= bound
+
+    def test_render_holds_one_chunk_of_lines(self):
+        """Beside the text it returns, render holds the chunks and one
+        chunk's lines: its traced peak stays under twice the text plus 200 B
+        per line of one chunk.  On CPython 3.11 it reads 2.84 MB for 1.42 MB
+        of text, and a list of every line, joined once, 6.55 MB."""
+        transcript = Transcript()
+        for i in range(16 * _RENDER_CHUNK):
+            transcript.append(i, "DROP", 3, ("id",), i)
+        with traced():
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            text = transcript.render()
+            peak = tracemalloc.get_traced_memory()[1] - before
+        assert text.count("\n") == len(transcript)
+        assert peak <= 2 * len(text) + 200 * _RENDER_CHUNK
 
 
 class TestChannel:
@@ -535,18 +642,19 @@ class TestAuditIntegration:
         2's own key reaches node 3."""
         old, new = b"\x01" * 32, b"\x02" * 32
         t = Transcript()
-        t.append(0, "STATE", 1, ("mode", "leader"), ("why", "chosen_initial"))
-        t.append(10, "KEY", 1, ("leader", 1), ("epoch", 1), ("key", old))
-        t.append(11, "KEY", 2, ("leader", 1), ("epoch", 1), ("key", old))
-        t.append(12, "CRASH", 1)
-        t.append(13, "KEY", 3, ("leader", 1), ("epoch", 1), ("key", old))
-        t.append(25, "STATE", 2, ("mode", "candidate"), ("why", "slot_5"))
-        t.append(27, "STATE", 3, ("mode", "candidate"), ("why", "slot_9"))
-        t.append(30, "STATE", 2, ("mode", "leader"), ("why", "backoff_won"))
-        t.append(31, "STATE", 3, ("mode", "member"),
-                 ("why", "announcement_during_backoff"))
-        t.append(40, "KEY", 2, ("leader", 2), ("epoch", 2), ("key", new))
-        t.append(41, "KEY", 3, ("leader", 2), ("epoch", 2), ("key", new))
+        state, key = ("mode", "why"), ("leader", "epoch", "key")
+        t.append(0, "STATE", 1, state, "leader", "chosen_initial")
+        t.append(10, "KEY", 1, key, 1, 1, old)
+        t.append(11, "KEY", 2, key, 1, 1, old)
+        t.append(12, "CRASH", 1, ())
+        t.append(13, "KEY", 3, key, 1, 1, old)
+        t.append(25, "STATE", 2, state, "candidate", "slot_5")
+        t.append(27, "STATE", 3, state, "candidate", "slot_9")
+        t.append(30, "STATE", 2, state, "leader", "backoff_won")
+        t.append(31, "STATE", 3, state, "member",
+                 "announcement_during_backoff")
+        t.append(40, "KEY", 2, key, 2, 2, new)
+        t.append(41, "KEY", 3, key, 2, 2, new)
         result = SimpleNamespace(config=SimConfig(node_count=3), transcript=t)
         assert converged_by(result) == 41
 
