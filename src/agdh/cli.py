@@ -255,8 +255,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--out", help="directory for transcript.txt and metrics.txt"
                                      " (a single run only)")
     p_run.add_argument("--eager-rekey", action="store_true",
-                       help="rekey immediately on new members instead of at the"
-                            " leader's next contribution change")
+                       help="rekey as soon as a new member registers; by default"
+                            " a late registrant is folded, and keyed, only at the"
+                            " next formation, expiry, leave, rejoin or leader"
+                            " renewal (every 20 min)")
     p_run.add_argument("--toy", action="store_true",
                        help="use the tiny test group instead of the production group")
     p_run.add_argument("--params", help="custom parameter file (p=,q=,g=,name=)")

@@ -33,7 +33,9 @@ and joins the parts once.
 
 The ``epoch`` field carries the group key epoch on leader announcements and a
 per-sender monotone send counter on member messages; either way a stale value
-is detectable and replays can be rejected.
+is detectable and replays can be rejected.  A member's keepalive repeats its
+last IREPLY under the next counter: :func:`resign` rewrites that one field of
+the last wire and signs again, with no other check or encoding.
 
 A receiver takes each wire through these steps, cheapest refusal first:
 
@@ -49,7 +51,10 @@ A receiver takes each wire through these steps, cheapest refusal first:
    announcement's with one batched query that, when every element is
    known to the process (``group_arith``'s per-group memo), vouches for
    all with no subgroup check, else one by one in entry order, reporting
-   the first non-member;
+   the first non-member.  A leader passes the wire a member's share was
+   registered from as a memo: an IREPLY of the same length and the same
+   bytes from its entry count through its signature length decodes to the
+   registered entry with one bytes comparison;
 3. :func:`verify`, the signature over the received bytes;
 4. the state machine's own checks.
 
@@ -91,6 +96,9 @@ _HEADER = struct.Struct(f">BI{NONCE_LEN}sQH")
 _HEADER_LEN = _HEADER.size
 #: Where the entry count starts: the IREPLY layout is read from there.
 _COUNT_AT = _HEADER_LEN - 2
+#: The epoch field, which :func:`resign` rewrites, and where it starts.
+_EPOCH = struct.Struct(">Q")
+_EPOCH_AT = 5 + NONCE_LEN
 #: The header fields triage reads: kind, sender_id and epoch.
 _TRIAGE = struct.Struct(f">BI{NONCE_LEN}xQ")
 #: An entry's fixed part: id, nonce, has_response.
@@ -214,7 +222,8 @@ def read_header(data: bytes) -> tuple[MessageKind, int, int]:
     return kind, sender_id, epoch
 
 
-def decode(data: bytes, params: GroupParams, header=None) -> Message:
+def decode(data: bytes, params: GroupParams, header=None,
+           memo: tuple[bytes, GroupEntry] | None = None) -> Message:
     """Parse a signed wire message laid out as its kind's honest sender
     writes it; checks every length and flag, the entry grammar and the
     subgroup membership of every element, and raises MalformedMessage on
@@ -225,13 +234,32 @@ def decode(data: bytes, params: GroupParams, header=None) -> Message:
     one unpack and one :func:`is_element`; an IGROUP is ``entry_count``
     answered entries, decoded in bulk by :func:`_decode_announcement`; a
     DEL is the header alone.  Any other layout of a known kind is
-    malformed, though the encoder writes it: no honest sender does."""
+    malformed, though the encoder writes it: no honest sender does.
+
+    ``memo`` is ``(wire, entry)``: an IREPLY wire this function accepted
+    under ``params``, and the entry it decoded from it.  An IREPLY from the
+    memo entry's participant, as long as that wire and with the same bytes
+    from its entry count through its signature length, decodes to that
+    entry, with its own nonce, epoch and signature, and no element is
+    converted or tested.  That is sound because every byte this function
+    checks on an IREPLY (the layout, the entry grammar ``pid == sender``
+    and the element) is then identical to bytes it already accepted from
+    this sender.  The bytes that may differ are the header's nonce and
+    epoch, which it never checks, and the signature; :func:`verify` and
+    the receiver's replay check cover the epoch and the signature
+    afterwards.  Any other wire takes the full path."""
     kind, sender_id, epoch = read_header(data) if header is None else header
     if kind is _IGROUP:
         return _decode_announcement(data, sender_id, epoch, params)
     if kind is _IREPLY:
         layout = _reply_body(params.element_width)
         sig_at = _COUNT_AT + layout.size
+        if memo is not None:
+            registered, entry = memo
+            if (len(data) == len(registered) and entry[0] == sender_id
+                    and data[_COUNT_AT:sig_at] == registered[_COUNT_AT:sig_at]):
+                return _new_message((kind, sender_id, data[5:21], epoch,
+                                     (entry,), data[sig_at:]))
         if len(data) >= sig_at:
             count, pid, nonce, has_response, field, sig_len = \
                 layout.unpack_from(data, _COUNT_AT)
@@ -358,6 +386,27 @@ def sign_and_encode(msg: Message, keyring,
     signature = keyring.sign(msg.sender_id, canonical)
     return (_new_message(msg[:5] + (signature,)),
             _append_signature(canonical, signature))
+
+
+def resign(wire: bytes, epoch: int, keyring,
+           params: GroupParams) -> tuple[bytes, bytes]:
+    """A signed wire laid out as its kind's honest sender writes it, under
+    a new epoch field and signed again: ``(signature, wire)``, the two that
+    :func:`sign_and_encode` gives for its message under ``epoch``.  The
+    canonical bytes end where the header's kind and entry count put the
+    signature length field, so the old signature's length is never
+    assumed.  Only the 8-byte epoch field changes, so no other field is
+    checked or encoded again.  Raises ShapeViolation("epoch") for an epoch
+    the field cannot carry."""
+    if not 0 <= epoch <= _MAX_EPOCH:
+        raise ShapeViolation("epoch")
+    kind, sender_id, _ = _TRIAGE.unpack_from(wire)
+    size = _ENTRY.size + params.element_width * (1 + (kind == _IGROUP))
+    end = _HEADER_LEN + int.from_bytes(wire[_COUNT_AT:_HEADER_LEN], "big") * size
+    canonical = b"".join((wire[:_EPOCH_AT], _EPOCH.pack(epoch),
+                          wire[_EPOCH_AT + 8:end]))
+    signature = keyring.sign(sender_id, canonical)
+    return signature, _append_signature(canonical, signature)
 
 
 def verify(msg: Message, wire: bytes, keyring) -> bool:

@@ -126,11 +126,20 @@ def run_corpus() -> dict[str, Outcome]:
     leader, member, other, empty, keyed, reply2, now = build_pair()
     probe("igroup_sig_flip_first", member, _flip(keyed.wire, len(keyed.wire) - 32), now)
     probe("igroup_sig_flip_last", member, _flip(keyed.wire, len(keyed.wire) - 1), now)
-    probe("ireply_sig_flip", leader, _flip(reply2.wire, len(reply2.wire) - 5), now)
 
     # --- payload bit flips break the signature ----------------------------
     probe("igroup_payload_flip", member, _flip(keyed.wire, 40), now)
-    probe("ireply_payload_flip", leader, _flip(reply2.wire, 40), now)
+
+    # --- member 2's registered IREPLY, flipped, TOY and PROD -----------------
+    # The leader decodes an IREPLY against the wire the sender's share was
+    # registered from: a flipped signature byte leaves the bytes it compares
+    # alone, and a flipped entry nonce byte does not.
+    for suffix, params in (("", TOY), ("_prod", PROD)):
+        leader, member, other, empty, keyed, reply2, now = build_pair(params)
+        assert leader.lead.view[2].wire is reply2.wire
+        probe(f"ireply_sig_flip{suffix}", leader,
+              _flip(reply2.wire, len(reply2.wire) - 5), now)
+        probe(f"ireply_payload_flip{suffix}", leader, _flip(reply2.wire, 40), now)
 
     # --- wrong-sender signatures ------------------------------------------
     leader, member, other, empty, keyed, reply2, now = build_pair()
@@ -149,15 +158,18 @@ def run_corpus() -> dict[str, Outcome]:
     stranger = stranger._replace(signature=bytes(32))
     probe("unknown_sender", leader, encode_signed(stranger, TOY), now)
 
-    # --- stale-epoch replays ------------------------------------------------
-    leader, member, other, empty, keyed, reply2, now = build_pair()
-    # advance the group one epoch via the leader's renewal
-    out = leader.handle(TimerFired(TimerKind.RENEWAL),
-                        leader.deadlines[TimerKind.RENEWAL])
-    fresh = out.sends[0]
-    member.handle(MessageArrived(fresh.wire), now)
-    probe("stale_igroup_replay", member, keyed.wire, now + 1000)
-    probe("stale_ireply_replay", leader, reply2.wire, now + 2000)
+    # --- stale-epoch replays, the IREPLY on TOY and PROD ---------------------
+    for suffix, params in (("", TOY), ("_prod", PROD)):
+        leader, member, other, empty, keyed, reply2, now = build_pair(params)
+        # advance the group one epoch via the leader's renewal
+        out = leader.handle(TimerFired(TimerKind.RENEWAL),
+                            leader.deadlines[TimerKind.RENEWAL])
+        fresh = out.sends[0]
+        member.handle(MessageArrived(fresh.wire), now)
+        if not suffix:
+            probe("stale_igroup_replay", member, keyed.wire, now + 1000)
+        # the very wire member 2's share was registered from
+        probe(f"stale_ireply_replay{suffix}", leader, reply2.wire, now + 2000)
 
     # --- stale DEL replay ----------------------------------------------------
     leader, member, other, empty, keyed, reply2, now = build_pair()
@@ -248,6 +260,30 @@ def run_corpus() -> dict[str, Outcome]:
                                member.seq + 1, (other.contribution,)), RING, params)
         probe(f"ireply_foreign_entry_{label}", leader,
               encode_signed(foreign, params), now)
+
+    # --- validly signed IREPLYs that nearly match a registered wire ---------
+    # The leader compares an IREPLY with the wire the sender's share was
+    # registered from, from the entry count through the signature length.
+    # Member 3's registered body under member 2's header and a fresh seq,
+    # signed by 2, matches member 3's wire there but not member 2's; member
+    # 2's registered wire with one trailing byte matches there but not in
+    # length; and with its signature length changed it matches in length
+    # but not there.  Each is malformed.
+    for label, params in (("toy", TOY), ("prod", PROD)):
+        leader, member, other, empty, keyed, reply2, now = build_pair(params)
+        registered2, registered3 = (leader.lead.view[pid].wire for pid in (2, 3))
+        sig_len_at = len(registered2) - 2 - len(reply2.message.signature)
+        # kind, sender and nonce fill bytes 0-21, the seq 21-29, and the
+        # entry count starts at byte 29; both wires have one length
+        fresh_seq = (member.seq + 1).to_bytes(8, "big")
+        probe(f"ireply_memo_foreign_body_{label}", leader, _resigned(
+            reply2, registered2[:21] + fresh_seq + registered3[29:sig_len_at]),
+            now)
+        probe(f"ireply_memo_trailing_byte_{label}", leader,
+              registered2 + b"\0", now)
+        probe(f"ireply_memo_sig_len_{label}", leader,
+              registered2[:sig_len_at] + (33).to_bytes(2, "big")
+              + registered2[sig_len_at + 2:], now)
 
     # --- validly signed DELs with a forged nonce, TOY and PROD --------------
     # A fresh seq passes the replay check, so only the nonce, which does not

@@ -287,10 +287,13 @@ def test_criterion_7_adversarial_rejection():
             assert outcome.reason == "malformed", f"{name}: {outcome.reason}"
             assert not is_element(outcome.element, outcome.params), name
         if name.startswith(("duplicate_ids_", "sender_in_entries_",
-                            "ireply_foreign_entry_", "off_layout_")):
+                            "ireply_foreign_entry_", "off_layout_",
+                            "ireply_memo_")):
             assert outcome.reason == "malformed", f"{name}: {outcome.reason}"
-        if "_sig_flip" in name or name.endswith("_payload_flip"):
+        if "_sig_flip" in name or "_payload_flip" in name:
             assert outcome.reason == "bad_signature", f"{name}: {outcome.reason}"
+        if name.startswith("stale_ireply_replay"):
+            assert outcome.reason == "replay_seq", f"{name}: {outcome.reason}"
         if name.startswith("del_forged_nonce_"):
             assert outcome.reason == "del_nonce_mismatch", \
                 f"{name}: {outcome.reason}"

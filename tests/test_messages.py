@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import itertools
 import os
 import random
@@ -38,6 +39,7 @@ from agdh.messages import (
     encode_canonical,
     read_header,
     encode_signed,
+    resign,
     sign,
     sign_and_encode,
     validate_shape,
@@ -293,15 +295,17 @@ def test_received_bytes_are_canonical_on_fixed_wires():
     off_layout = {name for name in wires
                   if name.endswith(" layout=off") or name.startswith("off_layout_")}
     grammar = {name for name in wires if name.startswith(GRAMMAR_PROBES)}
+    near_memo = {name for name in wires if name.startswith("ireply_memo_")}
     assert len(retired) == 15 and len(hostile) == 4 and len(off_layout) == 11
-    assert len(grammar) == 6
+    assert len(grammar) == 8 and len(near_memo) == 6
     assert malformed == {"truncated", "unknown_kind"} | retired | hostile \
-        | off_layout | grammar
+        | off_layout | grammar | near_memo
 
 
 #: The corpus probes whose wires are laid out as their kind's but break
 #: the entry grammar.
-GRAMMAR_PROBES = ("duplicate_ids_", "sender_in_entries_", "ireply_foreign_entry_")
+GRAMMAR_PROBES = ("duplicate_ids_", "sender_in_entries_", "ireply_foreign_entry_",
+                  "ireply_memo_foreign_body_")
 
 
 def test_sign_and_encode_matches_sign_then_encode():
@@ -309,6 +313,41 @@ def test_sign_and_encode_matches_sign_then_encode():
     signed, wire = sign_and_encode(msg, RING, TOY)
     assert signed == sign(msg, RING, TOY)
     assert wire == encode_signed(signed, TOY)
+
+
+class LengthyRing:
+    """A keyring whose signature length depends on the signed bytes' last
+    epoch byte: 32, 64 or 96 bytes."""
+
+    def sign(self, sender_id: int, data: bytes) -> bytes:
+        return hashlib.sha256(data).digest() * (1 + data[28] % 3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_resign_matches_sign_and_encode(data):
+    """On TOY and PROD, a message of any kind as its sender writes it,
+    signed and encoded, then re-signed under any epoch: the signature and
+    wire of signing and encoding it under that epoch, also where the new
+    signature's length differs from the old one's."""
+    params = data.draw(st.sampled_from([TOY, PROD]))
+    ring = data.draw(st.sampled_from([RING, LengthyRing()]))
+    msg = data.draw(messages_of(params, laid_out=True))
+    msg = msg._replace(sender_id=data.draw(st.sampled_from(RING_IDS)))
+    epoch = data.draw(st.integers(0, 2**64 - 1))
+    _, wire = sign_and_encode(msg, ring, params)
+    signed, rewired = sign_and_encode(msg._replace(epoch=epoch), ring, params)
+    assert resign(wire, epoch, ring, params) == (signed.signature, rewired)
+
+
+@pytest.mark.parametrize("epoch", [-1, 2**64])
+def test_resign_refuses_an_epoch_the_field_cannot_carry(epoch):
+    msg = build_ireply(5, nonce(1), 3, GroupEntry(5, nonce(1), 16, None))
+    _, wire = sign_and_encode(msg, RING, TOY)
+    for refused in (lambda: resign(wire, epoch, RING, TOY),
+                    lambda: sign_and_encode(msg._replace(epoch=epoch), RING, TOY)):
+        with pytest.raises(ShapeViolation, match="^epoch$"):
+            refused()
 
 
 class TestSignatures:
@@ -1059,3 +1098,66 @@ def test_reply_decode_matches_reference(data):
                       data.draw(st.integers(0, 2**16)))
     assert_decodes_like_reference(
         data.draw(st.sampled_from(list(mutants(wire, params)))), params)
+
+
+# -- an IREPLY decoded against a registered wire -------------------------------
+
+
+def memo_of(wire: bytes, params) -> tuple[bytes, GroupEntry]:
+    """What a leader holds for a registered share: the wire and its entry."""
+    return wire, decode(wire, params).entries[0]
+
+
+def assert_decodes_like_without_memo(wire: bytes, memo, params) -> None:
+    """``decode`` with ``memo`` returns the message, or raises the refusal,
+    that it does without, and a message of the same types."""
+    got = outcome(functools.partial(decode, memo=memo), wire, params)
+    assert got == outcome(decode, wire, params)
+    if isinstance(got, Message):
+        assert type(got) is Message and type(got.entries[0]) is GroupEntry
+        assert type(got.sender_nonce) is bytes and type(got.signature) is bytes
+
+
+@pytest.mark.parametrize("params", [TOY, PROD], ids=["TOY", "PROD"])
+def test_reply_decode_with_memo_matches_without_on_every_mutant(params):
+    """Every mutant of a registered reply, its nonce and epoch bytes among
+    them, decodes with the reply as memo as it does without; so does every
+    mutant of another sender's reply of the same length."""
+    wire = reply_wire(params, 2, bytes(range(32)))
+    memo = memo_of(wire, params)
+    other = reply_wire(params, 3, bytes(range(32)), seed=1)
+    for mutant in itertools.chain(mutants(wire, params), mutants(other, params)):
+        assert_decodes_like_without_memo(mutant, memo, params)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_reply_decode_with_memo_matches_without(data):
+    """On TOY and PROD, a registered reply re-signed under any nonce and
+    epoch, or a mutant of it, decodes with the registered wire as memo as
+    it does without."""
+    params = data.draw(st.sampled_from([TOY, PROD]))
+    sender = data.draw(st.integers(0, 2**32 - 1))
+    signature = data.draw(st.binary(max_size=40))
+    wire = reply_wire(params, sender, signature, data.draw(st.integers(0, 2**16)))
+    refresh = (wire[:5] + data.draw(st.binary(min_size=16, max_size=16))
+               + data.draw(st.integers(0, 2**64 - 1)).to_bytes(8, "big")
+               + wire[29:len(wire) - len(signature)]
+               + data.draw(st.binary(min_size=len(signature),
+                                     max_size=len(signature))))
+    assert_decodes_like_without_memo(
+        data.draw(st.sampled_from(list(mutants(refresh, params)))),
+        memo_of(wire, params), params)
+
+
+def test_reply_decode_with_memo_converts_and_tests_no_element(monkeypatch):
+    """A refresh of a registered reply decodes to the registered entry
+    itself, with no membership test."""
+    wire = reply_wire(PROD, 2, bytes(32))
+    memo = memo_of(wire, PROD)
+    refresh = wire[:21] + (7).to_bytes(8, "big") + wire[29:]
+    tested = []
+    monkeypatch.setattr(messages, "is_element",
+                        lambda *args: tested.append(args) or True)
+    msg = decode(refresh, PROD, memo=memo)
+    assert msg.entries[0] is memo[1] and msg.epoch == 7 and not tested

@@ -1,11 +1,14 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from agdh import node_fsm
-from agdh.errors import ConfigError, MalformedMessage
+from adversarial_corpus import build_pair
+from agdh import messages, node_fsm
+from agdh.errors import ConfigError, MalformedMessage, ShapeViolation
 from agdh.gka_core import oracle_key
-from agdh.group_arith import TOY
+from agdh.group_arith import PROD, TOY
 from agdh.messages import (
     GroupEntry,
     HmacKeyRing,
@@ -18,6 +21,7 @@ from agdh.messages import (
     encode_signed,
     read_header,
     sign,
+    sign_and_encode,
     verify,
 )
 from agdh.node_fsm import (
@@ -698,7 +702,7 @@ class TestHeaderTriage:
         leader, member, now = keyed_member()
         wire = hostile_igroup(sender, epoch, defect)
 
-        def forbidden(wire, params, header=None):
+        def forbidden(wire, params, header=None, memo=None):
             raise AssertionError("a triaged wire was decoded")
 
         monkeypatch.setattr(node_fsm, "decode", forbidden)
@@ -712,10 +716,10 @@ class TestHeaderTriage:
     def decoded(self, monkeypatch):
         wires = []
 
-        def spy(wire, params, header=None):
+        def spy(wire, params, header=None, memo=None):
             assert header == read_header(wire)
             wires.append(wire)
-            return decode(wire, params, header)
+            return decode(wire, params, header, memo)
 
         monkeypatch.setattr(node_fsm, "decode", spy)
         return wires
@@ -868,3 +872,192 @@ def test_identity_contribution_rejected():
     out = deliver(leader, encode_signed(msg, TOY), at + 1000)
     assert out.accepted is False
     assert 2 not in leader.lead.view
+
+
+# -- keepalives: the member re-signs, the leader refreshes from bytes ----------
+
+
+def ireplies(out) -> list:
+    return [s for s in out.sends if s.message.kind is MessageKind.IREPLY]
+
+
+def fresh_encoding(member: Node):
+    """What building and encoding the member's contribution under its
+    current seq gives: (signed message, wire)."""
+    c = member.contribution
+    return sign_and_encode(build_ireply(member.node_id, c.nonce, member.seq, c),
+                           member.keyring, member.params)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([TOY, PROD]),
+       st.lists(st.sampled_from(["reply", "renewal", "omission", "adopt"]),
+                max_size=14))
+def test_every_ireply_equals_a_fresh_encoding(params, actions):
+    """On TOY and PROD, over reply timers, renewals, remints after miss_k
+    omitted announcements and adoptions of a new leader: every IREPLY's
+    message and wire equal building and encoding the contribution the
+    member then holds under its seq, so a wire after a new contribution
+    carries the new blinded value."""
+    member = Node(20, CONFIG, params, RING, random.Random(f"keepalive/{params.name}"))
+    member.start(0)
+    leader_ids = iter(range(19, 0, -1))  # each adopted leader is smaller
+    now = 0
+
+    def check(out):
+        for reply in ireplies(out):
+            assert (reply.message, reply.wire) == fresh_encoding(member)
+            assert type(reply.message) is Message and reply.dest == member.leader_id
+            assert decode(reply.wire, params).entries[0] == member.contribution
+
+    def new_leader() -> bytes:
+        leader = Node(next(leader_ids), CONFIG, params, RING,
+                      random.Random(f"keepalive/leader/{params.name}"))
+        out, _ = elect(leader)
+        return out.sends[0].wire
+
+    announcement = new_leader()
+    for action in ["adopt", *actions]:
+        now += 1000
+        if action in ("reply", "renewal"):
+            out, now = fire(member, TimerKind[action.upper()])
+        else:
+            if action == "adopt":
+                announcement = new_leader()
+            out = deliver(member, announcement, now)
+            assert out.accepted
+        check(out)
+
+
+def test_repeated_ireply_is_resigned_without_encoding(monkeypatch):
+    """A reply timer that repeats the contribution encodes nothing and
+    signs once; the reply after a renewal is encoded again."""
+    leader, member, now = adopted_member()
+    encoded, signed = [], []
+
+    def counted(fn, calls):
+        def wrapper(*args):
+            calls.append(1)
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(messages, "encode_canonical",
+                        counted(messages.encode_canonical, encoded))
+    monkeypatch.setattr(RING, "sign", counted(RING.sign, signed))
+    first = member.contribution
+    for _ in range(3):
+        out, _ = fire(member, TimerKind.REPLY)
+        [reply] = out.sends
+        assert reply.message.entries[0] is first
+    assert (len(encoded), len(signed)) == (0, 3)
+    fire(member, TimerKind.RENEWAL)
+    out, _ = fire(member, TimerKind.REPLY)
+    [reply] = out.sends
+    assert member.contribution is not first
+    assert reply.message.entries[0] is member.contribution
+    assert (len(encoded), len(signed)) == (1, 4)
+
+
+@pytest.mark.parametrize("repeated", [False, True], ids=["first", "repeated"])
+def test_seq_past_the_epoch_field_is_refused(repeated):
+    """A seq past 2**64 - 1 raises ShapeViolation("epoch"), on a
+    contribution's first IREPLY and on a repeated one."""
+    leader = make_node(1)
+    lead_out, at = elect(leader)
+    member = make_node(5)
+    member.start(0)
+    if repeated:
+        deliver(member, lead_out.sends[0].wire, at + 1000)
+        member.seq = 2**64 - 2
+        fire(member, TimerKind.REPLY)
+        with pytest.raises(ShapeViolation, match="^epoch$"):
+            fire(member, TimerKind.REPLY)
+    else:
+        member.seq = 2**64 - 1
+        with pytest.raises(ShapeViolation, match="^epoch$"):
+            deliver(member, lead_out.sends[0].wire, at + 1000)
+
+
+def refreshed_leader(params):
+    """Leader 1 of keyed members 2 and 3 (the adversarial corpus's group),
+    member 2, the IREPLY its share was registered from, and its next
+    keepalive: (leader, member, registered, refresh, now)."""
+    leader, member, other, empty, keyed, reply2, now = build_pair(params)
+    out, at = fire(member, TimerKind.REPLY)
+    [refresh] = out.sends
+    return leader, member, reply2, refresh, max(now, at) + 1000
+
+
+def leader_outcome(leader: Node, wire: bytes, now: int) -> tuple:
+    """Everything a leader's step on ``wire`` shows: its verdict, reason,
+    log and outputs, and the state it leaves, each record's wire and
+    liveness among it."""
+    out = deliver(leader, wire, now)
+    reason = next((e[1] for e in out.log if e[0] == "reject"), None)
+    records = [(pid, r.entry, r.wire, r.last_heard)
+               for pid, r in leader.lead.view.items()]
+    return (out.accepted, reason, out.log, out.sends, out.key_changes,
+            leader.state_digest(), dict(leader.seen_seq), records)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_refresh_from_the_registered_wire_matches_a_full_decode(data):
+    """On TOY and PROD, member 2's keepalive, or that keepalive with a byte
+    flipped, cut short, extended, or re-signed under another nonce or seq:
+    a leader that decodes it against the registered wire ends the step as
+    one whose decoder takes no memo does."""
+    params = data.draw(st.sampled_from([TOY, PROD]))
+    mutation = data.draw(st.sampled_from(
+        ["honest", "flip", "truncate", "extend", "nonce", "seq"]))
+    leader, _, registered, refresh, now = refreshed_leader(params)
+    wire = refresh.wire
+    if mutation == "flip":
+        at = data.draw(st.integers(0, len(wire) - 1))
+        wire = (wire[:at] + bytes([wire[at] ^ data.draw(st.integers(1, 255))])
+                + wire[at + 1:])
+    elif mutation == "truncate":
+        wire = wire[:data.draw(st.integers(0, len(wire) - 1))]
+    elif mutation == "extend":
+        wire += data.draw(st.binary(min_size=1, max_size=3))
+    elif mutation in ("nonce", "seq"):
+        field = (data.draw(st.binary(min_size=16, max_size=16))
+                 if mutation == "nonce" else data.draw(st.sampled_from(
+                     [0, 1, refresh.message.epoch, 2**64 - 1])).to_bytes(8, "big"))
+        at = 5 if mutation == "nonce" else 21
+        canonical = wire[:len(wire) - 2 - len(refresh.message.signature)]
+        canonical = canonical[:at] + field + canonical[at + len(field):]
+        signature = leader.keyring.sign(2, canonical)
+        wire = canonical + len(signature).to_bytes(2, "big") + signature
+    assert leader.lead.view[2].wire is registered.wire
+    got = leader_outcome(leader, wire, now)
+
+    plain = refreshed_leader(params)[0]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(node_fsm, "decode",
+                      lambda wire, params, header=None, memo=None:
+                      decode(wire, params, header))
+        assert got == leader_outcome(plain, wire, now)
+
+
+def test_refresh_keeps_the_registered_wire_and_tests_no_element(monkeypatch):
+    """A keepalive refreshes the record in place without a membership test;
+    the record keeps the wire its share was registered from, the object
+    itself, until a changed share registers from its own wire."""
+    leader, member, registered, refresh, now = refreshed_leader(PROD)
+    record = leader.lead.view[2]
+    tested = []
+    monkeypatch.setattr(messages, "is_element",
+                        lambda *args: tested.append(args) or True)
+    out = deliver(leader, refresh.wire, now)
+    assert out.accepted and not out.log and not tested
+    assert leader.lead.view[2] is record and record.last_heard == now
+    assert record.wire is registered.wire
+    monkeypatch.undo()
+
+    fire(member, TimerKind.RENEWAL)
+    out, at = fire(member, TimerKind.REPLY)
+    [update] = out.sends
+    out = deliver(leader, update.wire, max(now, at) + 1000)
+    assert ("register", 2, "update") in out.log
+    assert leader.lead.view[2].wire is update.wire
