@@ -88,7 +88,7 @@ def cmd_run(args) -> int:
         params = (load_params(args.params) if args.params
                   else TOY if args.toy else PROD)
         schedule = load_scenario(args.scenario) if args.scenario else ()
-        node_config = NodeConfig(eager_rekey=args.eager_rekey).validate()
+        node_config = NodeConfig()
         sim_config = SimConfig(
             node_count=args.nodes,
             loss_prob=args.loss,
@@ -254,11 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--scenario", help="scenario file (join/leave/partition/heal)")
     p_run.add_argument("--out", help="directory for transcript.txt and metrics.txt"
                                      " (a single run only)")
-    p_run.add_argument("--eager-rekey", action="store_true",
-                       help="rekey as soon as a new member registers; by default"
-                            " a late registrant is folded, and keyed, only at the"
-                            " next formation, expiry, leave, rejoin or leader"
-                            " renewal (every 20 min)")
     p_run.add_argument("--toy", action="store_true",
                        help="use the tiny test group instead of the production group")
     p_run.add_argument("--params", help="custom parameter file (p=,q=,g=,name=)")

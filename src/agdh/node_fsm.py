@@ -48,18 +48,12 @@ from .messages import (
 )
 
 SECOND = 1_000_000  # all durations are integer microseconds
-# Enum members as globals for the checks every received wire meets: read
-# through its class, a member costs about 0.1 us on CPython 3.11.
-_IGROUP, _IREPLY = MessageKind.IGROUP, MessageKind.IREPLY
 
 
 class Mode(Enum):
     MEMBER = "member"
     CANDIDATE = "candidate"
     LEADER = "leader"
-
-
-_MEMBER, _LEADER = Mode.MEMBER, Mode.LEADER
 
 
 class TimerKind(Enum):
@@ -70,10 +64,20 @@ class TimerKind(Enum):
     RENEWAL = "renewal"
 
 
+# Enum members as module globals, which every step reads: read through its
+# class, a member costs about 0.1 us on CPython 3.11.
+_IGROUP, _IREPLY = MessageKind.IGROUP, MessageKind.IREPLY
+_MEMBER, _CANDIDATE, _LEADER = Mode
+_BEACON, _REPLY, _SILENCE, _BACKOFF, _RENEWAL = TimerKind
+
+
 class NodeConfig(NamedTuple):
     """Protocol timing knobs.  Defaults: 5 s beacons, 20 min renewals,
     3 missed beacons before presuming departure, backoff window of 20 slots
-    of 100 ms, jitter up to a tenth of the beacon period."""
+    of 100 ms, jitter up to a tenth of the beacon period.  ``eager_rekey``
+    is no knob (a leader always rekeys on a join, no node reads the field and
+    ``validate`` refuses ``False``): it stays only because the benchmark
+    workloads, ``perfbench/workloads.py``, pass ``eager_rekey=True``."""
 
     period_t: int = 5 * SECOND
     renew_p: int = 20 * 60 * SECOND
@@ -81,7 +85,7 @@ class NodeConfig(NamedTuple):
     backoff_window: int = 20
     slot_trtd: int = 100_000
     jitter_max: int = 500_000
-    eager_rekey: bool = False
+    eager_rekey: bool = True
 
     def validate(self) -> "NodeConfig":
         if min(self.period_t, self.renew_p, self.slot_trtd) <= 0:
@@ -94,6 +98,8 @@ class NodeConfig(NamedTuple):
             raise ConfigError("backoff window must be at least 1")
         if self.renew_p < 2 * self.period_t:
             raise ConfigError("renew period must be a large multiple of the beacon period")
+        if not self.eager_rekey:
+            raise ConfigError("eager_rekey must be True: a leader rekeys on every join")
         return self
 
     @property
@@ -166,10 +172,11 @@ class MemberRecord:
 class LeaderRole:
     """Everything a node holds only while it leads.  ``Node._lead`` creates
     it, as ``Node.lead``, when the node takes the lead of an empty group, and
-    ``Node._demote`` drops it, so none of it outlives the lead."""
+    ``Node._demote`` drops it, so none of it outlives the lead.  Every
+    registration is folded at once: a new member by a join rekey (or by the
+    formation, before the first key), a changed share at the next rekey."""
 
-    __slots__ = ("nonce", "announcement", "secret", "view", "blocked",
-                 "rejoin_pending")
+    __slots__ = ("nonce", "announcement", "secret", "view", "blocked")
 
     def __init__(self, nonce: bytes, announcement: Outgoing) -> None:
         self.nonce = nonce
@@ -178,7 +185,6 @@ class LeaderRole:
         # in registration order: a changed registration moves to the end
         self.view: dict[int, MemberRecord] = {}
         self.blocked: dict[int, int] = {}  # id -> rejected blind
-        self.rejoin_pending = False  # a blocked member re-registered fresh
 
 
 class SessionKey(NamedTuple):
@@ -218,7 +224,7 @@ class Node:
         self.rng = rng
         self.counter = ExpCounter()
 
-        self.mode = Mode.MEMBER
+        self.mode = _MEMBER
         self.leader_id: int | None = None
         self.seq = 0  # send counter for member messages (replay protection)
         self._reply_wire: bytes | None = None  # the latest IREPLY sent
@@ -251,8 +257,8 @@ class Node:
     def start(self, now: int) -> FsmOutput:
         """Arm the initial timers; the node begins leaderless."""
         out = FsmOutput()
-        self._arm(TimerKind.SILENCE, now + self.config.silence_threshold, out)
-        self._arm_periodic(TimerKind.RENEWAL, now, out, restart=True)
+        self._arm(_SILENCE, now + self.config.silence_threshold, out)
+        self._arm_periodic(_RENEWAL, now, out, restart=True)
         out.log.append(("mode", self.mode.value, "start"))
         return out
 
@@ -260,7 +266,7 @@ class Node:
         """Begin as the chosen group leader: broadcast the initial request
         immediately instead of waiting out an election."""
         out = FsmOutput()
-        self._arm_periodic(TimerKind.RENEWAL, now, out, restart=True)
+        self._arm_periodic(_RENEWAL, now, out, restart=True)
         self._lead(now, out, "chosen_initial")
         return out
 
@@ -308,7 +314,7 @@ class Node:
         base = self._period_base.get(kind)
         if restart or base is None:
             base = now
-        base += (self.config.renew_p if kind is TimerKind.RENEWAL
+        base += (self.config.renew_p if kind is _RENEWAL
                  else self.config.period_t)
         self._period_base[kind] = base
         self._arm(kind, base + self._jitter(), out)
@@ -369,7 +375,7 @@ class Node:
         if (self.mode is _MEMBER and self.leader_id is not None
                 and wire == self.last_announcement_wire):
             out.accepted = True
-            self._arm(TimerKind.SILENCE, now + self.config.silence_threshold, out)
+            self._arm(_SILENCE, now + self.config.silence_threshold, out)
             if not self._last_wire_included:
                 self._note_absent(self.leader_id, now, out, just_replied=False)
             return
@@ -423,11 +429,11 @@ class Node:
         if sender == self.leader_id:
             self._process_announcement(msg, wire, now, out, just_replied=False)
             return
-        if self.mode is Mode.LEADER:
+        if self.mode is _LEADER:
             self._demote(sender, out)
-        elif self.mode is Mode.CANDIDATE:
-            self._disarm(TimerKind.BACKOFF)
-            self.mode = Mode.MEMBER
+        elif self.mode is _CANDIDATE:
+            self._disarm(_BACKOFF)
+            self.mode = _MEMBER
             out.log.append(("mode", "member", "announcement_during_backoff"))
         elif self.leader_id is not None:
             out.log.append(("switch_leader", self.leader_id, sender))
@@ -451,8 +457,8 @@ class Node:
             self.prev_secret = None
             self.prev_contribution = None
         self._send_ireply(now, out)
-        self._arm(TimerKind.SILENCE, now + self.config.silence_threshold, out)
-        self._arm_periodic(TimerKind.REPLY, now, out, restart=True)
+        self._arm(_SILENCE, now + self.config.silence_threshold, out)
+        self._arm_periodic(_REPLY, now, out, restart=True)
         out.log.append(("adopt", leader))
 
     def _note_absent(self, sender: int, now: int, out: FsmOutput,
@@ -475,8 +481,8 @@ class Node:
         whole leader role, group and all; the caller then adopts the new
         leader."""
         out.log.append(("mode", "member", f"demoted_to_{new_leader}"))
-        self.mode = Mode.MEMBER
-        self._disarm(TimerKind.BEACON)
+        self.mode = _MEMBER
+        self._disarm(_BEACON)
         self.lead = None
 
     def _process_announcement(self, msg: Message, wire: bytes, now: int,
@@ -528,7 +534,7 @@ class Node:
         self.last_seen_epoch = max(self.last_seen_epoch, msg.epoch)
         self.last_announcement_wire = wire
         self._last_wire_included = my_entry is not None
-        self._arm(TimerKind.SILENCE, now + self.config.silence_threshold, out)
+        self._arm(_SILENCE, now + self.config.silence_threshold, out)
 
         if my_entry is None:
             self._note_absent(sender, now, out, just_replied)
@@ -558,10 +564,9 @@ class Node:
         if lead.blocked.get(sender) == entry.blinded_secret:
             out.log.append(("blocked_contribution", sender))
             return
-        if lead.blocked.pop(sender, None) is not None:
-            # recovery from a degenerate-key exclusion must not wait for the
-            # renewal period: fold the fresh value at the next beacon
-            lead.rejoin_pending = True
+        # a different value lifts the block; an excluded member left the
+        # view, so it registers as new and the join rekey below folds it
+        lead.blocked.pop(sender, None)
 
         if rec is not None and rec.entry == entry:
             rec.last_heard = now
@@ -570,10 +575,9 @@ class Node:
         lead.view.pop(sender, None)
         lead.view[sender] = MemberRecord(entry, wire, now)
         out.log.append(("register", sender, "new" if rec is None else "update"))
-        if self.session is not None and rec is None and self.config.eager_rekey:
+        if rec is None and self.session is not None:
             self._rekey(now, out, reason="join")
-        # otherwise: folded at formation, the next membership rekey, or
-        # the leader's own renewal (deferred inclusion)
+        # a changed share waits for the next rekey
 
     def _on_del(self, msg: Message, now: int, out: FsmOutput) -> None:
         sender = msg.sender_id
@@ -608,37 +612,36 @@ class Node:
         if self.deadlines.get(kind) != now:
             return  # superseded deadline
         self.deadlines.pop(kind, None)  # keep the periodic base anchored
-        # _on_silence, _on_backoff, _on_beacon, _on_reply or _on_renewal
-        getattr(self, f"_on_{kind.value}")(now, out)
+        _TIMER_HANDLERS[kind](self, now, out)
 
     def _on_silence(self, now: int, out: FsmOutput) -> None:
-        if self.mode is not Mode.MEMBER:
+        if self.mode is not _MEMBER:
             return
         if self.leader_id is not None:
             out.log.append(("leader_lost", self.leader_id))
         self.leader_id = None
         self.last_announcement_wire = None
-        self._disarm(TimerKind.REPLY)
-        self.mode = Mode.CANDIDATE
+        self._disarm(_REPLY)
+        self.mode = _CANDIDATE
         slot = self.rng.randint(1, self.config.backoff_window)
-        self._arm(TimerKind.BACKOFF, now + slot * self.config.slot_trtd, out)
+        self._arm(_BACKOFF, now + slot * self.config.slot_trtd, out)
         out.log.append(("mode", "candidate", f"slot_{slot}"))
 
     def _on_backoff(self, now: int, out: FsmOutput) -> None:
-        if self.mode is Mode.CANDIDATE:
+        if self.mode is _CANDIDATE:
             self._lead(now, out, "backoff_won")
 
     def _lead(self, now: int, out: FsmOutput, why: str) -> None:
         """Take the lead of an empty group with a new leader role: broadcast
         its announcement at once and beacon from now on."""
-        self.mode = Mode.LEADER
+        self.mode = _LEADER
         self.leader_id = self.node_id
         nonce = self._fresh_nonce()
         self.lead = LeaderRole(nonce, self._empty_announcement(nonce))
         self.session = None
         out.log.append(("mode", "leader", why))
         out.sends.append(self.lead.announcement)
-        self._arm_periodic(TimerKind.BEACON, now, out, restart=True)
+        self._arm_periodic(_BEACON, now, out, restart=True)
 
     def _empty_announcement(self, nonce: bytes) -> Outgoing:
         msg = build_igroup(self.node_id, nonce, self.last_seen_epoch, [])
@@ -659,28 +662,26 @@ class Node:
         elif self.session is None and lead.view:
             # group formation: fold everything heard so far
             self._rekey(now, out, reason="formation")
-        elif lead.rejoin_pending and lead.view:
-            self._rekey(now, out, reason="rejoin")
         if len(out.sends) == queued:
             # nothing changed: repeat the previous announcement bit for bit
             out.sends.append(lead.announcement)
-        self._arm_periodic(TimerKind.BEACON, now, out)
+        self._arm_periodic(_BEACON, now, out)
 
     def _on_reply(self, now: int, out: FsmOutput) -> None:
-        if self.mode is Mode.MEMBER and self.leader_id is not None:
+        if self.mode is _MEMBER and self.leader_id is not None:
             self._send_ireply(now, out)
-            self._arm_periodic(TimerKind.REPLY, now, out)
+            self._arm_periodic(_REPLY, now, out)
 
     def _on_renewal(self, now: int, out: FsmOutput) -> None:
-        self._arm_periodic(TimerKind.RENEWAL, now, out)
-        if self.mode is Mode.LEADER:
+        self._arm_periodic(_RENEWAL, now, out)
+        if self.mode is _LEADER:
             out.log.append(("renewal",))
             if self.lead.view:
                 self._rekey(now, out, reason="renewal")
             else:
                 self.lead.nonce = self._fresh_nonce()
                 self.lead.announcement = self._empty_announcement(self.lead.nonce)
-        elif self.mode is Mode.MEMBER and self.leader_id is not None:
+        elif self.mode is _MEMBER and self.leader_id is not None:
             out.log.append(("renewal",))
             self._fresh_contribution(now)
             # carried by the next periodic reply; the leader folds it at its
@@ -702,7 +703,6 @@ class Node:
         contribution periodically.
         """
         lead = self.lead
-        lead.rejoin_pending = False
         while True:
             lead.secret = random_scalar(self.rng, self.params)
             lead.nonce = self._fresh_nonce()
@@ -736,8 +736,12 @@ class Node:
     # -- local leave ---------------------------------------------------------------
 
     def _on_leave(self, now: int, out: FsmOutput) -> None:
-        if (self.mode is Mode.MEMBER and self.leader_id is not None
+        if (self.mode is _MEMBER and self.leader_id is not None
                 and self.contribution is not None):
             self.seq += 1
             msg = build_del(self.node_id, self.contribution.nonce, self.seq)
             out.sends.append(self._sign_and_pack(msg, self.leader_id))
+
+
+# _on_beacon, _on_reply, _on_silence, _on_backoff and _on_renewal by kind
+_TIMER_HANDLERS = {kind: getattr(Node, f"_on_{kind.value}") for kind in TimerKind}

@@ -165,7 +165,7 @@ def test_criterion_4_rekey_semantics():
                 CrashAt(90 * SECOND, 3))
     result = run(SimConfig(node_count=4, seed=404, duration=130 * SECOND,
                            schedule=schedule),
-                 NodeConfig(eager_rekey=True), PROD)
+                 NodeConfig(), PROD)
     assert audit_transcript(result).clean
     assert converged(result)
 
@@ -241,7 +241,7 @@ def test_criterion_5_leader_election():
             SimConfig(node_count=6, seed=seed, duration=100 * SECOND,
                       schedule=(PartitionAt(20 * SECOND, ((1, 2, 3), (4, 5, 6))),
                                 HealAt(60 * SECOND))),
-            NodeConfig(eager_rekey=True), TOY)
+            NodeConfig(), TOY)
         pre_heal = set()
         for rec in result.transcript.of_kind("STATE"):
             if rec.get("mode") == "leader" and 20 * SECOND < rec.time <= 60 * SECOND:
@@ -262,8 +262,7 @@ def test_criterion_6_loss_robustness():
     # Parameters sized for the channel per the protocol's own guidance: the
     # beacon period carries the recovery rate, so a lossy channel gets a
     # faster beacon.  Table-6 defaults reach ~91/100 on the same corpus.
-    config = NodeConfig(period_t=2_500_000, jitter_max=250_000,
-                        eager_rekey=True)
+    config = NodeConfig(period_t=2_500_000, jitter_max=250_000)
     ok = 0
     for seed in range(100):
         result = run(SimConfig(node_count=10, seed=seed, loss_prob=0.3,
@@ -344,7 +343,7 @@ def test_criterion_9_determinism():
         schedule = load_scenario(os.path.join(SCENARIO_DIR, "merge_split.scn"))
         return run(SimConfig(node_count=6, seed=7, duration=150 * SECOND,
                              schedule=schedule),
-                   NodeConfig(eager_rekey=True), TOY)
+                   NodeConfig(), TOY)
 
     for factory, golden_name in ((basic, "basic_n10_seed42.transcript"),
                                  (merge_split, "merge_split_seed7.transcript")):

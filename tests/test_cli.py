@@ -183,8 +183,29 @@ class TestRunCommand:
         scenario = tmp_path / "s.scn"
         scenario.write_text("40s leave 2 graceful\n")
         code = main(["run", "--nodes", "4", "--seed", "5", "--duration", "80s",
-                     "--toy", "--eager-rekey", "--scenario", str(scenario)])
+                     "--toy", "--scenario", str(scenario)])
         assert code == 0
+
+    def test_late_registrants_are_keyed_at_once(self, capsys):
+        """Members 1, 2, 8 and 11 register with leader 4 after its
+        formation; a join rekey keys each in the step that registers it, so
+        the run converges instead of waiting for the 20 min renewal."""
+        code = main(["run", "--toy", "--seed", "4", "--nodes", "12",
+                     "--loss", "0.1", "--duration", "400s"])
+        assert code == 0
+        assert re.search(r"^  converged at: [0-9]+us$",
+                         capsys.readouterr().out, re.M)
+
+    def test_no_rekey_option(self, capsys):
+        """One rekey policy: the run command takes no rekey flag."""
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--eager-rekey"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --eager-rekey" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--help"])
+        assert exc.value.code == 0
+        assert "rekey" not in capsys.readouterr().out
 
     def test_missing_scenario_exits_two(self, capsys):
         code = main(["run", "--scenario", "/definitely/not/here.scn"])
@@ -353,7 +374,7 @@ class TestRunCommand:
     def test_summary_prints_one_key_line_per_key_record(self, capsys):
         res = run(SimConfig(node_count=4, seed=5, duration=80 * SECOND,
                             schedule=(LeaveAt(40 * SECOND, 2),)),
-                  NodeConfig(eager_rekey=True), TOY)
+                  NodeConfig(), TOY)
         _print_summary(res, replay(res), audit_transcript(res), None)
         printed = [line for line in capsys.readouterr().out.splitlines()
                    if line.startswith("  key t=")]
@@ -375,7 +396,7 @@ class TestRunCommand:
         assert PROD.known
         bundle = (SimConfig(node_count=4, seed=7,
                             schedule=(JoinAt(SECOND, 5), CrashAt(SECOND, 5))),
-                  NodeConfig(eager_rekey=True), PROD)
+                  NodeConfig(), PROD)
         assert pickle.loads(pickle.dumps(bundle)) == bundle
         assert pickle.loads(pickle.dumps(PROD)).known is PROD.known
         assert len(pickle.dumps(PROD)) < 1024

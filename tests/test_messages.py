@@ -542,7 +542,7 @@ def test_value_type_defaults():
     msg = Message(MessageKind.DEL, 2, nonce(0xAA), 5)
     assert msg.entries == () and msg.signature == b""
     assert NodeConfig() == (5 * SECOND, 20 * 60 * SECOND, 3, 20, 100_000,
-                            500_000, False)
+                            500_000, True)
     assert SimConfig(3) == (3, 0.0, 10_000, 50_000, 0, 120 * SECOND, (), None)
 
 

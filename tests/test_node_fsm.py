@@ -131,9 +131,8 @@ class TestLeaderConflict:
                    for s in out.sends)
 
     def test_demoted_leader_leads_again_from_scratch(self):
-        """A demotion drops the whole leader role: a rejoin pending, a
-        blocklist, a view and a secret do not carry over into the next
-        lead."""
+        """A demotion drops the whole leader role: a blocklist, a view and
+        a secret do not carry over into the next lead."""
         low, high = make_node(7), make_node(12)
         low_out, _ = elect(low)
         _, at = elect(high)
@@ -142,24 +141,25 @@ class TestLeaderConflict:
         deliver(high, ireply_wire(3, 1, 6, bytes([3]) * 16), at + 2000)
         out, now = fire(high, TimerKind.BEACON)
         assert ("degenerate_excluded", 3) in out.log
-        # and so is member 5 at the renewal, with 1 + 4 + 6 again
-        deliver(high, ireply_wire(5, 1, 6, bytes([5]) * 16), now + 1000)
-        out, now = fire(high, TimerKind.RENEWAL)
+        # and so is member 5 by its join rekey, with 1 + 4 + 6 again
+        out = deliver(high, ireply_wire(5, 1, 6, bytes([5]) * 16), now + 1000)
         assert ("degenerate_excluded", 5) in out.log
-        # member 3 re-registers fresh: a rejoin rekey is pending
-        deliver(high, ireply_wire(3, 2, 9, bytes([9]) * 16), now + 1000)
+        assert set(high.lead.view) == {2} and set(high.lead.blocked) == {3, 5}
+        # member 3 re-registers fresh: its join rekey folds it at once
+        out = deliver(high, ireply_wire(3, 2, 9, bytes([9]) * 16), now + 2000)
+        assert any(e[:2] == ("rekey", "join") for e in out.log)
         role = high.lead
-        assert role.rejoin_pending and role.secret is not None
+        assert role.secret is not None
         assert set(role.view) == {2, 3} and set(role.blocked) == {5}
 
-        deliver(high, low_out.sends[0].wire, now + 2000)
+        deliver(high, low_out.sends[0].wire, now + 3000)
         assert high.mode is Mode.MEMBER and high.lead is None
         fire(high, TimerKind.SILENCE)
         assert high.mode is Mode.CANDIDATE
         fire(high, TimerKind.BACKOFF)
         assert high.mode is Mode.LEADER and high.lead is not role
         assert high.lead.view == {} and high.lead.blocked == {}
-        assert high.lead.secret is None and not high.lead.rejoin_pending
+        assert high.lead.secret is None
 
     def test_smaller_leader_discards_larger(self):
         low, high = make_node(7), make_node(12)
@@ -408,28 +408,22 @@ class TestMembershipChanges:
         out = deliver(leader, wire, now + 2000)
         assert out.accepted is False
 
-    def test_new_member_deferred_by_default(self):
+    def test_new_member_keyed_in_the_same_step(self):
+        """Under the default config, a member that registers after the
+        formation is folded by a join rekey in the step that registers it."""
         leader, _, now = established_group({2: 4, 3: 5})
         epoch_before = leader.session.epoch
         out = deliver(leader, ireply_wire(9, 1, 7, bytes([9]) * 16), now + 1000)
         assert out.accepted
         assert 9 in leader.lead.view
-        assert leader.session.epoch == epoch_before  # folded later
-        assert not out.sends
-        # the join folds at the leader's own renewal
-        out, _ = fire(leader, TimerKind.RENEWAL)
+        assert ("register", 9, "new") in out.log
+        assert ("rekey", "join", epoch_before + 1) in out.log
         assert leader.session.epoch == epoch_before + 1
-        ids = {e.participant_id for e in out.sends[0].message.entries}
-        assert ids == {2, 3, 9}
-
-    def test_new_member_immediate_with_eager_rekey(self):
-        config = NodeConfig(eager_rekey=True)
-        leader, _, now = established_group({2: 4, 3: 5}, config=config)
-        epoch_before = leader.session.epoch
-        out = deliver(leader, ireply_wire(9, 1, 7, bytes([9]) * 16), now + 1000)
-        assert leader.session.epoch == epoch_before + 1
-        ids = {e.participant_id for e in out.sends[0].message.entries}
-        assert ids == {2, 3, 9}
+        assert out.key_changes == [leader.session]
+        [sent] = out.sends
+        assert {e.participant_id for e in sent.message.entries} == {2, 3, 9}
+        assert leader.session.group_key == oracle_key(
+            leader.lead.secret, [4, 5, 7], TOY)
 
     def test_renewal_changes_key_with_unchanged_membership(self):
         leader, _, now = established_group({2: 4, 3: 5})
@@ -478,10 +472,9 @@ class TestDegenerateRecovery:
         out = deliver(leader, ireply_wire(3, 2, 6, bytes([3]) * 16), now + 1000)
         assert out.accepted
         assert 3 not in leader.lead.view
-        # a fresh secret unblocks and rejoins
+        # a fresh secret lifts the block, and its join rekey folds it
         out = deliver(leader, ireply_wire(3, 3, 9, bytes([9]) * 16), now + 2000)
-        assert 3 in leader.lead.view
-        out, _ = fire(leader, TimerKind.RENEWAL)
+        assert 3 in leader.lead.view and not leader.lead.blocked
         assert {e.participant_id for e in out.sends[0].message.entries} == {2, 3}
         assert leader.session.group_key == oracle_key(
             leader.lead.secret, [4, 9], TOY)
@@ -784,7 +777,7 @@ def test_receive_reads_each_header_once_and_checks_no_shape(monkeypatch):
     run(SimConfig(node_count=6, seed=4, loss_prob=0.2, duration=60 * SECOND,
                   schedule=(InjectAt(30 * SECOND, 2, b"\x09garbage"),
                             InjectAt(31 * SECOND, 3, bytes(20)))),
-        NodeConfig(eager_rekey=True), TOY)
+        NodeConfig(), TOY)
     assert per_wire["fast"] and set(per_wire["fast"]) == {0}
     assert per_wire["slow"] and set(per_wire["slow"]) == {1}
     assert not hasattr(node_fsm, "validate_shape")
@@ -851,6 +844,11 @@ class TestConfig:
         with pytest.raises(ConfigError):
             NodeConfig(jitter_max=5_000_000).validate()
         assert NodeConfig().validate() is not None
+
+    def test_rekey_on_join_is_not_a_knob(self):
+        with pytest.raises(ConfigError, match="eager_rekey"):
+            NodeConfig(eager_rekey=False).validate()
+        assert NodeConfig().eager_rekey is True
 
     def test_defaults_match_protocol_table(self):
         config = NodeConfig()

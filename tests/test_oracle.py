@@ -39,8 +39,6 @@ from agdh.simnet import (
     run,
 )
 
-EAGER = NodeConfig(eager_rekey=True)
-
 
 class TestAuditBaseline:
     def test_clean_lossless_run_zero_findings(self):
@@ -56,7 +54,7 @@ class TestAuditBaseline:
         res = run(SimConfig(node_count=6, seed=23, duration=90 * SECOND,
                             schedule=(LeaveAt(40 * SECOND, 3),
                                       CrashAt(60 * SECOND, 5))),
-                  EAGER, PROD)
+                  NodeConfig(), PROD)
         report = audit_transcript(res)
         assert report.clean, report.findings
 
@@ -101,7 +99,7 @@ class TestAuditDetections:
         hit = None
         for seed in range(200):
             res = run(SimConfig(node_count=3, seed=seed, duration=90 * SECOND),
-                      EAGER, TOY)
+                      NodeConfig(), TOY)
             if res.transcript.of_kind("DEGENERATE_EXCLUDED"):
                 hit = res
                 break
@@ -228,15 +226,15 @@ def _cost_outcome(table, result, m: int):
 
 class TestCostTableEquivalence:
     def test_one_pass_matches_the_recursion_on_toy_runs(self):
-        """Lossless and lossy TOY formations, eager and deferred: the
-        one-pass row equals the recursive one, row for row and mismatch
-        text for mismatch text, and the grid reaches chains other than the
-        paper's 2 rounds, so the causal depth is really compared."""
+        """Lossless and lossy TOY formations: the one-pass row equals the
+        recursive one, row for row and mismatch text for mismatch text, and
+        the grid reaches chains other than the paper's 2 rounds, so the
+        causal depth is really compared."""
         outcomes = []
         for n, seed, loss in product((3, 5, 8), range(6), (0, 0.1, 0.3)):
             res = run(SimConfig(node_count=n, seed=seed, loss_prob=loss,
                                 duration=40 * SECOND),
-                      NodeConfig(eager_rekey=(n + seed) % 2 == 0), TOY)
+                      NodeConfig(), TOY)
             want = _cost_outcome(reference_cost_table, res, n)
             assert _cost_outcome(cost_table, res, n) == want, (n, seed, loss)
             outcomes.append(want)

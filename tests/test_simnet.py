@@ -37,7 +37,6 @@ from agdh.simnet import (
     run,
 )
 
-EAGER = NodeConfig(eager_rekey=True)
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
 
 
@@ -109,7 +108,8 @@ def prod_churn_run():
                 CrashAt(45 * SECOND, 3),
                 PartitionAt(55 * SECOND, ((1, 4), (5, 6))), HealAt(70 * SECOND))
     return run(SimConfig(node_count=5, seed=11, loss_prob=0.1,
-                         duration=90 * SECOND, schedule=schedule), EAGER, PROD)
+                         duration=90 * SECOND, schedule=schedule),
+               NodeConfig(), PROD)
 
 
 # sha256 of prod_churn_run's rendered transcript and of its metrics.txt
@@ -135,7 +135,7 @@ class TestRecords:
     def test_toy_churn_render_is_pinned(self, monkeypatch):
         """A lossy TOY churn run with short renewals that reaches the
         leader transitions the goldens barely touch: a degenerate-key
-        exclusion and its blocklist, demotions and leader switches, rejoin
+        exclusion and its blocklist, demotions and leader switches, join
         and renewal rekeys, a wrong echo and a re-minted contribution.
         After every step, a node holds its leader role exactly while it
         leads."""
@@ -149,7 +149,7 @@ class TestRecords:
 
         monkeypatch.setattr(Node, "handle", checked_handle)
         schedule = load_scenario(os.path.join(SCENARIO_DIR, "churn.scn"))
-        res = run(SimConfig(node_count=10, loss_prob=0.3, seed=4,
+        res = run(SimConfig(node_count=10, loss_prob=0.3, seed=6,
                             duration=300 * SECOND, schedule=schedule),
                   NodeConfig(renew_p=60 * SECOND), TOY)
         assert steps[Mode.LEADER] and steps[Mode.MEMBER]
@@ -158,15 +158,16 @@ class TestRecords:
                 "RENEWAL", "CONTRIBUTION_REMINTED"} <= kinds
         assert any(r.get("why").startswith("demoted_to_")
                    for r in res.transcript.of_kind("STATE"))
-        assert "rejoin" in {r.get("a0") for r in res.transcript.of_kind("REKEY")}
+        assert {"join", "renewal"} <= {r.get("a0")
+                                       for r in res.transcript.of_kind("REKEY")}
         assert "wrong_echo" in {r.get("reason")
                                 for r in res.transcript.of_kind("REJECT")}
         digest = hashlib.sha256(res.transcript.render().encode()).hexdigest()
         assert digest == \
-            "701e73819c4365214217d218588209ca95163fd09f5d82931004d7f844f8fe82"
+            "604c616d871c5a110eb4065b6128b79d0113c6f44a8683b16675547567853d50"
         digest = hashlib.sha256(_metrics_text(res).encode()).hexdigest()
         assert digest == \
-            "aaa7f4a5d478e93ffb140f381fd26a926c12938c46e815ff6c9551e7f9a8da57"
+            "e99007c1b67ea6335aead8cf422b6f6ce35253df7fc09a191d183b7c7581b16f"
 
     def test_records_hold_values_and_each_wire_once(self):
         res = prod_churn_run()
@@ -351,8 +352,7 @@ class TestChannel:
         assert len(leaders(res)) == 5
 
     def test_conservation_per_message(self):
-        res = toy_run(node_count=8, seed=5, loss_prob=0.4, duration=60 * SECOND,
-                      node_config=EAGER)
+        res = toy_run(node_count=8, seed=5, loss_prob=0.4, duration=60 * SECOND)
         sends = {r.get("id"): r for r in res.transcript.of_kind("SEND")}
         outcomes = outcomes_by_id(res)
         assert set(outcomes) <= set(sends)
@@ -389,7 +389,6 @@ class TestPartitions:
     def test_orphan_side_elects_min_id(self):
         # nodes 1..5; either side of the split elects its own minimum
         res = toy_run(node_count=5, seed=8, duration=120 * SECOND,
-                      node_config=EAGER,
                       schedule=(PartitionAt(40 * SECOND, ((1, 2, 3), (4, 5))),))
         modes = {n: res.nodes[n].mode for n in replay(res).live}
         side_a = [n for n in (1, 2, 3) if modes[n] is Mode.LEADER]
@@ -403,7 +402,6 @@ class TestPartitions:
 
     def test_heal_merges_to_single_min_leader(self):
         res = toy_run(node_count=6, seed=11, duration=200 * SECOND,
-                      node_config=EAGER,
                       schedule=(PartitionAt(60 * SECOND, ((1, 2, 3), (4, 5, 6))),
                                 HealAt(120 * SECOND)))
         assert converged(res)
@@ -417,7 +415,6 @@ class TestPartitions:
 
     def test_interim_keys_differ_from_final(self):
         res = toy_run(node_count=6, seed=11, duration=200 * SECOND,
-                      node_config=EAGER,
                       schedule=(PartitionAt(60 * SECOND, ((1, 2, 3), (4, 5, 6))),
                                 HealAt(120 * SECOND)))
         [head] = leaders(res)
@@ -456,7 +453,6 @@ class TestPartitions:
 class TestChurn:
     def test_graceful_leave_rekeys_within_one_beacon(self):
         res = toy_run(node_count=4, seed=5, duration=70 * SECOND,
-                      node_config=EAGER,
                       schedule=(LeaveAt(40 * SECOND, 2),))
         assert converged(res)
         assert 2 not in replay(res).live
@@ -474,7 +470,6 @@ class TestChurn:
 
     def test_crash_rekeys_within_expiry_window(self):
         res = toy_run(node_count=4, seed=5, duration=80 * SECOND,
-                      node_config=EAGER,
                       schedule=(CrashAt(40 * SECOND, 2),))
         assert converged(res)
         config = NodeConfig()
@@ -493,22 +488,8 @@ class TestChurn:
         assert len(heads) == 1 and heads[0] != old
         assert converged(res)
 
-    def test_join_deferred_until_leader_renewal(self):
-        # with deferred inclusion the joiner is keyless until the leader's
-        # next contribution change; shorten the renewal period to observe it
-        config = NodeConfig(renew_p=45 * SECOND)
-        res = run(SimConfig(node_count=3, seed=5, duration=100 * SECOND,
-                            schedule=(JoinAt(30 * SECOND, 9),)),
-                  config, TOY)
-        join_keys = [k for k in res.metrics.key_events if k.node_id == 9]
-        assert join_keys
-        first_key = min(k.time for k in join_keys)
-        assert first_key > 45 * SECOND  # waited for a renewal fold
-        assert converged(res)
-
     def test_join_immediate_with_eager(self):
         res = toy_run(node_count=3, seed=5, duration=60 * SECOND,
-                      node_config=EAGER,
                       schedule=(JoinAt(30 * SECOND, 9),))
         join_keys = [k for k in res.metrics.key_events if k.node_id == 9]
         assert join_keys
@@ -600,7 +581,7 @@ class TestAuditIntegration:
     def test_clean_lossy_run_audits_clean_on_prod(self):
         from agdh.group_arith import PROD
         res = run(SimConfig(node_count=6, seed=21, loss_prob=0.2,
-                            duration=60 * SECOND), EAGER, PROD)
+                            duration=60 * SECOND), NodeConfig(), PROD)
         report = audit_transcript(res)
         assert report.clean, report.findings
 
@@ -710,13 +691,12 @@ class TestConvergenceFold:
         node's key, and the end-state convergence rule read off them."""
         rng = random.Random(26)
         outcomes = set()
-        for n, loss, eager, seed in itertools.product(
-                range(1, 10), (0.0, 0.1, 0.3), (False, True), range(2)):
+        for n, loss, seed in itertools.product(
+                range(1, 10), (0.0, 0.1, 0.3), range(2)):
             schedule = churn_timeline(n, rng)
             res = toy_run(node_count=n, loss_prob=loss, seed=seed,
                           duration=schedule[-1].at + 40 * SECOND,
-                          schedule=schedule,
-                          node_config=NodeConfig(eager_rekey=eager))
+                          schedule=schedule)
             fold = replay(res)
             gone = {e.node_id for e in schedule
                     if isinstance(e, (LeaveAt, CrashAt))}
