@@ -55,27 +55,45 @@ def _time_or_never(at: int | None) -> str:
     return "never" if at is None else f"{at}us"
 
 
+class _ReaderGone(Exception):
+    """The reader of stdout left before the output was written."""
+
+
+def _emit(lines: list[str]) -> None:
+    """Print the lines to stdout and flush them.  If the reader has left
+    (``agdh run | head``), point stdout at devnull, so that the
+    interpreter's exit flush stays quiet, and raise :class:`_ReaderGone`."""
+    try:
+        print("\n".join(lines), flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        raise _ReaderGone from None
+
+
 def _print_summary(result, fold, report, row) -> None:
-    print("run summary")
-    print(f"  live nodes:   {fold.live}")
-    print(f"  leaders:      {fold.leaders}")
-    print(f"  converged:    {fold.converged}")
-    print(f"  converged at: {_time_or_never(fold.converged_at)}")
+    lines = ["run summary",
+             f"  live nodes:   {fold.live}",
+             f"  leaders:      {fold.leaders}",
+             f"  converged:    {fold.converged}",
+             f"  converged at: {_time_or_never(fold.converged_at)}"]
     key = fold.keys[fold.leaders[0]] if len(fold.leaders) == 1 else None
     if key is not None:
-        print(f"  final epoch:  {key.get('epoch')}")
-        print(f"  session key:  {key.get('key').hex()}")
+        lines.append(f"  final epoch:  {key.get('epoch')}")
+        lines.append(f"  session key:  {key.get('key').hex()}")
     for rec in result.transcript.of_kind("KEY"):
-        print(f"  key t={rec.time}us node={rec.node}"
-              f" leader={rec.get('leader')} epoch={rec.get('epoch')}")
+        lines.append(f"  key t={rec.time}us node={rec.node}"
+                     f" leader={rec.get('leader')} epoch={rec.get('epoch')}")
     if row is not None:
-        print(f"  cost row:     {row}")
-    print(f"  audit:        {'clean' if report.clean else 'FINDINGS'}"
-          f" ({len(report.findings)})")
+        lines.append(f"  cost row:     {row}")
+    lines.append(f"  audit:        {'clean' if report.clean else 'FINDINGS'}"
+                 f" ({len(report.findings)})")
     for kind, detail in report.findings[:10]:
-        print(f"    finding: {kind} {detail}")
+        lines.append(f"    finding: {kind} {detail}")
     if len(report.findings) > 10:
-        print(f"    ... and {len(report.findings) - 10} more")
+        lines.append(f"    ... and {len(report.findings) - 10} more")
+    _emit(lines)
 
 
 def cmd_run(args) -> int:
@@ -111,10 +129,9 @@ def cmd_run(args) -> int:
         workers = min(args.repeat, os.cpu_count() or 1)
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             summaries = list(pool.map(_run_once, configs))
-        for _, line in summaries:
-            print(line)
         ok = sum(passed for passed, _ in summaries)
-        print(f"{ok}/{args.repeat} runs converged with a clean audit")
+        _emit([line for _, line in summaries]
+              + [f"{ok}/{args.repeat} runs converged with a clean audit"])
         return 0 if ok == args.repeat else 1
 
     result = run(sim_config, node_config, params)
@@ -235,8 +252,7 @@ def cmd_bench(args) -> int:
         except OSError as exc:
             raise ConfigError(str(exc)) from None
     for params in groups:
-        for line in _bench_group(params, args.group_size, args.iters):
-            print(line)
+        _emit(_bench_group(params, args.group_size, args.iters))
     return 0
 
 
@@ -273,6 +289,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except _ReaderGone:
+        return 1
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

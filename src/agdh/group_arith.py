@@ -187,8 +187,9 @@ class GroupParams:
 
 @lru_cache(maxsize=8)
 def _power_q_is_one(generator: int, modulus: int, order: int) -> bool:
-    # builtin pow: validate runs at import, which binds no kernel
-    return pow(generator, order, modulus) == 1
+    # on _powmod, so TOY's validation at import binds no kernel, and PROD's
+    # check, made before its first generator power, takes the native one
+    return _powmod(generator, order, modulus) == 1
 
 
 class ExpCounter:
@@ -569,10 +570,15 @@ def decode_element(data: bytes, params: GroupParams) -> GroupElement:
 
 
 def parse_params_text(text: str, default_name: str = "custom") -> GroupParams:
+    """Parse the parameter file format and validate the group it names."""
+    return _parse_params(text, default_name).validate()
+
+
+def _parse_params(text: str, default_name: str = "custom") -> GroupParams:
     """Parse the parameter file format: one ``key=value`` per line.
 
     Keys ``p``, ``q``, ``g`` are hex integers; ``name`` is a plain string.
-    Blank lines and ``#`` comments are ignored.
+    Blank lines and ``#`` comments are ignored.  The group is not checked.
     """
     fields: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -592,7 +598,7 @@ def parse_params_text(text: str, default_name: str = "custom") -> GroupParams:
         g = int(fields["g"], 16)
     except ValueError as exc:
         raise ConfigError(f"parameter file: bad hex integer ({exc})") from None
-    return GroupParams(p, q, g, fields.get("name", default_name)).validate()
+    return GroupParams(p, q, g, fields.get("name", default_name))
 
 
 def load_params(path: str) -> GroupParams:
@@ -610,8 +616,11 @@ def load_params(path: str) -> GroupParams:
 TOY = GroupParams(modulus=23, order=11, generator=2, name="toy").validate()
 
 # Production-scale set: a standard 1024-bit modular group with a 160-bit
-# prime-order subgroup, kept in the text format so the file loader is the
-# single construction path.
+# prime-order subgroup, kept in the text format so the file loader's parser
+# is the single construction path.  It is not validated at import, which
+# would cost every process a Miller-Rabin test and a 1024-bit pow: a tier-1
+# test validates it, and exp still confirms g^q = 1 before the first power
+# of the generator.
 _PROD_TEXT = """
 name=modp1024-160
 p=B10B8F96A080E01DDE92DE5EAE5D54EC52C99FBCFB06A3C69A6A9DCA52D23B61\
@@ -625,4 +634,4 @@ D7FBD7D3B9A92EE1909D0D2263F80A76A6A24C087A091F531DBF0A0169B6A28A\
 D662A4D18E73AFA32D779D5918D08BC8858F4DCEF97C2A24855E6EEB22B3B2E5
 """
 
-PROD = parse_params_text(_PROD_TEXT)
+PROD = _parse_params(_PROD_TEXT)

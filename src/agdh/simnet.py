@@ -14,10 +14,11 @@ shape, shared by every record of that shape, and ``values`` holds each
 field's value as given; only :meth:`Record.render` formats it (``bytes``
 as hex).  A SEND record's ``wire`` is the very object in
 ``SimResult.wire_by_id``, so each wire is held once.
-:meth:`Transcript.render` renders the records in chunks of
-``_RENDER_CHUNK`` lines and joins the chunks once, so beside the text it
-returns it holds the chunks and one chunk's lines; ``agdh run --out``
-writes the same chunks one at a time.
+The records render in chunks of ``_RENDER_CHUNK`` lines.
+:meth:`Transcript.render` appends each chunk, as it is rendered, to one
+string that grows in place, so beside that string it holds only one chunk
+and that chunk's lines; ``agdh run --out`` writes the same chunks one at
+a time.
 """
 
 from __future__ import annotations
@@ -192,8 +193,8 @@ class Record(NamedTuple):
         return f"{self.time} {self.kind} {node} {detail}".rstrip()
 
 
-# Records rendered per chunk: bounds render's transient list of lines.
-_RENDER_CHUNK = 4096
+# Records rendered per chunk: what render holds beside the text it grows.
+_RENDER_CHUNK = 256
 
 # The field names of each record shape simnet writes, one tuple per shape.
 _ID_NAMES = ("id",)
@@ -229,7 +230,7 @@ class Transcript:
     def render_chunks(self) -> Iterator[str]:
         """The rendered text in pieces of at most ``_RENDER_CHUNK`` lines,
         each line ended by a newline; an empty transcript is one empty
-        line.  Only one chunk's lines are held at a time."""
+        line.  Only one chunk and its lines are held at a time."""
         records = self.records
         for start in range(0, len(records) or 1, _RENDER_CHUNK):
             lines = [r.render()
@@ -238,9 +239,14 @@ class Transcript:
             yield "\n".join(lines)
 
     def render(self) -> str:
-        """The chunks of :meth:`render_chunks`, joined once: the transient
-        is the chunks and one chunk's lines, not a line per record."""
-        return "".join(self.render_chunks())
+        """The chunks of :meth:`render_chunks`, appended one by one to a
+        string that only this frame holds.  CPython grows such a string in
+        place, so beside the text the peak is one chunk and its lines;
+        ``"".join`` of the chunks would hold the text twice."""
+        text = ""
+        for chunk in self.render_chunks():
+            text += chunk
+        return text
 
     def __iter__(self):
         return iter(self.records)

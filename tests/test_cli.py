@@ -196,6 +196,26 @@ class TestRunCommand:
         assert re.search(r"^  converged at: [0-9]+us$",
                          capsys.readouterr().out, re.M)
 
+    @pytest.mark.parametrize("unbuffered", ["", "1"])
+    def test_closed_stdout_exits_one_without_traceback(self, unbuffered):
+        """``agdh run | head``: once the reader has gone, a print or the
+        final flush fails with a broken pipe, and the run exits 1 with
+        nothing on stderr.  The reader is closed before the run writes, so
+        every write fails; a reader that took a line first could find the
+        whole 2.8 KB summary already in the pipe's buffer.  Unbuffered, the
+        summary's write fails; buffered, its flush does."""
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=src, PYTHONUNBUFFERED=unbuffered)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "agdh.cli", "run", "--toy", "--nodes",
+             "12", "--seed", "4", "--loss", "0.1", "--duration", "400s"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+            text=True)
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert (proc.returncode, err) == (1, "")
+
     def test_no_rekey_option(self, capsys):
         """One rekey policy: the run command takes no rekey flag."""
         with pytest.raises(SystemExit) as exc:

@@ -71,6 +71,24 @@ class TestParams:
         assert PROD.order.bit_length() >= 160
         assert pow(PROD.generator, PROD.order, PROD.modulus) == 1
 
+    def test_prod_is_a_valid_group(self):
+        """PROD is built unvalidated at import; this checks its constants:
+        q prime and dividing p - 1, and g of order q."""
+        assert PROD.validate() is PROD
+
+    def test_import_validates_only_toy(self):
+        """Importing every module confirms one generator's order, TOY's:
+        PROD's validation, a primality test on q and a 1024-bit pow, is
+        not paid by every process."""
+        src = os.path.dirname(os.path.dirname(os.path.abspath(agdh.__file__)))
+        code = ("import agdh.cli\n"
+                "from agdh.group_arith import _power_q_is_one\n"
+                "print(_power_q_is_one.cache_info().misses)")
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, check=True)
+        assert proc.stdout == "1\n"
+
     def test_validate_rejects_composite_order(self):
         with pytest.raises(ConfigError):
             GroupParams(23, 10, 2, "bad").validate()

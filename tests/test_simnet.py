@@ -240,11 +240,12 @@ def test_empty_transcript_renders_one_newline():
     _RENDER_CHUNK - 1, _RENDER_CHUNK, _RENDER_CHUNK + 1, 2 * _RENDER_CHUNK + 5])
 def test_render_joins_chunks_of_lines(count):
     """A transcript of several chunks renders as one line per record, and
-    each chunk holds at most ``_RENDER_CHUNK`` whole lines."""
+    each chunk holds at most ``_RENDER_CHUNK`` whole lines.  A value that
+    reads like a format field, such as ``{c0}``, renders as it is."""
     transcript = Transcript()
     for i in range(count):
         transcript.append(i, "SEND", i % 7 or None, ("id", "wire"), i,
-                          bytes([i % 256]))
+                          f"{{c{i}}}" if i % 2 == 0 else bytes([i % 256]))
     chunks = list(transcript.render_chunks())
     assert len(chunks) == -(-count // _RENDER_CHUNK)
     assert [chunk.count("\n") for chunk in chunks[:-1]] == \
@@ -315,21 +316,35 @@ class TestRecordMemory:
         assert list(transcript)[-1] == rec
         assert retained / count <= bound
 
-    def test_render_holds_one_chunk_of_lines(self):
-        """Beside the text it returns, render holds the chunks and one
-        chunk's lines: its traced peak stays under twice the text plus 200 B
-        per line of one chunk.  On CPython 3.11 it reads 2.84 MB for 1.42 MB
-        of text, and a list of every line, joined once, 6.55 MB."""
+    # A 27 KB wire is the size of form_n100's m = 99 IGROUP; one such SEND
+    # in 64 records gives 32 lines of 54 KB of hex among small ones.
+    @pytest.mark.parametrize("count, wide_every", [(65_536, 0), (2_048, 64)])
+    def test_render_holds_one_chunk_of_lines(self, count, wide_every):
+        """Beside the text it returns, render holds one chunk, as its lines
+        and then joined, and one line's formatting: its traced peak stays
+        under the text plus three times the largest chunk and 200 B per
+        line of one chunk.  The bound relies on CPython appending in place
+        to a string that only the appending frame holds; without that
+        optimisation each append copies the text, and the peak is twice
+        the text, as it is for a join of the chunks.  On CPython 3.11 it
+        reads 1.03x the text for 65,536 small lines (1.42 MB of text),
+        where joining 4,096-line chunks read 2.0x, and 1.30x for the wide
+        lines (1.81 MB of text, 0.23 MB in the largest chunk)."""
+        wide = bytes(range(256)) * 108
         transcript = Transcript()
-        for i in range(16 * _RENDER_CHUNK):
-            transcript.append(i, "DROP", 3, ("id",), i)
+        for i in range(count):
+            if wide_every and i % wide_every == 0:
+                transcript.append(i, "SEND", 3, ("id", "wire"), i, wide)
+            else:
+                transcript.append(i, "DROP", 3, ("id",), i)
+        largest = max(map(len, transcript.render_chunks()))
         with traced():
             tracemalloc.reset_peak()
             before = tracemalloc.get_traced_memory()[0]
             text = transcript.render()
             peak = tracemalloc.get_traced_memory()[1] - before
         assert text.count("\n") == len(transcript)
-        assert peak <= 2 * len(text) + 200 * _RENDER_CHUNK
+        assert peak <= len(text) + 3 * largest + 200 * _RENDER_CHUNK
 
 
 class TestChannel:
