@@ -270,9 +270,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--scenario", help="scenario file (join/leave/partition/heal)")
     p_run.add_argument("--out", help="directory for transcript.txt and metrics.txt"
                                      " (a single run only)")
-    p_run.add_argument("--toy", action="store_true",
+    group = p_run.add_mutually_exclusive_group()
+    group.add_argument("--toy", action="store_true",
                        help="use the tiny test group instead of the production group")
-    p_run.add_argument("--params", help="custom parameter file (p=,q=,g=,name=)")
+    group.add_argument("--params", help="custom parameter file (p=,q=,g=,name=)")
     p_run.add_argument("--repeat", type=int, default=1,
                        help="fan out K independent seeds in parallel")
     p_run.set_defaults(func=cmd_run)

@@ -77,7 +77,6 @@ from .group_arith import (
 )
 
 NONCE_LEN = 16
-DERIVED_KEY_LEN = 32
 
 
 class GroupEntry(NamedTuple):

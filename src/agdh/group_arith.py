@@ -78,8 +78,9 @@ from .errors import BadLength, ConfigError, NotInSubgroup, ZeroScalar
 Scalar = int
 GroupElement = int
 
-# Witnesses below 37 make Miller-Rabin deterministic for all n < 3.3e24;
-# for larger candidates the same fixed list gives error < 4^-15.
+# Trial divisors, then Miller-Rabin witnesses, which every candidate past
+# trial division exceeds: deterministic for all n < 3.3e24, error < 4^-15
+# above.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 #: Entries each membership memo (a group's known set, the check cache)
@@ -98,7 +99,7 @@ _BUILTIN_MAX_BITS = 64
 def _is_probable_prime(n: int) -> bool:
     if n < 2:
         return False
-    for small in (2, 3, 5, 7, 11, 13):
+    for small in _MR_BASES:
         if n % small == 0:
             return n == small
     d, r = n - 1, 0
@@ -160,12 +161,13 @@ class GroupParams:
     def validate(self) -> "GroupParams":
         """Check the group structure; raise ConfigError if it does not hold.
 
-        q must be prime and divide p-1, and g must have multiplicative order
+        q must be a prime of at least 3, so that :func:`random_scalar` can
+        draw a secret, and divide p-1, and g must have multiplicative order
         exactly q (g^q = 1 with g != 1; primality of q rules out any proper
         divisor).
         """
         p, q, g = self.modulus, self.order, self.generator
-        if p < 3 or q < 2 or not 1 < g < p:
+        if p < 3 or q < 3 or not 1 < g < p:
             raise ConfigError(f"group {self.name!r}: parameters out of range")
         if not _is_probable_prime(q):
             raise ConfigError(f"group {self.name!r}: order is not prime")

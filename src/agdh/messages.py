@@ -162,7 +162,7 @@ class HmacKeyRing:
         return hmac.compare_digest(expected, signature)
 
 
-def _check_fields(msg: Message, params: GroupParams) -> None:
+def _check_fields(msg: Message) -> None:
     """Refuse any field the wire layout cannot carry as given; ``struct``
     would pad or cut a nonce of another length, and its own errors would
     name no field."""
@@ -185,7 +185,7 @@ def _check_fields(msg: Message, params: GroupParams) -> None:
 
 def encode_canonical(msg: Message, params: GroupParams) -> bytes:
     """Deterministic signature-less encoding; injective over valid messages."""
-    _check_fields(msg, params)
+    _check_fields(msg)
     kind, sender_id, sender_nonce, epoch, entries = msg[:5]
     parts = [_HEADER.pack(kind, sender_id, sender_nonce, epoch, len(entries))]
     append, pack_entry = parts.append, _ENTRY.pack

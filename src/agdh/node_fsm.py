@@ -174,14 +174,16 @@ class LeaderRole:
     it, as ``Node.lead``, when the node takes the lead of an empty group, and
     ``Node._demote`` drops it, so none of it outlives the lead.  Every
     registration is folded at once: a new member by a join rekey (or by the
-    formation, before the first key), a changed share at the next rekey."""
+    formation, before the first key), a changed share at the next rekey.
+    It holds no secret: ``Node._rekey`` draws the leader's secret for the
+    one step that answers the shares, and only ``Node.secret_log``, the
+    audit's ground truth, keeps it."""
 
-    __slots__ = ("nonce", "announcement", "secret", "view", "blocked")
+    __slots__ = ("nonce", "announcement", "view", "blocked")
 
     def __init__(self, nonce: bytes, announcement: Outgoing) -> None:
         self.nonce = nonce
         self.announcement = announcement  # the latest, which a quiet beacon repeats
-        self.secret: int | None = None  # None until the first rekey
         # in registration order: a changed registration moves to the end
         self.view: dict[int, MemberRecord] = {}
         self.blocked: dict[int, int] = {}  # id -> rejected blind
@@ -204,7 +206,6 @@ class SessionKey(NamedTuple):
 class SecretRecord(NamedTuple):
     """Ground-truth log entry for audits; never leaves the node over the wire."""
 
-    time: int
     role: str  # "member" or "leader"
     secret: int
     blinded: int | None
@@ -277,7 +278,7 @@ class Node:
         elif isinstance(event, TimerFired):
             self._on_timer(event.kind, now, out)
         elif isinstance(event, LocalLeaveRequest):
-            self._on_leave(now, out)
+            self._on_leave(out)
         else:
             raise TypeError(f"unknown event {event!r}")
         return out
@@ -294,7 +295,7 @@ class Node:
         return (
             self.mode, self.leader_id, self.session,
             self.contribution, self.prev_contribution, view,
-            lead and lead.secret, self.last_seen_epoch,
+            self.last_seen_epoch,
             tuple(sorted(self.leader_epochs.items())),
         )
 
@@ -331,7 +332,7 @@ class Node:
     def _fresh_nonce(self) -> bytes:
         return self.rng.getrandbits(128).to_bytes(16, "big")
 
-    def _fresh_contribution(self, now: int) -> None:
+    def _fresh_contribution(self) -> None:
         """Draw a new secret and nonce and blind the secret (one exp)."""
         self.prev_secret = self.own_secret
         self.prev_contribution = self.contribution
@@ -340,13 +341,13 @@ class Node:
         blinded = blind(self.own_secret, self.params, self.counter)
         self.contribution = GroupEntry(self.node_id, nonce, blinded)
         self.secret_log.append(
-            SecretRecord(now, "member", self.own_secret, blinded, nonce))
+            SecretRecord("member", self.own_secret, blinded, nonce))
 
     def _sign_and_pack(self, msg: Message, dest: int | None) -> Outgoing:
         signed, wire = sign_and_encode(msg, self.keyring, self.params)
         return Outgoing(signed, wire, dest)
 
-    def _send_ireply(self, now: int, out: FsmOutput) -> None:
+    def _send_ireply(self, out: FsmOutput) -> None:
         """Send the contribution under the next seq.  The first IREPLY of a
         contribution object is built and encoded with every check; a later
         one is the last wire re-signed under the new seq, since no other
@@ -377,7 +378,7 @@ class Node:
             out.accepted = True
             self._arm(_SILENCE, now + self.config.silence_threshold, out)
             if not self._last_wire_included:
-                self._note_absent(self.leader_id, now, out, just_replied=False)
+                self._note_absent(self.leader_id, out, just_replied=False)
             return
 
         # Header triage: an announcement not our own, from a leader we would
@@ -452,16 +453,16 @@ class Node:
         self.last_announcement_wire = None
         self.absent_streak = 0
         if self.contribution is None or self.contribution_leader != leader:
-            self._fresh_contribution(now)
+            self._fresh_contribution()
             self.contribution_leader = leader
             self.prev_secret = None
             self.prev_contribution = None
-        self._send_ireply(now, out)
+        self._send_ireply(out)
         self._arm(_SILENCE, now + self.config.silence_threshold, out)
         self._arm_periodic(_REPLY, now, out, restart=True)
         out.log.append(("adopt", leader))
 
-    def _note_absent(self, sender: int, now: int, out: FsmOutput,
+    def _note_absent(self, sender: int, out: FsmOutput,
                      just_replied: bool) -> None:
         """Accepted announcement omits our entry: keep knocking.  After
         miss_k consecutive omissions, re-mint the contribution: the leader
@@ -469,12 +470,12 @@ class Node:
         it, and only a different blinded value can make progress."""
         self.absent_streak += 1
         if self.absent_streak >= self.config.miss_k:
-            self._fresh_contribution(now)
+            self._fresh_contribution()
             self.absent_streak = 0
             out.log.append(("contribution_reminted", sender))
         if not just_replied:
             out.log.append(("echo_absent", sender))
-            self._send_ireply(now, out)
+            self._send_ireply(out)
 
     def _demote(self, new_leader: int, out: FsmOutput) -> None:
         """Leader heard a smaller-id leader: stop beaconing and drop the
@@ -509,7 +510,7 @@ class Node:
             else:
                 self._refuse(out, "wrong_echo", sender, msg.epoch)
                 if not just_replied:
-                    self._send_ireply(now, out)
+                    self._send_ireply(out)
                 return
             if my_entry.blinded_response == 1:
                 # the response to the blind of a secret in [1, q-1] is never
@@ -537,7 +538,7 @@ class Node:
         self._arm(_SILENCE, now + self.config.silence_threshold, out)
 
         if my_entry is None:
-            self._note_absent(sender, now, out, just_replied)
+            self._note_absent(sender, out, just_replied)
             return
         self.absent_streak = 0
         if echoed == self.contribution:
@@ -669,7 +670,7 @@ class Node:
 
     def _on_reply(self, now: int, out: FsmOutput) -> None:
         if self.mode is _MEMBER and self.leader_id is not None:
-            self._send_ireply(now, out)
+            self._send_ireply(out)
             self._arm_periodic(_REPLY, now, out)
 
     def _on_renewal(self, now: int, out: FsmOutput) -> None:
@@ -683,7 +684,7 @@ class Node:
                 self.lead.announcement = self._empty_announcement(self.lead.nonce)
         elif self.mode is _MEMBER and self.leader_id is not None:
             out.log.append(("renewal",))
-            self._fresh_contribution(now)
+            self._fresh_contribution()
             # carried by the next periodic reply; the leader folds it at its
             # next rekey
 
@@ -704,11 +705,11 @@ class Node:
         """
         lead = self.lead
         while True:
-            lead.secret = random_scalar(self.rng, self.params)
+            secret = random_scalar(self.rng, self.params)
             lead.nonce = self._fresh_nonce()
             try:
                 key, entries = compute_key_leader(
-                    lead.secret, [r.entry for r in lead.view.values()],
+                    secret, [r.entry for r in lead.view.values()],
                     self.params, self.counter)
                 break
             except DegenerateKey:
@@ -720,8 +721,7 @@ class Node:
                     out.sends.append(lead.announcement)
                     return
 
-        self.secret_log.append(SecretRecord(
-            now, "leader", lead.secret, None, lead.nonce))
+        self.secret_log.append(SecretRecord("leader", secret, None, lead.nonce))
         epoch = self.last_seen_epoch + 1
         self.last_seen_epoch = epoch
         self.session = SessionKey(now, self.node_id, self.node_id, epoch, key,
@@ -735,7 +735,7 @@ class Node:
 
     # -- local leave ---------------------------------------------------------------
 
-    def _on_leave(self, now: int, out: FsmOutput) -> None:
+    def _on_leave(self, out: FsmOutput) -> None:
         if (self.mode is _MEMBER and self.leader_id is not None
                 and self.contribution is not None):
             self.seq += 1

@@ -40,15 +40,6 @@ class AuditReport:
     def add(self, kind: str, detail: str) -> None:
         self.findings.append((kind, detail))
 
-    def render(self) -> str:
-        lines = [
-            f"audit: epochs={self.epochs_checked}"
-            f" accepts={self.accepts_checked}"
-            f" findings={len(self.findings)}"
-        ]
-        lines += [f"FINDING {kind} {detail}" for kind, detail in self.findings]
-        return "\n".join(lines) + "\n"
-
 
 class _WireChecks:
     """Each distinct wire decoded and signature-checked at most once.

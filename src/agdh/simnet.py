@@ -48,6 +48,11 @@ _TIMER, _DELIVER, _SCHED = 0, 1, 2
 # lasts its whole duration and its transcript grows with it.
 MAX_DURATION = 24 * 3600 * SECOND
 
+# Each delivery's latency is drawn uniformly from [LATENCY_MIN, LATENCY_MAX]
+# microseconds.
+LATENCY_MIN = 10_000
+LATENCY_MAX = 50_000
+
 
 class PartitionAt(NamedTuple):
     at: int
@@ -85,11 +90,12 @@ class InjectAt(NamedTuple):
     wire: bytes
 
 
+_ENTRY_TYPES = (PartitionAt, HealAt, JoinAt, LeaveAt, CrashAt, InjectAt)
+
+
 class SimConfig(NamedTuple):
     node_count: int
     loss_prob: float = 0.0
-    latency_min: int = 10_000
-    latency_max: int = 50_000
     seed: int = 0
     duration: int = 120 * SECOND
     schedule: tuple = ()
@@ -103,8 +109,6 @@ class SimConfig(NamedTuple):
             raise ConfigError("initial_leader must be one of the starting nodes")
         if not 0.0 <= self.loss_prob <= 1.0:
             raise ConfigError("loss_prob must lie in [0, 1]")
-        if not 0 < self.latency_min <= self.latency_max:
-            raise ConfigError("latency bounds must satisfy 0 < min <= max")
         if not 0 < self.duration <= MAX_DURATION:
             raise ConfigError("duration must be positive and at most 86400s")
         self._validate_schedule()
@@ -112,12 +116,16 @@ class SimConfig(NamedTuple):
 
     def _validate_schedule(self) -> None:
         """Replay the schedule in run order, (at, index), and reject entries
-        that could only fail mid-run: an id the wire cannot carry, a join
-        of an id that already exists, a leave or crash of an id that is not
-        live, partition cells that overlap, and a cell naming an id that
-        neither starts nor joins at any time in the run (a later joiner and
-        a departed node may be named).  The starting ids are a range, never
-        a set, so a large ``node_count`` costs no memory here."""
+        that could only fail mid-run: an entry of none of the six entry
+        types, an id the wire cannot carry, a join of an id that already
+        exists, a leave or crash of an id that is not live, partition cells
+        that overlap, and a cell naming an id that neither starts nor joins
+        at any time in the run (a later joiner and a departed node may be
+        named).  The starting ids are a range, never a set, so a large
+        ``node_count`` costs no memory here."""
+        for entry in self.schedule:
+            if not isinstance(entry, _ENTRY_TYPES):
+                raise ConfigError(f"unknown schedule entry {entry!r}")
         joined: set[int] = set()
         departed: set[int] = set()
         ever_joins = {entry.node_id for entry in self.schedule
@@ -380,14 +388,12 @@ class _Simulation:
         elif isinstance(entry, CrashAt):
             self.transcript.append(at, "CRASH", entry.node_id, ())
             self.live.discard(entry.node_id)
-        elif isinstance(entry, InjectAt):
+        else:  # InjectAt, the last type validate admits
             self.msg_seq += 1
             self.wire_by_id[self.msg_seq] = entry.wire
             self.transcript.append(at, "INJECT", entry.node_id, _ID_NAMES,
                                    self.msg_seq)
             self._push(at, _DELIVER, (self.msg_seq, entry.node_id, None))
-        else:
-            raise ConfigError(f"unknown schedule entry {entry!r}")
 
     def apply_partition(self, cells, at: int) -> None:
         if not cells:
@@ -456,9 +462,8 @@ class _Simulation:
             if not targets:
                 self.transcript.append(at, "SUPPRESS", outgoing.dest,
                                        _ID_REASON_NAMES, msg_id, "dead")
-        config = self.config
-        loss_prob, latency_min = config.loss_prob, config.latency_min
-        latency_end = config.latency_max + 1
+        loss_prob = self.config.loss_prob
+        latency_low, latency_end = LATENCY_MIN, LATENCY_MAX + 1
         for receiver in targets:
             if not self._same_cell(sender, receiver):
                 self.transcript.append(at, "SUPPRESS", receiver,
@@ -467,7 +472,7 @@ class _Simulation:
             if self.channel_rng.random() < loss_prob:
                 self.transcript.append(at, "DROP", receiver, _ID_NAMES, msg_id)
                 continue
-            latency = self.channel_rng.randrange(latency_min, latency_end)
+            latency = self.channel_rng.randrange(latency_low, latency_end)
             self._push(at + latency, _DELIVER, (msg_id, receiver, sender))
 
 
@@ -536,15 +541,8 @@ def replay(result: SimResult) -> Replay:
                   {n: held.get(n) for n in ids}, agreed())
 
 
-def leaders(result: SimResult) -> list[int]:
-    return replay(result).leaders
-
-
-def converged(result: SimResult) -> bool:
-    """Whether the run ends converged, by :func:`replay`'s rule."""
-    return replay(result).converged
-
-
 def converged_by(result: SimResult) -> int | None:
-    """Earliest time at which the run converged, or None if it never did."""
+    """Earliest time at which the run converged, or None if it never did.
+    It stays only because the benchmark, ``perfbench/sample.py``, calls it;
+    once the benchmark reads :func:`replay`, it goes."""
     return replay(result).converged_at

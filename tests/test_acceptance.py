@@ -41,9 +41,7 @@ from agdh.simnet import (
     PartitionAt,
     HealAt,
     SimConfig,
-    converged,
     converged_by,
-    leaders,
     replay,
     run,
 )
@@ -70,7 +68,7 @@ def criterion(number, title):
 def establishment_epoch_key(result):
     """Independently recompute the derived key of the final epoch from the
     ground-truth secret logs and the announced composition."""
-    heads = leaders(result)
+    heads = replay(result).leaders
     assert len(heads) == 1
     leader_id = heads[0]
     session = result.nodes[leader_id].session
@@ -167,9 +165,9 @@ def test_criterion_4_rekey_semantics():
                            schedule=schedule),
                  NodeConfig(), PROD)
     assert audit_transcript(result).clean
-    assert converged(result)
+    assert replay(result).converged
 
-    heads = leaders(result)
+    heads = replay(result).leaders
     assert len(heads) == 1
     leader_id = heads[0]
     leader_keys = sorted(
@@ -220,12 +218,12 @@ def test_criterion_5_leader_election():
     for seed in range(100):
         probe = run(SimConfig(node_count=10, seed=seed, duration=crash_at),
                     NodeConfig(), TOY)
-        [old_leader] = leaders(probe)
+        [old_leader] = replay(probe).leaders
         result = run(SimConfig(node_count=10, seed=seed,
                                duration=crash_at + bound,
                                schedule=(CrashAt(crash_at, old_leader),)),
                      NodeConfig(), TOY)
-        heads = leaders(result)
+        heads = replay(result).leaders
         assert len(heads) == 1, f"seed {seed}: {heads} leaders at +22s"
         assert heads[0] != old_leader
         # any leader conflict resolved toward the smaller id

@@ -27,6 +27,8 @@ from agdh.simnet import (
 )
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
+DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
+P47_Q23 = os.path.join(DATA_DIR, "p47_q23.params")
 
 
 class TestDurations:
@@ -332,12 +334,39 @@ class TestRunCommand:
         bad = tmp_path / "bad.txt"
         bad.write_bytes(b"\xff\xfe\x00bad")
         out_dir = tmp_path / "out"
-        code = main(["run", "--nodes", "3", "--toy", flag, str(bad),
+        group = ["--toy"] if flag == "--scenario" else []
+        code = main(["run", "--nodes", "3", *group, flag, str(bad),
                      "--out", str(out_dir)])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
         assert captured.err.startswith("error: ") and str(bad) in captured.err
+        assert not out_dir.exists()
+
+    def test_toy_and_params_are_exclusive(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--toy", "--params", P47_Q23])
+        assert exc.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+
+    def test_small_prime_order_group_prints_the_paper_row(self, capsys):
+        """q = 23 is also a Miller-Rabin witness, whose power mod q is 0,
+        so trial division must settle it: the group loads, and its run
+        prints the paper's cost row."""
+        code = main(["run", "--params", P47_Q23, "--nodes", "4",
+                     "--duration", "60s"])
+        assert code == 0
+        assert ("  cost row:     m=4 expo/member=2 expo/leader=4 messages=4"
+                " broadcasts=1 rounds=2\n") in capsys.readouterr().out
+
+    def test_order_two_group_exits_two_before_running(self, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        code = main(["run", "--params", os.path.join(DATA_DIR, "p5_q2.params"),
+                     "--out", str(out_dir)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
         assert not out_dir.exists()
 
     def test_custom_params_file(self, tmp_path, capsys):

@@ -1,4 +1,5 @@
 import ctypes
+import math
 import os
 import random
 import subprocess
@@ -100,9 +101,9 @@ class TestParams:
 
     def test_parse_params_roundtrip(self, tmp_path):
         path = tmp_path / "g.params"
-        path.write_text("# comment\nname=tiny\np=11\nq=2\ng=10\n")
+        path.write_text("# comment\nname=tiny\np=2F\nq=17\ng=2\n")
         params = load_params(str(path))
-        assert params == GroupParams(0x11, 2, 0x10, "tiny")
+        assert params == GroupParams(0x2F, 0x17, 2, "tiny")
 
     def test_parse_params_missing_field(self):
         with pytest.raises(ConfigError):
@@ -341,7 +342,7 @@ class TestKnownElements:
             assert checks == 0
 
     def test_groups_sharing_p_keep_their_own_elements(self):
-        pair = GroupParams(23, 2, 22, "order-2").validate()
+        pair = GroupParams(23, 2, 22, "order-2")
         assert exp(pair.generator, 1, pair) == 22
         assert exp(TOY.generator, 3, TOY) == 8
         assert exp(8, 2, TOY) == 18
@@ -522,6 +523,14 @@ class TestProductKernel:
     @pytest.mark.parametrize("m", KERNEL_MODULI, ids=lambda m: f"{m.bit_length()}b")
     def test_out_of_range_values_raise_on_builtin_pow(self, m, builtin_kernel):
         assert_out_of_range_values_raise(m)
+
+
+def test_primality_agrees_with_trial_division():
+    """Every n below 10,000, the primes up to 47 among them: each is both a
+    trial divisor and a Miller-Rabin witness."""
+    primes = [n for n in range(2, 10_000)
+              if all(n % d for d in range(2, math.isqrt(n) + 1))]
+    assert [n for n in range(10_000) if _is_probable_prime(n)] == primes
 
 
 class TestPowKernel:

@@ -61,6 +61,8 @@ from agdh.simnet import (
     HealAt,
     InjectAt,
     JoinAt,
+    LATENCY_MAX,
+    LATENCY_MIN,
     LeaveAt,
     PartitionAt,
     Record,
@@ -512,7 +514,7 @@ VALUE_TYPES = [
     (TimerFired(TimerKind.BEACON), "kind", TimerKind.REPLY),
     (Outgoing(build_del(1, nonce(0x11), 2), b"wire", None), "dest", 3),
     (SessionKey(5, 2, 1, 3, 8, b"derived"), "epoch", 4),
-    (SecretRecord(5, "member", 3, 8, nonce(0xAA)), "secret", 4),
+    (SecretRecord("member", 3, 8, nonce(0xAA)), "secret", 4),
     (PartitionAt(5, ((1, 2), (3,))), "cells", ((1,), (2, 3))),
     (HealAt(5), "at", 6),
     (JoinAt(5, 4), "node_id", 6),
@@ -543,7 +545,8 @@ def test_value_type_defaults():
     assert msg.entries == () and msg.signature == b""
     assert NodeConfig() == (5 * SECOND, 20 * 60 * SECOND, 3, 20, 100_000,
                             500_000, True)
-    assert SimConfig(3) == (3, 0.0, 10_000, 50_000, 0, 120 * SECOND, (), None)
+    assert SimConfig(3) == (3, 0.0, 0, 120 * SECOND, (), None)
+    assert (LATENCY_MIN, LATENCY_MAX) == (10_000, 50_000)
 
 
 def test_vector_file():
@@ -1020,7 +1023,7 @@ def reference_encode(msg: Message, params) -> bytes:
     """The field-at-a-time encoder the packed one replaced, kept as a
     reference: the same field checks, then one ``bytearray`` append per
     field."""
-    messages._check_fields(msg, params)
+    messages._check_fields(msg)
     out = bytearray()
     out.append(int(msg.kind))
     out += msg.sender_id.to_bytes(4, "big")

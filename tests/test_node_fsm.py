@@ -132,7 +132,7 @@ class TestLeaderConflict:
 
     def test_demoted_leader_leads_again_from_scratch(self):
         """A demotion drops the whole leader role: a blocklist, a view and
-        a secret do not carry over into the next lead."""
+        a key do not carry over into the next lead."""
         low, high = make_node(7), make_node(12)
         low_out, _ = elect(low)
         _, at = elect(high)
@@ -149,7 +149,7 @@ class TestLeaderConflict:
         out = deliver(high, ireply_wire(3, 2, 9, bytes([9]) * 16), now + 2000)
         assert any(e[:2] == ("rekey", "join") for e in out.log)
         role = high.lead
-        assert role.secret is not None
+        assert high.session is not None
         assert set(role.view) == {2, 3} and set(role.blocked) == {5}
 
         deliver(high, low_out.sends[0].wire, now + 3000)
@@ -159,7 +159,7 @@ class TestLeaderConflict:
         fire(high, TimerKind.BACKOFF)
         assert high.mode is Mode.LEADER and high.lead is not role
         assert high.lead.view == {} and high.lead.blocked == {}
-        assert high.lead.secret is None
+        assert high.session is None
 
     def test_smaller_leader_discards_larger(self):
         low, high = make_node(7), make_node(12)
@@ -195,6 +195,13 @@ class TestLeaderConflict:
                    for s in out.sends)
 
 
+def leader_secret(node: Node) -> int:
+    """The secret of the node's latest rekey, from the log the auditor
+    reads: a leader keeps it nowhere else."""
+    return next(r.secret for r in reversed(node.secret_log)
+                if r.role == "leader")
+
+
 def established_group(member_secrets: dict[int, int], leader_id=1, config=CONFIG):
     """Leader that has folded the given member id -> secret contributions."""
     leader = make_node(leader_id, config)
@@ -213,7 +220,7 @@ def established_group(member_secrets: dict[int, int], leader_id=1, config=CONFIG
 class TestKeying:
     def test_formation_key_matches_oracle(self):
         leader, announcement, _ = established_group({2: 4, 3: 5})
-        expected = oracle_key(leader.lead.secret, [4, 5], TOY)
+        expected = oracle_key(leader_secret(leader), [4, 5], TOY)
         assert leader.session.group_key == expected
         assert announcement.message.epoch == leader.session.epoch == 1
 
@@ -348,14 +355,14 @@ class TestMembershipChanges:
     def test_del_removes_and_rekeys(self):
         leader, announcement, now = established_group({2: 4, 3: 5})
         epoch_before = leader.session.epoch
-        secret_before = leader.lead.secret
+        secret_before = leader_secret(leader)
         nonce2 = bytes([2]) * 16
         wire = encode_signed(sign(build_del(2, nonce2, 7), RING, TOY), TOY)
         out = deliver(leader, wire, now + 1000)
         assert out.accepted
         assert 2 not in leader.lead.view
         assert leader.session.epoch == epoch_before + 1
-        assert leader.lead.secret != secret_before  # fresh contribution
+        assert leader_secret(leader) != secret_before  # fresh contribution
         [announcement2] = out.sends
         ids = [e.participant_id for e in announcement2.message.entries]
         assert ids == [3]
@@ -423,19 +430,19 @@ class TestMembershipChanges:
         [sent] = out.sends
         assert {e.participant_id for e in sent.message.entries} == {2, 3, 9}
         assert leader.session.group_key == oracle_key(
-            leader.lead.secret, [4, 5, 7], TOY)
+            leader_secret(leader), [4, 5, 7], TOY)
 
     def test_renewal_changes_key_with_unchanged_membership(self):
         leader, _, now = established_group({2: 4, 3: 5})
         epoch_before = leader.session.epoch
         key_before = leader.session.group_key
-        secret_before = leader.lead.secret
+        secret_before = leader_secret(leader)
         out, _ = fire(leader, TimerKind.RENEWAL)
         assert leader.session.epoch == epoch_before + 1
-        assert leader.lead.secret != secret_before
+        assert leader_secret(leader) != secret_before
         # fresh leader secret changes the key except on exponent collision
         if (secret_before * (1 + 4 + 5)) % TOY.order != \
-                (leader.lead.secret * (1 + 4 + 5)) % TOY.order:
+                (leader_secret(leader) * (1 + 4 + 5)) % TOY.order:
             assert leader.session.group_key != key_before
 
     def test_member_renewal_carried_in_next_reply(self):
@@ -477,7 +484,7 @@ class TestDegenerateRecovery:
         assert 3 in leader.lead.view and not leader.lead.blocked
         assert {e.participant_id for e in out.sends[0].message.entries} == {2, 3}
         assert leader.session.group_key == oracle_key(
-            leader.lead.secret, [4, 9], TOY)
+            leader_secret(leader), [4, 9], TOY)
 
     def test_refresh_moves_registration_last(self):
         """A changed contribution counts as the newest registration: it is
@@ -507,7 +514,7 @@ class TestDegenerateRecovery:
         assert not any(e[0] == "degenerate_excluded" for e in out.log)
         assert [e.participant_id for e in out.sends[0].message.entries] == [3, 2]
         assert leader.session.group_key == oracle_key(
-            leader.lead.secret, [6, 2], TOY)
+            leader_secret(leader), [6, 2], TOY)
 
     def test_excluding_the_last_member_dissolves(self):
         # 1 + 10 = 0 mod 11: the refreshed contribution is the only one

@@ -6,6 +6,7 @@ import random
 import tracemalloc
 from collections import Counter, defaultdict
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
@@ -30,9 +31,7 @@ from agdh.simnet import (
     SimConfig,
     Transcript,
     _RENDER_CHUNK,
-    converged,
     converged_by,
-    leaders,
     replay,
     run,
 )
@@ -56,7 +55,7 @@ def outcomes_by_id(res) -> dict[int, list]:
 class TestBasics:
     def test_single_node_elects_itself_and_beacons(self):
         res = toy_run(node_count=1, seed=1, duration=60 * SECOND)
-        assert leaders(res) == [1]
+        assert replay(res).leaders == [1]
         node = res.nodes[1]
         assert node.session is None  # nobody to share a key with
         beacons = [r for r in res.transcript.of_kind("SEND")
@@ -72,7 +71,7 @@ class TestBasics:
 
     def test_two_nodes_share_key_two_expos_each(self):
         res = toy_run(node_count=2, seed=42, duration=60 * SECOND)
-        assert converged(res)
+        assert replay(res).converged
         a, b = res.nodes[1], res.nodes[2]
         assert a.session.derived == b.session.derived
         member = next(n for n in (a, b) if n.mode is Mode.MEMBER)
@@ -94,10 +93,18 @@ class TestBasics:
         with pytest.raises(ConfigError):
             SimConfig(node_count=2, loss_prob=1.5).validate()
         with pytest.raises(ConfigError):
-            SimConfig(node_count=2, latency_min=0).validate()
-        with pytest.raises(ConfigError):
             SimConfig(node_count=2, duration=MAX_DURATION + 1).validate()
         assert SimConfig(node_count=2, duration=MAX_DURATION).validate()
+
+    @pytest.mark.parametrize("entry", [
+        NamedTuple("WakeAt", [("at", int), ("node_id", int)])(5, 1),
+        "10s join 3",
+    ], ids=["named_tuple", "string"])
+    def test_unknown_schedule_entry_is_refused(self, entry):
+        """Only the six entry types pass: an entry of another type is
+        refused before the run starts, never in the middle of it."""
+        with pytest.raises(ConfigError, match="unknown schedule entry"):
+            SimConfig(node_count=2, schedule=(entry,)).validate()
 
 
 def prod_churn_run():
@@ -364,7 +371,7 @@ class TestChannel:
         assert not res.transcript.of_kind("DELIVER")
         assert res.transcript.of_kind("DROP")
         # every node ends up leading its own silent group
-        assert len(leaders(res)) == 5
+        assert len(replay(res).leaders) == 5
 
     def test_conservation_per_message(self):
         res = toy_run(node_count=8, seed=5, loss_prob=0.4, duration=60 * SECOND)
@@ -419,8 +426,8 @@ class TestPartitions:
         res = toy_run(node_count=6, seed=11, duration=200 * SECOND,
                       schedule=(PartitionAt(60 * SECOND, ((1, 2, 3), (4, 5, 6))),
                                 HealAt(120 * SECOND)))
-        assert converged(res)
-        [head] = leaders(res)
+        assert replay(res).converged
+        [head] = replay(res).leaders
         # survivors of the merge follow the smaller-id leader
         demotions = [r for r in res.transcript.of_kind("STATE")
                      if (r.get("why") or "").startswith("demoted_to_")]
@@ -432,7 +439,7 @@ class TestPartitions:
         res = toy_run(node_count=6, seed=11, duration=200 * SECOND,
                       schedule=(PartitionAt(60 * SECOND, ((1, 2, 3), (4, 5, 6))),
                                 HealAt(120 * SECOND)))
-        [head] = leaders(res)
+        [head] = replay(res).leaders
         final = res.nodes[head].session.derived
         partition_keys = {k.derived for k in res.metrics.key_events
                           if 60 * SECOND < k.time < 120 * SECOND}
@@ -462,14 +469,14 @@ class TestPartitions:
     def test_empty_partition_noop(self):
         res = toy_run(node_count=3, seed=1, duration=40 * SECOND,
                       schedule=(PartitionAt(SECOND, ()),))
-        assert converged(res)
+        assert replay(res).converged
 
 
 class TestChurn:
     def test_graceful_leave_rekeys_within_one_beacon(self):
         res = toy_run(node_count=4, seed=5, duration=70 * SECOND,
                       schedule=(LeaveAt(40 * SECOND, 2),))
-        assert converged(res)
+        assert replay(res).converged
         assert 2 not in replay(res).live
         del_send = next(r for r in res.transcript.of_kind("SEND")
                         if r.get("kind") == "DEL")
@@ -486,7 +493,7 @@ class TestChurn:
     def test_crash_rekeys_within_expiry_window(self):
         res = toy_run(node_count=4, seed=5, duration=80 * SECOND,
                       schedule=(CrashAt(40 * SECOND, 2),))
-        assert converged(res)
+        assert replay(res).converged
         config = NodeConfig()
         rekey = next(r for r in res.transcript.of_kind("REKEY")
                      if r.time > 40 * SECOND)
@@ -496,12 +503,12 @@ class TestChurn:
 
     def test_leader_crash_triggers_election(self):
         probe = toy_run(node_count=6, seed=13, duration=30 * SECOND)
-        [old] = leaders(probe)
+        [old] = replay(probe).leaders
         res = toy_run(node_count=6, seed=13, duration=90 * SECOND,
                       schedule=(CrashAt(30 * SECOND, old),))
-        heads = leaders(res)
+        heads = replay(res).leaders
         assert len(heads) == 1 and heads[0] != old
-        assert converged(res)
+        assert replay(res).converged
 
     def test_join_immediate_with_eager(self):
         res = toy_run(node_count=3, seed=5, duration=60 * SECOND,
@@ -509,7 +516,7 @@ class TestChurn:
         join_keys = [k for k in res.metrics.key_events if k.node_id == 9]
         assert join_keys
         assert min(k.time for k in join_keys) < 40 * SECOND
-        assert converged(res)
+        assert replay(res).converged
 
     def test_unknown_node_leave_rejected(self):
         with pytest.raises(UnknownNode):
@@ -685,7 +692,7 @@ class TestConvergenceFold:
         res = toy_run(node_count=1, seed=0)
         [lead] = [r.time for r in res.transcript.of_kind("STATE")
                   if r.get("mode") == "leader"]
-        assert converged(res)
+        assert replay(res).converged
         assert converged_by(res) == lead == 16_400_000
 
     def test_one_pass_gives_the_first_time_and_the_end_state(self):
@@ -742,7 +749,7 @@ def test_steady_state_message_rate():
     config = NodeConfig()
     res = toy_run(node_count=n, seed=33,
                   duration=(30 + periods * 5) * SECOND)
-    assert converged(res)
+    assert replay(res).converged
     window = (30 * SECOND, (30 + periods * 5) * SECOND)
     ireplies = sum(1 for r in res.transcript.of_kind("SEND")
                    if r.get("kind") == "IREPLY" and window[0] <= r.time < window[1])
