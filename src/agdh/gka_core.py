@@ -36,17 +36,19 @@ not.  A member's key step is therefore 1 counted exponentiation (the
 recovery) plus m products, and the leader's fold is one product over
 its blind and the m responses.  Both products run through
 ``group_arith.prodmod`` on the same kernel as the powers: Montgomery
-multiplication on PROD.  No product is counted as an exponentiation.
-Measured on one m = 99 announcement (PROD, a shared 2-CPU VM, best of
-7 x 300 calls, ranges over six runs), a member's key step splits into
-decoding the wire, 0.12 to 0.21 ms when the process already knows every
-element (``messages.decode`` vouches for all 198 with one batched
-membership query), of which building the 99 entry tuples is about
-0.02 ms; the fold, 0.17 to 0.30 ms, or 1.7 to 3.0 us per factor with each
-factor's conversion; the recovery, 0.11 to 0.16 ms; and the signature and
-entry-grammar checks, 0.04 to 0.06 ms together.  The one counted exponentiation
-is thus about a quarter of the step, and the fold about one and a half
-times the recovery.
+multiplication on PROD.  A member's fold loads each response's encoding
+as the accepted wire carries it (``messages.response_fields``), so no
+response is turned from bytes into an int and back.  No product is
+counted as an exponentiation.  Measured on one m = 99 announcement
+(PROD, a shared 2-CPU VM, best of 7 x 300 calls), a member's key step
+splits into decoding the wire, about 0.09 ms when the process already
+knows every element (``messages.decode`` vouches for all 198 with one
+batched membership query); the fold, about 0.11 ms, or 1.1 us per
+factor, of which extracting the 99 encodings is 2 us; the recovery,
+about 0.08 ms; and the signature check, about 0.02 ms.  The one counted
+exponentiation is thus about a quarter of the step, and the fold about
+1.4 times the recovery.  Before the fold loaded the encodings, through
+bindings that keep the interpreter lock, it took about 0.13 ms.
 
 ``respond`` and ``recover_leader_blind`` still check that their input is a
 subgroup element, because each raises it to a secret: a received value of
@@ -132,7 +134,8 @@ def recover_leader_blind(response: GroupElement, own_secret: Scalar,
 
 def compute_key_member(leader_blind: GroupElement,
                        responses: Sequence[GroupElement],
-                       params: GroupParams) -> GroupElement:
+                       params: GroupParams,
+                       encoded: Sequence[bytes] | None = None) -> GroupElement:
     """Member side: multiply the recovered leader blind with every response.
 
     One :func:`~agdh.group_arith.prodmod` over the m responses, no
@@ -141,8 +144,11 @@ def compute_key_member(leader_blind: GroupElement,
     one per member; the caller passes them from an announcement that
     ``messages.decode`` has accepted, which refuses an IGROUP naming a
     participant twice, so no duplicate check is repeated here.
+    ``encoded``, if given, holds the same responses as the wire carries
+    them (``messages.response_fields``), which the native kernel folds
+    without encoding each value again.
     """
-    return prodmod(leader_blind, responses, params)
+    return prodmod(leader_blind, responses, params, encoded)
 
 
 def compute_key_leader(leader_secret: Scalar,

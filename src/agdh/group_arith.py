@@ -38,13 +38,21 @@ its key and the leader folding its own, go through :func:`prodmod`, on the
 kernel the same modulus gives its powers.  On the native kernel each factor
 is one ``BN_bin2bn`` and one ``BN_mod_mul_montgomery`` into a per-thread
 accumulator, which starts at a cached ``R^(n+1) mod p`` that undoes the
-Montgomery scaling.  On PROD that is about 1.6 us per factor, most of it
-the two ``ctypes`` calls' own cost, against about 4.5 us for Python's
-``a * b % p`` (the best of 20 x 100 folds of 98 factors, both in one
-process on a shared 2-CPU VM), so at m = 100 the fold costs about 0.16 ms
-rather than 0.45 ms.  The Python loop stays the fallback wherever builtin
-``pow`` is the kernel (about 0.06 us per factor on TOY).  Products are not
-exponentiations and no counter sees them.
+Montgomery scaling.  Those two calls are bound through ``ctypes.PyDLL``, so
+they keep the interpreter lock, which for calls of about a microsecond
+costs less than releasing and retaking it; the powers keep the ``CDLL``
+binding, which releases it.  A member passes, beside the response ints,
+their encodings as the announcement carried them, which ``BN_bin2bn``
+loads as they are; the leader's fold and ``agdh bench`` pass ints, which
+are encoded first.  On PROD a factor costs about 1.1 us from its
+encoding and 1.25 us from an int (against 1.35 us from an int through
+``CDLL``), most of it the two ``ctypes`` calls' own cost, against about
+4.4 us for Python's ``a * b % p`` (the best of 7 x 300 folds of 99
+factors, in one process on a shared 2-CPU VM), so at m = 99 a member's
+fold costs about 0.11 ms rather than 0.44 ms.  The Python loop stays the
+fallback wherever builtin ``pow`` is the kernel (about 0.07 us per
+factor on TOY), and it folds the ints, whatever encodings it is given.
+Products are not exponentiations and no counter sees them.
 
 Membership answers are memoised under the closure rule: a power of an
 element of the order-q subgroup is itself in that subgroup.  The memo is one
@@ -300,8 +308,14 @@ class _OpenSSL:
 
     Each modulus gets one Montgomery context, shared by every thread (powers
     and products only read it); the scratch numbers, ``BN_CTX`` and output
-    buffer they write belong to one thread.  ``ctypes`` releases the
-    interpreter lock during each call, so threads exponentiate in parallel.
+    buffer they write belong to one thread.  The library is bound twice on
+    one handle.  Through ``CDLL``, which releases the interpreter lock
+    during each call, so threads exponentiate in parallel, go the powers
+    and everything else; through ``PyDLL``, which keeps the lock, go only
+    the fold's ``BN_bin2bn`` and ``BN_mod_mul_montgomery``
+    (:attr:`fold_bin2bn` and :attr:`mont_mul`), each about a microsecond
+    of work for which releasing and retaking the lock does not pay.
+    Threads still switch between calls, so the scratch stays per thread.
 
     Every binding has one calling convention: it declares its ``restype``
     alone (``c_void_p`` for a pointer, ``c_int`` for a status or a byte
@@ -321,8 +335,8 @@ class _OpenSSL:
 
         ptr, num = ctypes.c_void_p, ctypes.c_int
 
-        def bind(name, restype):
-            fn = getattr(lib, name)
+        def bind(name, restype, library=lib):
+            fn = getattr(library, name)
             fn.restype = restype
             return fn
 
@@ -337,8 +351,12 @@ class _OpenSSL:
         self.bin2bn = bind("BN_bin2bn", ptr)
         self.bn2binpad = bind("BN_bn2binpad", num)
         self.exp = bind("BN_mod_exp_mont_consttime", num)
-        self.mont_mul = bind("BN_mod_mul_montgomery", num)
         self.to_mont = bind("BN_to_montgomery", num)
+        # the fold's two calls, bound on the same handle through PyDLL, so
+        # they keep the interpreter lock
+        held = ctypes.PyDLL(lib._name, handle=lib._handle)
+        self.fold_bin2bn = bind("BN_bin2bn", ptr, held)
+        self.mont_mul = bind("BN_mod_mul_montgomery", num, held)
         self.handle = ptr
         self.one = self.new(bind("BN_value_one", ptr))
         version = bind("OpenSSL_version", ctypes.c_char_p)(0).decode()
@@ -399,8 +417,11 @@ class _OpenSSL:
         self._power(mod.r, n + 1, mod, scratch)
         return self._read(scratch.result, mod.width, scratch).raw
 
-    def prodmod(self, first: int, factors: Sequence[int], modulus: int) -> int:
-        """``first * prod(factors) mod p`` for values already in ``(0, p)``.
+    def prodmod(self, first: int, factors: Sequence[int], modulus: int,
+                encoded: Sequence[bytes] | None = None) -> int:
+        """``first * prod(factors) mod p`` for values already in ``(0, p)``;
+        ``encoded``, if given, holds each factor's ``width``-byte big-endian
+        encoding, which is loaded as it is.
 
         Each ``BN_mod_mul_montgomery`` divides by R, so the n + 1 products
         that fold ``first`` and the n factors divide by ``R^(n+1)``; the
@@ -412,14 +433,16 @@ class _OpenSSL:
         :class:`ExpCounter` sees it.
         """
         mod, scratch = self.modulus(modulus), self._scratch()
-        width, bin2bn, mont_mul = mod.width, self.bin2bn, self.mont_mul
+        width, bin2bn, mont_mul = mod.width, self.fold_bin2bn, self.mont_mul
         acc, factor, ctx, mont = scratch.result, scratch.base, scratch.ctx, mod.mont
         # a correction not yet cached is computed in the scratch, so it is
         # read out before acc is loaded with it
         if bin2bn(self.correction(modulus, len(factors)), width, acc) is None:
             raise self.failed("BN_bin2bn")
-        for value in (first, *factors):
-            if bin2bn(value.to_bytes(width, "big"), width, factor) is None:
+        if encoded is None:
+            encoded = [value.to_bytes(width, "big") for value in factors]
+        for field in (first.to_bytes(width, "big"), *encoded):
+            if bin2bn(field, width, factor) is None:
                 raise self.failed("BN_bin2bn")
             if not mont_mul(acc, acc, factor, mont, ctx):
                 raise self.failed("BN_mod_mul_montgomery")
@@ -485,25 +508,36 @@ class _Scratch(_Owner):
 
 
 def prodmod(first: GroupElement, factors: Sequence[GroupElement],
-            params: GroupParams) -> GroupElement:
+            params: GroupParams,
+            encoded: Sequence[bytes] | None = None) -> GroupElement:
     """``first * prod(factors) mod p``, on the kernel :func:`_powmod`
     would take for this modulus: Montgomery products where that is the
     native kernel, a Python loop otherwise.
 
     Every value must lie in ``(0, p)``; anything else raises NotInSubgroup
     before any native call, since a Montgomery product of an unreduced
-    input is wrong.  No exponentiation is counted.
+    input is wrong.  ``encoded``, if given, holds ``factors``' encodings
+    in the same order, each ``element_width`` big-endian bytes, as an
+    accepted wire carries them: the native kernel loads them as they are
+    instead of encoding each factor again, and raises BadLength, before
+    any native call, unless there is one of that width per factor.  The
+    Python loop ignores them.  No exponentiation is counted.
     """
     modulus = params.modulus
     if not 0 < first < modulus or factors and (
             min(factors) <= 0 or max(factors) >= modulus):
         raise NotInSubgroup(f"a factor is out of range for {params.name!r}")
     native = _native_for(modulus)
-    if native is not None:
-        return native.prodmod(first, factors, modulus)
-    for factor in factors:
-        first = first * factor % modulus
-    return first
+    if native is None:
+        for factor in factors:
+            first = first * factor % modulus
+        return first
+    # the native call reads element_width bytes from each encoding
+    if encoded is not None and (len(encoded) != len(factors) or not
+                                {*map(len, encoded)} <= {params.element_width}):
+        raise BadLength(f"expected one {params.element_width}-byte encoding"
+                        " per factor")
+    return native.prodmod(first, factors, modulus, encoded)
 
 
 def scalar_inverse(s: Scalar, params: GroupParams) -> Scalar:

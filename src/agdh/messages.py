@@ -301,28 +301,51 @@ def _announced_entry(width: int) -> struct.Struct:
     return struct.Struct(f">I{NONCE_LEN}sB{width}s{width}s")
 
 
+# The two layouts below are keyed by an entry count read from the wire.  A
+# Struct of the largest count, 65,535, holds about 11 MB, so each is built
+# only for a wire whose length has matched its count, and at most 8 are
+# kept: an unauthenticated count can cost no more than its own wire.
+
+@lru_cache(maxsize=8)
+def _announced_entries(width: int, count: int) -> struct.Struct:
+    """``count`` announcement entries back to back: the fields of
+    :func:`_announced_entry`, five to an entry, in entry order."""
+    return struct.Struct(">" + f"I{NONCE_LEN}sB{width}s{width}s" * count)
+
+
+@lru_cache(maxsize=8)
+def _announced_responses(width: int, count: int) -> struct.Struct:
+    """The response fields alone of ``count`` announcement entries."""
+    return struct.Struct(">" + f"{_ENTRY.size + width}x{width}s" * count)
+
+
 def _decode_announcement(data: bytes, sender_id: int, epoch: int,
                          params: GroupParams) -> Message:
     """The IGROUP ``data`` holds: exactly ``entry_count`` answered entries,
     no two naming one participant and none the sender, then the signature.
 
-    One ``iter_unpack`` splits the entries, one set over their ids refuses
-    a repeated or the sender's id (only a refused wire meets
-    :func:`validate_shape`, which names its first defect), and two
-    comprehensions convert the 2m elements.  One :func:`all_known` query, with no subgroup check,
-    vouches for all of them when each is already known.  Otherwise they
-    meet :func:`is_element` one by one, each entry's blinded secret before
-    its response, so the first non-member is the one reported.
-    ``tuple.__new__`` makes each entry's zipped fields its GroupEntry."""
+    Once the wire's length matches its count, one unpack of a cached
+    layout of ``count`` entries reads every field, and five stride slices
+    of it give the ids, nonces, flags, blinded secrets and responses.  One
+    set over the ids refuses a repeated or the sender's id (only a refused
+    wire meets :func:`validate_shape`, which names its first defect), and
+    two comprehensions convert the 2m elements.  One :func:`all_known`
+    query, with no subgroup check, vouches for all of them when each is
+    already known.  Otherwise they meet :func:`is_element` one by one,
+    each entry's blinded secret before its response, so the first
+    non-member is the one reported.  ``tuple.__new__`` makes each entry's
+    zipped fields its GroupEntry."""
     count = int.from_bytes(data[_COUNT_AT:_HEADER_LEN], "big")
-    layout = _announced_entry(params.element_width)
-    end = _HEADER_LEN + count * layout.size
+    width = params.element_width
+    end = _HEADER_LEN + count * _announced_entry(width).size
     if len(data) != end + 2 + int.from_bytes(data[end:end + 2], "big"):
         raise _refusal(data, _IGROUP, params)
     if not count:
         return _new_message((_IGROUP, sender_id, data[5:21], epoch, (), data[end + 2:]))
-    ids, nonces, flags, blinds, responses = zip(
-        *layout.iter_unpack(memoryview(data)[_HEADER_LEN:end]))
+    fields = _announced_entries(width, count).unpack_from(data, _HEADER_LEN)
+    ids, nonces, flags, blinds, responses = (fields[0::5], fields[1::5],
+                                             fields[2::5], fields[3::5],
+                                             fields[4::5])
     if flags.count(1) != count:
         raise _refusal(data, _IGROUP, params)
     named = set(ids)
@@ -343,6 +366,19 @@ def _decode_announcement(data: bytes, sender_id: int, epoch: int,
     return _new_message((_IGROUP, sender_id, data[5:21], epoch,
                          tuple(map(_new_entry, zip(ids, nonces, blinded, answered))),
                          data[end + 2:]))
+
+
+def response_fields(data: bytes, params: GroupParams) -> tuple[bytes, ...]:
+    """The response fields of an IGROUP wire that :func:`decode` has
+    accepted under ``params``, in entry order, each ``element_width``
+    bytes: the encodings of its entries' ``blinded_response`` values,
+    which a member's key fold loads as they are
+    (``group_arith.prodmod``'s ``encoded``).  One unpack of a cached
+    layout, keyed by the wire's count: only an accepted wire is known to
+    be as long as that count says, so no other may be passed."""
+    count = int.from_bytes(data[_COUNT_AT:_HEADER_LEN], "big")
+    return _announced_responses(params.element_width, count).unpack_from(
+        data, _HEADER_LEN)
 
 
 def _refusal(data: bytes, kind: MessageKind, params: GroupParams) -> MalformedMessage:

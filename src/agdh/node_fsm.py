@@ -43,6 +43,7 @@ from .messages import (
     decode,
     read_header,
     resign,
+    response_fields,
     sign_and_encode,
     verify,
 )
@@ -521,7 +522,8 @@ class Node:
             if held is None or (held.leader_id, held.epoch) != (sender, msg.epoch):
                 leader_blind = recover_leader_blind(
                     my_entry.blinded_response, secret, self.params, self.counter)
-                key = compute_key_member(leader_blind, responses, self.params)
+                key = compute_key_member(leader_blind, responses, self.params,
+                                         response_fields(wire, self.params))
                 try:
                     fresh = SessionKey(
                         now, self.node_id, sender, msg.epoch, key,

@@ -116,8 +116,10 @@ class SimConfig(NamedTuple):
 
     def _validate_schedule(self) -> None:
         """Replay the schedule in run order, (at, index), and reject entries
-        that could only fail mid-run: an entry of none of the six entry
-        types, an id the wire cannot carry, a join of an id that already
+        that could only fail mid-run or be silently dropped: an entry of
+        none of the six entry types, a time that is not a whole number of
+        microseconds in ``[0, duration]`` (an entry at ``duration`` still
+        runs), an id the wire cannot carry, a join of an id that already
         exists, a leave or crash of an id that is not live, partition cells
         that overlap, and a cell naming an id that neither starts nor joins
         at any time in the run (a later joiner and a departed node may be
@@ -126,6 +128,11 @@ class SimConfig(NamedTuple):
         for entry in self.schedule:
             if not isinstance(entry, _ENTRY_TYPES):
                 raise ConfigError(f"unknown schedule entry {entry!r}")
+            at = entry.at
+            if type(at) is not int or not 0 <= at <= self.duration:
+                raise ConfigError(
+                    f"schedule entry {entry!r}: time must be a whole number"
+                    f" of microseconds in [0, {self.duration}]")
         joined: set[int] = set()
         departed: set[int] = set()
         ever_joins = {entry.node_id for entry in self.schedule

@@ -309,6 +309,18 @@ def run_corpus() -> dict[str, Outcome]:
         probe(f"identity_response_{label}", member,
               encode_signed(identity, params), now)
 
+    # --- validly signed announcements claiming the largest entry count -----
+    # The count says 65,535 entries, the wire holds the leader's two; the
+    # epoch is new.  The decoder reads the count before any signature is
+    # checked, so the wire's length must refuse it before a layout of that
+    # many entries is built.
+    for label, params in (("toy", TOY), ("prod", PROD)):
+        leader, member, other, empty, keyed, reply2, now = build_pair(params)
+        canonical = _canonical(keyed)
+        probe(f"hostile_count_{label}", member, _resigned(keyed, b"".join((
+            canonical[:21], (keyed.message.epoch + 1).to_bytes(8, "big"),
+            b"\xff\xff", canonical[31:]))), now)
+
     # --- validly signed wires in a layout no honest sender writes ----------
     # Each would be fresh (a new seq or epoch) and correctly signed, but an
     # IREPLY carries exactly one entry without a response, an IGROUP answers

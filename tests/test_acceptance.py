@@ -301,6 +301,65 @@ def test_criterion_7_adversarial_rejection():
           f"0 accepted")
 
 
+#: The reason each adversarial-corpus probe is refused for, by reason.
+CORPUS_REASONS = {
+    "bad_signature": (
+        "igroup_sig_flip_first", "igroup_sig_flip_last",
+        "igroup_payload_flip", "ireply_sig_flip", "ireply_payload_flip",
+        "ireply_sig_flip_prod", "ireply_payload_flip_prod",
+        "igroup_wrong_key", "ireply_wrong_key", "unknown_sender",
+    ),
+    "stale_epoch": (
+        "stale_igroup_replay",
+    ),
+    "replay_seq": (
+        "stale_ireply_replay", "stale_ireply_replay_prod", "del_replay",
+    ),
+    "wrong_echo": (
+        "wrong_nonce_echo", "wrong_blinded_echo",
+    ),
+    "malformed": (
+        "truncated", "unknown_kind", "retired_kind_0x01_igroup",
+        "retired_kind_0x01_ireply", "retired_kind_0x04_igroup",
+        "retired_kind_0x04_ireply", "retired_kind_0x05_igroup",
+        "retired_kind_0x05_ireply", "retired_kind_0x06_igroup",
+        "retired_kind_0x06_ireply", "retired_kind_0x08_igroup",
+        "retired_kind_0x08_ireply", "hostile_element_igroup_p_minus_1",
+        "hostile_element_igroup_p_minus_response",
+        "hostile_element_ireply_p_minus_1",
+        "hostile_element_ireply_p_minus_blind", "duplicate_ids_toy",
+        "duplicate_ids_prod", "sender_in_entries_toy",
+        "sender_in_entries_prod", "ireply_foreign_entry_toy",
+        "ireply_foreign_entry_prod", "ireply_memo_foreign_body_toy",
+        "ireply_memo_trailing_byte_toy", "ireply_memo_sig_len_toy",
+        "ireply_memo_foreign_body_prod", "ireply_memo_trailing_byte_prod",
+        "ireply_memo_sig_len_prod", "hostile_count_toy", "hostile_count_prod",
+        "off_layout_ireply_two_entries_toy", "off_layout_ireply_response_toy",
+        "off_layout_igroup_unanswered_toy", "off_layout_del_entry_toy",
+        "off_layout_ireply_two_entries_prod",
+        "off_layout_ireply_response_prod",
+        "off_layout_igroup_unanswered_prod", "off_layout_del_entry_prod",
+    ),
+    "del_nonce_mismatch": (
+        "del_forged_nonce_toy", "del_forged_nonce_prod",
+    ),
+    "identity_response": (
+        "identity_response_toy", "identity_response_prod",
+    ),
+}
+
+
+def test_corpus_refuses_each_wire_for_its_pinned_reason():
+    """Every probe of the corpus, TOY and PROD, is refused for the reason
+    pinned here, so a faster decode path refuses the same wires in the
+    same way, and no probe goes missing."""
+    import adversarial_corpus as corpus
+    pinned = {name: reason for reason, names in CORPUS_REASONS.items()
+              for name in names}
+    assert {name: outcome.reason for name, outcome
+            in corpus.run_corpus().items()} == pinned
+
+
 @criterion(8, "batched leader: 0 expos at finalize; unbatched >= 50 on the "
               "critical path, m=50")
 def test_criterion_8_batching():

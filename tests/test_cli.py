@@ -369,6 +369,19 @@ class TestRunCommand:
         assert captured.err.startswith("error: ")
         assert not out_dir.exists()
 
+    def test_scenario_line_past_the_duration_exits_two_before_running(
+            self, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        code = main(["run", "--toy", "--nodes", "4", "--duration", "60s",
+                     "--scenario", os.path.join(DATA_DIR, "late_join.scn"),
+                     "--out", str(out_dir)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "time must be a whole number" in captured.err
+        assert not out_dir.exists()
+
     def test_custom_params_file(self, tmp_path, capsys):
         params = tmp_path / "g.params"
         params.write_text("name=toyclone\np=17\nq=B\ng=2\n")

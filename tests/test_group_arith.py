@@ -478,6 +478,10 @@ def assert_products_match_python(m: int, data) -> None:
         python_fold(first, factors, m)
 
 
+def encodings(values: list[int], params: GroupParams) -> tuple[bytes, ...]:
+    return tuple(v.to_bytes(params.element_width, "big") for v in values)
+
+
 def assert_out_of_range_values_raise(m: int) -> None:
     params = kernel_probe(m)
     for value in (0, m, -3, 2 * m + 1):
@@ -515,6 +519,55 @@ class TestProductKernel:
             first = rng.randrange(1, m)
             assert native.prodmod(first, factors, m) == \
                 python_fold(first, factors, m), n
+
+    @needs_native
+    @pytest.mark.parametrize("params", [PROD, ODD_WIDTH], ids=lambda p: p.name)
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_drawn_products_from_encodings_match_python(self, params, data):
+        assert kernel_name(params) != "builtin pow"
+        first, factors = data.draw(product_cases(params.modulus))
+        assert prodmod(first, factors, params, encodings(factors, params)) == \
+            python_fold(first, factors, params.modulus)
+
+    @needs_native
+    def test_native_kernel_folds_the_encodings(self):
+        """Where the kernel is native, the encodings are what it folds:
+        here they encode other values than the ints, which no caller
+        passes."""
+        rng = random.Random("folds-encodings")
+        factors, others = ([rng.randrange(1, PROD.modulus) for _ in range(5)]
+                           for _ in range(2))
+        assert prodmod(3, factors, PROD, encodings(others, PROD)) == \
+            python_fold(3, others, PROD.modulus)
+
+    @pytest.mark.parametrize("params", [TOY, PROD, ODD_WIDTH], ids=lambda p: p.name)
+    @settings(max_examples=10, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_builtin_pow_ignores_encodings(self, params, data, builtin_kernel):
+        """The Python loop folds the ints, whatever the encodings hold:
+        here the encodings of 0, which no native fold would accept."""
+        assert kernel_name(params) == "builtin pow"
+        first, factors = data.draw(product_cases(params.modulus))
+        zeros = encodings([0] * len(factors), params)
+        for encoded in (encodings(factors, params), zeros):
+            assert prodmod(first, factors, params, encoded) == \
+                python_fold(first, factors, params.modulus)
+
+    @needs_native
+    def test_encodings_of_another_width_or_count_raise(self, monkeypatch):
+        """The native fold reads ``element_width`` bytes from each
+        encoding, so a count or a width that differs raises BadLength
+        before any native call."""
+        rng = random.Random("encodings")
+        factors = [rng.randrange(1, PROD.modulus) for _ in range(4)]
+        good = encodings(factors, PROD)
+        monkeypatch.setattr(group_arith._openssl(), "prodmod", None)
+        for bad in (good[:-1], good + good[:1], good[:-1] + (good[-1][1:],),
+                    good[:-1] + (b"\0" + good[-1],)):
+            with pytest.raises(BadLength):
+                prodmod(2, factors, PROD, bad)
 
     @pytest.mark.parametrize("m", KERNEL_MODULI, ids=lambda m: f"{m.bit_length()}b")
     def test_out_of_range_values_raise(self, m):
@@ -572,10 +625,13 @@ class TestPowKernel:
 
     @needs_native
     def test_threads_share_no_scratch(self):
-        """Threads exponentiate and multiply at once, with the interpreter
-        lock released inside each native call, on two moduli: every result
-        must equal builtin pow's or the Python fold's, which a scratch
-        number shared between threads would break."""
+        """Threads exponentiate and multiply at once, on two moduli, the
+        products from ints and from their encodings.  A power releases the
+        interpreter lock inside each native call (``CDLL``); a product's
+        ``BN_bin2bn`` and ``BN_mod_mul_montgomery`` hold it (``PyDLL``),
+        but threads still switch between those calls.  Every result must
+        equal builtin pow's or the Python fold's, which a scratch number
+        shared between threads would break."""
         results: dict[int, list[tuple[int, int]]] = {}
         groups = [PROD, ODD_WIDTH, PROD, ODD_WIDTH]
 
@@ -590,8 +646,10 @@ class TestPowKernel:
                             pow(base, s, params.modulus)))
                 factors = [rng.randrange(1, params.modulus)
                            for _ in range(rng.randrange(8))]
-                got.append((prodmod(base, factors, params),
-                            python_fold(base, factors, params.modulus)))
+                product = python_fold(base, factors, params.modulus)
+                got.append((prodmod(base, factors, params), product))
+                got.append((prodmod(base, factors, params,
+                                    encodings(factors, params)), product))
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -607,7 +665,7 @@ class TestPowKernel:
             sys.setswitchinterval(interval)
         assert sorted(results) == list(range(len(groups)))
         for got in results.values():
-            assert len(got) == 300
+            assert len(got) == 450
             assert all(native == builtin for native, builtin in got)
 
     @needs_native
@@ -624,9 +682,11 @@ class TestPowKernel:
         ("powmod", "exp", 0, "BN_mod_exp_mont_consttime"),
         ("powmod", "bn2binpad", -1, "BN_bn2binpad"),
         ("powmod", "bn2binpad", 127, "BN_bn2binpad"),
-        ("prodmod", "bin2bn", None, "BN_bin2bn"),
+        ("prodmod", "fold_bin2bn", None, "BN_bin2bn"),
         ("prodmod", "mont_mul", 0, "BN_mod_mul_montgomery"),
         ("prodmod", "bn2binpad", -1, "BN_bn2binpad"),
+        ("prodmod_encoded", "fold_bin2bn", None, "BN_bin2bn"),
+        ("prodmod_encoded", "mont_mul", 0, "BN_mod_mul_montgomery"),
     ])
     def test_each_hot_call_checks_its_result(self, monkeypatch, call, binding,
                                              failure, name):
@@ -641,7 +701,8 @@ class TestPowKernel:
         if call == "powmod":
             run, expected = partial(native.powmod, base, e, m), pow(base, e, m)
         else:
-            run = partial(native.prodmod, base, factors, m)
+            encoded = encodings(factors, PROD) if call == "prodmod_encoded" else None
+            run = partial(native.prodmod, base, factors, m, encoded)
             expected = python_fold(base, factors, m)
         assert run() == expected  # the modulus and correction are cached
         cleared = []
@@ -652,6 +713,16 @@ class TestPowKernel:
                 run()
         assert cleared == [1]
         assert run() == expected
+
+    @needs_native
+    def test_only_the_fold_keeps_the_interpreter_lock(self):
+        """The fold's two calls are bound through ``PyDLL``; the powers'
+        calls, and every other, through ``CDLL``, which releases the lock,
+        so threads still exponentiate in parallel."""
+        native, held = group_arith._openssl(), ctypes._FUNCFLAG_PYTHONAPI
+        assert native.fold_bin2bn._flags_ & held and native.mont_mul._flags_ & held
+        assert not any(fn._flags_ & held for fn in (
+            native.bin2bn, native.exp, native.bn2binpad, native.to_mont))
 
     @needs_native
     def test_every_handle_is_a_pointer(self):

@@ -298,10 +298,11 @@ def test_received_bytes_are_canonical_on_fixed_wires():
                   if name.endswith(" layout=off") or name.startswith("off_layout_")}
     grammar = {name for name in wires if name.startswith(GRAMMAR_PROBES)}
     near_memo = {name for name in wires if name.startswith("ireply_memo_")}
+    counts = {name for name in wires if name.startswith("hostile_count_")}
     assert len(retired) == 15 and len(hostile) == 4 and len(off_layout) == 11
-    assert len(grammar) == 8 and len(near_memo) == 6
+    assert len(grammar) == 8 and len(near_memo) == 6 and len(counts) == 2
     assert malformed == {"truncated", "unknown_kind"} | retired | hostile \
-        | off_layout | grammar | near_memo
+        | off_layout | grammar | near_memo | counts
 
 
 #: The corpus probes whose wires are laid out as their kind's but break
@@ -947,6 +948,35 @@ def test_bulk_decode_matches_reference(memo, monkeypatch):
         for mutant in itertools.islice(mutants(wire, params), 0, None, stride):
             forget()
             assert_decodes_like_reference(mutant, params)
+
+
+@pytest.mark.parametrize("params, count", [(TOY, c) for c in (0, 1, 2, 29)]
+                         + [(PROD, 1), (PROD, 99)],
+                         ids=lambda v: getattr(v, "name", v))
+def test_response_fields_are_the_announced_encodings(params, count):
+    wire = announcement(params, count)
+    assert messages.response_fields(wire, params) == tuple(
+        e.blinded_response.to_bytes(params.element_width, "big")
+        for e in decode(wire, params).entries)
+
+
+@pytest.mark.parametrize("params", [TOY, PROD], ids=lambda p: p.name)
+def test_hostile_count_builds_no_layout(params):
+    """A validly signed announcement whose count claims 65,535 entries
+    but which holds two is malformed, and neither cache of per-count
+    layouts builds or keeps one for it."""
+    wire = announcement(params, 2)
+    canonical = wire[:len(wire) - 2 - 32]
+    hostile = canonical[:29] + b"\xff\xff" + canonical[31:]
+    signature = RING.sign(1, hostile)
+    hostile += len(signature).to_bytes(2, "big") + signature
+    caches = (messages._announced_entries, messages._announced_responses)
+    before = [cache.cache_info() for cache in caches]
+    with pytest.raises(MalformedMessage):
+        decode(hostile, params)
+    after = [cache.cache_info() for cache in caches]
+    assert [(i.misses, i.currsize) for i in after] == \
+        [(i.misses, i.currsize) for i in before]
 
 
 def test_cold_announcement_checks_each_element_in_entry_order(monkeypatch):

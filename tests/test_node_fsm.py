@@ -1066,3 +1066,25 @@ def test_refresh_keeps_the_registered_wire_and_tests_no_element(monkeypatch):
     out = deliver(leader, update.wire, max(now, at) + 1000)
     assert ("register", 2, "update") in out.log
     assert leader.lead.view[2].wire is update.wire
+
+
+@pytest.mark.parametrize("params", [TOY, PROD], ids=lambda p: p.name)
+def test_member_folds_the_announced_encodings(params, monkeypatch):
+    """A member's key step hands its fold the responses of the wire it
+    accepted and, beside them, their encodings as that wire carries them,
+    in entry order; the kernel, not the node, decides which it reads."""
+    leader, member, other, empty, keyed, reply2, now = build_pair(params)
+    folds = []
+    real = node_fsm.compute_key_member
+    monkeypatch.setattr(node_fsm, "compute_key_member",
+                        lambda *args: folds.append(args) or real(*args))
+    out, at = fire(leader, TimerKind.RENEWAL)
+    [announcement] = out.sends
+    out = deliver(member, announcement.wire, max(now, at) + 1000)
+    assert out.key_changes and member.session.derived == leader.session.derived
+    [(_, responses, fold_params, encoded)] = folds
+    assert fold_params is params
+    assert responses == tuple(e.blinded_response
+                              for e in announcement.message.entries)
+    assert encoded == tuple(r.to_bytes(params.element_width, "big")
+                            for r in responses)

@@ -106,6 +106,27 @@ class TestBasics:
         with pytest.raises(ConfigError, match="unknown schedule entry"):
             SimConfig(node_count=2, schedule=(entry,)).validate()
 
+    @pytest.mark.parametrize("entry", [
+        LeaveAt(-1, 1),
+        JoinAt(5.5, 3),
+        JoinAt(10 * SECOND + 1, 3),
+        HealAt(True),
+        PartitionAt("5", ((1,), (2,))),
+    ], ids=["negative", "fractional", "after_duration", "bool", "string"])
+    def test_schedule_time_outside_the_run_is_refused(self, entry):
+        """A time that is not a whole number of microseconds in [0,
+        duration] is refused before the run: a negative one would write a
+        record before the time-0 ones, a fractional one a record between
+        microseconds, and one past the end would be silently dropped."""
+        config = SimConfig(node_count=2, duration=10 * SECOND, schedule=(entry,))
+        with pytest.raises(ConfigError, match="time must be a whole number"):
+            config.validate()
+
+    def test_schedule_entry_at_the_duration_runs(self):
+        result = run(SimConfig(node_count=2, duration=10 * SECOND,
+                               schedule=(JoinAt(10 * SECOND, 3),)), None, TOY)
+        assert "10000000 JOIN 3" in result.transcript.render()
+
 
 def prod_churn_run():
     """A short lossy PROD run with a join, a graceful leave, a crash and a
