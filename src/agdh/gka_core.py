@@ -37,18 +37,19 @@ recovery) plus m products, and the leader's fold is one product over
 its blind and the m responses.  Both products run through
 ``group_arith.prodmod`` on the same kernel as the powers: Montgomery
 multiplication on PROD.  A member's fold loads each response's encoding
-as the accepted wire carries it (``messages.response_fields``), so no
+as the accepted wire carries it (the ``fields`` column of
+``messages.AnnouncedEntries``, read by the decode's one unpack), so no
 response is turned from bytes into an int and back.  No product is
 counted as an exponentiation.  Measured on one m = 99 announcement
 (PROD, a shared 2-CPU VM, best of 7 x 300 calls), a member's key step
-splits into decoding the wire, about 0.09 ms when the process already
+splits into decoding the wire, about 0.07 ms when the process already
 knows every element (``messages.decode`` vouches for all 198 with one
 batched membership query); the fold, about 0.11 ms, or 1.1 us per
-factor, of which extracting the 99 encodings is 2 us; the recovery,
-about 0.08 ms; and the signature check, about 0.02 ms.  The one counted
-exponentiation is thus about a quarter of the step, and the fold about
-1.4 times the recovery.  Before the fold loaded the encodings, through
-bindings that keep the interpreter lock, it took about 0.13 ms.
+factor; the recovery, about 0.08 ms; and the signature check, about
+0.02 ms.  The one counted exponentiation is thus about a quarter of the
+step, and the fold about 1.4 times the recovery.  The decode took about
+0.09 ms, and the fold 2 us more to extract the encodings, while each
+announcement's entries were built as tuples and read back as columns.
 
 ``respond`` and ``recover_leader_blind`` still check that their input is a
 subgroup element, because each raises it to a secret: a received value of
@@ -145,8 +146,9 @@ def compute_key_member(leader_blind: GroupElement,
     ``messages.decode`` has accepted, which refuses an IGROUP naming a
     participant twice, so no duplicate check is repeated here.
     ``encoded``, if given, holds the same responses as the wire carries
-    them (``messages.response_fields``), which the native kernel folds
-    without encoding each value again.
+    them (a decoded announcement's ``entries.fields``), which the native
+    kernel folds without encoding each value again; builtin ``pow``
+    ignores them.
     """
     return prodmod(leader_blind, responses, params, encoded)
 

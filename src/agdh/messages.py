@@ -51,7 +51,11 @@ A receiver takes each wire through these steps, cheapest refusal first:
    announcement's with one batched query that, when every element is
    known to the process (``group_arith``'s per-group memo), vouches for
    all with no subgroup check, else one by one in entry order, reporting
-   the first non-member.  A leader passes the wire a member's share was
+   the first non-member.  An accepted announcement's entries are the
+   columns of the one unpack that read them (:class:`AnnouncedEntries`),
+   the responses' wire encodings among them, so a member finds its own
+   entry and folds the key without building an entry or unpacking the
+   wire again.  A leader passes the wire a member's share was
    registered from as a memo: an IREPLY of the same length and the same
    bytes from its entry count through its signature length decodes to the
    registered entry with one bytes comparison;
@@ -70,6 +74,7 @@ from __future__ import annotations
 import hashlib
 import hmac
 import struct
+from collections.abc import Sequence
 from enum import IntEnum
 from functools import lru_cache, partial
 from itertools import chain
@@ -115,13 +120,15 @@ _MAX_EPOCH = 2**64 - 1
 
 class Message(NamedTuple):
     """One decoded or built message; a named tuple, so it is immutable,
-    hashable and equal to a plain tuple of the same values."""
+    hashable and equal to a plain tuple of the same values.  A built
+    message's ``entries`` is a tuple of GroupEntry; a decoded
+    announcement's is :class:`AnnouncedEntries`, which reads as one."""
 
     kind: MessageKind
     sender_id: int
     sender_nonce: bytes
     epoch: int
-    entries: tuple[GroupEntry, ...] = ()
+    entries: Sequence[GroupEntry] = ()
     signature: bytes = b""
 
 
@@ -232,8 +239,9 @@ def decode(data: bytes, params: GroupParams, header=None,
 
     An IREPLY is one entry of its sender's, without a response, read with
     one unpack and one :func:`is_element`; an IGROUP is ``entry_count``
-    answered entries, decoded in bulk by :func:`_decode_announcement`; a
-    DEL is the header alone.  Any other layout of a known kind is
+    answered entries, decoded in bulk by :func:`_decode_announcement`
+    and returned as :class:`AnnouncedEntries` columns; a DEL is the
+    header alone.  Any other layout of a known kind is
     malformed, though the encoder writes it: no honest sender does.
 
     ``memo`` is ``(wire, entry)``: an IREPLY wire this function accepted
@@ -301,8 +309,8 @@ def _announced_entry(width: int) -> struct.Struct:
     return struct.Struct(f">I{NONCE_LEN}sB{width}s{width}s")
 
 
-# The two layouts below are keyed by an entry count read from the wire.  A
-# Struct of the largest count, 65,535, holds about 11 MB, so each is built
+# The layout below is keyed by an entry count read from the wire.  A
+# Struct of the largest count, 65,535, holds about 11 MB, so it is built
 # only for a wire whose length has matched its count, and at most 8 are
 # kept: an unauthenticated count can cost no more than its own wire.
 
@@ -313,10 +321,75 @@ def _announced_entries(width: int, count: int) -> struct.Struct:
     return struct.Struct(">" + f"I{NONCE_LEN}sB{width}s{width}s" * count)
 
 
-@lru_cache(maxsize=8)
-def _announced_responses(width: int, count: int) -> struct.Struct:
-    """The response fields alone of ``count`` announcement entries."""
-    return struct.Struct(">" + f"{_ENTRY.size + width}x{width}s" * count)
+class AnnouncedEntries(Sequence):
+    """The entries of an IGROUP that :func:`decode` accepted, held as the
+    columns its one unpack read: ``ids``, ``nonces``, ``blinded`` and
+    ``responses``, the four fields of each :class:`GroupEntry` in entry
+    order, and ``fields``, the responses' encodings as the wire carries
+    them, each ``element_width`` bytes.  Every column is a tuple, and
+    none can be rebound.
+
+    It reads as the tuple of GroupEntry it stands for: ``len``,
+    iteration, indexing, slicing (a tuple), ``==``, ``hash``, ``repr``
+    and ``+`` with a tuple all act on that tuple, whose entries are built
+    only when iterated or indexed.  A receiver reads the columns instead.
+    It is no tuple subclass, whose C-level concatenation would join the
+    columns rather than the entries."""
+
+    __slots__ = ("ids", "nonces", "blinded", "responses", "fields")
+
+    def __init__(self, ids, nonces, blinded, responses, fields):
+        init = object.__setattr__
+        init(self, "ids", ids)
+        init(self, "nonces", nonces)
+        init(self, "blinded", blinded)
+        init(self, "responses", responses)
+        init(self, "fields", fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is read-only")
+
+    __delattr__ = __setattr__
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __iter__(self):
+        return map(_new_entry, zip(self.ids, self.nonces, self.blinded,
+                                   self.responses))
+
+    def __getitem__(self, index):
+        entry = (self.ids[index], self.nonces[index], self.blinded[index],
+                 self.responses[index])
+        if isinstance(index, slice):
+            return tuple(map(_new_entry, zip(*entry)))
+        return _new_entry(entry)
+
+    def __eq__(self, other):
+        if isinstance(other, AnnouncedEntries):
+            other = tuple(other)
+        elif not isinstance(other, tuple):
+            return NotImplemented
+        return tuple(self) == other
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+    def __add__(self, other):
+        if not isinstance(other, (tuple, AnnouncedEntries)):
+            return NotImplemented
+        return tuple(self) + tuple(other)
+
+    def __radd__(self, other):
+        if not isinstance(other, tuple):
+            return NotImplemented
+        return other + tuple(self)
+
+
+_NO_ENTRIES = AnnouncedEntries((), (), (), (), ())
 
 
 def _decode_announcement(data: bytes, sender_id: int, epoch: int,
@@ -333,52 +406,41 @@ def _decode_announcement(data: bytes, sender_id: int, epoch: int,
     query, with no subgroup check, vouches for all of them when each is
     already known.  Otherwise they meet :func:`is_element` one by one,
     each entry's blinded secret before its response, so the first
-    non-member is the one reported.  ``tuple.__new__`` makes each entry's
-    zipped fields its GroupEntry."""
+    non-member is the one reported.  The columns, with the response
+    fields as read, become the message's :class:`AnnouncedEntries`."""
     count = int.from_bytes(data[_COUNT_AT:_HEADER_LEN], "big")
     width = params.element_width
     end = _HEADER_LEN + count * _announced_entry(width).size
     if len(data) != end + 2 + int.from_bytes(data[end:end + 2], "big"):
         raise _refusal(data, _IGROUP, params)
     if not count:
-        return _new_message((_IGROUP, sender_id, data[5:21], epoch, (), data[end + 2:]))
+        return _new_message((_IGROUP, sender_id, data[5:21], epoch,
+                             _NO_ENTRIES, data[end + 2:]))
     fields = _announced_entries(width, count).unpack_from(data, _HEADER_LEN)
-    ids, nonces, flags, blinds, responses = (fields[0::5], fields[1::5],
-                                             fields[2::5], fields[3::5],
-                                             fields[4::5])
+    ids, nonces, flags, blinds, encoded = (fields[0::5], fields[1::5],
+                                           fields[2::5], fields[3::5],
+                                           fields[4::5])
     if flags.count(1) != count:
         raise _refusal(data, _IGROUP, params)
     named = set(ids)
     if len(named) != count or sender_id in named:
         try:
             validate_shape(Message(_IGROUP, sender_id, data[5:21], epoch, tuple(
-                map(_new_entry, zip(ids, nonces, blinds, responses))),
+                map(_new_entry, zip(ids, nonces, blinds, encoded))),
                 data[end + 2:]))
         except ShapeViolation as exc:
             raise MalformedMessage(str(exc)) from None
     from_bytes = int.from_bytes
-    blinded = [from_bytes(field, "big") for field in blinds]
-    answered = [from_bytes(field, "big") for field in responses]
+    blinded = tuple([from_bytes(field, "big") for field in blinds])
+    answered = tuple([from_bytes(field, "big") for field in encoded])
     if not all_known(blinded + answered, params):
         for value in chain.from_iterable(zip(blinded, answered)):
             if not is_element(value, params):
                 raise _non_member(value, params)
     return _new_message((_IGROUP, sender_id, data[5:21], epoch,
-                         tuple(map(_new_entry, zip(ids, nonces, blinded, answered))),
+                         AnnouncedEntries(ids, nonces, blinded, answered,
+                                          encoded),
                          data[end + 2:]))
-
-
-def response_fields(data: bytes, params: GroupParams) -> tuple[bytes, ...]:
-    """The response fields of an IGROUP wire that :func:`decode` has
-    accepted under ``params``, in entry order, each ``element_width``
-    bytes: the encodings of its entries' ``blinded_response`` values,
-    which a member's key fold loads as they are
-    (``group_arith.prodmod``'s ``encoded``).  One unpack of a cached
-    layout, keyed by the wire's count: only an accepted wire is known to
-    be as long as that count says, so no other may be passed."""
-    count = int.from_bytes(data[_COUNT_AT:_HEADER_LEN], "big")
-    return _announced_responses(params.element_width, count).unpack_from(
-        data, _HEADER_LEN)
 
 
 def _refusal(data: bytes, kind: MessageKind, params: GroupParams) -> MalformedMessage:

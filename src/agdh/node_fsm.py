@@ -43,7 +43,6 @@ from .messages import (
     decode,
     read_header,
     resign,
-    response_fields,
     sign_and_encode,
     verify,
 )
@@ -491,17 +490,21 @@ class Node:
                               out: FsmOutput, just_replied: bool) -> None:
         """Handle an announcement from the (now) accepted leader.  Every
         check, the key derivation included, precedes the first change of
-        state, so a refused announcement leaves none behind."""
+        state, so a refused announcement leaves none behind.
+
+        ``msg.entries`` is the :class:`~agdh.messages.AnnouncedEntries`
+        ``decode`` read: the node finds its own index in its ``ids``,
+        checks the echo and the identity response on its own nonce, blind
+        and response, and hands the fold the ``responses`` column with its
+        wire ``fields``, so no entry is built."""
         sender, entries = msg.sender_id, msg.entries
-        # one pass over the entries: their ids and responses as columns
-        ids, _, _, responses = zip(*entries) if entries else ((),) * 4
-        my_entry = (entries[ids.index(self.node_id)] if self.node_id in ids
-                    else None)
+        ids = entries.ids
+        mine = ids.index(self.node_id) if self.node_id in ids else None
 
         fresh: SessionKey | None = None
-        if my_entry is not None:
-            echoed = GroupEntry(self.node_id, my_entry.nonce,
-                                my_entry.blinded_secret)
+        if mine is not None:
+            echoed = GroupEntry(self.node_id, entries.nonces[mine],
+                                entries.blinded[mine])
             if echoed == self.contribution:
                 secret = self.own_secret
             elif echoed == self.prev_contribution:
@@ -513,7 +516,8 @@ class Node:
                 if not just_replied:
                     self._send_ireply(out)
                 return
-            if my_entry.blinded_response == 1:
+            response = entries.responses[mine]
+            if response == 1:
                 # the response to the blind of a secret in [1, q-1] is never
                 # the identity; recovering from one gives the leader blind
                 # 1, and a key any eavesdropper can compute from the wire
@@ -521,9 +525,9 @@ class Node:
             held = self.session
             if held is None or (held.leader_id, held.epoch) != (sender, msg.epoch):
                 leader_blind = recover_leader_blind(
-                    my_entry.blinded_response, secret, self.params, self.counter)
-                key = compute_key_member(leader_blind, responses, self.params,
-                                         response_fields(wire, self.params))
+                    response, secret, self.params, self.counter)
+                key = compute_key_member(leader_blind, entries.responses,
+                                         self.params, entries.fields)
                 try:
                     fresh = SessionKey(
                         now, self.node_id, sender, msg.epoch, key,
@@ -536,10 +540,10 @@ class Node:
         self.leader_epochs[sender] = max(self.leader_epochs.get(sender, 0), msg.epoch)
         self.last_seen_epoch = max(self.last_seen_epoch, msg.epoch)
         self.last_announcement_wire = wire
-        self._last_wire_included = my_entry is not None
+        self._last_wire_included = mine is not None
         self._arm(_SILENCE, now + self.config.silence_threshold, out)
 
-        if my_entry is None:
+        if mine is None:
             self._note_absent(sender, out, just_replied)
             return
         self.absent_streak = 0

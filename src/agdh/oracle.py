@@ -122,8 +122,8 @@ def audit_transcript(result: SimResult) -> AuditReport:
                        f"id={rec.get('id')} leader={rec.node}")
             continue
         key = (msg.sender_id, msg.epoch)
-        shape = tuple((e.participant_id, e.nonce, e.blinded_secret)
-                      for e in msg.entries)
+        entries = msg.entries
+        shape = tuple(zip(entries.ids, entries.nonces, entries.blinded))
         previous = composition.get(key)
         if previous is not None:
             if previous[1] != shape:
@@ -271,7 +271,7 @@ def cost_table(result: SimResult, m: int) -> CostRow:
         if when <= t_conv:
             expos[node_id] = expos.get(node_id, 0) + delta
 
-    member_ids = {e.participant_id for e in establishing.entries}
+    member_ids = set(establishing.entries.ids)
     problems = []
     leader_expos = expos.get(leader_id, 0)
     if leader_expos != m:

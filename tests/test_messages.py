@@ -953,30 +953,77 @@ def test_bulk_decode_matches_reference(memo, monkeypatch):
 @pytest.mark.parametrize("params, count", [(TOY, c) for c in (0, 1, 2, 29)]
                          + [(PROD, 1), (PROD, 99)],
                          ids=lambda v: getattr(v, "name", v))
-def test_response_fields_are_the_announced_encodings(params, count):
+def test_announced_fields_are_the_response_encodings(params, count):
+    """An accepted announcement's ``fields`` column holds each entry's
+    response encoded as the wire carries it: the bytes at that entry's
+    response offset, in entry order."""
     wire = announcement(params, count)
-    assert messages.response_fields(wire, params) == tuple(
-        e.blinded_response.to_bytes(params.element_width, "big")
-        for e in decode(wire, params).entries)
+    entries = decode(wire, params).entries
+    width = params.element_width
+    assert entries.fields == tuple(
+        e.blinded_response.to_bytes(width, "big") for e in entries)
+    _, elements, _ = entry_fields(wire, params)
+    assert entries.fields == tuple(wire[at:at + width] for at in elements[1::2])
+
+
+@pytest.mark.parametrize("memo", ["warm", "cold"])
+@pytest.mark.parametrize("params, count", [(TOY, c) for c in (0, 1, 2, 29)]
+                         + [(PROD, 1), (PROD, 99)],
+                         ids=lambda v: getattr(v, "name", v))
+def test_announced_entries_read_as_the_entries_tuple(params, count, memo,
+                                                     monkeypatch):
+    """An accepted announcement's entries, held as columns, read as the
+    tuple of GroupEntry the reference decoder builds, whether the memo
+    vouched for the elements or each met ``is_element``."""
+    wire = announcement(params, count)
+    if memo == "cold":
+        monkeypatch.setattr(params, "known", set())
+    msg = decode(wire, params)
+    reference = reference_decode(wire, params)
+    entries, expected = msg.entries, reference.entries
+    assert type(entries) is messages.AnnouncedEntries
+    assert len(entries) == count
+    assert [type(e) for e in entries] == [GroupEntry] * count
+    for i in range(-count, count):
+        assert entries[i] == expected[i] and type(entries[i]) is GroupEntry
+    for i in (count, -count - 1):
+        with pytest.raises(IndexError):
+            entries[i]
+    for cut in (slice(None), slice(1, None), slice(None, -1), slice(-2, None),
+                slice(None, None, 2), slice(None, None, -1), slice(3, 1)):
+        got = entries[cut]
+        assert type(got) is tuple and got == expected[cut]
+        assert all(type(e) is GroupEntry for e in got)
+    assert entries == expected and expected == entries
+    assert not entries != expected and not expected != entries
+    assert hash(entries) == hash(expected) and repr(entries) == repr(expected)
+    assert entries == decode(wire, params).entries
+    extra = GroupEntry(count + 2, bytes(16), params.generator, params.generator)
+    assert entries != expected + (extra,) and entries != expected[:-1] + (extra,)
+    assert entries != list(expected)
+    assert tuple(entries) + (extra,) == expected + (extra,)
+    assert entries + (extra,) == expected + (extra,)
+    assert (extra,) + entries == (extra,) + expected
+    assert msg == reference and reference == msg and hash(msg) == hash(reference)
+    with pytest.raises(AttributeError):
+        entries.ids = ()
 
 
 @pytest.mark.parametrize("params", [TOY, PROD], ids=lambda p: p.name)
 def test_hostile_count_builds_no_layout(params):
     """A validly signed announcement whose count claims 65,535 entries
-    but which holds two is malformed, and neither cache of per-count
-    layouts builds or keeps one for it."""
+    but which holds two is malformed, and the cache of per-count layouts
+    builds and keeps none for it."""
     wire = announcement(params, 2)
     canonical = wire[:len(wire) - 2 - 32]
     hostile = canonical[:29] + b"\xff\xff" + canonical[31:]
     signature = RING.sign(1, hostile)
     hostile += len(signature).to_bytes(2, "big") + signature
-    caches = (messages._announced_entries, messages._announced_responses)
-    before = [cache.cache_info() for cache in caches]
+    before = messages._announced_entries.cache_info()
     with pytest.raises(MalformedMessage):
         decode(hostile, params)
-    after = [cache.cache_info() for cache in caches]
-    assert [(i.misses, i.currsize) for i in after] == \
-        [(i.misses, i.currsize) for i in before]
+    after = messages._announced_entries.cache_info()
+    assert (after.misses, after.currsize) == (before.misses, before.currsize)
 
 
 def test_cold_announcement_checks_each_element_in_entry_order(monkeypatch):

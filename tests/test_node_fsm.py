@@ -1071,20 +1071,84 @@ def test_refresh_keeps_the_registered_wire_and_tests_no_element(monkeypatch):
 @pytest.mark.parametrize("params", [TOY, PROD], ids=lambda p: p.name)
 def test_member_folds_the_announced_encodings(params, monkeypatch):
     """A member's key step hands its fold the responses of the wire it
-    accepted and, beside them, their encodings as that wire carries them,
-    in entry order; the kernel, not the node, decides which it reads."""
+    accepted and, beside them, the decode's own ``fields`` column, their
+    encodings as that wire carries them, in entry order; the kernel, not
+    the node, decides which it reads."""
     leader, member, other, empty, keyed, reply2, now = build_pair(params)
-    folds = []
+    folds, decoded = [], []
     real = node_fsm.compute_key_member
     monkeypatch.setattr(node_fsm, "compute_key_member",
                         lambda *args: folds.append(args) or real(*args))
+    monkeypatch.setattr(node_fsm, "decode",
+                        lambda *args: decoded.append(decode(*args)) or decoded[-1])
     out, at = fire(leader, TimerKind.RENEWAL)
     [announcement] = out.sends
     out = deliver(member, announcement.wire, max(now, at) + 1000)
     assert out.key_changes and member.session.derived == leader.session.derived
     [(_, responses, fold_params, encoded)] = folds
+    [msg] = decoded
     assert fold_params is params
     assert responses == tuple(e.blinded_response
                               for e in announcement.message.entries)
+    assert encoded is msg.entries.fields
     assert encoded == tuple(r.to_bytes(params.element_width, "big")
                             for r in responses)
+
+
+def prod_group(m: int):
+    """A PROD leader 1 that has keyed members 2..m+1, none of which has
+    yet heard the keyed announcement: (leader, members, its Outgoing,
+    the time of its beacon)."""
+    ring = HmacKeyRing.provision(range(1, m + 2), master="fsm-tests")
+    leader, *members = [Node(i, CONFIG, PROD, ring, random.Random(f"prod/{i}"))
+                        for i in range(1, m + 2)]
+    empty = leader.start_as_leader(0).sends[0]
+    replies = [deliver(member, empty.wire, 10_000).sends[0] for member in members]
+    for reply in replies:
+        assert deliver(leader, reply.wire, 20_000).accepted
+    at = leader.deadlines[TimerKind.BEACON]
+    [keyed] = leader.handle(TimerFired(TimerKind.BEACON), at).sends
+    assert len(keyed.message.entries) == m
+    return leader, members, keyed, at
+
+
+def test_cold_member_key_step_checks_each_element_in_entry_order(monkeypatch):
+    """A member that knows none of its leader's elements keys from an
+    m = 29 PROD announcement with one ``is_element`` per element, each
+    entry's blinded secret before its response, to the oracle's key; a
+    non-member planted at entry k is refused as malformed, and the step
+    leaves the member's state as it found it."""
+    leader, members, keyed, at = prod_group(29)
+    member = members[0]
+    msg = keyed.message
+    in_order = [value for e in msg.entries
+                for value in (e.blinded_secret, e.blinded_response)]
+    tested = []
+    real = messages.is_element
+    monkeypatch.setattr(messages, "is_element",
+                        lambda value, params: tested.append(value) or real(value, params))
+    monkeypatch.setattr(PROD, "known", set())
+    width, p = PROD.element_width, PROD.modulus
+    canonical = keyed.wire[:len(keyed.wire) - 2 - len(msg.signature)]
+    size = 4 + 16 + 1 + 2 * width
+    for k in (0, 1, 14, 28):
+        for field in (0, 1):
+            offset = 31 + k * size + 21 + field * width
+            planted = (canonical[:offset] + (p - 1).to_bytes(width, "big")
+                       + canonical[offset + width:])
+            signature = leader.keyring.sign(1, planted)
+            planted += len(signature).to_bytes(2, "big") + signature
+            PROD.known.clear()
+            tested.clear()
+            digest = member.state_digest()
+            out = deliver(member, planted, at + 1000)
+            assert refusal(out) == "malformed" and not out.key_changes
+            assert member.state_digest() == digest
+            assert tested == in_order[:2 * k + field] + [p - 1]
+    PROD.known.clear()
+    tested.clear()
+    out = deliver(member, keyed.wire, at + 1000)
+    assert out.accepted and tested == in_order
+    expected = oracle_key(leader_secret(leader),
+                          [n.own_secret for n in members], PROD)
+    assert member.session.group_key == expected == leader.session.group_key
