@@ -34,22 +34,23 @@ responses.  Each counts as one exponentiation.
 The paper's cost model treats multiplications as free; at m = 100 they are
 not.  A member's key step is therefore 1 counted exponentiation (the
 recovery) plus m products, and the leader's fold is one product over
-its blind and the m responses.  Both products run through
-``group_arith.prodmod`` on the same kernel as the powers: Montgomery
-multiplication on PROD.  A member's fold loads each response's encoding
-as the accepted wire carries it (the ``fields`` column of
-``messages.AnnouncedEntries``, read by the decode's one unpack), so no
-response is turned from bytes into an int and back.  No product is
-counted as an exponentiation.  Measured on one m = 99 announcement
-(PROD, a shared 2-CPU VM, best of 7 x 300 calls), a member's key step
-splits into decoding the wire, about 0.07 ms when the process already
-knows every element (``messages.decode`` vouches for all 198 with one
-batched membership query); the fold, about 0.11 ms, or 1.1 us per
-factor; the recovery, about 0.08 ms; and the signature check, about
-0.02 ms.  The one counted exponentiation is thus about a quarter of the
-step, and the fold about 1.4 times the recovery.  The decode took about
-0.09 ms, and the fold 2 us more to extract the encodings, while each
-announcement's entries were built as tuples and read back as columns.
+its blind and the m responses.  Both products run on the same kernel as
+the powers: Montgomery multiplication on PROD.  The leader's fold passes
+ints to ``group_arith.prodmod``; a member's passes only the responses'
+encodings as the accepted wire carries them (the ``fields`` column of
+``messages.AnnouncedEntries``, read by the decode's one unpack) to
+``group_arith.prodmod_encoded``, so no response is turned from bytes into
+an int and back, and the width the layout fixed is not checked again.
+No product is counted as an exponentiation.  Measured on one m = 99
+announcement (PROD, a shared 2-CPU VM, best of 7 x 300 calls), a
+member's key step splits into decoding the wire, about 0.025 ms when the
+process already knows every element (``messages.decode`` asks the memo,
+which is keyed by encoding, about the 198 wire slices themselves, and
+converts none); the fold, about 0.11 ms, or 1.1 us per factor; the
+recovery, about 0.07 ms; and the signature check, about 0.02 ms.  The
+one counted exponentiation is thus about a third of the step, and the
+fold about 1.5 times the recovery.  While the memo held ints, the decode
+converted all 198 elements to ask it and took about 0.07 ms.
 
 ``respond`` and ``recover_leader_blind`` still check that their input is a
 subgroup element, because each raises it to a secret: a received value of
@@ -57,14 +58,16 @@ small order there would leak that secret modulo the small order (Lim and
 Lee, CRYPTO '97).  ``group_arith`` answers the check from its memo of known
 elements (powers of the generator and of proven elements), so only a value
 that no check or exponentiation in the process has met costs a subgroup
-``pow``.
+``pow``.  Each encodes its input once, for that check
+(``group_arith.element_encoding``), and hands the encoding to ``exp``,
+which files the power without looking the input up again.
 """
 
 from __future__ import annotations
 
 import hashlib
 from collections.abc import Sequence
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import NamedTuple
 
 from .errors import DegenerateKey, NotInSubgroup, ZeroScalar
@@ -73,9 +76,10 @@ from .group_arith import (
     GroupElement,
     GroupParams,
     Scalar,
+    element_encoding,
     exp,
-    is_element,
     prodmod,
+    prodmod_encoded,
     scalar_inverse,
 )
 
@@ -98,6 +102,11 @@ class GroupEntry(NamedTuple):
     blinded_response: GroupElement | None = None
 
 
+# A GroupEntry from a tuple, by the tuple constructor alone: the named
+# tuple's own __new__ is skipped, so each caller passes every field.
+_new_entry = partial(tuple.__new__, GroupEntry)
+
+
 def _check_secret(secret: Scalar, params: GroupParams) -> None:
     if not 1 <= secret <= params.order - 1:
         raise ZeroScalar(f"secret must lie in [1, q-1], got {secret}")
@@ -113,10 +122,11 @@ def blind(secret: Scalar, params: GroupParams,
 def respond(blinded_secret: GroupElement, leader_secret: Scalar,
             params: GroupParams, counter: ExpCounter | None = None) -> GroupElement:
     """Leader side: raise a member's blinded secret to the leader secret."""
-    if not is_element(blinded_secret, params):
+    encoded = element_encoding(blinded_secret, params)
+    if encoded is None:
         raise NotInSubgroup(f"blinded secret {blinded_secret} not in subgroup")
     _check_secret(leader_secret, params)
-    return exp(blinded_secret, leader_secret, params, counter)
+    return exp(blinded_secret, leader_secret, params, counter, encoded)
 
 
 def recover_leader_blind(response: GroupElement, own_secret: Scalar,
@@ -127,30 +137,30 @@ def recover_leader_blind(response: GroupElement, own_secret: Scalar,
     (g^(r_i * r_l))^(r_i^-1) = g^(r_l).  One exponentiation plus one scalar
     inversion.
     """
-    if not is_element(response, params):
+    encoded = element_encoding(response, params)
+    if encoded is None:
         raise NotInSubgroup(f"response {response} not in subgroup")
     _check_secret(own_secret, params)
-    return exp(response, scalar_inverse(own_secret, params), params, counter)
+    return exp(response, scalar_inverse(own_secret, params), params, counter,
+               encoded)
 
 
 def compute_key_member(leader_blind: GroupElement,
-                       responses: Sequence[GroupElement],
-                       params: GroupParams,
-                       encoded: Sequence[bytes] | None = None) -> GroupElement:
+                       encoded: Sequence[bytes],
+                       params: GroupParams) -> GroupElement:
     """Member side: multiply the recovered leader blind with every response.
 
-    One :func:`~agdh.group_arith.prodmod` over the m responses, no
+    One :func:`~agdh.group_arith.prodmod_encoded` over the m responses, no
     exponentiation; with no responses the key is the leader blind itself
-    (singleton group).  ``responses`` are the announced response values,
-    one per member; the caller passes them from an announcement that
-    ``messages.decode`` has accepted, which refuses an IGROUP naming a
-    participant twice, so no duplicate check is repeated here.
-    ``encoded``, if given, holds the same responses as the wire carries
-    them (a decoded announcement's ``entries.fields``), which the native
-    kernel folds without encoding each value again; builtin ``pow``
-    ignores them.
+    (singleton group).  ``encoded`` holds the announced responses, one
+    per member, as an announcement that ``messages.decode`` has accepted
+    carries them (its ``entries.fields``): each ``element_width`` bytes,
+    which is not checked again, and each a subgroup member.  That decode
+    refuses an IGROUP naming a participant twice, so no duplicate check
+    is repeated here.  The native kernel folds the encodings as they are;
+    builtin ``pow``'s loop converts each.
     """
-    return prodmod(leader_blind, responses, params, encoded)
+    return prodmod_encoded(leader_blind, encoded, params)
 
 
 def compute_key_leader(leader_secret: Scalar,
@@ -169,11 +179,11 @@ def compute_key_leader(leader_secret: Scalar,
     share and retry rather than ship an identity key.
     """
     leader_blind = blind(leader_secret, params, counter)
-    entries = [GroupEntry(s.participant_id, s.nonce, s.blinded_secret,
-                          respond(s.blinded_secret, leader_secret, params,
-                                  counter))
-               for s in shares]
-    key = prodmod(leader_blind, [e.blinded_response for e in entries], params)
+    responses = [respond(blinded, leader_secret, params, counter)
+                 for _, _, blinded, _ in shares]
+    entries = [_new_entry((pid, nonce, blinded, response))
+               for (pid, nonce, blinded, _), response in zip(shares, responses)]
+    key = prodmod(leader_blind, responses, params)
     if key == 1:
         raise DegenerateKey("group key folded to the identity element")
     return key, entries

@@ -35,33 +35,50 @@ one exponentiation.
 
 Products of many elements, a member folding the m announced responses into
 its key and the leader folding its own, go through :func:`prodmod`, on the
-kernel the same modulus gives its powers.  On the native kernel each factor
+kernel the same modulus gives its powers, or, from encodings alone,
+through :func:`prodmod_encoded`.  On the native kernel each factor
 is one ``BN_bin2bn`` and one ``BN_mod_mul_montgomery`` into a per-thread
 accumulator, which starts at a cached ``R^(n+1) mod p`` that undoes the
 Montgomery scaling.  Those two calls are bound through ``ctypes.PyDLL``, so
 they keep the interpreter lock, which for calls of about a microsecond
 costs less than releasing and retaking it; the powers keep the ``CDLL``
-binding, which releases it.  A member passes, beside the response ints,
-their encodings as the announcement carried them, which ``BN_bin2bn``
-loads as they are; the leader's fold and ``agdh bench`` pass ints, which
-are encoded first.  On PROD a factor costs about 1.1 us from its
+binding, which releases it.  A member passes only the responses'
+encodings, as the announcement carried them, to :func:`prodmod_encoded`,
+which guards their range on the bytes themselves and ``BN_bin2bn`` loads
+as they are; the leader's fold and ``agdh bench`` pass ints to
+:func:`prodmod`, which are encoded first.  On PROD a factor costs about 1.1 us from its
 encoding and 1.25 us from an int (against 1.35 us from an int through
 ``CDLL``), most of it the two ``ctypes`` calls' own cost, against about
 4.4 us for Python's ``a * b % p`` (the best of 7 x 300 folds of 99
 factors, in one process on a shared 2-CPU VM), so at m = 99 a member's
 fold costs about 0.11 ms rather than 0.44 ms.  The Python loop stays the
 fallback wherever builtin ``pow`` is the kernel (about 0.07 us per
-factor on TOY), and it folds the ints, whatever encodings it is given.
+factor on TOY): :func:`prodmod` folds the ints, whatever encodings it is
+given, and :func:`prodmod_encoded` converts each encoding as it folds.
 Products are not exponentiations and no counter sees them.
 
 Membership answers are memoised under the closure rule: a power of an
 element of the order-q subgroup is itself in that subgroup.  The memo is one
-set of ints per ``(p, q)``, so each group keeps its own known elements even
-where two groups share ``p``; :attr:`GroupParams.known` holds the group's
-set, so a lookup hashes the value alone, not the 1024-bit modulus with it.
+set per ``(p, q)``, so each group keeps its own known elements even where
+two groups share ``p``; :attr:`GroupParams.known` holds the group's set.
+It holds each known element's encoding, ``element_width`` big-endian
+bytes, not its int, because most questions arrive as bytes: an
+announcement's 2m elements are slices of the wire, and a member needs only
+its own blind and response as ints.  So ``messages.decode`` asks about
+the slices themselves and converts nothing when all are known.  Asking
+about an int slice instead cost one ``int.from_bytes`` and a hash of a
+1024-bit int, about 0.37 us per PROD element, where a fresh 128-byte
+slice costs one hash, about 0.05 us (timeit over 198 elements, 2-CPU VM).
+An int asks through its encoding, which each path makes once:
+:func:`is_element`, :func:`element_encoding` and :func:`encode_element`
+encode the value and look that up, and :func:`exp` files the native
+kernel's output bytes as they are and, given the encoding of a base its
+caller has just checked, files the power without looking the base up
+again.  The price is memory: the encodings are objects of their own
+beside the ints the nodes hold, about 176 bytes per PROD element.
 :func:`is_element` asks about one value and :func:`all_known` about many
-at once (one ``set.issuperset``, no subgroup check).  Only two things
-write to a set: :func:`is_element`, after the check has proved a value a
+encodings at once (one ``set.issuperset``, no subgroup check).  Only two
+things write to a set: the subgroup check, for a value it has proved a
 member, and :func:`exp`, for a power of the generator or of a value
 already in the set.  A power of the generator is filed only
 once the generator's order is confirmed: :meth:`GroupParams.check_generator`
@@ -95,9 +112,10 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 #: holds at most.
 _MEMO_SIZE = 1 << 16
 
-# (p, q) -> the values known to lie in the order-q subgroup of Z_p*; every
-# GroupParams with that (p, q) holds the same set as GroupParams.known.
-_known_sets: dict[tuple[int, int], set[int]] = {}
+# (p, q) -> the encodings of the values known to lie in the order-q
+# subgroup of Z_p*; every GroupParams with that (p, q) holds the same set
+# as GroupParams.known.
+_known_sets: dict[tuple[int, int], set[bytes]] = {}
 
 #: Widest modulus, in bits, that keeps builtin ``pow`` as its kernel: up
 #: to about here the native call's fixed cost outweighs what it saves.
@@ -146,9 +164,10 @@ class GroupParams:
         self.name = name
         #: Byte width of one encoded group element (big-endian, fixed).
         self.element_width = (modulus.bit_length() + 7) // 8
-        #: The values known to lie in this group's order-q subgroup: one set
-        #: shared by every instance with the same ``(p, q)``.
-        self.known: set[int] = _known_sets.setdefault((modulus, order), set())
+        #: The encodings (``element_width`` big-endian bytes) of the values
+        #: known to lie in this group's order-q subgroup: one set shared by
+        #: every instance with the same ``(p, q)``.
+        self.known: set[bytes] = _known_sets.setdefault((modulus, order), set())
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not GroupParams:
@@ -230,21 +249,46 @@ def random_scalar(rng: random.Random, params: GroupParams) -> Scalar:
 
 
 def exp(base: GroupElement, s: Scalar, params: GroupParams,
-        counter: ExpCounter | None = None) -> GroupElement:
-    """base**s mod p on :func:`_powmod`, metered: one counter bump per call.
+        counter: ExpCounter | None = None,
+        encoded: bytes | None = None) -> GroupElement:
+    """base**s mod p on :func:`_powmod`'s kernel, metered: one counter bump
+    per call.
 
     The result joins the known elements when the base is already known,
-    or is the generator and its order is confirmed.
+    or is the generator and its order is confirmed.  ``encoded``, if
+    given, is the base's encoding from a caller that has just proved the
+    base an element (``gka_core.respond`` and ``recover_leader_blind``):
+    the power is filed without looking the base up again, and the native
+    kernel loads it as it is.
     """
     if counter is not None:
         counter.bump()
-    result = _powmod(base, s % params.order, params.modulus)
-    known = params.known
-    if base == params.generator:
+    modulus, width = params.modulus, params.element_width
+    if encoded is not None:
+        filed = True
+    elif base == params.generator:
         params.check_generator()
-    elif base not in known:
-        return result
-    _remember(result, known)
+        filed = True
+    elif 0 < base < modulus:
+        encoded = base.to_bytes(width, "big")
+        filed = encoded in params.known
+    else:
+        filed = False
+    native = _native_for(modulus)
+    if native is None:
+        result = pow(base, s % params.order, modulus)
+        if filed:
+            power = result.to_bytes(width, "big")
+    else:
+        if encoded is None:
+            encoded = (base % modulus).to_bytes(width, "big")
+        power = native.power(encoded, s % params.order, modulus)
+        result = int.from_bytes(power, "big")
+    if filed:
+        known = params.known  # _remember's body, inline on this hot path
+        if len(known) >= _MEMO_SIZE:
+            known.pop()
+        known.add(power)
     return result
 
 
@@ -403,14 +447,20 @@ class _OpenSSL:
             raise self.failed("BN_bn2binpad")
         return out
 
-    def powmod(self, base: int, e: int, modulus: int) -> int:
+    def power(self, base: bytes, e: int, modulus: int) -> bytes:
+        """``base^e mod p`` for a base given as its ``width``-byte
+        big-endian encoding, and ``e >= 0``, as the same encoding."""
         mod, scratch = self.modulus(modulus), self._scratch()
         width = mod.width
-        if self.bin2bn((base % modulus).to_bytes(width, "big"), width,
-                       scratch.base) is None:
+        if self.bin2bn(base, width, scratch.base) is None:
             raise self.failed("BN_bin2bn")
         self._power(scratch.base, e, mod, scratch)
-        return int.from_bytes(self._read(scratch.result, width, scratch), "big")
+        return self._read(scratch.result, width, scratch).raw
+
+    def powmod(self, base: int, e: int, modulus: int) -> int:
+        width = (modulus.bit_length() + 7) // 8
+        return int.from_bytes(self.power(
+            (base % modulus).to_bytes(width, "big"), e, modulus), "big")
 
     def _correction(self, modulus: int, n: int) -> bytes:
         mod, scratch = self.modulus(modulus), self._scratch()
@@ -421,7 +471,7 @@ class _OpenSSL:
                 encoded: Sequence[bytes] | None = None) -> int:
         """``first * prod(factors) mod p`` for values already in ``(0, p)``;
         ``encoded``, if given, holds each factor's ``width``-byte big-endian
-        encoding, which is loaded as it is.
+        encoding, which is loaded as it is, and ``factors`` is not read.
 
         Each ``BN_mod_mul_montgomery`` divides by R, so the n + 1 products
         that fold ``first`` and the n factors divide by ``R^(n+1)``; the
@@ -435,12 +485,12 @@ class _OpenSSL:
         mod, scratch = self.modulus(modulus), self._scratch()
         width, bin2bn, mont_mul = mod.width, self.fold_bin2bn, self.mont_mul
         acc, factor, ctx, mont = scratch.result, scratch.base, scratch.ctx, mod.mont
-        # a correction not yet cached is computed in the scratch, so it is
-        # read out before acc is loaded with it
-        if bin2bn(self.correction(modulus, len(factors)), width, acc) is None:
-            raise self.failed("BN_bin2bn")
         if encoded is None:
             encoded = [value.to_bytes(width, "big") for value in factors]
+        # a correction not yet cached is computed in the scratch, so it is
+        # read out before acc is loaded with it
+        if bin2bn(self.correction(modulus, len(encoded)), width, acc) is None:
+            raise self.failed("BN_bin2bn")
         for field in (first.to_bytes(width, "big"), *encoded):
             if bin2bn(field, width, factor) is None:
                 raise self.failed("BN_bin2bn")
@@ -517,11 +567,11 @@ def prodmod(first: GroupElement, factors: Sequence[GroupElement],
     Every value must lie in ``(0, p)``; anything else raises NotInSubgroup
     before any native call, since a Montgomery product of an unreduced
     input is wrong.  ``encoded``, if given, holds ``factors``' encodings
-    in the same order, each ``element_width`` big-endian bytes, as an
-    accepted wire carries them: the native kernel loads them as they are
-    instead of encoding each factor again, and raises BadLength, before
-    any native call, unless there is one of that width per factor.  The
-    Python loop ignores them.  No exponentiation is counted.
+    in the same order, each ``element_width`` big-endian bytes: the native
+    kernel folds them, through :func:`prodmod_encoded`, instead of
+    encoding each factor again, and raises BadLength, before any native
+    call, unless there is one of that width per factor.  The Python loop
+    ignores them.  No exponentiation is counted.
     """
     modulus = params.modulus
     if not 0 < first < modulus or factors and (
@@ -532,12 +582,49 @@ def prodmod(first: GroupElement, factors: Sequence[GroupElement],
         for factor in factors:
             first = first * factor % modulus
         return first
+    if encoded is None:
+        return native.prodmod(first, factors, modulus)
     # the native call reads element_width bytes from each encoding
-    if encoded is not None and (len(encoded) != len(factors) or not
-                                {*map(len, encoded)} <= {params.element_width}):
+    if len(encoded) != len(factors) or not \
+            {*map(len, encoded)} <= {params.element_width}:
         raise BadLength(f"expected one {params.element_width}-byte encoding"
                         " per factor")
-    return native.prodmod(first, factors, modulus, encoded)
+    return prodmod_encoded(first, encoded, params)
+
+
+def prodmod_encoded(first: GroupElement, encoded: Sequence[bytes],
+                    params: GroupParams) -> GroupElement:
+    """``first`` times the elements ``encoded`` holds, mod p, on the
+    kernel :func:`prodmod` would take: the native kernel loads each
+    encoding as it is, the Python loop converts each.
+
+    Each encoding must be ``element_width`` big-endian bytes, as an
+    accepted wire carries it (a decoded announcement's ``fields``, whose
+    width the layout fixed): unlike :func:`prodmod`'s ``encoded``, that is
+    not checked again.  ``first`` and every encoded value must lie in
+    ``(0, p)``, else NotInSubgroup before any native call; the guard reads
+    the encodings themselves (:func:`_encodings_in_range`).  No
+    exponentiation is counted.
+    """
+    modulus = params.modulus
+    if not 0 < first < modulus or not _encodings_in_range(encoded, params):
+        raise NotInSubgroup(f"a factor is out of range for {params.name!r}")
+    native = _native_for(modulus)
+    if native is None:
+        from_bytes = int.from_bytes
+        for field in encoded:
+            first = first * from_bytes(field, "big") % modulus
+        return first
+    return native.prodmod(first, (), modulus, encoded)
+
+
+def _encodings_in_range(encoded: Sequence[bytes], params: GroupParams) -> bool:
+    """True iff each encoding, ``element_width`` bytes, holds a value in
+    ``(0, p)``.  At a fixed width, byte order is numeric order, so the
+    least must have a nonzero byte and the greatest must sort below p's
+    own encoding."""
+    return not encoded or (any(min(encoded)) and max(encoded) <
+                           params.modulus.to_bytes(params.element_width, "big"))
 
 
 def scalar_inverse(s: Scalar, params: GroupParams) -> Scalar:
@@ -556,10 +643,39 @@ def _in_subgroup(value: int, modulus: int, order: int) -> bool:
     return 0 < value < modulus and _powmod(value, order, modulus) == 1
 
 
-def _remember(value: int, known: set[int]) -> None:
+def _remember(encoded: bytes, known: set[bytes]) -> None:
     if len(known) >= _MEMO_SIZE:
         known.pop()
-    known.add(value)
+    known.add(encoded)
+
+
+def _prove(value: int, encoded: bytes | None, params: GroupParams) -> bool:
+    """The subgroup check for a value whose encoding (None if it has
+    none) the memo does not hold; a member it proves becomes known.  A
+    value in ``[p, 256^width)`` is encoded, but no such encoding is ever
+    known, and the check refuses it, or any other value out of range,
+    itself, caching that answer like any other."""
+    if _in_subgroup(value, params.modulus, params.order):
+        _remember(encoded, params.known)
+        return True
+    return False
+
+
+def element_encoding(value: int, params: GroupParams) -> bytes | None:
+    """value's encoding if value is a member of the order-q subgroup, else
+    None: :func:`is_element`'s answer, with the encoding it looked up.
+
+    The value is encoded once, and a known encoding answers from the memo;
+    any other value pays the subgroup check, and a value it proves a
+    member becomes known.
+    """
+    try:
+        encoded = value.to_bytes(params.element_width, "big")
+    except OverflowError:  # negative, or wider than any element
+        encoded = None
+    if encoded in params.known or _prove(value, encoded, params):
+        return encoded
+    return None
 
 
 def is_element(value: int, params: GroupParams) -> bool:
@@ -568,29 +684,31 @@ def is_element(value: int, params: GroupParams) -> bool:
     Known elements answer from the memo; any other value pays the subgroup
     check, and a value it proves a member becomes known.
     """
-    known = params.known
-    if value in known:
-        return True
-    if _in_subgroup(value, params.modulus, params.order):
-        _remember(value, known)
-        return True
-    return False
+    return element_encoding(value, params) is not None
 
 
-def all_known(values: Iterable[int], params: GroupParams) -> bool:
-    """True iff every value is already a known element of the subgroup.
+def all_known(encoded: Iterable[bytes], params: GroupParams) -> bool:
+    """True iff every encoding is that of an already known element of the
+    subgroup.
 
     One set query, and no subgroup check: False means only that some value
     is not yet known, which :func:`is_element` must then settle.
     """
-    return params.known.issuperset(values)
+    return params.known.issuperset(encoded)
 
 
 def encode_element(e: GroupElement, params: GroupParams) -> bytes:
-    """Fixed-width big-endian encoding of a subgroup element."""
-    if not is_element(e, params):
-        raise NotInSubgroup(f"{e} is not in the subgroup of {params.name!r}")
-    return e.to_bytes(params.element_width, "big")
+    """Fixed-width big-endian encoding of a subgroup element: the value is
+    encoded once, and that encoding is what the memo is asked."""
+    # element_encoding's body, inline: a leader encodes 2m elements for
+    # each announcement, and on TOY one more call is a tenth of the work
+    try:
+        encoded = e.to_bytes(params.element_width, "big")
+    except OverflowError:  # negative, or wider than any element
+        encoded = None
+    if encoded in params.known or _prove(e, encoded, params):
+        return encoded
+    raise NotInSubgroup(f"{e} is not in the subgroup of {params.name!r}")
 
 
 def decode_element(data: bytes, params: GroupParams) -> GroupElement:

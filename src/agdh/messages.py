@@ -47,15 +47,19 @@ A receiver takes each wire through these steps, cheapest refusal first:
 2. :func:`decode`, given that header, which refuses any wire that is not
    its kind's one layout or breaks its entry grammar (an IREPLY entry not
    its sender's own; an IGROUP naming a participant twice, or its sender),
-   then tests each element: an IREPLY's one with one ``is_element``; an
-   announcement's with one batched query that, when every element is
-   known to the process (``group_arith``'s per-group memo), vouches for
-   all with no subgroup check, else one by one in entry order, reporting
-   the first non-member.  An accepted announcement's entries are the
-   columns of the one unpack that read them (:class:`AnnouncedEntries`),
-   the responses' wire encodings among them, so a member finds its own
-   entry and folds the key without building an entry or unpacking the
-   wire again.  A leader passes the wire a member's share was
+   then tests each element.  ``group_arith``'s per-group memo of known
+   elements is keyed by their encodings, so the wire's own slices are
+   what it is asked: an IREPLY's one field with one set lookup, an
+   announcement's 2m fields with two batched queries, which, when every
+   element is known to the process, vouch for all with no conversion and
+   no subgroup check.  An element the memo does not know is converted and
+   meets ``is_element``, an announcement's one by one in entry order,
+   reporting the first non-member.  An accepted announcement's entries
+   are the columns of the one unpack that read them
+   (:class:`AnnouncedEntries`), the elements as their wire encodings, so
+   a member converts only its own entry's two elements and folds the
+   responses' encodings without building an entry or unpacking the wire
+   again.  A leader passes the wire a member's share was
    registered from as a memo: an IREPLY of the same length and the same
    bytes from its entry count through its signature length decodes to the
    registered entry with one bytes comparison;
@@ -77,11 +81,12 @@ import struct
 from collections.abc import Sequence
 from enum import IntEnum
 from functools import lru_cache, partial
-from itertools import chain
+from itertools import chain, repeat
+from operator import attrgetter
 from typing import NamedTuple
 
 from .errors import MalformedMessage, ShapeViolation, UnknownParticipant
-from .gka_core import NONCE_LEN, GroupEntry
+from .gka_core import NONCE_LEN, GroupEntry, _new_entry
 from .group_arith import (
     GroupParams,
     all_known,
@@ -238,7 +243,9 @@ def decode(data: bytes, params: GroupParams, header=None,
     are slices.  ``header`` is ``read_header(data)``, read here if not given.
 
     An IREPLY is one entry of its sender's, without a response, read with
-    one unpack and one :func:`is_element`; an IGROUP is ``entry_count``
+    one unpack; its element is vouched for by the memo's lookup of the
+    field as the wire carries it, or else by one :func:`is_element`; an
+    IGROUP is ``entry_count``
     answered entries, decoded in bulk by :func:`_decode_announcement`
     and returned as :class:`AnnouncedEntries` columns; a DEL is the
     header alone.  Any other layout of a known kind is
@@ -274,8 +281,9 @@ def decode(data: bytes, params: GroupParams, header=None,
             if count == 1 and not has_response and len(data) == sig_at + sig_len:
                 if pid != sender_id:
                     raise MalformedMessage("IREPLY.entries[0].participant_id")
+                # the memo is asked about the field as the wire carries it
                 blinded = int.from_bytes(field, "big")
-                if not is_element(blinded, params):
+                if field not in params.known and not is_element(blinded, params):
                     raise _non_member(blinded, params)
                 return _new_message((kind, sender_id, data[5:21], epoch,
                                      (_new_entry((pid, nonce, blinded, None)),),
@@ -288,9 +296,8 @@ def decode(data: bytes, params: GroupParams, header=None,
     raise _refusal(data, kind, params)
 
 
-# A GroupEntry or Message from a tuple, by the tuple constructor alone:
-# _make's length check is skipped, so each caller passes every field.
-_new_entry = partial(tuple.__new__, GroupEntry)
+# A Message from a tuple, by the tuple constructor alone: _make's length
+# check is skipped, so each caller passes every field.
 _new_message = partial(tuple.__new__, Message)
 
 
@@ -323,47 +330,63 @@ def _announced_entries(width: int, count: int) -> struct.Struct:
 
 class AnnouncedEntries(Sequence):
     """The entries of an IGROUP that :func:`decode` accepted, held as the
-    columns its one unpack read: ``ids``, ``nonces``, ``blinded`` and
-    ``responses``, the four fields of each :class:`GroupEntry` in entry
-    order, and ``fields``, the responses' encodings as the wire carries
-    them, each ``element_width`` bytes.  Every column is a tuple, and
-    none can be rebound.
+    columns its one unpack read, each a tuple in entry order: ``ids``,
+    ``nonces``, and ``fields``, the responses' encodings as the wire
+    carries them, each ``element_width`` bytes; beside them the blinded
+    secrets' encodings.  ``blinded`` and ``responses``, the two element
+    columns as ints, are built on their first read, one conversion per
+    element, and kept: the oracle and iteration read them, while a member
+    reads its own entry by index, which converts that entry's two
+    elements alone, and folds ``fields``.  No column can be rebound.
 
     It reads as the tuple of GroupEntry it stands for: ``len``,
     iteration, indexing, slicing (a tuple), ``==``, ``hash``, ``repr``
     and ``+`` with a tuple all act on that tuple, whose entries are built
-    only when iterated or indexed.  A receiver reads the columns instead.
-    It is no tuple subclass, whose C-level concatenation would join the
-    columns rather than the entries."""
+    only when iterated or indexed.  It is no tuple subclass, whose
+    C-level concatenation would join the columns rather than the
+    entries."""
 
-    __slots__ = ("ids", "nonces", "blinded", "responses", "fields")
+    __slots__ = ("_ids", "_nonces", "_blinds", "_fields", "_blinded",
+                 "_responses")
 
-    def __init__(self, ids, nonces, blinded, responses, fields):
-        init = object.__setattr__
-        init(self, "ids", ids)
-        init(self, "nonces", nonces)
-        init(self, "blinded", blinded)
-        init(self, "responses", responses)
-        init(self, "fields", fields)
+    def __init__(self, ids, nonces, blinds, fields):
+        self._ids = ids
+        self._nonces = nonces
+        self._blinds = blinds
+        self._fields = fields
+        self._blinded = self._responses = None
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is read-only")
+    ids = property(attrgetter("_ids"))
+    nonces = property(attrgetter("_nonces"))
+    fields = property(attrgetter("_fields"))
 
-    __delattr__ = __setattr__
+    @property
+    def blinded(self) -> tuple[int, ...]:
+        if self._blinded is None:
+            self._blinded = _ints(self._blinds)
+        return self._blinded
+
+    @property
+    def responses(self) -> tuple[int, ...]:
+        if self._responses is None:
+            self._responses = _ints(self._fields)
+        return self._responses
 
     def __len__(self) -> int:
-        return len(self.ids)
+        return len(self._ids)
 
     def __iter__(self):
-        return map(_new_entry, zip(self.ids, self.nonces, self.blinded,
+        return map(_new_entry, zip(self._ids, self._nonces, self.blinded,
                                    self.responses))
 
     def __getitem__(self, index):
-        entry = (self.ids[index], self.nonces[index], self.blinded[index],
-                 self.responses[index])
         if isinstance(index, slice):
-            return tuple(map(_new_entry, zip(*entry)))
-        return _new_entry(entry)
+            return tuple(map(_new_entry, zip(
+                self._ids[index], self._nonces[index],
+                _ints(self._blinds[index]), _ints(self._fields[index]))))
+        return _new_entry((self._ids[index], self._nonces[index],
+                           int.from_bytes(self._blinds[index], "big"),
+                           int.from_bytes(self._fields[index], "big")))
 
     def __eq__(self, other):
         if isinstance(other, AnnouncedEntries):
@@ -389,7 +412,12 @@ class AnnouncedEntries(Sequence):
         return other + tuple(self)
 
 
-_NO_ENTRIES = AnnouncedEntries((), (), (), (), ())
+def _ints(encoded: tuple[bytes, ...]) -> tuple[int, ...]:
+    """Each big-endian encoding as its int."""
+    return tuple(map(int.from_bytes, encoded, repeat("big")))
+
+
+_NO_ENTRIES = AnnouncedEntries((), (), (), ())
 
 
 def _decode_announcement(data: bytes, sender_id: int, epoch: int,
@@ -399,15 +427,17 @@ def _decode_announcement(data: bytes, sender_id: int, epoch: int,
 
     Once the wire's length matches its count, one unpack of a cached
     layout of ``count`` entries reads every field, and five stride slices
-    of it give the ids, nonces, flags, blinded secrets and responses.  One
-    set over the ids refuses a repeated or the sender's id (only a refused
-    wire meets :func:`validate_shape`, which names its first defect), and
-    two comprehensions convert the 2m elements.  One :func:`all_known`
-    query, with no subgroup check, vouches for all of them when each is
-    already known.  Otherwise they meet :func:`is_element` one by one,
-    each entry's blinded secret before its response, so the first
-    non-member is the one reported.  The columns, with the response
-    fields as read, become the message's :class:`AnnouncedEntries`."""
+    of it give the ids, nonces, flags, blinded secrets and responses, the
+    last two as their encodings.  One set over the ids refuses a repeated
+    or the sender's id (only a refused wire meets :func:`validate_shape`,
+    which names its first defect).  Two :func:`all_known` queries over
+    the encodings themselves, with no conversion and no subgroup check,
+    vouch for all 2m elements when each is already known.  Otherwise each
+    is converted and meets :func:`is_element`, one by one, each entry's
+    blinded secret before its response, so the first non-member is the
+    one reported.  The columns become the message's
+    :class:`AnnouncedEntries`, which converts an element to an int only
+    when it is read."""
     count = int.from_bytes(data[_COUNT_AT:_HEADER_LEN], "big")
     width = params.element_width
     end = _HEADER_LEN + count * _announced_entry(width).size
@@ -416,30 +446,28 @@ def _decode_announcement(data: bytes, sender_id: int, epoch: int,
     if not count:
         return _new_message((_IGROUP, sender_id, data[5:21], epoch,
                              _NO_ENTRIES, data[end + 2:]))
-    fields = _announced_entries(width, count).unpack_from(data, _HEADER_LEN)
-    ids, nonces, flags, blinds, encoded = (fields[0::5], fields[1::5],
-                                           fields[2::5], fields[3::5],
-                                           fields[4::5])
+    unpacked = _announced_entries(width, count).unpack_from(data, _HEADER_LEN)
+    ids, nonces, flags, blinds, fields = (unpacked[0::5], unpacked[1::5],
+                                          unpacked[2::5], unpacked[3::5],
+                                          unpacked[4::5])
     if flags.count(1) != count:
         raise _refusal(data, _IGROUP, params)
     named = set(ids)
     if len(named) != count or sender_id in named:
         try:
             validate_shape(Message(_IGROUP, sender_id, data[5:21], epoch, tuple(
-                map(_new_entry, zip(ids, nonces, blinds, encoded))),
+                map(_new_entry, zip(ids, nonces, blinds, fields))),
                 data[end + 2:]))
         except ShapeViolation as exc:
             raise MalformedMessage(str(exc)) from None
-    from_bytes = int.from_bytes
-    blinded = tuple([from_bytes(field, "big") for field in blinds])
-    answered = tuple([from_bytes(field, "big") for field in encoded])
-    if not all_known(blinded + answered, params):
-        for value in chain.from_iterable(zip(blinded, answered)):
+    if not (all_known(blinds, params) and all_known(fields, params)):
+        from_bytes = int.from_bytes
+        for field in chain.from_iterable(zip(blinds, fields)):
+            value = from_bytes(field, "big")
             if not is_element(value, params):
                 raise _non_member(value, params)
     return _new_message((_IGROUP, sender_id, data[5:21], epoch,
-                         AnnouncedEntries(ids, nonces, blinded, answered,
-                                          encoded),
+                         AnnouncedEntries(ids, nonces, blinds, fields),
                          data[end + 2:]))
 
 

@@ -493,18 +493,18 @@ class Node:
         state, so a refused announcement leaves none behind.
 
         ``msg.entries`` is the :class:`~agdh.messages.AnnouncedEntries`
-        ``decode`` read: the node finds its own index in its ``ids``,
-        checks the echo and the identity response on its own nonce, blind
-        and response, and hands the fold the ``responses`` column with its
-        wire ``fields``, so no entry is built."""
+        ``decode`` read: the node finds its own index in its ``ids``, reads
+        its own entry, whose blind and response alone are converted to
+        ints, checks the echo and the identity response on them, and hands
+        the fold the wire ``fields``, so no other element is converted."""
         sender, entries = msg.sender_id, msg.entries
         ids = entries.ids
         mine = ids.index(self.node_id) if self.node_id in ids else None
 
         fresh: SessionKey | None = None
         if mine is not None:
-            echoed = GroupEntry(self.node_id, entries.nonces[mine],
-                                entries.blinded[mine])
+            _, nonce, blinded, response = entries[mine]
+            echoed = GroupEntry(self.node_id, nonce, blinded)
             if echoed == self.contribution:
                 secret = self.own_secret
             elif echoed == self.prev_contribution:
@@ -516,7 +516,6 @@ class Node:
                 if not just_replied:
                     self._send_ireply(out)
                 return
-            response = entries.responses[mine]
             if response == 1:
                 # the response to the blind of a secret in [1, q-1] is never
                 # the identity; recovering from one gives the leader blind
@@ -526,8 +525,8 @@ class Node:
             if held is None or (held.leader_id, held.epoch) != (sender, msg.epoch):
                 leader_blind = recover_leader_blind(
                     response, secret, self.params, self.counter)
-                key = compute_key_member(leader_blind, entries.responses,
-                                         self.params, entries.fields)
+                key = compute_key_member(leader_blind, entries.fields,
+                                         self.params)
                 try:
                     fresh = SessionKey(
                         now, self.node_id, sender, msg.epoch, key,

@@ -151,7 +151,8 @@ def test_criterion_3_toy_exhaustive():
             mine = next(e for e in entries if e.participant_id == pid)
             leader_blind = recover_leader_blind(mine.blinded_response, secret, TOY)
             assert compute_key_member(
-                leader_blind, [e.blinded_response for e in entries], TOY) == expected
+                leader_blind, [e.blinded_response.to_bytes(1, "big")
+                               for e in entries], TOY) == expected
         cases += 1
     assert cases == 1000
 

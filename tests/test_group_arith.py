@@ -20,6 +20,7 @@ from agdh.group_arith import (
     ExpCounter,
     GroupParams,
     decode_element,
+    element_encoding,
     encode_element,
     exp,
     all_known,
@@ -27,9 +28,11 @@ from agdh.group_arith import (
     load_params,
     parse_params_text,
     prodmod,
+    prodmod_encoded,
     random_scalar,
     scalar_inverse,
     _MEMO_SIZE,
+    _encodings_in_range,
     _in_subgroup,
     _is_probable_prime,
     _power_q_is_one,
@@ -306,6 +309,25 @@ def subgroup_checks(fn):
     return value, after.hits + after.misses - before.hits - before.misses
 
 
+class CountingSet(set):
+    """A known set that counts single lookups and records what is added."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.reset()
+
+    def reset(self):
+        self.lookups, self.added = 0, []
+
+    def __contains__(self, item):
+        self.lookups += 1
+        return super().__contains__(item)
+
+    def add(self, item):
+        self.added.append(item)
+        super().add(item)
+
+
 class TestKnownElements:
     @settings(max_examples=200)
     @given(st.lists(st.tuples(st.integers(-1, 24), st.integers()), max_size=30))
@@ -371,17 +393,66 @@ class TestKnownElements:
 
     def test_all_known_pays_no_subgroup_check(self):
         rng = random.Random("all-known")
-        blinded = [exp(PROD.generator, random_scalar(rng, PROD), PROD)
-                   for _ in range(3)]
+        blinded = encodings([exp(PROD.generator, random_scalar(rng, PROD), PROD)
+                             for _ in range(3)], PROD)
         outside = pow(PROD.generator, random_scalar(rng, PROD), PROD.modulus)
+        both = blinded + encodings([outside], PROD)
         assert subgroup_checks(lambda: all_known(blinded, PROD)) == (True, 0)
-        assert subgroup_checks(
-            lambda: all_known(blinded + [outside], PROD)) == (False, 0)
+        assert subgroup_checks(lambda: all_known(both, PROD)) == (False, 0)
         assert all_known([], PROD)
         # a member is known once a check has proved it
         assert is_element(outside, PROD)
-        assert all_known(blinded + [outside], PROD)
-        assert not all_known([PROD.modulus - 1], PROD)
+        assert all_known(both, PROD)
+        assert not all_known(encodings([PROD.modulus - 1], PROD), PROD)
+        # the memo is keyed by the fixed-width encoding alone: the int, or
+        # the same value at another width, is not known
+        assert not all_known([outside], PROD)
+        assert not all_known([b"\0" + both[-1]], PROD)
+
+    @pytest.mark.parametrize("params", [TOY, ODD_WIDTH], ids=lambda p: p.name)
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_drawn_calls_keep_answers_exact(self, params, data):
+        """After any sequence of ``exp`` and ``is_element`` calls, on TOY
+        and on the 61-bit group, every answer is the subgroup check's, and
+        the memo holds only ``element_width``-byte encodings of members."""
+        p, q, g = params.modulus, params.order, params.generator
+        drawn = st.one_of(st.integers(-23, 45),
+                          st.sampled_from([g, p - 1, p, p + g, 2 * p - 1]))
+        results = []
+        for is_power, v, s in data.draw(st.lists(st.tuples(
+                st.booleans(), drawn, st.integers(0, 2 * q)), max_size=20)):
+            if is_power:
+                results.append(exp(v, s, params))
+            else:
+                is_element(v, params)
+        for v in [*range(-23, 46), *results]:
+            assert is_element(v, params) == (0 < v < p and pow(v, q, p) == 1), v
+        width = params.element_width
+        for encoded in params.known:
+            value = int.from_bytes(encoded, "big")
+            assert type(encoded) is bytes and len(encoded) == width
+            assert 0 < value < p and pow(value, q, p) == 1
+
+    def test_each_path_encodes_and_looks_up_once(self, monkeypatch):
+        """``encode_element`` and ``is_element`` look a value's encoding up
+        once; ``exp`` looks up its base once, or not at all when it is the
+        generator or comes with its encoding, and files the power."""
+        rng = random.Random("once")
+        known = CountingSet(PROD.known)
+        monkeypatch.setattr(PROD, "known", known)
+        x = exp(PROD.generator, random_scalar(rng, PROD), PROD)
+        assert known.lookups == 0 and x.to_bytes(128, "big") in known.added
+        for fn in (encode_element, is_element, element_encoding):
+            known.reset()
+            fn(x, PROD)
+            assert known.lookups == 1 and known.added == []
+        known.reset()
+        y = exp(x, random_scalar(rng, PROD), PROD)
+        assert known.lookups == 1 and known.added == [y.to_bytes(128, "big")]
+        known.reset()
+        z = exp(y, random_scalar(rng, PROD), PROD, None, y.to_bytes(128, "big"))
+        assert known.lookups == 0 and known.added == [z.to_bytes(128, "big")]
 
     @pytest.mark.parametrize("bad, honest", [
         # 5 has order 22 in Z_23*
@@ -568,6 +639,61 @@ class TestProductKernel:
                     good[:-1] + (b"\0" + good[-1],)):
             with pytest.raises(BadLength):
                 prodmod(2, factors, PROD, bad)
+
+    @pytest.mark.parametrize("params", [TOY, ODD_WIDTH, PROD], ids=lambda p: p.name)
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_encoding_range_guard_agrees_with_the_int_guard(self, params, data):
+        """At a fixed width, byte order is numeric order: the guard on
+        encodings refuses exactly the values the int guard refuses."""
+        p, width = params.modulus, params.element_width
+        top = 256 ** width - 1
+        edges = [0, 1, 2, p - 2, p - 1, p, p + 1, top]
+        values = data.draw(st.lists(st.one_of(st.sampled_from(edges),
+                                              st.integers(0, top)),
+                                    min_size=1, max_size=8))
+        for value in values:
+            assert _encodings_in_range(encodings([value], params), params) \
+                == (0 < value < p), value
+        assert _encodings_in_range(encodings(values, params), params) == \
+            all(0 < value < p for value in values)
+        assert _encodings_in_range((), params)
+
+    @pytest.mark.parametrize("params, native", [
+        (TOY, False), (PROD, False),
+        pytest.param(PROD, True, marks=needs_native)],
+        ids=["toy", "prod-builtin", "prod-native"])
+    def test_encodings_out_of_range_raise(self, params, native, monkeypatch):
+        """An encoding of 0, of p or of a value above p raises NotInSubgroup
+        before any native call, from ``prodmod_encoded`` on either kernel
+        and from ``prodmod``'s encodings where the native kernel would fold
+        them."""
+        if native:
+            monkeypatch.setattr(group_arith._openssl(), "prodmod", None)
+        else:
+            monkeypatch.setattr(group_arith, "_native_for", lambda m: None)
+        p, width = params.modulus, params.element_width
+        factors = [params.generator, p - 1, 1]
+        for bad in (0, p, p + 1, 256 ** width - 1):
+            for at in range(len(factors)):
+                encoded = encodings(factors[:at] + [bad] + factors[at + 1:],
+                                    params)
+                with pytest.raises(NotInSubgroup):
+                    prodmod_encoded(2, encoded, params)
+                if native:
+                    with pytest.raises(NotInSubgroup):
+                        prodmod(2, factors, params, encoded)
+        for first in (0, p):
+            with pytest.raises(NotInSubgroup):
+                prodmod_encoded(first, encodings(factors, params), params)
+
+    @pytest.mark.parametrize("params", [TOY, PROD, ODD_WIDTH], ids=lambda p: p.name)
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_drawn_products_of_encodings_match_python(self, params, data):
+        first, factors = data.draw(product_cases(params.modulus))
+        assert prodmod_encoded(first, encodings(factors, params), params) == \
+            python_fold(first, factors, params.modulus)
 
     @pytest.mark.parametrize("m", KERNEL_MODULI, ids=lambda m: f"{m.bit_length()}b")
     def test_out_of_range_values_raise(self, m):

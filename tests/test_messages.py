@@ -1060,8 +1060,10 @@ def test_cold_announcement_checks_each_element_in_entry_order(monkeypatch):
 
 def test_warm_announcement_pays_no_membership_test(monkeypatch):
     """An honest m = 30 PROD announcement whose elements are known decodes
-    without one ``is_element`` or subgroup check; an IREPLY still takes
-    one ``is_element`` for its one element."""
+    without one ``is_element`` or subgroup check, and so does an IREPLY
+    whose element is known: its field is looked up as the wire carries
+    it.  With the memo emptied, the IREPLY takes one ``is_element`` for
+    its one element."""
     wire = announcement(PROD, 30)
     blinded = exp(PROD.generator, 12345, PROD)
     reply = sign_and_encode(build_ireply(2, nonce(0xAA), 1, GroupEntry(
@@ -1079,7 +1081,10 @@ def test_warm_announcement_pays_no_membership_test(monkeypatch):
     msg = decode(wire, PROD)
     assert len(msg.entries) == 30 and tested == [] and checks() == before
     assert decode(reply, PROD).entries[0].blinded_secret == blinded
-    assert tested == [blinded] and checks() == before
+    assert tested == [] and checks() == before
+    monkeypatch.setattr(PROD, "known", set())
+    assert decode(reply, PROD).entries[0].blinded_secret == blinded
+    assert tested == [blinded] and checks() == before + 1
 
 
 class TestHeader:

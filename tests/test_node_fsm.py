@@ -1070,10 +1070,9 @@ def test_refresh_keeps_the_registered_wire_and_tests_no_element(monkeypatch):
 
 @pytest.mark.parametrize("params", [TOY, PROD], ids=lambda p: p.name)
 def test_member_folds_the_announced_encodings(params, monkeypatch):
-    """A member's key step hands its fold the responses of the wire it
-    accepted and, beside them, the decode's own ``fields`` column, their
-    encodings as that wire carries them, in entry order; the kernel, not
-    the node, decides which it reads."""
+    """A member's key step hands its fold the decode's own ``fields``
+    column: the responses of the wire it accepted, encoded as that wire
+    carries them, in entry order."""
     leader, member, other, empty, keyed, reply2, now = build_pair(params)
     folds, decoded = [], []
     real = node_fsm.compute_key_member
@@ -1085,22 +1084,21 @@ def test_member_folds_the_announced_encodings(params, monkeypatch):
     [announcement] = out.sends
     out = deliver(member, announcement.wire, max(now, at) + 1000)
     assert out.key_changes and member.session.derived == leader.session.derived
-    [(_, responses, fold_params, encoded)] = folds
+    [(_, encoded, fold_params)] = folds
     [msg] = decoded
     assert fold_params is params
-    assert responses == tuple(e.blinded_response
-                              for e in announcement.message.entries)
     assert encoded is msg.entries.fields
-    assert encoded == tuple(r.to_bytes(params.element_width, "big")
-                            for r in responses)
+    assert encoded == tuple(e.blinded_response.to_bytes(params.element_width, "big")
+                            for e in announcement.message.entries)
 
 
-def prod_group(m: int):
-    """A PROD leader 1 that has keyed members 2..m+1, none of which has
-    yet heard the keyed announcement: (leader, members, its Outgoing,
-    the time of its beacon)."""
+def keyed_group(m: int, params=PROD):
+    """A leader 1 that has keyed members 2..m+1, none of which has yet
+    heard the keyed announcement: (leader, members, its Outgoing, the
+    time of its beacon)."""
     ring = HmacKeyRing.provision(range(1, m + 2), master="fsm-tests")
-    leader, *members = [Node(i, CONFIG, PROD, ring, random.Random(f"prod/{i}"))
+    leader, *members = [Node(i, CONFIG, params, ring,
+                             random.Random(f"{params.name}/{i}"))
                         for i in range(1, m + 2)]
     empty = leader.start_as_leader(0).sends[0]
     replies = [deliver(member, empty.wire, 10_000).sends[0] for member in members]
@@ -1118,7 +1116,7 @@ def test_cold_member_key_step_checks_each_element_in_entry_order(monkeypatch):
     entry's blinded secret before its response, to the oracle's key; a
     non-member planted at entry k is refused as malformed, and the step
     leaves the member's state as it found it."""
-    leader, members, keyed, at = prod_group(29)
+    leader, members, keyed, at = keyed_group(29)
     member = members[0]
     msg = keyed.message
     in_order = [value for e in msg.entries
@@ -1151,4 +1149,27 @@ def test_cold_member_key_step_checks_each_element_in_entry_order(monkeypatch):
     assert out.accepted and tested == in_order
     expected = oracle_key(leader_secret(leader),
                           [n.own_secret for n in members], PROD)
+    assert member.session.group_key == expected == leader.session.group_key
+
+
+@pytest.mark.parametrize("params, m", [(PROD, 99), (TOY, 29)],
+                         ids=["prod-99", "toy-29"])
+def test_warm_member_key_step_builds_no_int_column(params, m, monkeypatch):
+    """A member whose process already knows its leader's elements keys
+    from an m-entry announcement with no membership test, converting
+    only its own blind and response to ints: neither int column of the
+    decoded entries is built, and the key is the oracle's."""
+    leader, members, keyed, at = keyed_group(m, params)
+    member = members[0]
+    decoded, tested = [], []
+    monkeypatch.setattr(node_fsm, "decode",
+                        lambda *args: decoded.append(decode(*args)) or decoded[-1])
+    monkeypatch.setattr(messages, "is_element",
+                        lambda *args: tested.append(args) or True)
+    out = deliver(member, keyed.wire, at + 1000)
+    assert out.key_changes and not tested
+    [msg] = decoded
+    assert (msg.entries._blinded, msg.entries._responses) == (None, None)
+    expected = oracle_key(leader_secret(leader),
+                          [n.own_secret for n in members], params)
     assert member.session.group_key == expected == leader.session.group_key
