@@ -46,15 +46,15 @@ binding, which releases it.  A member passes only the responses'
 encodings, as the announcement carried them, to :func:`prodmod_encoded`,
 which guards their range on the bytes themselves and ``BN_bin2bn`` loads
 as they are; the leader's fold and ``agdh bench`` pass ints to
-:func:`prodmod`, which are encoded first.  On PROD a factor costs about 1.1 us from its
-encoding and 1.25 us from an int (against 1.35 us from an int through
-``CDLL``), most of it the two ``ctypes`` calls' own cost, against about
-4.4 us for Python's ``a * b % p`` (the best of 7 x 300 folds of 99
-factors, in one process on a shared 2-CPU VM), so at m = 99 a member's
-fold costs about 0.11 ms rather than 0.44 ms.  The Python loop stays the
-fallback wherever builtin ``pow`` is the kernel (about 0.07 us per
-factor on TOY): :func:`prodmod` folds the ints, whatever encodings it is
-given, and :func:`prodmod_encoded` converts each encoding as it folds.
+:func:`prodmod`, which are encoded first.  On PROD a factor costs about
+1.1 us from its encoding and 1.25 us from an int (against 1.35 us from an
+int through ``CDLL``), most of it the two ``ctypes`` calls' own cost,
+against about 4.4 us for Python's ``a * b % p`` (the best of 7 x 300
+folds of 99 factors, in one process on a shared 2-CPU VM), so at m = 99 a
+member's fold costs about 0.11 ms rather than 0.44 ms.  The Python loop
+stays the fallback wherever builtin ``pow`` is the kernel (about 0.07 us
+per factor on TOY): :func:`prodmod` folds the ints, whatever encodings it
+is given, and :func:`prodmod_encoded` converts each encoding as it folds.
 Products are not exponentiations and no counter sees them.
 
 Membership answers are memoised under the closure rule: a power of an
@@ -66,9 +66,9 @@ bytes, not its int, because most questions arrive as bytes: an
 announcement's 2m elements are slices of the wire, and a member needs only
 its own blind and response as ints.  So ``messages.decode`` asks about
 the slices themselves and converts nothing when all are known.  Asking
-about an int slice instead cost one ``int.from_bytes`` and a hash of a
-1024-bit int, about 0.37 us per PROD element, where a fresh 128-byte
-slice costs one hash, about 0.05 us (timeit over 198 elements, 2-CPU VM).
+about a slice's int instead cost one ``int.from_bytes`` and a hash of a
+1024-bit int, about 0.37 us per PROD element, where hashing the fresh
+128-byte slice costs about 0.05 us (timeit over 198 elements, 2-CPU VM).
 An int asks through its encoding, which each path makes once:
 :func:`is_element`, :func:`element_encoding` and :func:`encode_element`
 encode the value and look that up, and :func:`exp` files the native
@@ -623,8 +623,8 @@ def _encodings_in_range(encoded: Sequence[bytes], params: GroupParams) -> bool:
     ``(0, p)``.  At a fixed width, byte order is numeric order, so the
     least must have a nonzero byte and the greatest must sort below p's
     own encoding."""
-    return not encoded or (any(min(encoded)) and max(encoded) <
-                           params.modulus.to_bytes(params.element_width, "big"))
+    bound = params.modulus.to_bytes(params.element_width, "big")
+    return not encoded or (any(min(encoded)) and max(encoded) < bound)
 
 
 def scalar_inverse(s: Scalar, params: GroupParams) -> Scalar:
